@@ -231,11 +231,6 @@ class AnnNet:
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)
 
-    def zero_grads(self):
-        for layer in self.layers:
-            for _, p, g in layer.params():
-                g[...] = 0.0
-
     def param_pairs(self):
         pairs = []
         for i, layer in enumerate(self.layers):

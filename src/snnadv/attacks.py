@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class AttackConfig:
     random_start: bool = True
     seed: int = 0
     normalize_alphas: bool = True
-    keep_trace: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.eps_max <= 1.0:
@@ -141,13 +140,35 @@ def margin_loss(logits: np.ndarray, labels: np.ndarray, kappa: float
     return value, dlogits.astype(np.asarray(logits).dtype)
 
 
+def _iterate(x: np.ndarray, eps_max: float, step: float, n_iter: int, direction: Callable,
+             x_adv: Optional[np.ndarray] = None, trace: Optional[list] = None) -> np.ndarray:
+    """The loop every attack runs: from ``x_adv`` (default: x clipped to the
+    pixel range), n_iter signed steps of size ``step`` along
+    ``direction(x_adv)``, each followed by projection. A zero budget returns
+    the clipped input without evaluating any gradient."""
+    if eps_max == 0.0:
+        return np.clip(x, 0.0, 1.0)
+    if x_adv is None:
+        x_adv = np.clip(x, 0.0, 1.0)
+    for _ in range(n_iter):
+        x_adv = project(x_adv + step * numerics.sign(direction(x_adv)).astype(x.dtype),
+                        x, eps_max)
+        if trace is not None:
+            trace.append(x_adv.copy())
+    return x_adv
+
+
+def _grad_rule(model, labels: np.ndarray) -> Callable:
+    return lambda x_adv: loss_input_grad(model, x_adv, labels)[1]
+
+
 def fgsm(model, x: np.ndarray, labels: np.ndarray, eps: float) -> np.ndarray:
     """Single signed step of size eps, then pixel-range clip."""
     if eps < 0:
         raise ConfigError(f"eps must be >= 0, got {eps}")
     x = np.asarray(x)
-    _, grad = loss_input_grad(model, x, labels)
-    return np.clip(x + eps * numerics.sign(grad).astype(x.dtype), 0.0, 1.0)
+    # starting at x itself, the projection onto the eps ball is a no-op
+    return _iterate(x, eps, eps, 1, _grad_rule(model, labels), x_adv=x)
 
 
 def pgd(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
@@ -155,21 +176,13 @@ def pgd(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
     """Random start inside the ball (seeded), then iterated signed steps,
     each followed by projection."""
     x = np.asarray(x)
-    if cfg.eps_max == 0.0:
-        return np.clip(x, 0.0, 1.0)
+    start = None
     if cfg.random_start:
         rng = np.random.default_rng(cfg.seed)
-        x_adv = x + rng.uniform(-cfg.eps_max, cfg.eps_max, size=x.shape).astype(x.dtype)
-        x_adv = project(x_adv, x, cfg.eps_max)
-    else:
-        x_adv = np.clip(x, 0.0, 1.0)
-    for _ in range(cfg.n_iter):
-        _, grad = loss_input_grad(model, x_adv, labels)
-        x_adv = project(x_adv + cfg.eps_step * numerics.sign(grad).astype(x.dtype),
+        start = project(x + rng.uniform(-cfg.eps_max, cfg.eps_max, size=x.shape).astype(x.dtype),
                         x, cfg.eps_max)
-        if trace is not None:
-            trace.append(x_adv.copy())
-    return x_adv
+    return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, _grad_rule(model, labels),
+                    start, trace)
 
 
 def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
@@ -177,21 +190,19 @@ def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
     """Momentum-accumulated signed steps of size eps_max/n_iter with
     L1-normalized gradients; a zero gradient skips the normalization."""
     x = np.asarray(x)
-    if cfg.eps_max == 0.0:
-        return np.clip(x, 0.0, 1.0)
-    step = cfg.eps_max / cfg.n_iter
-    x_adv = np.clip(x, 0.0, 1.0)
     g = np.zeros_like(x)
     axes = tuple(range(1, x.ndim))
-    for _ in range(cfg.n_iter):
+
+    def momentum(x_adv):
+        nonlocal g
         _, grad = loss_input_grad(model, x_adv, labels)
         l1 = np.sum(np.abs(grad), axis=axes, keepdims=True)
         normed = np.divide(grad, l1, out=np.zeros_like(grad), where=l1 > 0)
         g = cfg.mu * g + normed
-        x_adv = project(x_adv + step * numerics.sign(g).astype(x.dtype), x, cfg.eps_max)
-        if trace is not None:
-            trace.append(x_adv.copy())
-    return x_adv
+        return g
+
+    return _iterate(x, cfg.eps_max, cfg.eps_max / cfg.n_iter, cfg.n_iter, momentum,
+                    trace=trace)
 
 
 def _mask_for(model, x: np.ndarray) -> np.ndarray:
@@ -213,21 +224,17 @@ def saga(models: Sequence, alphas: Sequence[float], x: np.ndarray, labels: np.nd
     if any(a < 0 for a in alphas):
         raise ConfigError("blend coefficients must be non-negative")
     x = np.asarray(x)
-    if cfg.eps_max == 0.0:
-        return np.clip(x, 0.0, 1.0)
-    x_adv = np.clip(x, 0.0, 1.0)
-    for _ in range(cfg.n_iter):
-        blend = np.zeros_like(x)
+
+    def blend(x_adv):
+        out = np.zeros_like(x)
         for model, alpha in zip(models, alphas):
             if alpha == 0.0:
                 continue
             _, grad = loss_input_grad(model, x_adv, labels)
-            blend += alpha * _mask_for(model, x_adv) * grad
-        x_adv = project(x_adv + cfg.eps_step * numerics.sign(blend).astype(x.dtype),
-                        x, cfg.eps_max)
-        if trace is not None:
-            trace.append(x_adv.copy())
-    return x_adv
+            out += alpha * _mask_for(model, x_adv) * grad
+        return out
+
+    return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, blend, trace=trace)
 
 
 def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
@@ -256,13 +263,14 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
     else:
         alphas = np.full((n, m_count), 1.0 / m_count)
     history = [alphas.copy()]
-    if cfg.eps_max == 0.0:
-        return np.clip(x, 0.0, 1.0), np.asarray(history)
-    x_adv = np.clip(x, 0.0, 1.0)
     grad_axes = tuple(range(1, x.ndim))
     bshape = (n,) + (1,) * (x.ndim - 1)
     collapse_events = 0
-    for _ in range(cfg.n_iter):
+
+    def blend_and_update(x_adv):
+        # the coefficient update reads only quantities at the current iterate,
+        # so it runs here, before the step this blend drives
+        nonlocal alphas, collapse_events
         grads = []
         margin_grads = []
         blend = np.zeros_like(x)
@@ -276,9 +284,6 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
             margin_grads.append(f_grad)
             blend += alphas[:, mi].reshape(bshape).astype(x.dtype) \
                 * _mask_for(model, x_adv) * grad
-        x_next = project(x_adv + cfg.eps_step * numerics.sign(blend).astype(x.dtype),
-                         x, cfg.eps_max)
-        # coefficient update from the pre-projection iterate quantities
         grad_sum = np.sum(grads, axis=0, dtype=np.float64)
         # sech^2 underflows to 0 beyond ~350 anyway; clip to keep cosh finite
         sech2 = 1.0 / np.square(np.cosh(np.clip(cfg.fit_u * grad_sum, -350.0, 350.0)))
@@ -297,9 +302,9 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
                 row_sum[collapsed] = 1.0
             alphas /= row_sum[:, None]
         history.append(alphas.copy())
-        x_adv = x_next
-        if trace is not None:
-            trace.append(x_adv.copy())
+        return blend
+
+    x_adv = _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, blend_and_update, trace=trace)
     if collapse_events:
         log.warning("blend coefficients collapsed to zero %d times across %d samples; "
                     "reset to uniform each time", collapse_events, n)

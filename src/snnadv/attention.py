@@ -301,10 +301,6 @@ class TinyAttentionNet:
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)
 
-    def zero_grads(self):
-        for _, p, g in self.param_pairs():
-            g[...] = 0.0
-
     def param_pairs(self):
         pairs = [("wp", self.wp, self.dwp), ("bp", self.bp, self.dbp),
                  ("cls", self.cls, self.dcls), ("pos", self.pos, self.dpos)]

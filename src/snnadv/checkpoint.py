@@ -72,26 +72,26 @@ def describe(model) -> dict:
     raise FormatError(f"cannot checkpoint model type {type(model).__name__}")
 
 
-def _rebuild(kind: str, arch: dict):
+def _rebuild(kind: str, arch: dict, dtype: np.dtype):
     if kind == "snn":
         layers = []
         for spec in arch["layers"]:
             neuron = NeuronConfig(**spec["neuron"])
             synapse = SynapseConfig(alphas=tuple(spec["synapse"]["alphas"]),
                                     betas=tuple(spec["synapse"]["betas"]))
-            w = np.zeros((spec["in"], spec["out"]), dtype=np.float32)
+            w = np.zeros((spec["in"], spec["out"]), dtype=dtype)
             layers.append(SpikingLayer(w, neuron=neuron, synapse=synapse))
         return SpikingNet(layers, T=arch["T"], surrogate=SurrogateSpec(**arch["surrogate"]),
                           readout=arch["readout"], encoding=arch["encoding"],
                           detach_reset=arch["detach_reset"])
     if kind == "ann":
         builders = {
-            "dense": lambda d: Dense(np.zeros((d["in"], d["out"]), dtype=np.float32)),
+            "dense": lambda d: Dense(np.zeros((d["in"], d["out"]), dtype=dtype)),
             "relu": lambda d: ReLU(),
             "flatten": lambda d: Flatten(),
             "avgpool2": lambda d: AvgPool2d(),
             "conv2d": lambda d: Conv2d(np.zeros((d["out_c"], d["in_c"], d["kh"], d["kw"]),
-                                                dtype=np.float32), pad=d["pad"]),
+                                                dtype=dtype), pad=d["pad"]),
         }
         layers = []
         for spec in arch["layers"]:
@@ -104,7 +104,7 @@ def _rebuild(kind: str, arch: dict):
         return TinyAttentionNet(image_shape=tuple(arch["image_shape"]), patch=arch["patch"],
                                 embed=arch["embed"], n_layers=arch["n_layers"],
                                 n_heads=arch["n_heads"], n_classes=arch["n_classes"],
-                                ffn_hidden=arch["ffn_hidden"])
+                                ffn_hidden=arch["ffn_hidden"], dtype=dtype)
     raise FormatError(f"unknown model kind {kind!r}")
 
 
@@ -162,7 +162,10 @@ def load_model(path):
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after checkpoint payload")
-    model = _rebuild(kind, arch)
+    dtypes = {arr.dtype for arr in tensors.values()}
+    if len(dtypes) > 1:
+        raise FormatError(f"checkpoint mixes tensor dtypes {sorted(map(str, dtypes))}")
+    model = _rebuild(kind, arch, dtypes.pop() if dtypes else np.dtype(np.float32))
     pairs = {name: p for name, p, _ in model.param_pairs()}
     if set(pairs) != set(tensors):
         raise FormatError("checkpoint tensors do not match the architecture descriptor")

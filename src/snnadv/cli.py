@@ -28,7 +28,6 @@ from .train import Adam, SGD, evaluate, train_epochs
 _COMMON = {
     "out": (str, "run"),
     "seed": (int, 0),
-    "jobs": (int, 1),
     "data": (str, "auto"),       # auto | mnist | digits | blobs
     "n-train": (int, 10000),
     "n-test": (int, 2000),
@@ -339,8 +338,7 @@ def cmd_transfer_matrix(cfg: dict) -> int:
                               n_iter=cfg["steps"], seed=cfg["seed"])
     attack_names = [a.strip() for a in cfg["attacks"].split(",") if a.strip()]
     matrix = harness.transfer_matrix(models, names, test_x, test_y, cfg["n"], attack_cfg,
-                                     attack_names=attack_names, seed=cfg["seed"],
-                                     jobs=cfg["jobs"])
+                                     attack_names=attack_names, seed=cfg["seed"])
     _echo(cfg, out_dir)
     matrix.write_csv(out_dir)
     harness.write_json(matrix.as_dict(), out_dir / "transfer.json")

@@ -86,24 +86,24 @@ class SynapseConfig:
 
 
 def step_lif_hard(v_prev: np.ndarray, o_prev: np.ndarray, input_current: np.ndarray,
-                  cfg: NeuronConfig) -> tuple[np.ndarray, np.ndarray]:
+                  cfg: NeuronConfig, spike=heaviside) -> tuple[np.ndarray, np.ndarray]:
     """One hard-reset step: the (1 - o_prev) gate zeroes the potential of
-    neurons that fired."""
+    neurons that fired. ``spike(v, threshold)`` is the firing rule."""
     numerics.require_finite(input_current, "input current")
     v = cfg.leak * (1.0 - o_prev) * v_prev + input_current
-    return v, heaviside(v, cfg.threshold)
+    return v, spike(v, cfg.threshold)
 
 
 def step_lif_soft(v_prev: np.ndarray, o_prev: np.ndarray, input_current: np.ndarray,
-                  cfg: NeuronConfig) -> tuple[np.ndarray, np.ndarray]:
+                  cfg: NeuronConfig, spike=heaviside) -> tuple[np.ndarray, np.ndarray]:
     """One soft-reset step: the threshold is subtracted after a spike."""
     numerics.require_finite(input_current, "input current")
     v = cfg.leak * v_prev + input_current - cfg.threshold * o_prev
-    return v, heaviside(v, cfg.threshold)
+    return v, spike(v, cfg.threshold)
 
 
 def step_adaptive(v_prev: np.ndarray, k_prev: np.ndarray, o_prev: np.ndarray,
-                  input_current: np.ndarray, cfg: NeuronConfig
+                  input_current: np.ndarray, cfg: NeuronConfig, spike=heaviside
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One adaptive step: inhibition k decays by phi and is recharged by the
     previous spike; the potential is inhibited by theta * k_prev."""
@@ -111,16 +111,17 @@ def step_adaptive(v_prev: np.ndarray, k_prev: np.ndarray, o_prev: np.ndarray,
     phi = cfg.adapt_decay if cfg.adapt_decay is not None else 0.0
     v = cfg.leak * v_prev + input_current - cfg.threshold * k_prev
     k = phi * k_prev + o_prev
-    return v, k, heaviside(v, cfg.threshold)
+    return v, k, spike(v, cfg.threshold)
 
 
-def synapse_iir(cfg: SynapseConfig, spike_history: list, state_history: list) -> np.ndarray:
+def synapse_iir(cfg: SynapseConfig, spike_history, state_history) -> np.ndarray:
     """Next synapse state from past values.
 
     ``spike_history`` holds S[1..t] (current last), ``state_history`` holds
-    X[1..t-1]; values before t=1 are zero-padded.
+    X[1..t-1]; either may be a list or a time-major array. Values before t=1
+    are zero-padded.
     """
-    if not spike_history:
+    if len(spike_history) == 0:
         raise StateError("spike history must contain the current input")
     x_t = cfg.betas[0] * np.asarray(spike_history[-1])
     for q, beta in enumerate(cfg.betas[1:], start=1):
@@ -138,16 +139,8 @@ def synapse_filter(cfg: SynapseConfig, spikes: np.ndarray) -> np.ndarray:
     if cfg.is_identity:
         return spikes
     out = np.zeros_like(spikes)
-    T = spikes.shape[0]
-    for t in range(T):
-        x_t = cfg.betas[0] * spikes[t]
-        for q, beta in enumerate(cfg.betas[1:], start=1):
-            if t - q >= 0:
-                x_t = x_t + beta * spikes[t - q]
-        for p, alpha in enumerate(cfg.alphas, start=1):
-            if t - p >= 0:
-                x_t = x_t + alpha * out[t - p]
-        out[t] = x_t
+    for t in range(spikes.shape[0]):
+        out[t] = synapse_iir(cfg, spikes[:t + 1], out[:t])
     return out
 
 
@@ -214,7 +207,6 @@ class LayerTrace:
 class ForwardTrace:
     layers: list = field(default_factory=list)
     fingerprint: tuple = ()
-    x_input: Optional[np.ndarray] = None
 
 
 class SpikingNet:
@@ -259,11 +251,6 @@ class SpikingNet:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x), axis=1)
 
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.dw[...] = 0.0
-            layer.db[...] = 0.0
-
     def param_pairs(self) -> list:
         pairs = []
         for i, layer in enumerate(self.layers):
@@ -301,7 +288,7 @@ class SpikingNet:
         numerics.require_finite(x, "network input")
         n = x.shape[0]
         T = self.T
-        trace = ForwardTrace(fingerprint=self._fingerprint(), x_input=x)
+        trace = ForwardTrace(fingerprint=self._fingerprint())
         # direct coding: constant current per timestep
         spikes = np.broadcast_to(x, (T,) + x.shape)
         for li, layer in enumerate(self.layers):
@@ -319,16 +306,12 @@ class SpikingNet:
                 if is_readout:
                     v = cfg.leak * v + current
                 elif cfg.adaptive:
-                    v = cfg.leak * v + current - cfg.threshold * k
-                    k = cfg.adapt_decay * k + o
-                    o = self._spike(v, cfg.threshold)
+                    v, k, o = step_adaptive(v, k, o, current, cfg, self._spike)
                     k_buf[t] = k
                 elif cfg.reset == HARD_ZERO:
-                    v = cfg.leak * (1.0 - o) * v + current
-                    o = self._spike(v, cfg.threshold)
+                    v, o = step_lif_hard(v, o, current, cfg, self._spike)
                 else:
-                    v = cfg.leak * v + current - cfg.threshold * o
-                    o = self._spike(v, cfg.threshold)
+                    v, o = step_lif_soft(v, o, current, cfg, self._spike)
                 v_buf[t] = v
                 if not is_readout:
                     o_buf[t] = o

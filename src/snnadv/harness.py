@@ -10,6 +10,7 @@ deterministic under a fixed seed, which is recorded alongside the outputs.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass, replace
@@ -116,7 +117,7 @@ def _attack_runner(attack_name: str, cfg: AttackConfig) -> Callable:
 def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np.ndarray,
                     n: int, cfg: AttackConfig,
                     attack_names: Sequence[str] = ("fgsm", "pgd", "mim"),
-                    seed: int = 0, jobs: int = 1) -> TransferMatrix:
+                    seed: int = 0) -> TransferMatrix:
     """All-pairs transferability, one evaluation set per model pair, plus the
     elementwise max across attacks."""
     m = len(models)
@@ -129,27 +130,14 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
                 pair = [models[i]] if i == j else [models[i], models[j]]
                 evalsets[key] = select_eval_set(pair, x, y, n, seed=seed)
 
-    def cell(i, j, attack_name):
-        return transferability(models[i], models[j], _attack_runner(attack_name, cfg),
-                               evalsets[frozenset((i, j))])
-
     per_attack = {}
-    tasks = [(a, i, j) for a in attack_names for i in range(m) for j in range(m)]
-    results = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(cell, i, j, a): (a, i, j) for a, i, j in tasks}
-            for fut, key in futures.items():
-                results[key] = fut.result()
-    else:
-        for key in tasks:
-            results[key] = cell(key[1], key[2], key[0])
     for attack_name in attack_names:
+        attack_fn = _attack_runner(attack_name, cfg)
         matrix = np.zeros((m, m))
         for i in range(m):
             for j in range(m):
-                matrix[i, j] = results[(attack_name, i, j)]
+                matrix[i, j] = transferability(models[i], models[j], attack_fn,
+                                               evalsets[frozenset((i, j))])
         per_attack[attack_name] = matrix
     max_matrix = np.max(np.stack(list(per_attack.values())), axis=0)
     return TransferMatrix(names=names, n=n, per_attack=per_attack, max_matrix=max_matrix)
@@ -185,26 +173,24 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
                     evalset: EvalSet, cfg: AttackConfig) -> SweepGrid:
     """PGD robust accuracy over a (kernel, eps) grid.
 
-    The forward pass is untouched; only the backward kernel is swapped. Each
-    eps restarts the attack from the clean inputs. Both robust accuracy and
-    its complement are reported, since tables in this area mix the two.
+    The forward pass is untouched; only the backward kernel is swapped, on a
+    shallow copy that shares the weights, so ``snn`` itself never changes.
+    Each eps restarts the attack from the clean inputs. Both robust accuracy
+    and its complement are reported, since tables in this area mix the two.
     """
     evalset.verify([snn])
-    original = snn.surrogate
     acc = np.zeros((len(specs), len(eps_values)))
-    try:
-        for si, spec in enumerate(specs):
-            snn.surrogate = spec
-            for ei, eps in enumerate(eps_values):
-                if eps == 0.0:
-                    x_adv = evalset.x
-                else:
-                    step = min(cfg.eps_step, eps / 4.0)
-                    cfg_eps = replace(cfg, eps_max=float(eps), eps_step=step)
-                    x_adv = attacks.pgd(snn, evalset.x, evalset.y, cfg_eps)
-                acc[si, ei] = float(np.mean(snn.predict(x_adv) == evalset.y))
-    finally:
-        snn.surrogate = original
+    for si, spec in enumerate(specs):
+        view = copy.copy(snn)
+        view.surrogate = spec
+        for ei, eps in enumerate(eps_values):
+            if eps == 0.0:
+                x_adv = evalset.x
+            else:
+                step = min(cfg.eps_step, eps / 4.0)
+                cfg_eps = replace(cfg, eps_max=float(eps), eps_step=step)
+                x_adv = attacks.pgd(view, evalset.x, evalset.y, cfg_eps)
+            acc[si, ei] = float(np.mean(view.predict(x_adv) == evalset.y))
     return SweepGrid(kinds=[s.kind for s in specs], eps_values=list(eps_values),
                      robust_accuracy=acc, success_rate=1.0 - acc)
 

@@ -2,9 +2,9 @@
 
 Tensors are plain numpy ndarrays in row-major order: float32 is the working
 precision for training and attacks, float64 is reserved for gradient oracles
-(central finite differences are unreliable in 32-bit). Every public operation
-checks shapes at the boundary and surfaces NaN/Inf as an error instead of
-propagating it.
+(central finite differences are unreliable in 32-bit). The loss and oracle
+helpers check shapes at the boundary and surface NaN/Inf as an error instead
+of propagating it.
 """
 
 from __future__ import annotations
@@ -25,54 +25,9 @@ def require_finite(arr: np.ndarray, what: str = "result") -> np.ndarray:
     return arr
 
 
-def as_tensor(values, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    return require_finite(np.asarray(values, dtype=dtype), "tensor literal")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Checked 2-d matrix product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return require_finite(a @ b, "matmul result")
-
-
-def _check_pair(a: np.ndarray, b) -> None:
-    if np.ndim(b) == 0:
-        return
-    if np.shape(a) != np.shape(b):
-        raise DimensionError(f"elementwise shapes differ: {np.shape(a)} vs {np.shape(b)}")
-
-
-def add(a, b):
-    _check_pair(a, b)
-    return require_finite(np.add(a, b), "add result")
-
-
-def sub(a, b):
-    _check_pair(a, b)
-    return require_finite(np.subtract(a, b), "sub result")
-
-
-def mul(a, b):
-    _check_pair(a, b)
-    return require_finite(np.multiply(a, b), "mul result")
-
-
-def clamp(a, lo, hi):
-    return require_finite(np.clip(a, lo, hi), "clamp result")
-
-
 def sign(a):
     # numpy convention sign(0) = 0; attacks leave zero-gradient pixels alone
     return np.sign(np.asarray(a))
-
-
-def absolute(a):
-    return require_finite(np.abs(a), "abs result")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

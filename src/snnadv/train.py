@@ -125,7 +125,6 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             losses.append(loss)
-            model.zero_grads()
             model.backward(cache, dlogits)
             optimizer.step(model.param_pairs())
         train_acc = evaluate(model, train_x, train_y).accuracy

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snnadv import numerics
+from snnadv import attacks, numerics
 from snnadv.ann import AnnNet, Dense, build_mlp
 from snnadv.attacks import (AttackConfig, AttackReport, auto_saga, fgsm, loss_input_grad,
                             margin_loss, mim, pgd, project, run_attack, saga)
@@ -272,3 +272,36 @@ class TestReportAndFuzz:
             x_adv = pgd(blob_net, x[:4], y[:4], cfg)
             assert np.max(np.abs(x_adv - x[:4])) <= eps + 1e-6
             assert x_adv.min() >= 0.0 and x_adv.max() <= 1.0
+
+
+class TestNoCrossCalls:
+    """The benchmark wraps each public attack by name and counts its runs, so
+    no attack may reach another through the module namespace, and
+    ``run_attack`` must look them up at call time."""
+
+    CALLS = {
+        "fgsm": lambda m, x, y, cfg: attacks.fgsm(m, x, y, cfg.eps_max),
+        "pgd": lambda m, x, y, cfg: attacks.pgd(m, x, y, cfg),
+        "mim": lambda m, x, y, cfg: attacks.mim(m, x, y, cfg),
+        "saga": lambda m, x, y, cfg: attacks.saga([m], [1.0], x, y, cfg),
+        "auto_saga": lambda m, x, y, cfg: attacks.auto_saga([m], x, y, cfg),
+    }
+
+    @pytest.mark.parametrize("broken", sorted(CALLS))
+    def test_others_run_with_one_attack_broken(self, broken, blob_net, blob_data,
+                                               monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{broken} was called")
+
+        monkeypatch.setattr(attacks, broken, fail)
+        x, y = blob_data
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2)
+        for name, call in self.CALLS.items():
+            if name != broken:
+                call(blob_net, x[:8], y[:8], cfg)
+
+    def test_run_attack_uses_the_patched_function(self, monkeypatch):
+        marker = np.zeros((1, 2))
+        monkeypatch.setattr(attacks, "pgd", lambda model, x, labels, cfg, trace=None: marker)
+        out = run_attack("pgd", [None], np.ones((1, 2)), np.zeros(1, dtype=int), AttackConfig())
+        assert out is marker

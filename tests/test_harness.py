@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from snnadv import attacks
 from snnadv.ann import build_mlp
 from snnadv.attacks import AttackConfig, fgsm, pgd
 from snnadv.errors import SelectionError
@@ -169,6 +170,27 @@ class TestSurrogateSweep:
         cfg = AttackConfig(eps_max=1.0, eps_step=0.02, n_iter=2, seed=0)
         surrogate_sweep(bp_snn, [0.05], [SurrogateSpec(kind="sigmoid")], es, cfg)
         assert bp_snn.surrogate == original
+
+    def test_model_untouched_when_an_attack_raises(self, bp_snn, digits, monkeypatch):
+        _, _, test_x, test_y = digits
+        es = select_eval_set([bp_snn], test_x, test_y, 10, seed=0)
+        original = bp_snn.surrogate
+        seen = []
+
+        def pgd_failing_on_second_kernel(model, x, labels, cfg, trace=None):
+            seen.append((model.surrogate.kind, model.layers is bp_snn.layers))
+            if len(seen) == 2:
+                raise RuntimeError("attack failed")
+            return x
+
+        monkeypatch.setattr(attacks, "pgd", pgd_failing_on_second_kernel)
+        cfg = AttackConfig(eps_max=1.0, eps_step=0.02, n_iter=2, seed=0)
+        with pytest.raises(RuntimeError):
+            surrogate_sweep(bp_snn, [0.05], [SurrogateSpec(kind="sigmoid"),
+                                             SurrogateSpec(kind="erfc")], es, cfg)
+        assert bp_snn.surrogate is original
+        # each kernel is attacked on a copy that shares the trained weights
+        assert seen == [("sigmoid", True), ("erfc", True)]
 
 
 class TestMultiModelComparison:

@@ -82,18 +82,21 @@ class TestSynthData:
         assert np.bincount(ya, minlength=10).tolist() == [3] * 10
 
 
+CHECKPOINT_BUILDS = [
+    lambda: build_mlp([6, 8, 3], seed=1),
+    lambda: build_cnn((1, 8, 8), [2], 8, 3, seed=2),
+    lambda: build_snn_mlp([6, 8, 3], T=5, seed=3,
+                          neuron=NeuronConfig(leak=0.8, threshold=1.2,
+                                              reset="soft_subtract", adapt_decay=0.3),
+                          synapse=SynapseConfig(alphas=(0.4,), betas=(1.0, 0.2)),
+                          surrogate=SurrogateSpec(kind="erfc", sigma=0.5)),
+    lambda: TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
+                             n_heads=2, n_classes=3, seed=4),
+]
+
+
 class TestCheckpoint:
-    @pytest.mark.parametrize("build", [
-        lambda: build_mlp([6, 8, 3], seed=1),
-        lambda: build_cnn((1, 8, 8), [2], 8, 3, seed=2),
-        lambda: build_snn_mlp([6, 8, 3], T=5, seed=3,
-                              neuron=NeuronConfig(leak=0.8, threshold=1.2,
-                                                  reset="soft_subtract", adapt_decay=0.3),
-                              synapse=SynapseConfig(alphas=(0.4,), betas=(1.0, 0.2)),
-                              surrogate=SurrogateSpec(kind="erfc", sigma=0.5)),
-        lambda: TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
-                                 n_heads=2, n_classes=3, seed=4),
-    ])
+    @pytest.mark.parametrize("build", CHECKPOINT_BUILDS)
     def test_roundtrip_bit_identical(self, build, tmp_path):
         model = build()
         path = tmp_path / "model.snnm"
@@ -108,6 +111,28 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.snnm"
         checkpoint.save_model(path2, loaded, seed=42, config_echo={"note": "t"})
         assert path.read_bytes() == path2.read_bytes()
+
+    # the float32 half of the dtype grid is test_roundtrip_bit_identical
+    @pytest.mark.parametrize("build", CHECKPOINT_BUILDS)
+    def test_float64_roundtrip_keeps_dtype(self, build, tmp_path):
+        model = build().astype(np.float64)
+        path = tmp_path / "model.snnm"
+        checkpoint.save_model(path, model, seed=1)
+        loaded, _ = checkpoint.load_model(path)
+        for (_, pa, _), (_, pb, _) in zip(model.param_pairs(), loaded.param_pairs()):
+            assert pb.dtype == np.float64
+            assert np.array_equal(pa, pb)
+        path2 = tmp_path / "model2.snnm"
+        checkpoint.save_model(path2, loaded, seed=1)
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_mixed_dtypes_rejected(self, tmp_path):
+        net = build_mlp([4, 3], seed=0)
+        net.layers[0].b = net.layers[0].b.astype(np.float64)
+        path = tmp_path / "m.snnm"
+        checkpoint.save_model(path, net, seed=0)
+        with pytest.raises(FormatError, match="mixes tensor dtypes"):
+            checkpoint.load_model(path)
 
     def test_loaded_snn_predicts_identically(self, tmp_path):
         net = build_snn_mlp([6, 8, 3], T=4, seed=5)

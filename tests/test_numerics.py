@@ -2,72 +2,13 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
-from snnadv.errors import DimensionError, EvaluationError, IndexRangeError
-
-
-class TestMatmul:
-    def test_identity_both_sides(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3))
-        eye = np.eye(3)
-        assert np.array_equal(numerics.matmul(eye, a), a)
-        assert np.array_equal(numerics.matmul(a, eye), a)
-
-    def test_selector_row(self):
-        out = numerics.matmul(np.array([[1.0, 0.0]]), np.array([[2.0], [5.0]]))
-        assert out.shape == (1, 1) and out[0, 0] == 2.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        want = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    want[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(numerics.matmul(a, b), want, rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            numerics.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_non_finite_surfaced(self):
-        a = np.array([[1.0, np.inf]])
-        with pytest.raises(EvaluationError):
-            numerics.matmul(a, np.ones((2, 1)))
+from snnadv.errors import EvaluationError, IndexRangeError
 
 
 class TestElementwise:
     def test_sign_convention(self):
         assert np.array_equal(numerics.sign(np.array([-3.0, 0.0, 7.0])),
                               np.array([-1.0, 0.0, 1.0]))
-
-    def test_clamp_pixel_range(self):
-        out = numerics.clamp(np.array([-0.2, 0.5, 1.3]), 0.0, 1.0)
-        assert np.array_equal(out, np.array([0.0, 0.5, 1.0]))
-
-    def test_clamp_idempotent(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            x = rng.uniform(-3, 3, size=(4, 5))
-            once = numerics.clamp(x, 0.0, 1.0)
-            assert np.array_equal(numerics.clamp(once, 0.0, 1.0), once)
-
-    def test_mul_matches_scalar_loop(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2))
-        want = np.array([[a[i, j] * b[i, j] for j in range(2)] for i in range(2)])
-        assert np.array_equal(numerics.mul(a, b), want)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            numerics.add(np.zeros(3), np.zeros(4))
-
-    def test_scalar_broadcast(self):
-        assert np.array_equal(numerics.sub(np.array([1.0, 2.0]), 1.0),
-                              np.array([0.0, 1.0]))
 
 
 class TestSoftmaxCrossEntropy:
