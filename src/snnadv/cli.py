@@ -296,8 +296,10 @@ def cmd_attack(cfg: dict) -> int:
                               random_start=cfg["random-start"], seed=cfg["seed"])
     evalset = harness.select_eval_set(models, test_x, test_y, cfg["n"], seed=cfg["seed"])
     x_adv = run_attack(cfg["kind"], models, evalset.x, evalset.y, attack_cfg)
+    # fgsm takes one step; a zero budget takes none
+    iterations = 0 if cfg["eps"] == 0.0 else 1 if cfg["kind"].lower() == "fgsm" else cfg["steps"]
     report = AttackReport.build(models, evalset.x, x_adv, evalset.y,
-                                iterations=cfg["steps"], names=names)
+                                iterations=iterations, names=names)
     _echo(cfg, out_dir)
     harness.write_json(report.as_dict(), out_dir / "attack_report.json")
     rates = " ".join(f"{name}={rate:.3f}" for name, rate in

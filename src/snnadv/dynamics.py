@@ -5,8 +5,12 @@ Neuron variants: hard reset (potential zeroed after a spike), soft reset
 (threshold subtracted), and an adaptation variable that self-inhibits after
 firing. Synapses are either stateless (identity) or IIR filters over the
 spike stream. Inputs use direct coding: the raw input is presented as a
-constant current at every timestep. The readout layer is a non-spiking leaky
-integrator read at the final step (spike-count readout selectable).
+constant current at every timestep. Layer 0's synapse state is then g[t]·x,
+with g the synapse's response to a constant unit input (all ones for the
+identity synapse), so its input current x @ W is computed once per forward,
+and its gradient is summed over time before the weight- and input-gradient
+matmuls. The readout layer is a non-spiking leaky integrator read at the
+final step (spike-count readout selectable).
 
 The backward pass substitutes a surrogate kernel for the Heaviside
 derivative and, unless ``detach_reset`` is set, differentiates the
@@ -144,6 +148,11 @@ def synapse_filter(cfg: SynapseConfig, spikes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _constant_response(cfg: SynapseConfig, T: int, dtype) -> np.ndarray:
+    """g[t]: the synapse state at step t under a constant unit input."""
+    return synapse_filter(cfg, np.ones(T, dtype=dtype))
+
+
 def _synapse_backward(cfg: SynapseConfig, dx_ext: np.ndarray) -> np.ndarray:
     """Reverse-time gradient through the IIR filter: returns dS given the
     gradients arriving at each X[t]."""
@@ -199,7 +208,8 @@ class LayerTrace:
 
     v: np.ndarray
     o: np.ndarray
-    x: np.ndarray          # post-synapse input state (pre-weight)
+    x: np.ndarray          # post-synapse input state (pre-weight); for layer 0
+                           # the constant input stream, broadcast over time
     k: Optional[np.ndarray] = None
 
 
@@ -294,15 +304,22 @@ class SpikingNet:
         for li, layer in enumerate(self.layers):
             is_readout = li == len(self.layers) - 1 and self.readout == READOUT_MEMBRANE
             cfg = layer.neuron
-            xs = synapse_filter(layer.synapse, spikes)
+            if li == 0:
+                # the synapse state of a constant input is g[t]·x: one matmul
+                g = _constant_response(layer.synapse, T, layer.w.dtype)
+                xs = spikes
+                xw = x @ layer.w
+                currents = (g[t] * xw + layer.b for t in range(T))
+            else:
+                xs = synapse_filter(layer.synapse, spikes)
+                currents = (xs[t] @ layer.w + layer.b for t in range(T))
             v_buf = np.zeros((T, n, layer.out_width), dtype=layer.w.dtype)
             o_buf = np.zeros_like(v_buf)
             k_buf = np.zeros_like(v_buf) if cfg.adaptive else None
             v = np.zeros((n, layer.out_width), dtype=layer.w.dtype)
             o = np.zeros_like(v)
             k = np.zeros_like(v) if cfg.adaptive else None
-            for t in range(T):
-                current = xs[t] @ layer.w + layer.b
+            for t, current in enumerate(currents):
                 if is_readout:
                     v = cfg.leak * v + current
                 elif cfg.adaptive:
@@ -329,7 +346,10 @@ class SpikingNet:
         """Reverse-time accumulation through the unrolled recurrence.
 
         Fills each layer's dw/db (overwriting) and returns the gradient with
-        respect to the flattened input.
+        respect to the flattened input. Layer 0 sees a constant input, so its
+        current gradient is summed over time, weighted by the synapse's
+        constant-input response g[t], before one weight-gradient and one
+        input-gradient matmul.
         """
         if trace.fingerprint != self._fingerprint():
             raise StateError("trace does not match this network configuration")
@@ -376,13 +396,17 @@ class SpikingNet:
                     di[t] = dv
                     dv_next = dv
             # through the weights and the synapse filter
-            di_flat = di.reshape(T * n, layer.out_width)
-            x_flat = lt.x.reshape(T * n, layer.in_width)
-            layer.dw = x_flat.T @ di_flat
-            layer.db = di_flat.sum(axis=0)
-            dx_ext = di @ layer.w.T
-            d_spikes = _synapse_backward(layer.synapse, dx_ext)
-        dinput = d_spikes.sum(axis=0)  # constant current fans out to every timestep
+            layer.db = di.sum(axis=(0, 1))
+            if li == 0:
+                # constant input: every step's gradient meets the same x and W
+                g = _constant_response(layer.synapse, T, layer.w.dtype)
+                dsum = (g @ di.reshape(T, -1)).reshape(n, layer.out_width)
+                layer.dw = lt.x[0].T @ dsum
+                dinput = dsum @ layer.w.T
+            else:
+                x_flat = lt.x.reshape(T * n, layer.in_width)
+                layer.dw = x_flat.T @ di.reshape(T * n, layer.out_width)
+                d_spikes = _synapse_backward(layer.synapse, di @ layer.w.T)
         numerics.require_finite(dinput, "input gradient")
         return dinput
 

@@ -236,6 +236,26 @@ class TestCli:
         for cell in rows[1][1:]:
             assert 0.0 <= float(cell) <= 1.0
 
+    @pytest.fixture(scope="class")
+    def blobs_ann(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("blobs_ann")
+        assert self.run("train", "--data", "blobs", "--kind", "ann", "--arch", "2-8-2",
+                        "--epochs", "6", "--n-train", "200", "--n-test", "100",
+                        "--seed", "0", "--out", str(out)) == 0
+        return out / "model.snnm"
+
+    @pytest.mark.parametrize("kind,eps,want", [("fgsm", "0.2", 1), ("pgd", "0.2", 3),
+                                               ("pgd", "0", 0), ("fgsm", "0", 0)])
+    def test_attack_report_counts_iterations_taken(self, tmp_path, blobs_ann, kind, eps, want):
+        atk_out = tmp_path / "atk"
+        assert self.run("attack", "--data", "blobs", "--kind", kind,
+                        "--models", str(blobs_ann),
+                        "--eps", eps, "--eps-step", "0.05", "--steps", "3",
+                        "--n", "20", "--n-train", "200", "--n-test", "100",
+                        "--seed", "0", "--out", str(atk_out)) == 0
+        report = json.loads((atk_out / "attack_report.json").read_text())
+        assert report["iterations"] == want
+
     def test_inspect_reports_architecture(self, tmp_path, capsys):
         out = tmp_path / "m"
         self.run("train", "--data", "blobs", "--kind", "ann", "--arch", "2-4-2",

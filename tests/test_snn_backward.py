@@ -17,6 +17,10 @@ def relaxed_net(kind="sigmoid", reset="hard_zero", adapt=None, synapse=SynapseCo
     return net
 
 
+SYNAPSES = [pytest.param(SynapseConfig(), id="identity"),
+            pytest.param(SynapseConfig(alphas=(0.5,), betas=(1.0, 0.3)), id="iir")]
+
+
 def fd_input_check(net, x, y, h=1e-6):
     logits, cache = net.forward_cached(x)
     _, dlogits = numerics.softmax_cross_entropy(logits, y)
@@ -49,27 +53,40 @@ class TestRelaxedModeOracle:
         x = rng.uniform(0.2, 1.5, size=(2, 5))
         assert fd_input_check(net, x, np.array([1, 0])) <= 1e-5
 
-    def test_weight_gradients_match_fd(self):
-        net = relaxed_net()
+    @pytest.mark.parametrize("synapse", SYNAPSES)
+    @pytest.mark.parametrize("readout", ["membrane", "spike_count"])
+    def test_single_layer_input_gradient(self, readout, synapse):
+        # layer 0 is also the last layer
+        net = relaxed_net(synapse=synapse, readout=readout, dims=(5, 3))
+        rng = np.random.default_rng(14)
+        x = rng.uniform(0.2, 1.5, size=(2, 5))
+        assert fd_input_check(net, x, np.array([2, 0])) <= 1e-5
+
+    @pytest.mark.parametrize("dims,readout", [
+        pytest.param((5, 6, 3), "membrane", id="5-6-3-membrane"),
+        pytest.param((5, 3), "membrane", id="5-3-membrane"),
+        pytest.param((5, 3), "spike_count", id="5-3-spike_count")])
+    @pytest.mark.parametrize("synapse", SYNAPSES)
+    def test_weight_gradients_match_fd(self, synapse, dims, readout):
+        net = relaxed_net(synapse=synapse, readout=readout, dims=dims)
         rng = np.random.default_rng(12)
         x = rng.uniform(0.2, 1.5, size=(2, 5))
         y = np.array([0, 1])
         logits, cache = net.forward_cached(x)
         _, dlogits = numerics.softmax_cross_entropy(logits, y)
         net.backward(cache, dlogits)
-        for layer in net.layers:
-            dw = layer.dw.copy()
-            w = layer.w
+        for name, param, grad in net.param_pairs():
+            grad = grad.copy()
 
-            def loss_of(wv, w=w):
-                old = w.copy()
-                w[...] = wv
+            def loss_of(pv, param=param):
+                old = param.copy()
+                param[...] = pv
                 out = numerics.softmax_cross_entropy(net.forward(x), y)[0]
-                w[...] = old
+                param[...] = old
                 return out
 
-            fd = numerics.finite_difference_grad(loss_of, w, h=1e-6)
-            assert numerics.max_rel_err(dw, fd) <= 1e-5
+            fd = numerics.finite_difference_grad(loss_of, param, h=1e-6)
+            assert numerics.max_rel_err(grad, fd) <= 1e-5, name
 
 
 class TestBackwardStructure:
