@@ -43,14 +43,8 @@ class Dense:
         return {"type": self.type_name, "in": int(self.w.shape[0]), "out": int(self.w.shape[1])}
 
 
-class ReLU:
-    type_name = "relu"
-
-    def forward(self, x):
-        return np.maximum(x, 0.0), x > 0
-
-    def backward(self, dout, cache):
-        return dout * cache
+class _ParamFree:
+    """Layer without parameters: nothing to train, cast or describe."""
 
     def params(self):
         return []
@@ -60,6 +54,16 @@ class ReLU:
 
     def descriptor(self):
         return {"type": self.type_name}
+
+
+class ReLU(_ParamFree):
+    type_name = "relu"
+
+    def forward(self, x):
+        return np.maximum(x, 0.0), x > 0
+
+    def backward(self, dout, cache):
+        return dout * cache
 
 
 class Conv2d:
@@ -131,7 +135,7 @@ class Conv2d:
                 "pad": int(self.pad)}
 
 
-class AvgPool2d:
+class AvgPool2d(_ParamFree):
     """2x2 average pooling, stride 2; spatial extents must be even."""
 
     type_name = "avgpool2"
@@ -140,24 +144,13 @@ class AvgPool2d:
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise DimensionError(f"avgpool needs even extents, got {h}x{w}")
-        out = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-        return out, (h, w)
+        return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5)), None
 
     def backward(self, dout, cache):
-        h, w = cache
         return np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
 
-    def params(self):
-        return []
 
-    def astype(self, dtype):
-        return self
-
-    def descriptor(self):
-        return {"type": self.type_name}
-
-
-class Flatten:
+class Flatten(_ParamFree):
     type_name = "flatten"
 
     def forward(self, x):
@@ -165,15 +158,6 @@ class Flatten:
 
     def backward(self, dout, cache):
         return dout.reshape(cache)
-
-    def params(self):
-        return []
-
-    def astype(self, dtype):
-        return self
-
-    def descriptor(self):
-        return {"type": self.type_name}
 
 
 class AnnNet:

@@ -50,7 +50,7 @@ def _read_str(fh, width: str, what: str) -> str:
 def describe(model) -> dict:
     if isinstance(model, SpikingNet):
         return {
-            "T": model.T, "readout": model.readout, "encoding": model.encoding,
+            "T": model.T, "readout": model.readout, "encoding": "direct",
             "detach_reset": model.detach_reset,
             "surrogate": asdict(model.surrogate),
             "layers": [{
@@ -74,6 +74,8 @@ def describe(model) -> dict:
 
 def _rebuild(kind: str, arch: dict, dtype: np.dtype):
     if kind == "snn":
+        if arch["encoding"] != "direct":
+            raise FormatError(f"unsupported input encoding {arch['encoding']!r}")
         layers = []
         for spec in arch["layers"]:
             neuron = NeuronConfig(**spec["neuron"])
@@ -82,8 +84,7 @@ def _rebuild(kind: str, arch: dict, dtype: np.dtype):
             w = np.zeros((spec["in"], spec["out"]), dtype=dtype)
             layers.append(SpikingLayer(w, neuron=neuron, synapse=synapse))
         return SpikingNet(layers, T=arch["T"], surrogate=SurrogateSpec(**arch["surrogate"]),
-                          readout=arch["readout"], encoding=arch["encoding"],
-                          detach_reset=arch["detach_reset"])
+                          readout=arch["readout"], detach_reset=arch["detach_reset"])
     if kind == "ann":
         builders = {
             "dense": lambda d: Dense(np.zeros((d["in"], d["out"]), dtype=dtype)),

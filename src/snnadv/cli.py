@@ -191,10 +191,6 @@ def _parse_arch(arch: str) -> list:
     return dims
 
 
-def _echo(cfg: dict, out_dir: Path) -> None:
-    cfgmod.write_config_echo(out_dir, cfg)
-
-
 def _portable(cfg: dict) -> dict:
     # checkpoint-embedded echo: identical bytes regardless of the target dir
     return {k: v for k, v in cfg.items() if k != "out"}
@@ -218,37 +214,36 @@ def cmd_train(cfg: dict) -> int:
     kind = cfg["kind"]
     dims = _parse_arch(cfg["arch"])
     seed = cfg["seed"]
+    spec = None
     if kind == "ann":
         model = build_mlp(dims, seed=seed)
-        optimizer = SGD(lr=cfg["lr"] or 0.05)
-        spec = None
     elif kind == "snn":
         adapt = cfg["adapt-decay"] if cfg["adapt-decay"] >= 0 else None
         neuron = NeuronConfig(reset=cfg["reset"], adapt_decay=adapt)
         spec = _surrogate_from(cfg)
         model = build_snn_mlp(dims, T=cfg["timesteps"], seed=seed, neuron=neuron,
                               surrogate=spec, readout=cfg["readout"])
-        optimizer = Adam(lr=cfg["lr"] or 1e-3)
     elif kind == "attention":
         if train_x.ndim < 3:
             raise ConfigError("attention models need image data")
         model = TinyAttentionNet(image_shape=train_x.shape[1:], patch=cfg["patch"],
                                  embed=cfg["embed"], n_layers=cfg["att-layers"],
                                  n_heads=cfg["att-heads"], seed=seed)
-        optimizer = Adam(lr=cfg["lr"] or 1e-3)
-        spec = None
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    if cfg["optimizer"] == "sgd":
+    opt_name = cfg["optimizer"]
+    if opt_name == "auto":
+        opt_name = "sgd" if kind == "ann" else "adam"
+    if opt_name == "sgd":
         optimizer = SGD(lr=cfg["lr"] or 0.05)
-    elif cfg["optimizer"] == "adam":
+    elif opt_name == "adam":
         optimizer = Adam(lr=cfg["lr"] or 1e-3)
-    elif cfg["optimizer"] != "auto":
+    else:
         raise ConfigError(f"unknown optimizer {cfg['optimizer']!r}")
     history = train_epochs(model, train_x, train_y, epochs=cfg["epochs"],
                            optimizer=optimizer, seed=seed, batch_size=cfg["batch-size"],
                            spec=spec, test_x=test_x, test_y=test_y)
-    _echo(cfg, out_dir)
+    cfgmod.write_config_echo(out_dir, cfg)
     checkpoint.save_model(out_dir / "model.snnm", model, seed=seed,
                           config_echo=_portable(cfg))
     harness.write_json({"source": source, **history.as_dict()}, out_dir / "history.json")
@@ -272,7 +267,7 @@ def cmd_convert(cfg: dict) -> int:
                                   batch_size=cfg["batch-size"], test_x=test_x, test_y=test_y)
     report["source"] = source
     report["test_acc"] = evaluate(snn, test_x, test_y).accuracy
-    _echo(cfg, out_dir)
+    cfgmod.write_config_echo(out_dir, cfg)
     checkpoint.save_model(out_dir / "converted.snnm", snn, seed=cfg["seed"],
                           config_echo=_portable(cfg))
     harness.write_json(report, out_dir / "convert_report.json")
@@ -300,7 +295,7 @@ def cmd_attack(cfg: dict) -> int:
     iterations = 0 if cfg["eps"] == 0.0 else 1 if cfg["kind"].lower() == "fgsm" else cfg["steps"]
     report = AttackReport.build(models, evalset.x, x_adv, evalset.y,
                                 iterations=iterations, names=names)
-    _echo(cfg, out_dir)
+    cfgmod.write_config_echo(out_dir, cfg)
     harness.write_json(report.as_dict(), out_dir / "attack_report.json")
     rates = " ".join(f"{name}={rate:.3f}" for name, rate in
                      zip(names, report.per_model_rate))
@@ -323,7 +318,7 @@ def cmd_sweep_surrogate(cfg: dict) -> int:
                               n_iter=cfg["steps"], seed=cfg["seed"])
     evalset = harness.select_eval_set([model], test_x, test_y, cfg["n"], seed=cfg["seed"])
     grid = harness.surrogate_sweep(model, eps_values, specs, evalset, attack_cfg)
-    _echo(cfg, out_dir)
+    cfgmod.write_config_echo(out_dir, cfg)
     grid.write_csv(out_dir / "sweep.csv")
     harness.write_json(grid.as_dict(), out_dir / "sweep.json")
     print(f"wrote {out_dir / 'sweep.csv'}")
@@ -341,7 +336,7 @@ def cmd_transfer_matrix(cfg: dict) -> int:
     attack_names = [a.strip() for a in cfg["attacks"].split(",") if a.strip()]
     matrix = harness.transfer_matrix(models, names, test_x, test_y, cfg["n"], attack_cfg,
                                      attack_names=attack_names, seed=cfg["seed"])
-    _echo(cfg, out_dir)
+    cfgmod.write_config_echo(out_dir, cfg)
     matrix.write_csv(out_dir)
     harness.write_json(matrix.as_dict(), out_dir / "transfer.json")
     print(f"wrote transfer matrices under {out_dir}")
@@ -368,7 +363,7 @@ def cmd_multi_attack(cfg: dict) -> int:
                             fit_u=cfg["u"], seed=cfg["seed"])
     rows = harness.multi_model_comparison(pairs, test_x, test_y, cfg["n"], single_cfg,
                                           saga_cfg, seed=cfg["seed"], pair_names=names)
-    _echo(cfg, out_dir)
+    cfgmod.write_config_echo(out_dir, cfg)
     harness.write_comparison_csv(rows, out_dir / "comparison.csv")
     harness.write_json({"rows": rows}, out_dir / "comparison.json")
     for row in rows:

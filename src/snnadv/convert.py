@@ -17,7 +17,7 @@ from .dynamics import (READOUT_MEMBRANE, SOFT_SUBTRACT, NeuronConfig, SpikingLay
                        SpikingNet)
 from .errors import TrainingError, UnsupportedError
 from .surrogate import SurrogateSpec
-from .train import evaluate, train_epochs
+from .train import Adam, evaluate, train_epochs
 
 WEIGHT_BALANCE = "weight_balance"
 THRESHOLD_BALANCE = "threshold_balance"
@@ -103,11 +103,11 @@ def fine_tune(snn: SpikingNet, train_x, train_y, *, epochs: int, spec: Surrogate
     before = evaluate(snn, train_x, train_y).accuracy
     history = None
     if epochs > 0:
-        from .train import Adam
         history = train_epochs(snn, train_x, train_y, epochs=epochs, seed=seed,
                                optimizer=Adam(lr=lr), spec=spec, batch_size=batch_size,
                                test_x=test_x, test_y=test_y, verbose=verbose)
-    after = evaluate(snn, train_x, train_y).accuracy
+    # train_epochs ends every epoch by scoring the weights on the training set
+    after = history.train_acc[-1] if history else before
     return {"train_acc_before": before, "train_acc_after": after,
             "recovery_delta": after - before,
             "history": history.as_dict() if history else None}

@@ -232,15 +232,12 @@ class SpikingNet:
     def __init__(self, layers: list, T: int = 8,
                  surrogate: SurrogateSpec = SurrogateSpec(),
                  readout: str = READOUT_MEMBRANE,
-                 encoding: str = "direct",
                  detach_reset: bool = False,
                  relaxed: bool = False):
         if T < 1:
             raise ConfigError(f"timestep count T must be >= 1, got {T}")
         if readout not in (READOUT_MEMBRANE, READOUT_SPIKE_COUNT):
             raise ConfigError(f"unknown readout {readout!r}")
-        if encoding != "direct":
-            raise ConfigError("only direct (constant-current) input coding is implemented")
         if not layers:
             raise ConfigError("network needs at least one layer")
         for lo, hi in zip(layers, layers[1:]):
@@ -250,7 +247,6 @@ class SpikingNet:
         self.T = T
         self.surrogate = surrogate
         self.readout = readout
-        self.encoding = encoding
         self.detach_reset = detach_reset
         self.relaxed = relaxed
 
@@ -272,8 +268,7 @@ class SpikingNet:
         layers = [SpikingLayer(l.w.astype(dtype), l.b.astype(dtype), l.neuron, l.synapse)
                   for l in self.layers]
         return SpikingNet(layers, T=self.T, surrogate=self.surrogate, readout=self.readout,
-                          encoding=self.encoding, detach_reset=self.detach_reset,
-                          relaxed=self.relaxed)
+                          detach_reset=self.detach_reset, relaxed=self.relaxed)
 
     def _fingerprint(self) -> tuple:
         return (self.T, len(self.layers), self.readout, self.relaxed,

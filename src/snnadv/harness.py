@@ -31,9 +31,6 @@ class EvalSet:
     x: np.ndarray
     y: np.ndarray
     class_counts: np.ndarray
-    # per-model clean correctness over the selected samples; all True by
-    # construction and re-checked before every attack run
-    clean_correct: Optional[np.ndarray] = None
 
     def verify(self, models: Sequence) -> None:
         """Re-check the all-correct precondition before an attack run."""
@@ -44,14 +41,13 @@ class EvalSet:
 
 
 def select_eval_set(models: Sequence, x: np.ndarray, y: np.ndarray, n: int, *,
-                    seed: int = 0, n_classes: Optional[int] = None) -> EvalSet:
+                    seed: int = 0) -> EvalSet:
     """Randomly pick n class-balanced samples that every model classifies
     correctly. Fails loudly, naming the starved classes, when the data cannot
     supply the per-class quota."""
     y = np.asarray(y)
-    c = n_classes if n_classes is not None else int(max(m.n_classes for m in models))
-    per_model = np.stack([model.predict(x) == y for model in models])
-    correct = np.all(per_model, axis=0)
+    c = int(max(m.n_classes for m in models))
+    correct = np.all([model.predict(x) == y for model in models], axis=0)
     base, extra = divmod(n, c)
     quotas = [base + (1 if cls < extra else 0) for cls in range(c)]
     rng = np.random.default_rng(seed)
@@ -69,8 +65,7 @@ def select_eval_set(models: Sequence, x: np.ndarray, y: np.ndarray, n: int, *,
         raise SelectionError(f"not enough correctly classified samples ({detail})")
     indices = np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=int)
     counts = np.bincount(y[indices], minlength=c)
-    return EvalSet(indices=indices, x=x[indices], y=y[indices], class_counts=counts,
-                   clean_correct=per_model[:, indices])
+    return EvalSet(indices=indices, x=x[indices], y=y[indices], class_counts=counts)
 
 
 def transferability(gen_model, eval_model, attack_fn: Callable, evalset: EvalSet) -> float:
@@ -89,29 +84,17 @@ class TransferMatrix:
     max_matrix: np.ndarray
 
     def write_csv(self, out_dir: Path) -> list:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         paths = []
         for attack_name, matrix in {**self.per_attack, "max": self.max_matrix}.items():
-            path = out_dir / f"transfer_{attack_name}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["generator"] + self.names)
-                for name, row in zip(self.names, matrix):
-                    writer.writerow([name] + [f"{v:.6f}" for v in row])
-            paths.append(path)
+            rows = [[name] + [f"{v:.6f}" for v in row] for name, row in zip(self.names, matrix)]
+            paths.append(_write_rows(Path(out_dir) / f"transfer_{attack_name}.csv",
+                                     ["generator"] + self.names, rows))
         return paths
 
     def as_dict(self) -> dict:
         return {"models": self.names, "n": self.n,
                 "per_attack": {k: v.tolist() for k, v in self.per_attack.items()},
                 "max": self.max_matrix.tolist()}
-
-
-def _attack_runner(attack_name: str, cfg: AttackConfig) -> Callable:
-    def run(model, x, y):
-        return attacks.run_attack(attack_name, [model], x, y, cfg)
-    return run
 
 
 def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np.ndarray,
@@ -132,7 +115,9 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
 
     per_attack = {}
     for attack_name in attack_names:
-        attack_fn = _attack_runner(attack_name, cfg)
+        def attack_fn(model, xs, ys):
+            return attacks.run_attack(attack_name, [model], xs, ys, cfg)
+
         matrix = np.zeros((m, m))
         for i in range(m):
             for j in range(m):
@@ -151,17 +136,12 @@ class SweepGrid:
     success_rate: np.ndarray
 
     def write_csv(self, path: Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["surrogate"] + [f"eps={e:g}" for e in self.eps_values]
-                            + [f"success_eps={e:g}" for e in self.eps_values])
-            for kind, acc_row, suc_row in zip(self.kinds, self.robust_accuracy,
-                                              self.success_rate):
-                writer.writerow([kind] + [f"{v:.6f}" for v in acc_row]
-                                + [f"{v:.6f}" for v in suc_row])
-        return path
+        header = (["surrogate"] + [f"eps={e:g}" for e in self.eps_values]
+                  + [f"success_eps={e:g}" for e in self.eps_values])
+        rows = [[kind] + [f"{v:.6f}" for v in acc_row] + [f"{v:.6f}" for v in suc_row]
+                for kind, acc_row, suc_row in zip(self.kinds, self.robust_accuracy,
+                                                  self.success_rate)]
+        return _write_rows(path, header, rows)
 
     def as_dict(self) -> dict:
         return {"surrogates": self.kinds, "eps": list(self.eps_values),
@@ -233,14 +213,19 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
 
 
 def write_comparison_csv(rows: list, path: Path) -> Path:
+    return _write_rows(path, ["pair", "max_mim", "max_pgd", "basic_saga", "auto_saga", "n"],
+                       [[row["pair"], f"{row['max_mim']:.6f}", f"{row['max_pgd']:.6f}",
+                         f"{row['basic_saga']:.6f}", f"{row['auto_saga']:.6f}", row["n"]]
+                        for row in rows])
+
+
+def _write_rows(path: Path, header: list, rows: list) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["pair", "max_mim", "max_pgd", "basic_saga", "auto_saga", "n"])
-        for row in rows:
-            writer.writerow([row["pair"], f"{row['max_mim']:.6f}", f"{row['max_pgd']:.6f}",
-                             f"{row['basic_saga']:.6f}", f"{row['auto_saga']:.6f}", row["n"]])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 

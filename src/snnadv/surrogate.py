@@ -9,7 +9,7 @@ finite-difference gradient oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -50,11 +50,14 @@ def canonical_kind(name: str) -> str:
 class SurrogateSpec:
     """Which kernel the backward pass substitutes, plus its hyperparameters.
 
-    ``threshold`` is the default centering; layers with their own firing
-    threshold center the kernel there instead. ``pwe_literal`` selects the
-    printed reciprocal form of the piecewise-exponential (divergent away from
-    threshold; study only). ``fs_conventional`` selects 1/(1+|d|)^2 for
-    fast-sigmoid instead of the printed 1/(1+(1+|d|)^2).
+    ``threshold`` centers the kernel only for callers of the kernel functions
+    that pass no threshold of their own. ``SpikingNet`` always passes each
+    layer's ``NeuronConfig.threshold``, so inside a network this field (and
+    the CLI's ``--surrogate-threshold``) never moves the kernel, in the normal
+    and the relaxed mode alike. ``pwe_literal`` selects the printed reciprocal
+    form of the piecewise-exponential (divergent away from threshold; study
+    only). ``fs_conventional`` selects 1/(1+|d|)^2 for fast-sigmoid instead of
+    the printed 1/(1+(1+|d|)^2).
     """
 
     kind: str = ARCTAN
@@ -70,9 +73,6 @@ class SurrogateSpec:
         for name in ("threshold", "sigma", "alpha", "beta"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"surrogate {name} must be > 0, got {getattr(self, name)}")
-
-    def with_kind(self, kind: str) -> "SurrogateSpec":
-        return replace(self, kind=canonical_kind(kind))
 
 
 def heaviside(v: np.ndarray, threshold: float) -> np.ndarray:

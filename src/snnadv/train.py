@@ -12,6 +12,8 @@ from .dynamics import SpikingNet
 from .errors import EvaluationError, TrainingError
 from .surrogate import SurrogateSpec
 
+EVAL_BATCH = 256  # rows per predict call in evaluate
+
 
 class SGD:
     def __init__(self, lr: float = 0.05, momentum: float = 0.9):
@@ -44,8 +46,12 @@ class Adam:
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p, g in param_pairs:
-            m = self._m.get(name, np.zeros_like(p))
-            v = self._v.get(name, np.zeros_like(p))
+            m = self._m.get(name)
+            if m is None:
+                m = np.zeros_like(p)
+                v = np.zeros_like(p)
+            else:
+                v = self._v[name]
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             self._m[name] = m
@@ -74,23 +80,15 @@ class EvalResult:
     per_class_correct: np.ndarray
 
 
-def evaluate(model, x: np.ndarray, y: np.ndarray, n_classes: Optional[int] = None,
-             batch_size: int = 256) -> EvalResult:
+def evaluate(model, x: np.ndarray, y: np.ndarray) -> EvalResult:
     """Accuracy plus per-class sample/correct counts for balance checks."""
     y = np.asarray(y)
     if y.size == 0:
         raise TrainingError("cannot evaluate on empty data")
-    c = n_classes if n_classes is not None else model.n_classes
-    total = np.zeros(c, dtype=np.int64)
-    correct = np.zeros(c, dtype=np.int64)
-    for start in range(0, y.size, batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        pred = model.predict(xb)
-        for cls in range(c):
-            sel = yb == cls
-            total[cls] += int(sel.sum())
-            correct[cls] += int((pred[sel] == cls).sum())
+    pred = np.concatenate([model.predict(x[start:start + EVAL_BATCH])
+                           for start in range(0, y.size, EVAL_BATCH)])
+    total = np.bincount(y, minlength=model.n_classes)
+    correct = np.bincount(y[pred == y], minlength=model.n_classes)
     return EvalResult(float(correct.sum() / total.sum()), total, correct)
 
 

@@ -266,8 +266,3 @@ class TestSpikingNetForward:
         _, trace = net_a.forward_cached(x)
         with pytest.raises(StateError):
             net_b.backward(trace, np.zeros((2, 3), dtype=F32))
-
-    def test_poisson_encoding_not_available(self):
-        layer = SpikingLayer(np.eye(2, dtype=F32))
-        with pytest.raises(ConfigError):
-            SpikingNet([layer], T=2, encoding="poisson")

@@ -47,14 +47,14 @@ class TestSelectEvalSet:
         y = np.arange(10).repeat(5)
         x = np.zeros((len(y), 4), dtype=np.float32)
         model = _Oracle(y)
-        es = select_eval_set([model], x, y, 10, seed=0, n_classes=10)
+        es = select_eval_set([model], x, y, 10, seed=0)
         assert len(es.indices) == 10
         assert es.class_counts.tolist() == [1] * 10
 
     def test_uneven_quota_differs_by_at_most_one(self):
         y = np.arange(10).repeat(5)
         x = np.zeros((len(y), 4), dtype=np.float32)
-        es = select_eval_set([_Oracle(y)], x, y, 13, seed=0, n_classes=10)
+        es = select_eval_set([_Oracle(y)], x, y, 13, seed=0)
         counts = es.class_counts
         assert counts.sum() == 13
         assert counts.max() - counts.min() <= 1
@@ -64,11 +64,11 @@ class TestSelectEvalSet:
         x = np.zeros((len(y), 4), dtype=np.float32)
         blind = _ClassBlind(y, wrong_class=3)
         with pytest.raises(SelectionError, match="class 3"):
-            select_eval_set([blind], x, y, 10, seed=0, n_classes=10)
+            select_eval_set([blind], x, y, 10, seed=0)
 
     def test_selection_reverified_correct(self, blob_net, blob_data):
         x, y = blob_data
-        es = select_eval_set([blob_net], x, y, 20, seed=0, n_classes=2)
+        es = select_eval_set([blob_net], x, y, 20, seed=0)
         assert np.all(blob_net.predict(es.x) == es.y)
         es.verify([blob_net])
 
@@ -84,14 +84,14 @@ class TestSelectEvalSet:
 class TestTransferability:
     def test_always_fooled_oracle_gives_one(self, blob_net, blob_data):
         x, y = blob_data
-        es = select_eval_set([blob_net], x, y, 20, seed=1, n_classes=2)
+        es = select_eval_set([blob_net], x, y, 20, seed=1)
         fooled = _Oracle(es.y, wrong_on_perturbed=True, n_classes=2).bind_clean(es.x)
         atk = lambda m, xs, ys: np.clip(xs + 0.05, 0, 1)
         assert transferability(blob_net, fooled, atk, es) == 1.0
 
     def test_identity_attack_gives_zero(self, blob_net, blob_data):
         x, y = blob_data
-        es = select_eval_set([blob_net], x, y, 20, seed=1, n_classes=2)
+        es = select_eval_set([blob_net], x, y, 20, seed=1)
         atk = lambda m, xs, ys: xs
         assert transferability(blob_net, blob_net, atk, es) == 0.0
 

@@ -142,6 +142,17 @@ class TestCheckpoint:
         x = np.random.default_rng(0).uniform(0, 1, (4, 6)).astype(np.float32)
         assert np.array_equal(net.forward(x), loaded.forward(x))
 
+    def test_non_direct_encoding_rejected(self, tmp_path, monkeypatch):
+        net = build_snn_mlp([4, 3], T=2, seed=0)
+        describe = checkpoint.describe
+        monkeypatch.setattr(checkpoint, "describe",
+                            lambda model: {**describe(model), "encoding": "poisson"})
+        path = tmp_path / "m.snnm"
+        checkpoint.save_model(path, net, seed=0)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match="encoding 'poisson'"):
+            checkpoint.load_model(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"JUNKxxxx")

@@ -89,6 +89,28 @@ class TestRelaxedModeOracle:
             assert numerics.max_rel_err(grad, fd) <= 1e-5, name
 
 
+@pytest.mark.parametrize("relaxed", [False, True], ids=["normal", "relaxed"])
+def test_spec_threshold_never_moves_the_kernel(relaxed):
+    # every layer passes its own firing threshold to the kernel functions
+    rng = np.random.default_rng(15)
+    x = rng.uniform(0.2, 1.5, size=(3, 5))
+    y = np.array([0, 2, 1])
+    outs = []
+    for theta in (0.5, 1.0):
+        net = build_snn_mlp([5, 6, 3], T=3, seed=2,
+                            neuron=NeuronConfig(leak=0.8, threshold=0.8),
+                            surrogate=SurrogateSpec(kind="sigmoid", threshold=theta),
+                            dtype=np.float64)
+        net.relaxed = relaxed
+        logits, cache = net.forward_cached(x)
+        _, dlogits = numerics.softmax_cross_entropy(logits, y)
+        outs.append((logits, net.backward(cache, dlogits)))
+    (logits_a, grad_a), (logits_b, grad_b) = outs
+    assert np.array_equal(logits_a, logits_b)
+    assert np.array_equal(grad_a, grad_b)
+    assert np.any(grad_a)
+
+
 class TestBackwardStructure:
     def test_zero_dlogits_gives_zero_gradients(self):
         net = build_snn_mlp([4, 6, 3], T=4, seed=3)
