@@ -27,10 +27,11 @@ class Dense:
             raise DimensionError(f"dense input width {x.shape[1]} != {self.w.shape[0]}")
         return x @ self.w + self.b, x
 
-    def backward(self, dout, cache):
-        x = cache
-        self.dw = x.T @ dout
-        self.db = dout.sum(axis=0)
+    def backward(self, dout, cache, param_grads=True):
+        if param_grads:
+            x = cache
+            self.dw = x.T @ dout
+            self.db = dout.sum(axis=0)
         return dout @ self.w.T
 
     def params(self):
@@ -62,7 +63,7 @@ class ReLU(_ParamFree):
     def forward(self, x):
         return np.maximum(x, 0.0), x > 0
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, param_grads=True):
         return dout * cache
 
 
@@ -104,14 +105,15 @@ class Conv2d:
         out = cols.reshape(-1, wf.shape[0]) @ wf + self.b
         return out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2), (cols, geom)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, param_grads=True):
         cols, geom = cache
         n, c, h, w, oh, ow = geom
         oc, ic, kh, kw = self.w.shape
         dflat = dout.transpose(0, 2, 3, 1).reshape(-1, oc)
-        cflat = cols.reshape(-1, ic * kh * kw)
-        self.dw = (cflat.T @ dflat).T.reshape(self.w.shape)
-        self.db = dflat.sum(axis=0)
+        if param_grads:
+            cflat = cols.reshape(-1, ic * kh * kw)
+            self.dw = (cflat.T @ dflat).T.reshape(self.w.shape)
+            self.db = dflat.sum(axis=0)
         dcols = (dflat @ self.w.reshape(oc, -1)).reshape(n, oh, ow, ic * kh * kw)
         p = self.pad
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype)
@@ -146,7 +148,7 @@ class AvgPool2d(_ParamFree):
             raise DimensionError(f"avgpool needs even extents, got {h}x{w}")
         return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5)), None
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, param_grads=True):
         return np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
 
 
@@ -156,7 +158,7 @@ class Flatten(_ParamFree):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, param_grads=True):
         return dout.reshape(cache)
 
 
@@ -205,10 +207,14 @@ class AnnNet:
         numerics.require_finite(x, "network logits")
         return x, caches
 
-    def backward(self, caches, dlogits):
+    def backward(self, caches, dlogits, param_grads=True):
+        """Gradient of the input, flattened to [n, features]. With
+        ``param_grads`` (training) every Dense and Conv2d layer also rebinds
+        its ``dw``/``db``; without it (attacks) they are neither computed nor
+        touched."""
         d = np.asarray(dlogits, dtype=self._dtype())
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            d = layer.backward(d, cache)
+            d = layer.backward(d, cache, param_grads)
         numerics.require_finite(d, "input gradient")
         return d.reshape(d.shape[0], -1)
 

@@ -108,10 +108,16 @@ def project(x_adv: np.ndarray, x: np.ndarray, eps_max: float) -> np.ndarray:
 
 def loss_input_grad(model, x: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Cross-entropy loss and its gradient w.r.t. the (flattened) input."""
+    return _loss_grad_cache(model, x, labels)[:2]
+
+
+def _loss_grad_cache(model, x: np.ndarray, labels: np.ndarray) -> tuple:
+    """``loss_input_grad`` plus the forward cache the gradient came from.
+    Attacks never read parameter gradients, so none are computed."""
     logits, cache = model.forward_cached(x)
     loss, dlogits = numerics.softmax_cross_entropy(logits, labels)
-    dinput = model.backward(cache, dlogits)
-    return loss, dinput.reshape(np.asarray(x).shape)
+    dinput = model.backward(cache, dlogits, param_grads=False)
+    return loss, dinput.reshape(np.asarray(x).shape), cache
 
 
 def margin_loss(logits: np.ndarray, labels: np.ndarray, kappa: float
@@ -205,11 +211,12 @@ def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
                     trace=trace)
 
 
-def _mask_for(model, x: np.ndarray) -> np.ndarray:
+def _mask_for(model, x: np.ndarray, cache) -> np.ndarray:
+    """Blend mask of ``model`` at ``x``; ``cache`` is its forward at x."""
     rollout = getattr(model, "rollout_mask", None)
     if rollout is None:
         return ones_mask(x)
-    return rollout(x)
+    return rollout(x, cache)
 
 
 def saga(models: Sequence, alphas: Sequence[float], x: np.ndarray, labels: np.ndarray,
@@ -230,8 +237,8 @@ def saga(models: Sequence, alphas: Sequence[float], x: np.ndarray, labels: np.nd
         for model, alpha in zip(models, alphas):
             if alpha == 0.0:
                 continue
-            _, grad = loss_input_grad(model, x_adv, labels)
-            out += alpha * _mask_for(model, x_adv) * grad
+            _, grad, cache = _loss_grad_cache(model, x_adv, labels)
+            out += alpha * _mask_for(model, x_adv, cache) * grad
         return out
 
     return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, blend, trace=trace)
@@ -277,13 +284,13 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
         for mi, model in enumerate(models):
             logits, cache = model.forward_cached(x_adv)
             _, ce_dlogits = numerics.softmax_cross_entropy(logits, labels)
-            grad = model.backward(cache, ce_dlogits).reshape(x.shape)
+            grad = model.backward(cache, ce_dlogits, param_grads=False).reshape(x.shape)
             _, f_dlogits = margin_loss(logits, labels, cfg.kappa)
-            f_grad = model.backward(cache, f_dlogits).reshape(x.shape)
+            f_grad = model.backward(cache, f_dlogits, param_grads=False).reshape(x.shape)
             grads.append(grad)
             margin_grads.append(f_grad)
             blend += alphas[:, mi].reshape(bshape).astype(x.dtype) \
-                * _mask_for(model, x_adv) * grad
+                * _mask_for(model, x_adv, cache) * grad
         grad_sum = np.sum(grads, axis=0, dtype=np.float64)
         # sech^2 underflows to 0 beyond ~350 anyway; clip to keep cosh finite
         sech2 = 1.0 / np.square(np.cosh(np.clip(cfg.fit_u * grad_sum, -350.0, 350.0)))

@@ -1,6 +1,6 @@
-"""Toy attention classifier with recorded attention weights, plus the
-depth-wise attention rollout that turns those records into an input-space
-saliency mask.
+"""Toy attention classifier whose forward cache carries the attention
+weights of every layer, plus the depth-wise attention rollout that turns
+those records into an input-space saliency mask.
 
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
@@ -80,11 +80,14 @@ def layernorm_forward(x, gamma, beta, eps=1e-5):
     return xhat * gamma + beta, (xhat, inv)
 
 
-def layernorm_backward(dy, cache, gamma):
+def layernorm_backward(dy, cache, gamma, param_grads=True):
+    """(dx, dgamma, dbeta); the last two are None unless ``param_grads``."""
     xhat, inv = cache
-    axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
+    dgamma = dbeta = None
+    if param_grads:
+        axes = tuple(range(dy.ndim - 1))
+        dgamma = (dy * xhat).sum(axis=axes)
+        dbeta = dy.sum(axis=axes)
     dxhat = dy * gamma
     dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
@@ -109,8 +112,9 @@ class AttnBlock:
 class TinyAttentionNet:
     """Patch embedding + class token + residual attention/FFN blocks.
 
-    Attention matrices (post-softmax, per layer and head) are recorded on
-    every forward pass; each row is non-negative and sums to one.
+    ``forward_cached`` returns the attention matrices (post-softmax, per layer
+    and head) as the last entry of its cache; each row is non-negative and
+    sums to one. Nothing of a forward pass is stored on the model.
     """
 
     kind = "attention"
@@ -166,7 +170,6 @@ class TinyAttentionNet:
         self.dlnf_b = np.zeros_like(self.lnf_b)
         self.dwc = np.zeros_like(self.wc)
         self.dbc = np.zeros_like(self.bc)
-        self.last_records = []
 
     # -- plumbing ---------------------------------------------------------
 
@@ -237,38 +240,39 @@ class TinyAttentionNet:
         feat, lnf_cache = layernorm_forward(t[:, 0], self.lnf_g, self.lnf_b)
         logits = feat @ self.wc + self.bc
         numerics.require_finite(logits, "network logits")
-        self.last_records = records
         return logits, (imgs, patches, caches, feat, lnf_cache, records)
 
-    def backward(self, cache, dlogits):
+    def backward(self, cache, dlogits, param_grads=True):
+        """Gradient of the input, flattened to [n, c*h*w].
+
+        With ``param_grads`` (training) it also rebinds every ``d<name>``
+        gradient array that ``param_pairs`` reads; without it (attacks) no
+        parameter gradient is computed and those arrays stay as they are.
+        """
         imgs, patches, caches, feat, lnf_cache, _ = cache
         n = imgs.shape[0]
         H, E = self.n_heads, self.embed
         dh = E // H
         dlogits = np.asarray(dlogits, dtype=self.wp.dtype)
-        self.dwc = feat.T @ dlogits
-        self.dbc = dlogits.sum(axis=0)
         dfeat = dlogits @ self.wc.T
-        dcls_tok, self.dlnf_g, self.dlnf_b = layernorm_backward(dfeat, lnf_cache, self.lnf_g)
+        dcls_tok, dlnf_g, dlnf_b = layernorm_backward(dfeat, lnf_cache, self.lnf_g, param_grads)
+        if param_grads:
+            self.dwc = feat.T @ dlogits
+            self.dbc = dlogits.sum(axis=0)
+            self.dlnf_g, self.dlnf_b = dlnf_g, dlnf_b
         dt = np.zeros((n, self.n_tokens, E), dtype=self.wp.dtype)
         dt[:, 0] = dcls_tok
         for blk, c in zip(reversed(self.blocks), reversed(caches)):
             l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache, relu_mask, r = c
             # FFN branch: t = y + relu(LN2(y) w1 + b1) w2 + b2
             dz = dt
-            blk.dw2 = r.reshape(-1, r.shape[-1]).T @ dz.reshape(-1, E)
-            blk.db2 = dz.sum(axis=(0, 1))
             dr = dz @ blk.w2.T
             dh1 = dr * relu_mask
-            blk.dw1 = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
-            blk.db1 = dh1.sum(axis=(0, 1))
             dl2 = dh1 @ blk.w1.T
-            dy_ffn, blk.dln2_g, blk.dln2_b = layernorm_backward(dl2, ln2_cache, blk.ln2_g)
+            dy_ffn, dln2_g, dln2_b = layernorm_backward(dl2, ln2_cache, blk.ln2_g, param_grads)
             dy = dz + dy_ffn
             # attention branch: y = tin + (att @ vh merged) wo with q,k,v from LN1(tin)
-            dattn_out = dy
-            blk.dwo = ctxm.reshape(-1, E).T @ dattn_out.reshape(-1, E)
-            dctxm = dattn_out @ blk.wo.T
+            dctxm = dy @ blk.wo.T
             dctx = dctxm.reshape(n, -1, H, dh).transpose(0, 2, 1, 3)
             datt = dctx @ vh.transpose(0, 1, 3, 2)
             dvh = att.transpose(0, 1, 3, 2) @ dctx
@@ -279,18 +283,27 @@ class TinyAttentionNet:
             dq = dqh.transpose(0, 2, 1, 3).reshape(n, -1, E)
             dk = dkh.transpose(0, 2, 1, 3).reshape(n, -1, E)
             dv = dvh.transpose(0, 2, 1, 3).reshape(n, -1, E)
-            l1_flat = l1.reshape(-1, E)
-            blk.dwq = l1_flat.T @ dq.reshape(-1, E)
-            blk.dwk = l1_flat.T @ dk.reshape(-1, E)
-            blk.dwv = l1_flat.T @ dv.reshape(-1, E)
             dl1 = dq @ blk.wq.T + dk @ blk.wk.T + dv @ blk.wv.T
-            dtin_att, blk.dln1_g, blk.dln1_b = layernorm_backward(dl1, ln1_cache, blk.ln1_g)
+            dtin_att, dln1_g, dln1_b = layernorm_backward(dl1, ln1_cache, blk.ln1_g, param_grads)
+            if param_grads:
+                blk.dw2 = r.reshape(-1, r.shape[-1]).T @ dz.reshape(-1, E)
+                blk.db2 = dz.sum(axis=(0, 1))
+                blk.dw1 = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
+                blk.db1 = dh1.sum(axis=(0, 1))
+                blk.dln2_g, blk.dln2_b = dln2_g, dln2_b
+                blk.dwo = ctxm.reshape(-1, E).T @ dy.reshape(-1, E)
+                l1_flat = l1.reshape(-1, E)
+                blk.dwq = l1_flat.T @ dq.reshape(-1, E)
+                blk.dwk = l1_flat.T @ dk.reshape(-1, E)
+                blk.dwv = l1_flat.T @ dv.reshape(-1, E)
+                blk.dln1_g, blk.dln1_b = dln1_g, dln1_b
             dt = dy + dtin_att
-        self.dpos = dt.sum(axis=0)
-        self.dcls = dt[:, 0].sum(axis=0)
         dtok = dt[:, 1:]
-        self.dwp = patches.reshape(-1, patches.shape[-1]).T @ dtok.reshape(-1, E)
-        self.dbp = dtok.sum(axis=(0, 1))
+        if param_grads:
+            self.dpos = dt.sum(axis=0)
+            self.dcls = dt[:, 0].sum(axis=0)
+            self.dwp = patches.reshape(-1, patches.shape[-1]).T @ dtok.reshape(-1, E)
+            self.dbp = dtok.sum(axis=(0, 1))
         dpat = dtok @ self.wp.T
         dx = self._from_patches(dpat, n)
         numerics.require_finite(dx, "input gradient")
@@ -313,12 +326,14 @@ class TinyAttentionNet:
         pairs.append(("bc", self.bc, self.dbc))
         return pairs
 
-    def rollout_mask(self, x):
-        """Saliency-masked input for the multi-model attacks, shaped like x."""
+    def rollout_mask(self, x, cache):
+        """Saliency-masked input for the multi-model attacks, shaped like x.
+
+        ``cache`` is the one ``forward_cached(x)`` returned; the rollout reads
+        the attention records it carries.
+        """
         x = np.asarray(x)
-        imgs = self._shape_input(x)
-        self.forward_cached(imgs)
-        phi = attention_rollout(self.last_records, imgs)
+        phi = attention_rollout(cache[-1], self._shape_input(x))
         return phi.reshape(x.shape)
 
     def astype(self, dtype):

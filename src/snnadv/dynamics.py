@@ -337,14 +337,16 @@ class SpikingNet:
         numerics.require_finite(logits, "network logits")
         return logits, trace
 
-    def backward(self, trace: ForwardTrace, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, trace: ForwardTrace, dlogits: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
         """Reverse-time accumulation through the unrolled recurrence.
 
-        Fills each layer's dw/db (overwriting) and returns the gradient with
-        respect to the flattened input. Layer 0 sees a constant input, so its
-        current gradient is summed over time, weighted by the synapse's
-        constant-input response g[t], before one weight-gradient and one
-        input-gradient matmul.
+        Returns the gradient with respect to the flattened input. With
+        ``param_grads`` (training) it also fills each layer's dw/db
+        (overwriting); without it (attacks) those arrays stay as they are.
+        Layer 0 sees a constant input, so its current gradient is summed over
+        time, weighted by the synapse's constant-input response g[t], before
+        one weight-gradient and one input-gradient matmul.
         """
         if trace.fingerprint != self._fingerprint():
             raise StateError("trace does not match this network configuration")
@@ -391,16 +393,19 @@ class SpikingNet:
                     di[t] = dv
                     dv_next = dv
             # through the weights and the synapse filter
-            layer.db = di.sum(axis=(0, 1))
+            if param_grads:
+                layer.db = di.sum(axis=(0, 1))
             if li == 0:
                 # constant input: every step's gradient meets the same x and W
                 g = _constant_response(layer.synapse, T, layer.w.dtype)
                 dsum = (g @ di.reshape(T, -1)).reshape(n, layer.out_width)
-                layer.dw = lt.x[0].T @ dsum
+                if param_grads:
+                    layer.dw = lt.x[0].T @ dsum
                 dinput = dsum @ layer.w.T
             else:
-                x_flat = lt.x.reshape(T * n, layer.in_width)
-                layer.dw = x_flat.T @ di.reshape(T * n, layer.out_width)
+                if param_grads:
+                    x_flat = lt.x.reshape(T * n, layer.in_width)
+                    layer.dw = x_flat.T @ di.reshape(T * n, layer.out_width)
                 d_spikes = _synapse_backward(layer.synapse, di @ layer.w.T)
         numerics.require_finite(dinput, "input gradient")
         return dinput

@@ -23,6 +23,7 @@ from . import attacks
 from .attacks import AttackConfig
 from .errors import SelectionError
 from .surrogate import SurrogateSpec
+from .train import predict_batched
 
 
 @dataclass
@@ -35,7 +36,7 @@ class EvalSet:
     def verify(self, models: Sequence) -> None:
         """Re-check the all-correct precondition before an attack run."""
         for i, model in enumerate(models):
-            pred = model.predict(self.x)
+            pred = predict_batched(model, self.x)
             if not np.all(pred == self.y):
                 raise SelectionError(f"evaluation set no longer all-correct for model {i}")
 
@@ -47,7 +48,7 @@ def select_eval_set(models: Sequence, x: np.ndarray, y: np.ndarray, n: int, *,
     supply the per-class quota."""
     y = np.asarray(y)
     c = int(max(m.n_classes for m in models))
-    correct = np.all([model.predict(x) == y for model in models], axis=0)
+    correct = np.all([predict_batched(model, x) == y for model in models], axis=0)
     base, extra = divmod(n, c)
     quotas = [base + (1 if cls < extra else 0) for cls in range(c)]
     rng = np.random.default_rng(seed)

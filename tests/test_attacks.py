@@ -3,6 +3,7 @@ import pytest
 
 from snnadv import attacks, numerics
 from snnadv.ann import AnnNet, Dense, build_mlp
+from snnadv.attention import TinyAttentionNet
 from snnadv.attacks import (AttackConfig, AttackReport, auto_saga, fgsm, loss_input_grad,
                             margin_loss, mim, pgd, project, run_attack, saga)
 from snnadv.errors import ConfigError
@@ -171,6 +172,42 @@ class TestSaga:
         cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=5)
         x_adv = saga([blob_net, other], [0.5, 0.5], x, y, cfg)
         assert np.max(np.abs(x_adv - x)) <= 0.1 + 1e-6
+
+
+class TestOneForwardPerIteration:
+    """The blends take the rollout mask from the records of the forward that
+    produced the gradient, so an attention model runs one forward per
+    iteration."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = TinyAttentionNet.forward_cached
+
+        def counting(self, x):
+            calls.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(TinyAttentionNet, "forward_cached", counting)
+        return calls
+
+    @staticmethod
+    def _pair():
+        att = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
+                               n_heads=2, n_classes=3, seed=4)
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0, 1, (5, 64)).astype(np.float32)
+        return [att, build_mlp([64, 6, 3], seed=4)], x, rng.integers(0, 3, 5)
+
+    def test_saga(self, counted):
+        models, x, y = self._pair()
+        saga(models, [0.5, 0.5], x, y, AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3))
+        assert counted == [5, 5, 5]
+
+    def test_auto_saga(self, counted):
+        models, x, y = self._pair()
+        auto_saga(models, x, y, AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3))
+        assert counted == [5, 5, 5]
 
 
 class TestMarginLoss:

@@ -1,7 +1,11 @@
+import platform
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from snnadv import numerics
+from snnadv.attacks import AttackConfig, pgd
 from snnadv.attention import (TinyAttentionNet, attention_rollout, ones_mask,
                               rollout_matrix)
 from snnadv.errors import ConfigError, DimensionError
@@ -17,9 +21,9 @@ class TestForward:
         net = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
                                n_heads=2, n_classes=3, seed=0)
         x = np.random.default_rng(0).uniform(0, 1, (3, 1, 8, 8)).astype(np.float32)
-        net.forward(x)
-        assert len(net.last_records) == 2
-        for rec in net.last_records:
+        records = net.forward_cached(x)[1][-1]
+        assert len(records) == 2
+        for rec in records:
             assert np.all(rec >= 0)
             assert np.max(np.abs(rec.sum(axis=-1) - 1.0)) < 1e-5
 
@@ -30,8 +34,7 @@ class TestForward:
         net.blocks[0].wq[...] = 0.0
         net.blocks[0].wk[...] = 0.0
         x = np.random.default_rng(1).uniform(0, 1, (2, 1, 8, 8)).astype(np.float32)
-        net.forward(x)
-        rec = net.last_records[0]
+        rec = net.forward_cached(x)[1][-1][0]
         assert np.allclose(rec, 1.0 / net.n_tokens, atol=1e-6)
 
     def test_indivisible_image_rejected(self):
@@ -85,11 +88,21 @@ class TestRollout:
         net = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
                                n_heads=2, n_classes=3, seed=1)
         x = np.random.default_rng(6).uniform(0, 1, (3, 1, 8, 8)).astype(np.float32)
-        phi = net.rollout_mask(x)
+        phi = net.rollout_mask(x, net.forward_cached(x)[1])
         assert phi.shape == x.shape
         assert np.all(phi >= 0) and np.all(phi <= x + 1e-6)
         flat = x.reshape(3, -1)
-        assert net.rollout_mask(flat).shape == flat.shape
+        assert net.rollout_mask(flat, net.forward_cached(flat)[1]).shape == flat.shape
+
+    def test_mask_from_cache_matches_fresh_forward(self):
+        net = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
+                               n_heads=2, n_classes=3, seed=2)
+        x = np.random.default_rng(11).uniform(0, 1, (3, 64)).astype(np.float32)
+        _, cache = net.forward_cached(x)
+        want = attention_rollout(net.forward_cached(x)[1][-1], x.reshape(3, 1, 8, 8))
+        got = net.rollout_mask(x, cache)
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_token_mismatch_rejected(self):
         a = random_stochastic(np.random.default_rng(7), 1, 1, 5)
@@ -112,3 +125,23 @@ class TestOnesMask:
     def test_multiplicative_identity(self):
         g = np.random.default_rng(10).standard_normal((2, 5)).astype(np.float32)
         assert np.array_equal(g * ones_mask(g), g)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting made at import, and so this fault budget, "
+                           "are specific to glibc's malloc")
+def test_attack_iterations_keep_the_heap_resident():
+    # without the setting each iteration faults its ~60 MB of temporaries in
+    # again (about 15k minor faults per iteration on this net at n=200)
+    import resource  # Unix only, like glibc
+    net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                           n_heads=2, seed=0)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0, 1, (200, 784)).astype(np.float32)
+    y = rng.integers(0, 10, 200)
+    cfg = AttackConfig(eps_max=0.1, eps_step=0.01, n_iter=1)
+    pgd(net, x, y, cfg)  # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pgd(net, x, y, replace(cfg, n_iter=10))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, f"{faults} minor page faults in 10 PGD iterations"

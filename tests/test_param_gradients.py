@@ -1,5 +1,6 @@
 """Finite-difference oracles for every parameter gradient of the ANN and
-attention models; the spiking nets' are in test_snn_backward.py."""
+attention models (the spiking nets' are in test_snn_backward.py), and the
+gradient-only backward every model offers the attacks."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from snnadv import numerics
 from snnadv.ann import build_cnn, build_mlp
 from snnadv.attention import TinyAttentionNet
+from snnadv.dynamics import NeuronConfig, build_snn_mlp
 
 F64 = np.float64
 
@@ -53,3 +55,37 @@ def test_param_gradients_match_fd(name):
 
         fd = numerics.finite_difference_grad(loss_of, param, h=1e-6)
         assert numerics.max_rel_err(grad, fd) <= 1e-5, pname
+
+
+LEAN_NETS = {
+    "snn-hard": (lambda: build_snn_mlp([16, 12, 3], T=4, seed=1,
+                                       neuron=NeuronConfig(leak=0.9, threshold=0.5)), (16,)),
+    "snn-adaptive": (lambda: build_snn_mlp([16, 12, 3], T=4, seed=1,
+                                           neuron=NeuronConfig(threshold=0.5,
+                                                               adapt_decay=0.5)), (16,)),
+    "mlp": (lambda: build_mlp([16, 7, 3], seed=1), (16,)),
+    "cnn": (lambda: build_cnn((1, 4, 4), [2], 6, 3, seed=2), (1, 4, 4)),
+    "attention-2": (lambda: TinyAttentionNet(image_shape=(1, 4, 4), patch=2, embed=4,
+                                             n_layers=2, n_heads=2, n_classes=3,
+                                             ffn_hidden=6, seed=3), (1, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAN_NETS))
+def test_gradient_only_backward(name):
+    build, input_shape = LEAN_NETS[name]
+    net = build()
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 1, size=(3,) + input_shape).astype(np.float32)
+    logits, cache = net.forward_cached(x)
+    _, dlogits = numerics.softmax_cross_entropy(logits, np.array([0, 1, 2]))
+    # fill the gradients from another seed, so a recomputation would show
+    net.backward(cache, -dlogits)
+    before = [(grad, grad.copy()) for _, _, grad in net.param_pairs()]
+    lean = net.backward(cache, dlogits, param_grads=False)
+    for (pname, _, grad), (old, old_bytes) in zip(net.param_pairs(), before):
+        assert grad is old, pname
+        assert grad.tobytes() == old_bytes.tobytes(), pname
+    full = net.backward(cache, dlogits)
+    assert lean.dtype == full.dtype and lean.shape == full.shape
+    assert lean.tobytes() == full.tobytes()
