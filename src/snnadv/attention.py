@@ -2,6 +2,11 @@
 weights of every layer, plus the depth-wise attention rollout that turns
 those records into an input-space saliency mask.
 
+The logits read only the class token of the last block, so that block runs
+its query, attention, output projection and FFN on the class-token row
+alone, and its record holds only that query row. The rollout reads only the
+class-token row of its chain, which that record is enough to give.
+
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
 the class-token row as per-patch saliency. The row is peak-normalized,
@@ -22,7 +27,12 @@ def ones_mask(x: np.ndarray) -> np.ndarray:
 
 
 def rollout_matrix(records: list) -> np.ndarray:
-    """Chain head-averaged, identity-mixed attention matrices in depth order."""
+    """Chain head-averaged, identity-mixed attention matrices in depth order.
+
+    Records are [n, H, T, T]. The last one may hold only the class-token
+    query row, [n, H, 1, T], as ``TinyAttentionNet`` records it; the chain is
+    then [n, 1, T], the only row the rollout reads.
+    """
     if not records:
         raise DimensionError("need at least one recorded attention layer")
     first = np.asarray(records[0])
@@ -30,11 +40,15 @@ def rollout_matrix(records: list) -> np.ndarray:
     n = first.shape[0]
     eye = np.eye(tokens, dtype=first.dtype)
     result = np.broadcast_to(eye, (n, tokens, tokens)).copy()
-    for rec in records:
+    for i, rec in enumerate(records):
         rec = np.asarray(rec)
-        if rec.shape[-1] != tokens or rec.shape[-2] != tokens:
+        rows = rec.shape[-2]
+        if rec.shape[-1] != tokens:
             raise DimensionError("attention records have inconsistent token counts")
-        mixed = 0.5 * rec.mean(axis=1) + 0.5 * eye
+        if rows != tokens and (rows != 1 or i != len(records) - 1):
+            raise DimensionError(f"attention record {i} has {rows} query rows; only the "
+                                 f"last may hold the class-token row alone")
+        mixed = 0.5 * rec.mean(axis=1) + 0.5 * eye[:rows]
         result = mixed @ result
     return result
 
@@ -72,11 +86,19 @@ def attention_rollout(records: list, x: np.ndarray) -> np.ndarray:
     return out[:, 0] if x.ndim == 3 else out
 
 
+def _row_mean(a):
+    """Mean over the last axis, kept as a length-1 axis. A BLAS
+    matrix-vector product is several times faster than numpy's reduction
+    over a short last axis."""
+    e = a.shape[-1]
+    mean = a.reshape(-1, e) @ np.full(e, 1.0 / e, dtype=a.dtype)
+    return mean.reshape(a.shape[:-1] + (1,))
+
+
 def layernorm_forward(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
+    xhat *= inv
     return xhat * gamma + beta, (xhat, inv)
 
 
@@ -89,8 +111,7 @@ def layernorm_backward(dy, cache, gamma, param_grads=True):
         dgamma = (dy * xhat).sum(axis=axes)
         dbeta = dy.sum(axis=axes)
     dxhat = dy * gamma
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
     return dx, dgamma, dbeta
 
 
@@ -114,7 +135,11 @@ class TinyAttentionNet:
 
     ``forward_cached`` returns the attention matrices (post-softmax, per layer
     and head) as the last entry of its cache; each row is non-negative and
-    sums to one. Nothing of a forward pass is stored on the model.
+    sums to one. They are [n, H, T, T], apart from the last block's, which is
+    [n, H, 1, T]: the logits read only the class token of the last block, so
+    that block computes its query, attention, FFN and their gradients for
+    the class-token row alone (its keys and values still cover every token).
+    Nothing of a forward pass is stored on the model.
     """
 
     kind = "attention"
@@ -129,6 +154,8 @@ class TinyAttentionNet:
             raise ConfigError(f"image {h}x{w} not divisible into {patch}x{patch} patches")
         if embed % n_heads:
             raise ConfigError(f"embed width {embed} not divisible by {n_heads} heads")
+        if n_layers < 1:
+            raise ConfigError(f"need at least one attention block, got {n_layers}")
         self.image_shape = (c, h, w)
         self.patch = patch
         self.embed = embed
@@ -215,10 +242,12 @@ class TinyAttentionNet:
         t = t + self.pos
         caches = []
         records = []
-        for blk in self.blocks:
+        for i, blk in enumerate(self.blocks):
+            # query rows: every token, or the class token alone in the last block
+            rows = slice(None) if i < len(self.blocks) - 1 else slice(0, 1)
             tin = t
             l1, ln1_cache = layernorm_forward(tin, blk.ln1_g, blk.ln1_b)
-            q = l1 @ blk.wq
+            q = l1[:, rows] @ blk.wq
             k = l1 @ blk.wk
             v = l1 @ blk.wv
             qh = q.reshape(n, -1, H, dh).transpose(0, 2, 1, 3)
@@ -229,13 +258,13 @@ class TinyAttentionNet:
             records.append(att)
             ctx = att @ vh
             ctxm = ctx.transpose(0, 2, 1, 3).reshape(n, -1, E)
-            y = tin + ctxm @ blk.wo
+            y = tin[:, rows] + ctxm @ blk.wo
             l2, ln2_cache = layernorm_forward(y, blk.ln2_g, blk.ln2_b)
             h1 = l2 @ blk.w1 + blk.b1
             relu_mask = h1 > 0
             r = h1 * relu_mask
             t = y + r @ blk.w2 + blk.b2
-            caches.append((l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache,
+            caches.append((rows, l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache,
                            relu_mask, r))
         feat, lnf_cache = layernorm_forward(t[:, 0], self.lnf_g, self.lnf_b)
         logits = feat @ self.wc + self.bc
@@ -260,10 +289,11 @@ class TinyAttentionNet:
             self.dwc = feat.T @ dlogits
             self.dbc = dlogits.sum(axis=0)
             self.dlnf_g, self.dlnf_b = dlnf_g, dlnf_b
-        dt = np.zeros((n, self.n_tokens, E), dtype=self.wp.dtype)
-        dt[:, 0] = dcls_tok
+        # dt is the gradient of a block's output, which has that block's query
+        # rows: the class token alone in the last block, every token before it
+        dt = dcls_tok[:, None, :]
         for blk, c in zip(reversed(self.blocks), reversed(caches)):
-            l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache, relu_mask, r = c
+            rows, l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache, relu_mask, r = c
             # FFN branch: t = y + relu(LN2(y) w1 + b1) w2 + b2
             dz = dt
             dr = dz @ blk.w2.T
@@ -283,7 +313,9 @@ class TinyAttentionNet:
             dq = dqh.transpose(0, 2, 1, 3).reshape(n, -1, E)
             dk = dkh.transpose(0, 2, 1, 3).reshape(n, -1, E)
             dv = dvh.transpose(0, 2, 1, 3).reshape(n, -1, E)
-            dl1 = dq @ blk.wq.T + dk @ blk.wk.T + dv @ blk.wv.T
+            dl1 = dk @ blk.wk.T
+            dl1[:, rows] += dq @ blk.wq.T
+            dl1 += dv @ blk.wv.T
             dtin_att, dln1_g, dln1_b = layernorm_backward(dl1, ln1_cache, blk.ln1_g, param_grads)
             if param_grads:
                 blk.dw2 = r.reshape(-1, r.shape[-1]).T @ dz.reshape(-1, E)
@@ -293,11 +325,12 @@ class TinyAttentionNet:
                 blk.dln2_g, blk.dln2_b = dln2_g, dln2_b
                 blk.dwo = ctxm.reshape(-1, E).T @ dy.reshape(-1, E)
                 l1_flat = l1.reshape(-1, E)
-                blk.dwq = l1_flat.T @ dq.reshape(-1, E)
+                blk.dwq = l1[:, rows].reshape(-1, E).T @ dq.reshape(-1, E)
                 blk.dwk = l1_flat.T @ dk.reshape(-1, E)
                 blk.dwv = l1_flat.T @ dv.reshape(-1, E)
                 blk.dln1_g, blk.dln1_b = dln1_g, dln1_b
-            dt = dy + dtin_att
+            dt = dtin_att
+            dt[:, rows] += dy
         dtok = dt[:, 1:]
         if param_grads:
             self.dpos = dt.sum(axis=0)

@@ -11,9 +11,36 @@ from snnadv.attention import (TinyAttentionNet, attention_rollout, ones_mask,
 from snnadv.errors import ConfigError, DimensionError
 
 
-def random_stochastic(rng, n, heads, tokens):
-    m = rng.uniform(0, 1, size=(n, heads, tokens, tokens))
+def random_stochastic(rng, n, heads, tokens, rows=None):
+    m = rng.uniform(0, 1, size=(n, heads, tokens if rows is None else rows, tokens))
     return m / m.sum(axis=-1, keepdims=True)
+
+
+def full_token_forward(net, x):
+    """Reference forward in which every block runs every token's query row,
+    with numpy's own row reductions in the layer norms: (logits, records),
+    each record [n, H, T, T]."""
+    def ln(a, g, b, eps=1e-5):
+        return (a - a.mean(-1, keepdims=True)) / np.sqrt(a.var(-1, keepdims=True) + eps) * g + b
+
+    imgs = net._shape_input(x)
+    n, H, E = imgs.shape[0], net.n_heads, net.embed
+    dh = E // H
+
+    def heads(a):
+        return a.reshape(n, -1, H, dh).transpose(0, 2, 1, 3)
+
+    tok = net._to_patches(imgs) @ net.wp + net.bp
+    t = np.concatenate([np.broadcast_to(net.cls, (n, 1, E)), tok], axis=1) + net.pos
+    records = []
+    for blk in net.blocks:
+        l1 = ln(t, blk.ln1_g, blk.ln1_b)
+        q, k, v = (heads(l1 @ w) for w in (blk.wq, blk.wk, blk.wv))
+        att = numerics.softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh).astype(t.dtype))
+        records.append(att)
+        y = t + (att @ v).transpose(0, 2, 1, 3).reshape(n, -1, E) @ blk.wo
+        t = y + np.maximum(ln(y, blk.ln2_g, blk.ln2_b) @ blk.w1 + blk.b1, 0) @ blk.w2 + blk.b2
+    return ln(t[:, 0], net.lnf_g, net.lnf_b) @ net.wc + net.bc, records
 
 
 class TestForward:
@@ -40,6 +67,38 @@ class TestForward:
     def test_indivisible_image_rejected(self):
         with pytest.raises(ConfigError):
             TinyAttentionNet(image_shape=(1, 9, 9), patch=4)
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ConfigError):
+            TinyAttentionNet(image_shape=(1, 8, 8), patch=4, n_layers=0)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_matches_full_token_forward(self, n_layers, n_heads):
+        net = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=n_layers,
+                               n_heads=n_heads, n_classes=3, ffn_hidden=12, seed=n_layers,
+                               dtype=np.float64)
+        x = np.random.default_rng(n_heads).uniform(0, 1, (4, 1, 8, 8))
+        logits, cache = net.forward_cached(x)
+        want, want_records = full_token_forward(net, x)
+        assert numerics.max_rel_err(logits, want) <= 1e-12
+        records = cache[-1]
+        assert records[-1].shape == (4, n_heads, 1, net.n_tokens)
+        assert numerics.max_rel_err(records[-1], want_records[-1][:, :, :1]) <= 1e-12
+        for rec, full in zip(records[:-1], want_records[:-1]):
+            assert rec.shape == full.shape
+            assert numerics.max_rel_err(rec, full) <= 1e-12
+
+    def test_matches_full_token_forward_float32(self):
+        # the architecture of the benchmark's attention fixture
+        net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                               n_heads=2, seed=5)
+        x = np.random.default_rng(13).uniform(0, 1, (16, 784)).astype(np.float32)
+        logits, cache = net.forward_cached(x)
+        want, _ = full_token_forward(net, x)
+        assert logits.dtype == np.float32
+        assert numerics.max_rel_err(logits, want) <= 1e-5
+        assert cache[-1][-1].shape == (16, 2, 1, net.n_tokens)
 
     def test_input_gradient_fd(self):
         net = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
@@ -103,6 +162,27 @@ class TestRollout:
         got = net.rollout_mask(x, cache)
         assert got.shape == x.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_rollout_of_class_row_records_matches_full_records(self):
+        net = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=3,
+                               n_heads=2, n_classes=3, seed=4)
+        x = np.random.default_rng(14).uniform(0, 1, (5, 1, 8, 8)).astype(np.float32)
+        records = net.forward_cached(x)[1][-1]
+        _, full = full_token_forward(net, x)
+        assert rollout_matrix(records).shape == (5, 1, net.n_tokens)
+        got = attention_rollout(records, x)
+        want = attention_rollout(full, x)
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    def test_class_row_record_must_come_last(self):
+        rng = np.random.default_rng(15)
+        full = random_stochastic(rng, 2, 2, 5)
+        row = random_stochastic(rng, 2, 2, 5, rows=1)
+        assert rollout_matrix([full, row]).shape == (2, 1, 5)
+        with pytest.raises(DimensionError):
+            rollout_matrix([row, full])
+        with pytest.raises(DimensionError):
+            rollout_matrix([full, random_stochastic(rng, 2, 2, 5, rows=2)])
 
     def test_token_mismatch_rejected(self):
         a = random_stochastic(np.random.default_rng(7), 1, 1, 5)
