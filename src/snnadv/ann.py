@@ -19,23 +19,21 @@ class Dense:
         if self.w.ndim != 2:
             raise DimensionError(f"dense weights must be 2-d, got {self.w.shape}")
         self.b = np.zeros(self.w.shape[1], dtype=self.w.dtype) if b is None else np.asarray(b)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
 
     def forward(self, x):
         if x.shape[1] != self.w.shape[0]:
             raise DimensionError(f"dense input width {x.shape[1]} != {self.w.shape[0]}")
         return x @ self.w + self.b, x
 
-    def backward(self, dout, cache, param_grads=True):
-        if param_grads:
+    def backward(self, dout, cache, grads=None, prefix=""):
+        if grads is not None:
             x = cache
-            self.dw = x.T @ dout
-            self.db = dout.sum(axis=0)
+            grads[prefix + "w"] = x.T @ dout
+            grads[prefix + "b"] = dout.sum(axis=0)
         return dout @ self.w.T
 
     def params(self):
-        return [("w", self.w, self.dw), ("b", self.b, self.db)]
+        return [("w", self.w), ("b", self.b)]
 
     def astype(self, dtype):
         return Dense(self.w.astype(dtype), self.b.astype(dtype))
@@ -63,7 +61,7 @@ class ReLU(_ParamFree):
     def forward(self, x):
         return np.maximum(x, 0.0), x > 0
 
-    def backward(self, dout, cache, param_grads=True):
+    def backward(self, dout, cache, grads=None, prefix=""):
         return dout * cache
 
 
@@ -78,8 +76,6 @@ class Conv2d:
             raise DimensionError(f"conv weights must be 4-d, got {self.w.shape}")
         self.b = np.zeros(self.w.shape[0], dtype=self.w.dtype) if b is None else np.asarray(b)
         self.pad = pad
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
 
     def _cols(self, x):
         n, c, h, w = x.shape
@@ -105,15 +101,15 @@ class Conv2d:
         out = cols.reshape(-1, wf.shape[0]) @ wf + self.b
         return out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2), (cols, geom)
 
-    def backward(self, dout, cache, param_grads=True):
+    def backward(self, dout, cache, grads=None, prefix=""):
         cols, geom = cache
         n, c, h, w, oh, ow = geom
         oc, ic, kh, kw = self.w.shape
         dflat = dout.transpose(0, 2, 3, 1).reshape(-1, oc)
-        if param_grads:
+        if grads is not None:
             cflat = cols.reshape(-1, ic * kh * kw)
-            self.dw = (cflat.T @ dflat).T.reshape(self.w.shape)
-            self.db = dflat.sum(axis=0)
+            grads[prefix + "w"] = (cflat.T @ dflat).T.reshape(self.w.shape)
+            grads[prefix + "b"] = dflat.sum(axis=0)
         dcols = (dflat @ self.w.reshape(oc, -1)).reshape(n, oh, ow, ic * kh * kw)
         p = self.pad
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype)
@@ -126,7 +122,7 @@ class Conv2d:
         return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
     def params(self):
-        return [("w", self.w, self.dw), ("b", self.b, self.db)]
+        return [("w", self.w), ("b", self.b)]
 
     def astype(self, dtype):
         return Conv2d(self.w.astype(dtype), self.b.astype(dtype), pad=self.pad)
@@ -148,7 +144,7 @@ class AvgPool2d(_ParamFree):
             raise DimensionError(f"avgpool needs even extents, got {h}x{w}")
         return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5)), None
 
-    def backward(self, dout, cache, param_grads=True):
+    def backward(self, dout, cache, grads=None, prefix=""):
         return np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) / 4.0
 
 
@@ -158,7 +154,7 @@ class Flatten(_ParamFree):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dout, cache, param_grads=True):
+    def backward(self, dout, cache, grads=None, prefix=""):
         return dout.reshape(cache)
 
 
@@ -207,26 +203,23 @@ class AnnNet:
         numerics.require_finite(x, "network logits")
         return x, caches
 
-    def backward(self, caches, dlogits, param_grads=True):
-        """Gradient of the input, flattened to [n, features]. With
-        ``param_grads`` (training) every Dense and Conv2d layer also rebinds
-        its ``dw``/``db``; without it (attacks) they are neither computed nor
-        touched."""
+    def backward(self, caches, dlogits, grads=None):
+        """Gradient of the input, flattened to [n, features]. Given a
+        ``grads`` dict (training), every Dense and Conv2d layer also writes
+        its parameter gradients into it under the names ``params`` gives;
+        without one (attacks) none are computed."""
         d = np.asarray(dlogits, dtype=self._dtype())
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            d = layer.backward(d, cache, param_grads)
+        for i in reversed(range(len(self.layers))):
+            d = self.layers[i].backward(d, caches[i], grads, f"layer{i}.")
         numerics.require_finite(d, "input gradient")
         return d.reshape(d.shape[0], -1)
 
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)
 
-    def param_pairs(self):
-        pairs = []
-        for i, layer in enumerate(self.layers):
-            for name, p, g in layer.params():
-                pairs.append((f"layer{i}.{name}", p, g))
-        return pairs
+    def params(self):
+        return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
+                for name, p in layer.params()]
 
     def astype(self, dtype):
         return AnnNet([l.astype(dtype) for l in self.layers], input_shape=self.input_shape)

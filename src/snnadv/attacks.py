@@ -106,17 +106,13 @@ def project(x_adv: np.ndarray, x: np.ndarray, eps_max: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def loss_input_grad(model, x: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss and its gradient w.r.t. the (flattened) input."""
-    return _loss_grad_cache(model, x, labels)[:2]
-
-
-def _loss_grad_cache(model, x: np.ndarray, labels: np.ndarray) -> tuple:
-    """``loss_input_grad`` plus the forward cache the gradient came from.
-    Attacks never read parameter gradients, so none are computed."""
+def loss_input_grad(model, x: np.ndarray, labels: np.ndarray) -> tuple:
+    """Cross-entropy loss, its gradient w.r.t. the input (shaped like x), and
+    the forward cache the gradient came from. No parameter gradient is
+    computed."""
     logits, cache = model.forward_cached(x)
     loss, dlogits = numerics.softmax_cross_entropy(logits, labels)
-    dinput = model.backward(cache, dlogits, param_grads=False)
+    dinput = model.backward(cache, dlogits)
     return loss, dinput.reshape(np.asarray(x).shape), cache
 
 
@@ -201,7 +197,7 @@ def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
 
     def momentum(x_adv):
         nonlocal g
-        _, grad = loss_input_grad(model, x_adv, labels)
+        _, grad, _ = loss_input_grad(model, x_adv, labels)
         l1 = np.sum(np.abs(grad), axis=axes, keepdims=True)
         normed = np.divide(grad, l1, out=np.zeros_like(grad), where=l1 > 0)
         g = cfg.mu * g + normed
@@ -237,7 +233,7 @@ def saga(models: Sequence, alphas: Sequence[float], x: np.ndarray, labels: np.nd
         for model, alpha in zip(models, alphas):
             if alpha == 0.0:
                 continue
-            _, grad, cache = _loss_grad_cache(model, x_adv, labels)
+            _, grad, cache = loss_input_grad(model, x_adv, labels)
             out += alpha * _mask_for(model, x_adv, cache) * grad
         return out
 
@@ -284,9 +280,9 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
         for mi, model in enumerate(models):
             logits, cache = model.forward_cached(x_adv)
             _, ce_dlogits = numerics.softmax_cross_entropy(logits, labels)
-            grad = model.backward(cache, ce_dlogits, param_grads=False).reshape(x.shape)
+            grad = model.backward(cache, ce_dlogits).reshape(x.shape)
             _, f_dlogits = margin_loss(logits, labels, cfg.kappa)
-            f_grad = model.backward(cache, f_dlogits, param_grads=False).reshape(x.shape)
+            f_grad = model.backward(cache, f_dlogits).reshape(x.shape)
             grads.append(grad)
             margin_grads.append(f_grad)
             blend += alphas[:, mi].reshape(bshape).astype(x.dtype) \

@@ -102,17 +102,16 @@ def layernorm_forward(x, gamma, beta, eps=1e-5):
     return xhat * gamma + beta, (xhat, inv)
 
 
-def layernorm_backward(dy, cache, gamma, param_grads=True):
-    """(dx, dgamma, dbeta); the last two are None unless ``param_grads``."""
+def layernorm_backward(dy, cache, gamma, grads=None, prefix=""):
+    """dx. Given a ``grads`` dict, also writes the gain and shift gradients
+    into it as ``prefix + "g"`` and ``prefix + "b"``."""
     xhat, inv = cache
-    dgamma = dbeta = None
-    if param_grads:
+    if grads is not None:
         axes = tuple(range(dy.ndim - 1))
-        dgamma = (dy * xhat).sum(axis=axes)
-        dbeta = dy.sum(axis=axes)
+        grads[prefix + "g"] = (dy * xhat).sum(axis=axes)
+        grads[prefix + "b"] = dy.sum(axis=axes)
     dxhat = dy * gamma
-    dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
-    return dx, dgamma, dbeta
+    return inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
 
 
 class AttnBlock:
@@ -120,10 +119,8 @@ class AttnBlock:
         self.wq, self.wk, self.wv, self.wo = wq, wk, wv, wo
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
         self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b = ln1_g, ln1_b, ln2_g, ln2_b
-        for name, arr in self.named():
-            setattr(self, "d" + name, np.zeros_like(arr))
 
-    def named(self):
+    def params(self):
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo),
                 ("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2),
                 ("ln1_g", self.ln1_g), ("ln1_b", self.ln1_b),
@@ -139,7 +136,7 @@ class TinyAttentionNet:
     [n, H, 1, T]: the logits read only the class token of the last block, so
     that block computes its query, attention, FFN and their gradients for
     the class-token row alone (its keys and values still cover every token).
-    Nothing of a forward pass is stored on the model.
+    Nothing of a forward or backward pass is stored on the model.
     """
 
     kind = "attention"
@@ -189,14 +186,6 @@ class TinyAttentionNet:
         self.lnf_b = np.zeros(embed, dtype=dtype)
         self.wc = init((embed, n_classes), embed)
         self.bc = np.zeros(n_classes, dtype=dtype)
-        self.dwp = np.zeros_like(self.wp)
-        self.dbp = np.zeros_like(self.bp)
-        self.dcls = np.zeros_like(self.cls)
-        self.dpos = np.zeros_like(self.pos)
-        self.dlnf_g = np.zeros_like(self.lnf_g)
-        self.dlnf_b = np.zeros_like(self.lnf_b)
-        self.dwc = np.zeros_like(self.wc)
-        self.dbc = np.zeros_like(self.bc)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -271,12 +260,12 @@ class TinyAttentionNet:
         numerics.require_finite(logits, "network logits")
         return logits, (imgs, patches, caches, feat, lnf_cache, records)
 
-    def backward(self, cache, dlogits, param_grads=True):
+    def backward(self, cache, dlogits, grads=None):
         """Gradient of the input, flattened to [n, c*h*w].
 
-        With ``param_grads`` (training) it also rebinds every ``d<name>``
-        gradient array that ``param_pairs`` reads; without it (attacks) no
-        parameter gradient is computed and those arrays stay as they are.
+        Given a ``grads`` dict (training), it also writes all parameter
+        gradients into it under the names ``params`` gives; without one
+        (attacks) none are computed.
         """
         imgs, patches, caches, feat, lnf_cache, _ = cache
         n = imgs.shape[0]
@@ -284,22 +273,22 @@ class TinyAttentionNet:
         dh = E // H
         dlogits = np.asarray(dlogits, dtype=self.wp.dtype)
         dfeat = dlogits @ self.wc.T
-        dcls_tok, dlnf_g, dlnf_b = layernorm_backward(dfeat, lnf_cache, self.lnf_g, param_grads)
-        if param_grads:
-            self.dwc = feat.T @ dlogits
-            self.dbc = dlogits.sum(axis=0)
-            self.dlnf_g, self.dlnf_b = dlnf_g, dlnf_b
+        dcls_tok = layernorm_backward(dfeat, lnf_cache, self.lnf_g, grads, "lnf_")
+        if grads is not None:
+            grads["wc"] = feat.T @ dlogits
+            grads["bc"] = dlogits.sum(axis=0)
         # dt is the gradient of a block's output, which has that block's query
         # rows: the class token alone in the last block, every token before it
         dt = dcls_tok[:, None, :]
-        for blk, c in zip(reversed(self.blocks), reversed(caches)):
-            rows, l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache, relu_mask, r = c
+        for i in reversed(range(len(self.blocks))):
+            blk, pre = self.blocks[i], f"block{i}."
+            rows, l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache, relu_mask, r = caches[i]
             # FFN branch: t = y + relu(LN2(y) w1 + b1) w2 + b2
             dz = dt
             dr = dz @ blk.w2.T
             dh1 = dr * relu_mask
             dl2 = dh1 @ blk.w1.T
-            dy_ffn, dln2_g, dln2_b = layernorm_backward(dl2, ln2_cache, blk.ln2_g, param_grads)
+            dy_ffn = layernorm_backward(dl2, ln2_cache, blk.ln2_g, grads, pre + "ln2_")
             dy = dz + dy_ffn
             # attention branch: y = tin + (att @ vh merged) wo with q,k,v from LN1(tin)
             dctxm = dy @ blk.wo.T
@@ -316,27 +305,25 @@ class TinyAttentionNet:
             dl1 = dk @ blk.wk.T
             dl1[:, rows] += dq @ blk.wq.T
             dl1 += dv @ blk.wv.T
-            dtin_att, dln1_g, dln1_b = layernorm_backward(dl1, ln1_cache, blk.ln1_g, param_grads)
-            if param_grads:
-                blk.dw2 = r.reshape(-1, r.shape[-1]).T @ dz.reshape(-1, E)
-                blk.db2 = dz.sum(axis=(0, 1))
-                blk.dw1 = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
-                blk.db1 = dh1.sum(axis=(0, 1))
-                blk.dln2_g, blk.dln2_b = dln2_g, dln2_b
-                blk.dwo = ctxm.reshape(-1, E).T @ dy.reshape(-1, E)
+            dtin_att = layernorm_backward(dl1, ln1_cache, blk.ln1_g, grads, pre + "ln1_")
+            if grads is not None:
+                grads[pre + "w2"] = r.reshape(-1, r.shape[-1]).T @ dz.reshape(-1, E)
+                grads[pre + "b2"] = dz.sum(axis=(0, 1))
+                grads[pre + "w1"] = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
+                grads[pre + "b1"] = dh1.sum(axis=(0, 1))
+                grads[pre + "wo"] = ctxm.reshape(-1, E).T @ dy.reshape(-1, E)
                 l1_flat = l1.reshape(-1, E)
-                blk.dwq = l1[:, rows].reshape(-1, E).T @ dq.reshape(-1, E)
-                blk.dwk = l1_flat.T @ dk.reshape(-1, E)
-                blk.dwv = l1_flat.T @ dv.reshape(-1, E)
-                blk.dln1_g, blk.dln1_b = dln1_g, dln1_b
+                grads[pre + "wq"] = l1[:, rows].reshape(-1, E).T @ dq.reshape(-1, E)
+                grads[pre + "wk"] = l1_flat.T @ dk.reshape(-1, E)
+                grads[pre + "wv"] = l1_flat.T @ dv.reshape(-1, E)
             dt = dtin_att
             dt[:, rows] += dy
         dtok = dt[:, 1:]
-        if param_grads:
-            self.dpos = dt.sum(axis=0)
-            self.dcls = dt[:, 0].sum(axis=0)
-            self.dwp = patches.reshape(-1, patches.shape[-1]).T @ dtok.reshape(-1, E)
-            self.dbp = dtok.sum(axis=(0, 1))
+        if grads is not None:
+            grads["pos"] = dt.sum(axis=0)
+            grads["cls"] = dt[:, 0].sum(axis=0)
+            grads["wp"] = patches.reshape(-1, patches.shape[-1]).T @ dtok.reshape(-1, E)
+            grads["bp"] = dtok.sum(axis=(0, 1))
         dpat = dtok @ self.wp.T
         dx = self._from_patches(dpat, n)
         numerics.require_finite(dx, "input gradient")
@@ -347,17 +334,12 @@ class TinyAttentionNet:
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)
 
-    def param_pairs(self):
-        pairs = [("wp", self.wp, self.dwp), ("bp", self.bp, self.dbp),
-                 ("cls", self.cls, self.dcls), ("pos", self.pos, self.dpos)]
-        for i, blk in enumerate(self.blocks):
-            for name, arr in blk.named():
-                pairs.append((f"block{i}.{name}", arr, getattr(blk, "d" + name)))
-        pairs.append(("lnf_g", self.lnf_g, self.dlnf_g))
-        pairs.append(("lnf_b", self.lnf_b, self.dlnf_b))
-        pairs.append(("wc", self.wc, self.dwc))
-        pairs.append(("bc", self.bc, self.dbc))
-        return pairs
+    def params(self):
+        return ([("wp", self.wp), ("bp", self.bp), ("cls", self.cls), ("pos", self.pos)]
+                + [(f"block{i}.{name}", arr) for i, blk in enumerate(self.blocks)
+                   for name, arr in blk.params()]
+                + [("lnf_g", self.lnf_g), ("lnf_b", self.lnf_b), ("wc", self.wc),
+                   ("bc", self.bc)])
 
     def rollout_mask(self, x, cache):
         """Saliency-masked input for the multi-model attacks, shaped like x.
@@ -372,6 +354,6 @@ class TinyAttentionNet:
     def astype(self, dtype):
         other = TinyAttentionNet(self.image_shape, self.patch, self.embed, self.n_layers,
                                  self.n_heads, self.n_classes, self.ffn_hidden, dtype=dtype)
-        for (_, dst, _), (_, src, _) in zip(other.param_pairs(), self.param_pairs()):
+        for (_, dst), (_, src) in zip(other.params(), self.params()):
             dst[...] = src.astype(dtype)
         return other

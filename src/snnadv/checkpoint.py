@@ -112,7 +112,7 @@ def _rebuild(kind: str, arch: dict, dtype: np.dtype):
 def save_model(path, model, seed: int = 0, config_echo: dict | None = None) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tensors = [(name, np.ascontiguousarray(p)) for name, p, _ in model.param_pairs()]
+    tensors = [(name, np.ascontiguousarray(p)) for name, p in model.params()]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -167,12 +167,12 @@ def load_model(path):
     if len(dtypes) > 1:
         raise FormatError(f"checkpoint mixes tensor dtypes {sorted(map(str, dtypes))}")
     model = _rebuild(kind, arch, dtypes.pop() if dtypes else np.dtype(np.float32))
-    pairs = {name: p for name, p, _ in model.param_pairs()}
-    if set(pairs) != set(tensors):
+    params = dict(model.params())
+    if set(params) != set(tensors):
         raise FormatError("checkpoint tensors do not match the architecture descriptor")
     for name, arr in tensors.items():
-        if pairs[name].shape != arr.shape:
-            raise FormatError(f"tensor {name} shape {arr.shape} != expected {pairs[name].shape}")
-        pairs[name][...] = arr
+        if params[name].shape != arr.shape:
+            raise FormatError(f"tensor {name} shape {arr.shape} != expected {params[name].shape}")
+        params[name][...] = arr
     meta = {"kind": kind, "seed": seed, "config_echo": config_echo, "arch": arch}
     return model, meta

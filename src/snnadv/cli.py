@@ -378,7 +378,7 @@ def cmd_inspect(path: str) -> int:
     print(f"seed: {meta['seed']}")
     print(f"arch: {json.dumps(meta['arch'], sort_keys=True)}")
     ok = True
-    for name, p, _ in model.param_pairs():
+    for name, p in model.params():
         finite = bool(np.all(np.isfinite(p)))
         ok &= finite
         print(f"tensor {name}: shape {tuple(p.shape)} dtype {p.dtype} "

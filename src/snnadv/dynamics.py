@@ -190,8 +190,6 @@ class SpikingLayer:
             raise DimensionError(f"bias shape {self.b.shape} does not match width {self.w.shape[1]}")
         self.neuron = neuron
         self.synapse = synapse
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
 
     @property
     def in_width(self) -> int:
@@ -257,12 +255,9 @@ class SpikingNet:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x), axis=1)
 
-    def param_pairs(self) -> list:
-        pairs = []
-        for i, layer in enumerate(self.layers):
-            pairs.append((f"layer{i}.w", layer.w, layer.dw))
-            pairs.append((f"layer{i}.b", layer.b, layer.db))
-        return pairs
+    def params(self) -> list:
+        return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
+                for name, p in (("w", layer.w), ("b", layer.b))]
 
     def astype(self, dtype) -> "SpikingNet":
         layers = [SpikingLayer(l.w.astype(dtype), l.b.astype(dtype), l.neuron, l.synapse)
@@ -338,12 +333,13 @@ class SpikingNet:
         return logits, trace
 
     def backward(self, trace: ForwardTrace, dlogits: np.ndarray,
-                 param_grads: bool = True) -> np.ndarray:
+                 grads: Optional[dict] = None) -> np.ndarray:
         """Reverse-time accumulation through the unrolled recurrence.
 
-        Returns the gradient with respect to the flattened input. With
-        ``param_grads`` (training) it also fills each layer's dw/db
-        (overwriting); without it (attacks) those arrays stay as they are.
+        Returns the gradient with respect to the flattened input. Given a
+        ``grads`` dict (training), it also writes every weight and bias
+        gradient into it under the names ``params`` gives; without one
+        (attacks) none are computed.
         Layer 0 sees a constant input, so its current gradient is summed over
         time, weighted by the synapse's constant-input response g[t], before
         one weight-gradient and one input-gradient matmul.
@@ -393,19 +389,19 @@ class SpikingNet:
                     di[t] = dv
                     dv_next = dv
             # through the weights and the synapse filter
-            if param_grads:
-                layer.db = di.sum(axis=(0, 1))
+            if grads is not None:
+                grads[f"layer{li}.b"] = di.sum(axis=(0, 1))
             if li == 0:
                 # constant input: every step's gradient meets the same x and W
                 g = _constant_response(layer.synapse, T, layer.w.dtype)
                 dsum = (g @ di.reshape(T, -1)).reshape(n, layer.out_width)
-                if param_grads:
-                    layer.dw = lt.x[0].T @ dsum
+                if grads is not None:
+                    grads[f"layer{li}.w"] = lt.x[0].T @ dsum
                 dinput = dsum @ layer.w.T
             else:
-                if param_grads:
+                if grads is not None:
                     x_flat = lt.x.reshape(T * n, layer.in_width)
-                    layer.dw = x_flat.T @ di.reshape(T * n, layer.out_width)
+                    grads[f"layer{li}.w"] = x_flat.T @ di.reshape(T * n, layer.out_width)
                 d_spikes = _synapse_backward(layer.synapse, di @ layer.w.T)
         numerics.require_finite(dinput, "input gradient")
         return dinput

@@ -21,8 +21,9 @@ class SGD:
         self.momentum = momentum
         self._velocity = {}
 
-    def step(self, param_pairs):
-        for name, p, g in param_pairs:
+    def step(self, params, grads):
+        for name, p in params:
+            g = grads[name]
             v = self._velocity.get(name)
             if v is None:
                 v = np.zeros_like(p)
@@ -42,10 +43,11 @@ class Adam:
         self._v = {}
         self._t = 0
 
-    def step(self, param_pairs):
+    def step(self, params, grads):
         self._t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p, g in param_pairs:
+        for name, p in params:
+            g = grads[name]
             m = self._m.get(name)
             if m is None:
                 m = np.zeros_like(p)
@@ -104,8 +106,8 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
                  test_x=None, test_y=None, verbose: bool = True) -> History:
     """Softmax cross-entropy training loop, bit-reproducible given the seed.
 
-    Spiking models require a surrogate spec (it is installed on the model for
-    the duration of training and left in place).
+    Spiking models require a surrogate spec; it is installed on the model
+    and stays there after training.
     """
     if isinstance(model, SpikingNet):
         if spec is None:
@@ -130,8 +132,9 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             losses.append(loss)
-            model.backward(cache, dlogits)
-            optimizer.step(model.param_pairs())
+            grads = {}
+            model.backward(cache, dlogits, grads)
+            optimizer.step(model.params(), grads)
         train_acc = evaluate(model, train_x, train_y).accuracy
         test_acc = float("nan")
         if test_x is not None:

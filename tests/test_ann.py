@@ -84,9 +84,10 @@ class TestConvPool:
         y = np.array([0, 1])
         logits, cache = net.forward_cached(x)
         _, dlogits = numerics.softmax_cross_entropy(logits, y)
-        net.backward(cache, dlogits)
+        grads = {}
+        net.backward(cache, dlogits, grads)
         conv = net.layers[0]
-        dw = conv.dw.copy()
+        dw = grads["layer0.w"]
 
         def loss_of(wv):
             old = conv.w.copy()

@@ -103,7 +103,7 @@ class TestCheckpoint:
         checkpoint.save_model(path, model, seed=42, config_echo={"note": "t"})
         loaded, meta = checkpoint.load_model(path)
         assert meta["seed"] == 42 and meta["config_echo"] == {"note": "t"}
-        for (na, pa, _), (nb, pb, _) in zip(model.param_pairs(), loaded.param_pairs()):
+        for (na, pa), (nb, pb) in zip(model.params(), loaded.params()):
             assert na == nb
             assert pa.dtype == pb.dtype
             assert np.array_equal(pa, pb)
@@ -119,7 +119,7 @@ class TestCheckpoint:
         path = tmp_path / "model.snnm"
         checkpoint.save_model(path, model, seed=1)
         loaded, _ = checkpoint.load_model(path)
-        for (_, pa, _), (_, pb, _) in zip(model.param_pairs(), loaded.param_pairs()):
+        for (_, pa), (_, pb) in zip(model.params(), loaded.params()):
             assert pb.dtype == np.float64
             assert np.array_equal(pa, pb)
         path2 = tmp_path / "model2.snnm"

@@ -1,6 +1,7 @@
 """Finite-difference oracles for every parameter gradient of the ANN and
 attention models (the spiking nets' are in test_snn_backward.py), and the
-gradient-only backward every model offers the attacks."""
+stateless backward every model offers: parameter gradients go only to the
+caller's dict, and nothing is stored on the model."""
 
 import numpy as np
 import pytest
@@ -33,18 +34,21 @@ def test_param_gradients_match_fd(name):
     rng = np.random.default_rng(0)
     # move every parameter off its init, so zero biases and unit gains are
     # checked at generic values too
-    for _, param, _ in net.param_pairs():
+    for _, param in net.params():
         param += 0.1 * rng.standard_normal(param.shape)
     x = rng.uniform(0, 1, size=(2,) + input_shape)
     y = np.array([0, 2])
     logits, cache = net.forward_cached(x)
     _, dlogits = numerics.softmax_cross_entropy(logits, y)
-    net.backward(cache, dlogits)
-    for pname, param, grad in net.param_pairs():
+    grads = {}
+    net.backward(cache, dlogits, grads)
+    assert sorted(grads) == sorted(pname for pname, _ in net.params())
+    for pname, param in net.params():
+        grad = grads[pname]
         # an all-zero gradient (say, a ReLU dead on every sample) would match
         # FD without testing anything
         assert np.any(grad), pname
-        grad = grad.copy()
+        assert grad.shape == param.shape and grad.dtype == param.dtype, pname
 
         def loss_of(pv, param=param):
             old = param.copy()
@@ -71,21 +75,56 @@ LEAN_NETS = {
 }
 
 
+def _state(obj):
+    """Every attribute of ``obj``: the object bound to it, and its bytes if
+    it is an array."""
+    return {k: (v, v.tobytes() if isinstance(v, np.ndarray) else None)
+            for k, v in vars(obj).items()}
+
+
+def _model_state(net):
+    return [_state(part) for part in [net] + list(getattr(net, "layers", []))
+            + list(getattr(net, "blocks", []))]
+
+
+def _assert_same_state(before, after):
+    for part_before, part_after in zip(before, after, strict=True):
+        assert part_before.keys() == part_after.keys()
+        for k, (obj, raw) in part_before.items():
+            assert part_after[k][0] is obj, k
+            assert part_after[k][1] == raw, k
+
+
+def _lean_case(name):
+    build, input_shape = LEAN_NETS[name]
+    x = np.random.default_rng(1).uniform(0, 1, size=(3,) + input_shape).astype(np.float32)
+    return build(), x, np.array([0, 1, 2])
+
+
+@pytest.mark.parametrize("name", list(LEAN_NETS))
+def test_backward_stores_nothing_on_the_model(name):
+    net, x, y = _lean_case(name)
+    before = _model_state(net)
+    logits, cache = net.forward_cached(x)
+    _, dlogits = numerics.softmax_cross_entropy(logits, y)
+    net.backward(cache, dlogits)  # as the attacks call it
+    _assert_same_state(before, _model_state(net))
+    logits, cache = net.forward_cached(x)
+    _, dlogits = numerics.softmax_cross_entropy(logits, y)
+    grads = {}
+    net.backward(cache, dlogits, grads)  # as training calls it
+    _assert_same_state(before, _model_state(net))
+    assert sorted(grads) == sorted(pname for pname, _ in net.params())
+
+
 @pytest.mark.parametrize("name", list(LEAN_NETS))
 def test_gradient_only_backward(name):
-    build, input_shape = LEAN_NETS[name]
-    net = build()
-    rng = np.random.default_rng(1)
-    x = rng.uniform(0, 1, size=(3,) + input_shape).astype(np.float32)
+    # the attacks' backward gives the input gradient of the training one
+    net, x, y = _lean_case(name)
     logits, cache = net.forward_cached(x)
-    _, dlogits = numerics.softmax_cross_entropy(logits, np.array([0, 1, 2]))
-    # fill the gradients from another seed, so a recomputation would show
-    net.backward(cache, -dlogits)
-    before = [(grad, grad.copy()) for _, _, grad in net.param_pairs()]
-    lean = net.backward(cache, dlogits, param_grads=False)
-    for (pname, _, grad), (old, old_bytes) in zip(net.param_pairs(), before):
-        assert grad is old, pname
-        assert grad.tobytes() == old_bytes.tobytes(), pname
-    full = net.backward(cache, dlogits)
+    _, dlogits = numerics.softmax_cross_entropy(logits, y)
+    lean = net.backward(cache, dlogits)
+    full = net.backward(cache, dlogits, grads={})
+    assert isinstance(lean, np.ndarray) and isinstance(full, np.ndarray)
     assert lean.dtype == full.dtype and lean.shape == full.shape
     assert lean.tobytes() == full.tobytes()

@@ -24,9 +24,9 @@ class TestTrainLoop:
         x, y = blob_data
         for opt in (SGD(lr=0.0, momentum=0.9), Adam(lr=0.0)):
             net = build_mlp([6, 8, 2], seed=1)
-            before = [p.copy() for _, p, _ in net.param_pairs()]
+            before = [p.copy() for _, p in net.params()]
             train_epochs(net, x, y, epochs=2, optimizer=opt, seed=0, verbose=False)
-            for b, (_, p, _) in zip(before, net.param_pairs()):
+            for b, (_, p) in zip(before, net.params()):
                 assert np.array_equal(b, p)
 
     def test_blobs_reach_99_percent(self, blob_net, blob_data):
@@ -45,7 +45,7 @@ class TestTrainLoop:
         for _ in range(2):
             net = build_mlp([6, 8, 2], seed=4)
             train_epochs(net, x, y, epochs=3, seed=11, verbose=False)
-            weights.append([p.copy() for _, p, _ in net.param_pairs()])
+            weights.append([p.copy() for _, p in net.params()])
         for a, b in zip(*weights):
             assert np.array_equal(a, b)
 
