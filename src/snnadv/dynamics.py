@@ -4,17 +4,18 @@ hand-written reverse-time (BPTT) gradient.
 Neuron variants: hard reset (potential zeroed after a spike), soft reset
 (threshold subtracted), and an adaptation variable that self-inhibits after
 firing. Synapses are either stateless (identity) or IIR filters over the
-spike stream. Inputs use direct coding: the raw input is presented as a
-constant current at every timestep. Layer 0's synapse state is then g[t]·x,
-with g the synapse's response to a constant unit input (all ones for the
-identity synapse), so its input current x @ W is computed once per forward,
-and its gradient is summed over time before the weight- and input-gradient
-matmuls. The readout layer is a non-spiking leaky integrator read at the
-final step (spike-count readout selectable).
+spike stream. Every layer reads an input stream [T_in, n, in]: the spikes
+of the layer below, or for direct coding the raw input as one time slice,
+presented at every step. The filter is linear and acts on time alone, so
+it runs after the weights: a layer's current is filter(stream @ W) + b,
+with the one-slice input broadcast over the T steps. The readout layer is
+a non-spiking leaky integrator read at the final step (spike-count readout
+selectable).
 
 The backward pass substitutes a surrogate kernel for the Heaviside
 derivative and, unless ``detach_reset`` is set, differentiates the
 reset/inhibition terms through both the potential and the spike paths.
+The filter's gradient is the same filter run backwards in time.
 """
 
 from __future__ import annotations
@@ -118,62 +119,22 @@ def step_adaptive(v_prev: np.ndarray, k_prev: np.ndarray, o_prev: np.ndarray,
     return v, k, spike(v, cfg.threshold)
 
 
-def synapse_iir(cfg: SynapseConfig, spike_history, state_history) -> np.ndarray:
-    """Next synapse state from past values.
-
-    ``spike_history`` holds S[1..t] (current last), ``state_history`` holds
-    X[1..t-1]; either may be a list or a time-major array. Values before t=1
-    are zero-padded.
-    """
-    if len(spike_history) == 0:
-        raise StateError("spike history must contain the current input")
-    x_t = cfg.betas[0] * np.asarray(spike_history[-1])
-    for q, beta in enumerate(cfg.betas[1:], start=1):
-        if len(spike_history) > q:
-            x_t = x_t + beta * spike_history[-1 - q]
-    for p, alpha in enumerate(cfg.alphas, start=1):
-        if len(state_history) >= p:
-            x_t = x_t + alpha * state_history[-p]
-    return x_t
-
-
-def synapse_filter(cfg: SynapseConfig, spikes: np.ndarray) -> np.ndarray:
-    """Apply the IIR filter along the leading (time) axis."""
-    spikes = np.asarray(spikes)
+def synapse_filter(cfg: SynapseConfig, s: np.ndarray) -> np.ndarray:
+    """Apply the IIR filter along the leading (time) axis; values before the
+    first step are zero. Its adjoint is the same filter run on the
+    time-reversed input, reversed back."""
+    s = np.asarray(s)
     if cfg.is_identity:
-        return spikes
-    out = np.zeros_like(spikes)
-    for t in range(spikes.shape[0]):
-        out[t] = synapse_iir(cfg, spikes[:t + 1], out[:t])
+        return s
+    out = np.zeros_like(s)
+    for t in range(s.shape[0]):
+        acc = cfg.betas[0] * s[t]
+        for q, beta in enumerate(cfg.betas[1:t + 1], start=1):
+            acc = acc + beta * s[t - q]
+        for p, alpha in enumerate(cfg.alphas[:t], start=1):
+            acc = acc + alpha * out[t - p]
+        out[t] = acc
     return out
-
-
-def _constant_response(cfg: SynapseConfig, T: int, dtype) -> np.ndarray:
-    """g[t]: the synapse state at step t under a constant unit input."""
-    return synapse_filter(cfg, np.ones(T, dtype=dtype))
-
-
-def _synapse_backward(cfg: SynapseConfig, dx_ext: np.ndarray) -> np.ndarray:
-    """Reverse-time gradient through the IIR filter: returns dS given the
-    gradients arriving at each X[t]."""
-    if cfg.is_identity:
-        return dx_ext
-    T = dx_ext.shape[0]
-    dx_tot = np.zeros_like(dx_ext)
-    for t in range(T - 1, -1, -1):
-        acc = dx_ext[t].copy()
-        for p, alpha in enumerate(cfg.alphas, start=1):
-            if t + p < T:
-                acc += alpha * dx_tot[t + p]
-        dx_tot[t] = acc
-    ds = np.zeros_like(dx_ext)
-    for t in range(T):
-        acc = cfg.betas[0] * dx_tot[t]
-        for q, beta in enumerate(cfg.betas[1:], start=1):
-            if t + q < T:
-                acc = acc + beta * dx_tot[t + q]
-        ds[t] = acc
-    return ds
 
 
 class SpikingLayer:
@@ -206,13 +167,12 @@ class LayerTrace:
 
     v: np.ndarray
     o: np.ndarray
-    x: np.ndarray          # post-synapse input state (pre-weight); for layer 0
-                           # the constant input stream, broadcast over time
     k: Optional[np.ndarray] = None
 
 
 @dataclass
 class ForwardTrace:
+    x: np.ndarray          # the input stream: one time slice [1, n, in]
     layers: list = field(default_factory=list)
     fingerprint: tuple = ()
 
@@ -288,21 +248,15 @@ class SpikingNet:
         numerics.require_finite(x, "network input")
         n = x.shape[0]
         T = self.T
-        trace = ForwardTrace(fingerprint=self._fingerprint())
-        # direct coding: constant current per timestep
-        spikes = np.broadcast_to(x, (T,) + x.shape)
+        # direct coding: the input is one time slice, presented at every step
+        trace = ForwardTrace(x=x[None], fingerprint=self._fingerprint())
+        stream = trace.x
         for li, layer in enumerate(self.layers):
             is_readout = li == len(self.layers) - 1 and self.readout == READOUT_MEMBRANE
             cfg = layer.neuron
-            if li == 0:
-                # the synapse state of a constant input is g[t]·x: one matmul
-                g = _constant_response(layer.synapse, T, layer.w.dtype)
-                xs = spikes
-                xw = x @ layer.w
-                currents = (g[t] * xw + layer.b for t in range(T))
-            else:
-                xs = synapse_filter(layer.synapse, spikes)
-                currents = (xs[t] @ layer.w + layer.b for t in range(T))
+            # the filter acts on time alone, so it commutes with the weights
+            xw = np.broadcast_to(stream @ layer.w, (T, n, layer.out_width))
+            currents = synapse_filter(layer.synapse, xw) + layer.b
             v_buf = np.zeros((T, n, layer.out_width), dtype=layer.w.dtype)
             o_buf = np.zeros_like(v_buf)
             k_buf = np.zeros_like(v_buf) if cfg.adaptive else None
@@ -322,8 +276,8 @@ class SpikingNet:
                 v_buf[t] = v
                 if not is_readout:
                     o_buf[t] = o
-            trace.layers.append(LayerTrace(v=v_buf, o=o_buf, x=xs, k=k_buf))
-            spikes = o_buf
+            trace.layers.append(LayerTrace(v=v_buf, o=o_buf, k=k_buf))
+            stream = o_buf
         last = trace.layers[-1]
         if self.readout == READOUT_MEMBRANE:
             logits = last.v[-1] / T
@@ -340,16 +294,18 @@ class SpikingNet:
         ``grads`` dict (training), it also writes every weight and bias
         gradient into it under the names ``params`` gives; without one
         (attacks) none are computed.
-        Layer 0 sees a constant input, so its current gradient is summed over
-        time, weighted by the synapse's constant-input response g[t], before
-        one weight-gradient and one input-gradient matmul.
+        Each layer's current gradient goes back through the synapse filter's
+        adjoint (the same filter run backwards in time), is summed over time
+        where the layer's input stream has one slice (the network input),
+        and then meets one weight-gradient and one input-gradient matmul.
         """
         if trace.fingerprint != self._fingerprint():
             raise StateError("trace does not match this network configuration")
         dlogits = np.asarray(dlogits, dtype=self.layers[0].w.dtype)
         T = self.T
         n = dlogits.shape[0]
-        d_spikes = None  # gradient w.r.t. layer output stream [T, n, width]
+        streams = [trace.x] + [lt.o for lt in trace.layers[:-1]]
+        d_stream = None  # gradient w.r.t. the layer output stream [T, n, width]
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
             lt = trace.layers[li]
@@ -366,7 +322,7 @@ class SpikingNet:
                 if li == len(self.layers) - 1:
                     do_ext = np.broadcast_to(dlogits / T, (T, n, layer.out_width))
                 else:
-                    do_ext = d_spikes
+                    do_ext = d_stream
                 grad_k = surrogate_grad(self.surrogate, lt.v, threshold=cfg.threshold)
                 dv_next = np.zeros((n, layer.out_width), dtype=layer.w.dtype)
                 dk_next = np.zeros_like(dv_next)
@@ -388,21 +344,20 @@ class SpikingNet:
                         dv = grad_k[t] * do_tot + cfg.leak * dv_next
                     di[t] = dv
                     dv_next = dv
-            # through the weights and the synapse filter
             if grads is not None:
                 grads[f"layer{li}.b"] = di.sum(axis=(0, 1))
-            if li == 0:
-                # constant input: every step's gradient meets the same x and W
-                g = _constant_response(layer.synapse, T, layer.w.dtype)
-                dsum = (g @ di.reshape(T, -1)).reshape(n, layer.out_width)
-                if grads is not None:
-                    grads[f"layer{li}.w"] = lt.x[0].T @ dsum
-                dinput = dsum @ layer.w.T
-            else:
-                if grads is not None:
-                    x_flat = lt.x.reshape(T * n, layer.in_width)
-                    grads[f"layer{li}.w"] = x_flat.T @ di.reshape(T * n, layer.out_width)
-                d_spikes = _synapse_backward(layer.synapse, di @ layer.w.T)
+            # through the synapse filter, the broadcast over time and the weights
+            dxw = synapse_filter(layer.synapse, di[::-1])[::-1]
+            stream = streams[li]
+            if stream.shape[0] == 1:
+                # the adjoint of the broadcast over time is a sum over time
+                ones = np.ones(T, dtype=layer.w.dtype)
+                dxw = (ones @ dxw.reshape(T, -1)).reshape(1, n, layer.out_width)
+            if grads is not None:
+                grads[f"layer{li}.w"] = (stream.reshape(-1, layer.in_width).T
+                                         @ dxw.reshape(-1, layer.out_width))
+            d_stream = dxw @ layer.w.T
+        dinput = d_stream[0]
         numerics.require_finite(dinput, "input gradient")
         return dinput
 

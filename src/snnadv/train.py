@@ -85,9 +85,11 @@ class EvalResult:
 def predict_batched(model, x: np.ndarray) -> np.ndarray:
     """``model.predict`` in slices of EVAL_BATCH rows, so no forward holds
     the buffers of more than one slice. The models compute every row on its
-    own, so this gives the predictions of one call on all of ``x``."""
+    own, so this gives the predictions of one call on all of ``x``; zero
+    rows give zero predictions."""
     return np.concatenate([model.predict(x[start:start + EVAL_BATCH])
-                           for start in range(0, len(x), EVAL_BATCH)])
+                           for start in range(0, len(x), EVAL_BATCH)]
+                          or [np.zeros(0, dtype=np.intp)])
 
 
 def evaluate(model, x: np.ndarray, y: np.ndarray) -> EvalResult:

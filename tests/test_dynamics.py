@@ -3,7 +3,7 @@ import pytest
 
 from snnadv.dynamics import (NeuronConfig, SpikingLayer, SpikingNet, SynapseConfig,
                              build_snn_mlp, step_adaptive, step_lif_hard, step_lif_soft,
-                             synapse_filter, synapse_iir)
+                             synapse_filter)
 from snnadv.errors import ConfigError, StateError
 from snnadv.surrogate import SurrogateSpec
 
@@ -147,15 +147,21 @@ class TestSynapse:
         got = synapse_filter(cfg, spikes)[:, 0]
         assert np.allclose(got, want, atol=1e-5)
 
-    def test_step_form_matches_filter(self):
-        cfg = SynapseConfig(alphas=(0.3,), betas=(1.0, 0.5))
-        rng = np.random.default_rng(1)
-        spikes = rng.uniform(0, 1, size=(8, 2)).astype(F32)
-        full = synapse_filter(cfg, spikes)
-        states = []
-        for t in range(8):
-            states.append(synapse_iir(cfg, list(spikes[:t + 1]), states))
-        assert np.allclose(np.stack(states), full, atol=1e-6)
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(SynapseConfig(), id="identity"),
+        pytest.param(SynapseConfig(alphas=(0.5,)), id="order1"),
+        pytest.param(SynapseConfig(alphas=(0.4, -0.2)), id="order2"),
+        pytest.param(SynapseConfig(alphas=(0.4, -0.2), betas=(0.7, 0.2, 0.1)), id="order2-3betas"),
+    ])
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    def test_reversed_filter_is_adjoint(self, cfg, T):
+        # <H s, d> == <s, H^T d>, with H^T the filter run backwards in time
+        rng = np.random.default_rng(T)
+        s = rng.normal(size=(T, 3, 4))
+        d = rng.normal(size=(T, 3, 4))
+        lhs = np.vdot(synapse_filter(cfg, s), d)
+        rhs = np.vdot(s, synapse_filter(cfg, d[::-1])[::-1])
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_unstable_coefficients_rejected(self):
         with pytest.raises(ConfigError):
@@ -164,8 +170,28 @@ class TestSynapse:
             SynapseConfig(alphas=(0.9, 0.3))
 
 
+def scalar_synapse(cfg, stream):
+    """X[t] = sum_q beta_q S[t-q] + sum_p alpha_p X[t-p], one scalar at a time."""
+    n, width = stream[0].shape
+    out = [np.zeros((n, width), dtype=F32) for _ in stream]
+    for t in range(len(stream)):
+        for s in range(n):
+            for i in range(width):
+                acc = 0.0
+                for q, beta in enumerate(cfg.betas):
+                    if t >= q:
+                        acc += beta * float(stream[t - q][s, i])
+                for p, alpha in enumerate(cfg.alphas, start=1):
+                    if t >= p:
+                        acc += alpha * float(out[t - p][s, i])
+                out[t][s, i] = acc
+    return out
+
+
 def scalar_oracle_forward(net, x):
-    """Independent per-neuron, per-timestep reimplementation."""
+    """Independent per-neuron, per-timestep reimplementation: each layer
+    filters its input spike stream, then applies weights and an unfiltered
+    bias."""
     x = np.asarray(x, dtype=F32)
     n = x.shape[0]
     layer_inputs = [x.copy() for _ in range(net.T)]
@@ -173,6 +199,7 @@ def scalar_oracle_forward(net, x):
         is_readout = li == len(net.layers) - 1 and net.readout == "membrane"
         cfg = layer.neuron
         outs = [np.zeros((n, layer.out_width), dtype=F32) for _ in range(net.T)]
+        filtered = scalar_synapse(layer.synapse, layer_inputs)
         v = np.zeros((n, layer.out_width), dtype=F32)
         o = np.zeros((n, layer.out_width), dtype=F32)
         for t in range(net.T):
@@ -181,7 +208,7 @@ def scalar_oracle_forward(net, x):
                 for j in range(layer.out_width):
                     acc = layer.b[j]
                     for i in range(layer.in_width):
-                        acc += layer_inputs[t][s, i] * layer.w[i, j]
+                        acc += filtered[t][s, i] * layer.w[i, j]
                     current[s, j] = acc
             if is_readout:
                 v = cfg.leak * v + current
@@ -214,12 +241,19 @@ class TestSpikingNetForward:
         x = np.random.default_rng(0).uniform(0, 1, size=(3, 4)).astype(F32)
         assert np.array_equal(net.forward(x), np.zeros((3, 3), dtype=F32))
 
+    @pytest.mark.parametrize("synapse", [
+        pytest.param(SynapseConfig(), id="identity"),
+        pytest.param(SynapseConfig(alphas=(0.4, -0.2), betas=(0.7, 0.3)), id="iir"),
+    ])
     @pytest.mark.parametrize("readout", ["membrane", "spike_count"])
-    def test_matches_scalar_oracle(self, readout):
+    def test_matches_scalar_oracle(self, readout, synapse):
         net = build_snn_mlp([3, 5, 2], T=4, seed=11,
                             neuron=NeuronConfig(leak=0.7, threshold=0.8),
-                            readout=readout)
-        x = np.random.default_rng(2).uniform(0, 1.5, size=(2, 3)).astype(F32)
+                            synapse=synapse, readout=readout)
+        rng = np.random.default_rng(2)
+        for layer in net.layers:
+            layer.b = rng.uniform(-0.3, 0.3, layer.out_width).astype(F32)
+        x = rng.uniform(0, 1.5, size=(2, 3)).astype(F32)
         assert np.allclose(net.forward(x), scalar_oracle_forward(net, x), atol=1e-6)
 
     def test_spikes_binary(self):
@@ -236,8 +270,10 @@ class TestSpikingNetForward:
                               readout="spike_count")
         x = np.random.default_rng(5).uniform(0, 1, (3, 4)).astype(F32)
         logits, trace = with_syn.forward_cached(x)
-        # identity synapse: the filtered state equals the raw input stream
-        assert np.array_equal(trace.layers[0].x, np.broadcast_to(x, (5, 3, 4)))
+        # the trace keeps the input as one time slice, and through the
+        # identity synapse the first step's potential is the raw x @ W
+        assert np.array_equal(trace.x, x[None])
+        assert np.array_equal(trace.layers[0].v[0], x @ w)
 
     def test_forward_invariant_to_surrogate_spec(self):
         net = build_snn_mlp([4, 6, 3], T=5, seed=6)

@@ -66,6 +66,17 @@ class TestSelectEvalSet:
         with pytest.raises(SelectionError, match="class 3"):
             select_eval_set([blind], x, y, 10, seed=0)
 
+    def test_empty_pool_names_starved_classes(self, blob_net, blob_data):
+        x, y = blob_data
+        with pytest.raises(SelectionError, match="class 0: have 0, need 2; class 1"):
+            select_eval_set([blob_net], x[:0], y[:0], 4, seed=0)
+
+    def test_empty_set_verifies(self, blob_net, blob_data):
+        x, y = blob_data
+        es = select_eval_set([blob_net], x, y, 0, seed=0)
+        assert es.x.shape == (0, x.shape[1])
+        es.verify([blob_net])
+
     def test_selection_reverified_correct(self, blob_net, blob_data):
         x, y = blob_data
         es = select_eval_set([blob_net], x, y, 20, seed=0)

@@ -284,6 +284,15 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
 
+    def test_empty_test_pool_is_one_line_error(self, tmp_path, blobs_ann, capsys):
+        code = self.run("attack", "--data", "blobs", "--kind", "pgd",
+                        "--models", str(blobs_ann), "--n", "4", "--n-train", "200",
+                        "--n-test", "0", "--seed", "0", "--out", str(tmp_path / "atk"))
+        assert code != 0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert "class 0: have 0, need 2" in err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("nonsense=1\n")

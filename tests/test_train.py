@@ -5,7 +5,7 @@ from snnadv.ann import build_mlp
 from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import TrainingError
 from snnadv.surrogate import SurrogateSpec
-from snnadv.train import Adam, SGD, evaluate, train_epochs
+from snnadv.train import EVAL_BATCH, Adam, SGD, evaluate, predict_batched, train_epochs
 
 
 class _FixedPredictor:
@@ -97,3 +97,15 @@ class TestEvaluate:
         model = _FixedPredictor(np.zeros(0, dtype=int), n_classes=3)
         with pytest.raises(TrainingError):
             evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+class TestPredictBatched:
+    @pytest.mark.parametrize("model", [build_mlp([4, 5, 3], seed=0),
+                                       build_snn_mlp([4, 5, 3], T=3, seed=0)],
+                             ids=["ann", "snn"])
+    def test_zero_rows_give_empty_predictions(self, model):
+        x = np.random.default_rng(0).uniform(0, 1, (EVAL_BATCH + 3, 4)).astype(np.float32)
+        full = predict_batched(model, x)
+        assert np.array_equal(full, model.predict(x))
+        empty = predict_batched(model, x[:0])
+        assert empty.shape == (0,) and empty.dtype == full.dtype
