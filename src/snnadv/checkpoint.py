@@ -27,6 +27,33 @@ VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
+# What ``describe`` writes, per model kind: a dict is an object with exactly
+# these fields, a one-item list is a list of that type, a type is a JSON leaf.
+# ANN layers are checked per layer type against _ANN_LAYERS.
+_NUM = (int, float)
+_ARCH = {
+    "snn": {"T": int, "readout": str, "encoding": str, "detach_reset": bool,
+            "surrogate": {"kind": str, "sigma": _NUM, "alpha": _NUM, "beta": _NUM,
+                          "pwe_literal": bool, "fs_conventional": bool},
+            "layers": [{"in": int, "out": int,
+                        "neuron": {"leak": _NUM, "threshold": _NUM, "reset": str,
+                                   "adapt_decay": (*_NUM, type(None))},
+                        "synapse": {"alphas": [_NUM], "betas": [_NUM]}}]},
+    "ann": {"input_shape": (list, type(None)), "layers": [dict]},
+    "attention": {"image_shape": [int], **dict.fromkeys(
+        ("patch", "embed", "n_layers", "n_heads", "n_classes", "ffn_hidden"), int)},
+}
+# ANN layer type -> the int fields of its descriptor, and its builder from them
+_ANN_LAYERS = {
+    "dense": (("in", "out"), lambda d, dtype: Dense(np.zeros((d["in"], d["out"]), dtype=dtype))),
+    "relu": ((), lambda d, dtype: ReLU()),
+    "flatten": ((), lambda d, dtype: Flatten()),
+    "avgpool2": ((), lambda d, dtype: AvgPool2d()),
+    "conv2d": (("out_c", "in_c", "kh", "kw", "pad"),
+               lambda d, dtype: Conv2d(np.zeros((d["out_c"], d["in_c"], d["kh"], d["kw"]),
+                                                dtype=dtype), pad=d["pad"])),
+}
+
 
 def _write_str(fh, text: str, width: str = "<H") -> None:
     raw = text.encode("utf-8")
@@ -45,6 +72,32 @@ def _read_str(fh, width: str, what: str) -> str:
     size = struct.calcsize(width)
     (length,) = struct.unpack(width, _read_exact(fh, size, what))
     return _read_exact(fh, length, what).decode("utf-8")
+
+
+def _read_json(fh, what: str):
+    try:
+        return json.loads(_read_str(fh, "<I", what))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise FormatError(f"bad checkpoint {what}: {exc}") from exc
+
+
+def _check(value, typ, where: str) -> None:
+    """Raise FormatError naming the first field of ``value`` that ``typ`` rejects."""
+    if isinstance(typ, dict):
+        if not isinstance(value, dict):
+            raise FormatError(f"checkpoint {where} is not an object: {value!r}")
+        for key in sorted(set(typ) ^ set(value)):
+            raise FormatError(f"checkpoint {where}.{key} is "
+                              f"{'missing' if key in typ else 'an unknown field'}")
+        for key, sub in typ.items():
+            _check(value[key], sub, f"{where}.{key}")
+    elif isinstance(typ, list):
+        if not isinstance(value, list):
+            raise FormatError(f"checkpoint {where} is not a list: {value!r}")
+        for i, item in enumerate(value):
+            _check(item, typ[0], f"{where}[{i}]")
+    elif not isinstance(value, typ) or isinstance(value, bool) != (typ is bool):
+        raise FormatError(f"checkpoint {where} has the wrong type: {value!r}")
 
 
 def describe(model) -> dict:
@@ -73,40 +126,35 @@ def describe(model) -> dict:
 
 
 def _rebuild(kind: str, arch: dict, dtype: np.dtype):
+    if kind not in _ARCH:
+        raise FormatError(f"unknown model kind {kind!r}")
+    if kind == "snn" and isinstance(arch, dict) and isinstance(arch.get("surrogate"), dict):
+        # the retired kernel centre: it never moved the kernel, whatever its value
+        arch["surrogate"].pop("threshold", None)
+    _check(arch, _ARCH[kind], "architecture")
     if kind == "snn":
         if arch["encoding"] != "direct":
             raise FormatError(f"unsupported input encoding {arch['encoding']!r}")
-        layers = []
-        for spec in arch["layers"]:
-            neuron = NeuronConfig(**spec["neuron"])
-            synapse = SynapseConfig(alphas=tuple(spec["synapse"]["alphas"]),
-                                    betas=tuple(spec["synapse"]["betas"]))
-            w = np.zeros((spec["in"], spec["out"]), dtype=dtype)
-            layers.append(SpikingLayer(w, neuron=neuron, synapse=synapse))
+        layers = [SpikingLayer(np.zeros((spec["in"], spec["out"]), dtype=dtype),
+                               neuron=NeuronConfig(**spec["neuron"]),
+                               synapse=SynapseConfig(**spec["synapse"]))
+                  for spec in arch["layers"]]
         return SpikingNet(layers, T=arch["T"], surrogate=SurrogateSpec(**arch["surrogate"]),
                           readout=arch["readout"], detach_reset=arch["detach_reset"])
     if kind == "ann":
-        builders = {
-            "dense": lambda d: Dense(np.zeros((d["in"], d["out"]), dtype=dtype)),
-            "relu": lambda d: ReLU(),
-            "flatten": lambda d: Flatten(),
-            "avgpool2": lambda d: AvgPool2d(),
-            "conv2d": lambda d: Conv2d(np.zeros((d["out_c"], d["in_c"], d["kh"], d["kw"]),
-                                                dtype=dtype), pad=d["pad"]),
-        }
+        if arch["input_shape"] is not None:
+            _check(arch["input_shape"], [int], "architecture.input_shape")
         layers = []
-        for spec in arch["layers"]:
-            if spec["type"] not in builders:
-                raise FormatError(f"unknown ann layer type {spec['type']!r}")
-            layers.append(builders[spec["type"]](spec))
-        shape = tuple(arch["input_shape"]) if arch.get("input_shape") else None
+        for i, spec in enumerate(arch["layers"]):
+            if not isinstance(spec.get("type"), str) or spec["type"] not in _ANN_LAYERS:
+                raise FormatError(f"checkpoint architecture.layers[{i}].type is not an ann "
+                                  f"layer type: {spec.get('type')!r}")
+            fields, build = _ANN_LAYERS[spec["type"]]
+            _check(spec, {"type": str, **dict.fromkeys(fields, int)}, f"architecture.layers[{i}]")
+            layers.append(build(spec, dtype))
+        shape = tuple(arch["input_shape"]) if arch["input_shape"] else None
         return AnnNet(layers, input_shape=shape)
-    if kind == "attention":
-        return TinyAttentionNet(image_shape=tuple(arch["image_shape"]), patch=arch["patch"],
-                                embed=arch["embed"], n_layers=arch["n_layers"],
-                                n_heads=arch["n_heads"], n_classes=arch["n_classes"],
-                                ffn_hidden=arch["ffn_hidden"], dtype=dtype)
-    raise FormatError(f"unknown model kind {kind!r}")
+    return TinyAttentionNet(**{**arch, "image_shape": tuple(arch["image_shape"])}, dtype=dtype)
 
 
 def save_model(path, model, seed: int = 0, config_echo: dict | None = None) -> Path:
@@ -144,8 +192,8 @@ def load_model(path):
         if version != VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         kind = _read_str(fh, "<H", "kind")
-        arch = json.loads(_read_str(fh, "<I", "architecture"))
-        config_echo = json.loads(_read_str(fh, "<I", "config echo"))
+        arch = _read_json(fh, "architecture")
+        config_echo = _read_json(fh, "config echo")
         (seed,) = struct.unpack("<Q", _read_exact(fh, 8, "seed"))
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = {}

@@ -34,7 +34,6 @@ _COMMON = {
 }
 
 _SURROGATE_KEYS = {
-    "surrogate-threshold": (float, 1.0),
     "surrogate-sigma": (float, 0.4),
     "surrogate-alpha": (float, 1.0),
     "surrogate-beta": (float, 5.0),
@@ -175,17 +174,22 @@ def _load_dataset(cfg: dict):
 
 def _surrogate_from(cfg: dict, kind: str | None = None) -> SurrogateSpec:
     return SurrogateSpec(kind=canonical_kind(kind or cfg["surrogate"]),
-                         threshold=cfg["surrogate-threshold"],
                          sigma=cfg["surrogate-sigma"],
                          alpha=cfg["surrogate-alpha"],
                          beta=cfg["surrogate-beta"])
 
 
-def _parse_arch(arch: str) -> list:
+def _numbers(key: str, text: str, typ=float, sep: str = ",") -> list:
+    """Config value ``text`` as a ``sep``-separated list of ``typ``."""
     try:
-        dims = [int(part) for part in arch.split("-")]
+        return [typ(part) for part in text.split(sep)]
     except ValueError as exc:
-        raise ConfigError(f"bad arch {arch!r}; expected like 784-128-10") from exc
+        raise ConfigError(f"config key {key}: cannot parse {text!r} as {typ.__name__} "
+                          f"values separated by {sep!r}") from exc
+
+
+def _parse_arch(arch: str) -> list:
+    dims = _numbers("arch", arch, int, sep="-")
     if len(dims) < 2:
         raise ConfigError(f"arch needs at least two widths, got {arch!r}")
     return dims
@@ -210,9 +214,9 @@ def _load_models(spec: str) -> tuple[list, list]:
 
 def cmd_train(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
+    dims = _parse_arch(cfg["arch"])
     train_x, train_y, test_x, test_y, source = _load_dataset(cfg)
     kind = cfg["kind"]
-    dims = _parse_arch(cfg["arch"])
     seed = cfg["seed"]
     spec = None
     if kind == "ann":
@@ -277,6 +281,7 @@ def cmd_convert(cfg: dict) -> int:
 
 def cmd_attack(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
+    alphas = tuple(_numbers("alphas", cfg["alphas"])) if cfg["alphas"] else None
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     models, names = _load_models(cfg["models"])
     if cfg["surrogate"]:
@@ -284,7 +289,6 @@ def cmd_attack(cfg: dict) -> int:
         for model in models:
             if isinstance(model, SpikingNet):
                 model.surrogate = spec
-    alphas = tuple(float(a) for a in cfg["alphas"].split(",")) if cfg["alphas"] else None
     attack_cfg = AttackConfig(eps_max=cfg["eps"], eps_step=cfg["eps-step"],
                               n_iter=cfg["steps"], mu=cfg["mu"], kappa=cfg["kappa"],
                               coeff_lr=cfg["r"], fit_u=cfg["u"], alphas=alphas,
@@ -305,14 +309,14 @@ def cmd_attack(cfg: dict) -> int:
 
 def cmd_sweep_surrogate(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
+    eps_values = _numbers("eps", cfg["eps"])
+    specs = [_surrogate_from(cfg, kind=k) for k in cfg["surrogates"].split(",") if k]
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     if not cfg["model"]:
         raise ConfigError("sweep needs --model checkpoint path")
     model, _ = checkpoint.load_model(cfg["model"])
     if not isinstance(model, SpikingNet):
         raise ConfigError("surrogate sweep expects a spiking checkpoint")
-    eps_values = [float(e) for e in cfg["eps"].split(",") if e]
-    specs = [_surrogate_from(cfg, kind=k) for k in cfg["surrogates"].split(",") if k]
     # eps_max placeholder; the sweep rebuilds the config per grid column
     attack_cfg = AttackConfig(eps_max=1.0, eps_step=cfg["eps-step"],
                               n_iter=cfg["steps"], seed=cfg["seed"])
@@ -329,8 +333,6 @@ def cmd_transfer_matrix(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     models, names = _load_models(cfg["models"])
-    if len(models) < 1:
-        raise ConfigError("transfer matrix needs at least one model")
     attack_cfg = AttackConfig(eps_max=cfg["eps"], eps_step=cfg["eps-step"],
                               n_iter=cfg["steps"], seed=cfg["seed"])
     attack_names = [a.strip() for a in cfg["attacks"].split(",") if a.strip()]

@@ -17,6 +17,11 @@ from .errors import ConfigError
 
 ENV_PREFIX = "SNNADV_"
 
+# Retired keys that older config.txt echoes hold, with the value they held
+# and why they went: that value is dropped so the echo replays, any other is
+# rejected.
+RETIRED_KEYS = {"surrogate-threshold": (1.0, "it never moved the surrogate kernel")}
+
 
 def parse_config_file(path) -> dict:
     values = {}
@@ -61,6 +66,9 @@ def resolve_config(schema: Mapping[str, tuple], *, config_file: Optional[str] = 
 
     if config_file:
         file_values = parse_config_file(config_file)
+        for key, (value, why) in RETIRED_KEYS.items():
+            if key in file_values and _coerce(key, file_values.pop(key), float) != value:
+                raise ConfigError(f"config key {key} is retired: {why}; delete its line")
         unknown = sorted(set(file_values) - set(schema))
         if unknown:
             raise ConfigError(f"unknown config keys in {config_file}: {', '.join(unknown)}")

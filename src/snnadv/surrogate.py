@@ -50,18 +50,13 @@ def canonical_kind(name: str) -> str:
 class SurrogateSpec:
     """Which kernel the backward pass substitutes, plus its hyperparameters.
 
-    ``threshold`` centers the kernel only for callers of the kernel functions
-    that pass no threshold of their own. ``SpikingNet`` always passes each
-    layer's ``NeuronConfig.threshold``, so inside a network this field (and
-    the CLI's ``--surrogate-threshold``) never moves the kernel, in the normal
-    and the relaxed mode alike. ``pwe_literal`` selects the printed reciprocal
-    form of the piecewise-exponential (divergent away from threshold; study
-    only). ``fs_conventional`` selects 1/(1+|d|)^2 for fast-sigmoid instead of
-    the printed 1/(1+(1+|d|)^2).
+    ``pwe_literal`` selects the printed reciprocal form of the
+    piecewise-exponential (divergent away from threshold; study only).
+    ``fs_conventional`` selects 1/(1+|d|)^2 for fast-sigmoid instead of the
+    printed 1/(1+(1+|d|)^2).
     """
 
     kind: str = ARCTAN
-    threshold: float = 1.0
     sigma: float = 0.4
     alpha: float = 1.0
     beta: float = 5.0
@@ -70,7 +65,7 @@ class SurrogateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
-        for name in ("threshold", "sigma", "alpha", "beta"):
+        for name in ("sigma", "alpha", "beta"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"surrogate {name} must be > 0, got {getattr(self, name)}")
 
@@ -84,15 +79,14 @@ def heaviside(v: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def surrogate_grad(spec: SurrogateSpec, v: np.ndarray,
-                   threshold: float | None = None) -> np.ndarray:
+                   threshold: float = 1.0) -> np.ndarray:
     """Kernel value per element, the stand-in for d(spike)/d(potential).
 
-    ``threshold`` overrides the spec's default centering (layers pass their
-    own firing threshold).
+    The kernel is centred on ``threshold``; layers pass their own firing
+    threshold.
     """
     v = np.asarray(v)
-    theta = spec.threshold if threshold is None else threshold
-    d = v - theta
+    d = v - threshold
     kind = spec.kind
     if kind == SIGMOID:
         # e^(θ-v) / (1+e^(θ-v))^2 == s(d)(1-s(d)) with s the logistic
@@ -123,7 +117,7 @@ def surrogate_grad(spec: SurrogateSpec, v: np.ndarray,
 
 
 def antiderivative(spec: SurrogateSpec, v: np.ndarray,
-                   threshold: float | None = None) -> np.ndarray:
+                   threshold: float = 1.0) -> np.ndarray:
     """Exact antiderivative of the kernel: the relaxed (soft) spike.
 
     Replacing the Heaviside with this function makes the whole network
@@ -131,8 +125,7 @@ def antiderivative(spec: SurrogateSpec, v: np.ndarray,
     finite-difference oracle for the unrolled backward pass checks against.
     """
     v = np.asarray(v)
-    theta = spec.threshold if threshold is None else threshold
-    d = v - theta
+    d = v - threshold
     kind = spec.kind
     if kind == SIGMOID:
         return _logistic(d)
@@ -161,15 +154,14 @@ def antiderivative(spec: SurrogateSpec, v: np.ndarray,
 
 
 def kink_distance(spec: SurrogateSpec, v: np.ndarray,
-                  threshold: float | None = None) -> np.ndarray:
+                  threshold: float = 1.0) -> np.ndarray:
     """Distance from each potential to the kernel's nearest non-smooth point.
 
     Finite-difference comparisons must skip coordinates closer than ~10h to a
     kink. Smooth kernels return +inf everywhere.
     """
     v = np.asarray(v, dtype=np.float64)
-    theta = spec.threshold if threshold is None else threshold
-    d = np.abs(v - theta)
+    d = np.abs(v - threshold)
     kind = spec.kind
     if kind in (SIGMOID, ERFC, ARCTAN):
         return np.full_like(d, np.inf)

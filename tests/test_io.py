@@ -1,6 +1,8 @@
 import csv
 import json
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from snnadv import checkpoint
 from snnadv.ann import build_cnn, build_mlp
 from snnadv.attention import TinyAttentionNet
-from snnadv.cli import main as cli_main
+from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
 from snnadv.config import parse_config_file, resolve_config, write_config_echo
 from snnadv.data import (IMAGES_MAGIC, load_idx_images, load_idx_labels,
                          load_mnist_idx, save_idx_images, save_idx_labels, synth_blobs,
@@ -144,12 +146,8 @@ class TestCheckpoint:
 
     def test_non_direct_encoding_rejected(self, tmp_path, monkeypatch):
         net = build_snn_mlp([4, 3], T=2, seed=0)
-        describe = checkpoint.describe
-        monkeypatch.setattr(checkpoint, "describe",
-                            lambda model: {**describe(model), "encoding": "poisson"})
-        path = tmp_path / "m.snnm"
-        checkpoint.save_model(path, net, seed=0)
-        monkeypatch.undo()
+        path = save_with_descriptor(tmp_path, monkeypatch, net,
+                                    lambda a: a.update(encoding="poisson"))
         with pytest.raises(FormatError, match="encoding 'poisson'"):
             checkpoint.load_model(path)
 
@@ -159,6 +157,52 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             checkpoint.load_model(path)
 
+    @pytest.mark.parametrize("build,edit,match", [
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a["surrogate"].update(bogus=1),
+                     r"architecture\.surrogate\.bogus is an unknown field", id="snn-unknown"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a.update(extra=1),
+                     r"architecture\.extra is an unknown field", id="snn-unknown-top"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a.pop("T"),
+                     r"architecture\.T is missing", id="snn-missing"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a.update(T="8"),
+                     r"architecture\.T has the wrong type", id="snn-mistyped"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a["layers"][0]["neuron"].update(leak="0.8"),
+                     r"architecture\.layers\[0\]\.neuron\.leak has the wrong type",
+                     id="snn-mistyped-neuron"),
+        pytest.param(CHECKPOINT_BUILDS[2],
+                     lambda a: a["layers"][1]["synapse"].update(betas=[1.0, "x"]),
+                     r"architecture\.layers\[1\]\.synapse\.betas\[1\] has the wrong type",
+                     id="snn-mistyped-item"),
+        pytest.param(CHECKPOINT_BUILDS[1], lambda a: a["layers"][0].update(out_c=2.5),
+                     r"architecture\.layers\[0\]\.out_c has the wrong type",
+                     id="ann-mistyped-layer"),
+        pytest.param(CHECKPOINT_BUILDS[1], lambda a: a["layers"][1].update(type="pool9"),
+                     r"architecture\.layers\[1\]\.type is not an ann layer type",
+                     id="ann-unknown-layer-type"),
+        pytest.param(CHECKPOINT_BUILDS[1], lambda a: a.update(input_shape=[1, 8, "8"]),
+                     r"architecture\.input_shape\[2\] has the wrong type",
+                     id="ann-mistyped-shape"),
+        pytest.param(CHECKPOINT_BUILDS[3], lambda a: a.update(patch=True),
+                     r"architecture\.patch has the wrong type", id="attention-bool-for-int"),
+    ])
+    def test_malformed_descriptor_names_the_field(self, tmp_path, monkeypatch, build, edit,
+                                                  match):
+        path = save_with_descriptor(tmp_path, monkeypatch, build(), edit)
+        with pytest.raises(FormatError, match=match):
+            checkpoint.load_model(path)
+
+    def test_retired_surrogate_threshold_is_dropped(self, tmp_path, monkeypatch):
+        # old SNN checkpoints carry the kernel centre that never moved the kernel
+        net = CHECKPOINT_BUILDS[2]()
+        path = save_with_descriptor(tmp_path, monkeypatch, net,
+                                    lambda a: a["surrogate"].update(threshold=0.5))
+        loaded, _ = checkpoint.load_model(path)
+        assert loaded.surrogate == net.surrogate
+        fresh, resaved = tmp_path / "fresh.snnm", tmp_path / "resaved.snnm"
+        checkpoint.save_model(fresh, net, seed=0)
+        checkpoint.save_model(resaved, loaded, seed=0)
+        assert resaved.read_bytes() == fresh.read_bytes()
+
     def test_truncation_detected(self, tmp_path):
         net = build_mlp([4, 3], seed=0)
         path = tmp_path / "m.snnm"
@@ -167,6 +211,22 @@ class TestCheckpoint:
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError, match="truncated"):
             checkpoint.load_model(path)
+
+
+def save_with_descriptor(tmp_path, monkeypatch, model, edit):
+    """Save ``model`` with its architecture descriptor changed in place by ``edit``."""
+    describe = checkpoint.describe
+
+    def doctored(m):
+        arch = describe(m)
+        edit(arch)
+        return arch
+
+    monkeypatch.setattr(checkpoint, "describe", doctored)
+    path = tmp_path / "m.snnm"
+    checkpoint.save_model(path, model, seed=0)
+    monkeypatch.undo()
+    return path
 
 
 class TestRunConfig:
@@ -219,6 +279,62 @@ class TestCli:
         assert self.run(*args, "--out", str(out_b)) == 0
         for name in ("model.snnm", "history.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("old_line", ["", "surrogate-threshold=1.0\n"],
+                             ids=["echo", "older-echo"])
+    def test_echoed_config_replays_bit_identically(self, tmp_path, old_line):
+        # an echo from before the kernel-centre key was retired holds it at 1.0
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert self.run("train", "--data", "blobs", "--kind", "snn", "--arch", "2-6-2",
+                        "--epochs", "1", "--n-train", "80", "--n-test", "20", "--seed", "9",
+                        "--out", str(out_a)) == 0
+        echo = out_a / "config.txt"
+        echo.write_text(echo.read_text() + old_line)
+        assert self.run("train", "--config", str(echo), "--out", str(out_b)) == 0
+        for name in ("model.snnm", "history.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_retired_key_with_another_value_is_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("data=blobs\nkind=snn\narch=2-6-2\nsurrogate-threshold=0.5\n")
+        assert self.run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: config key surrogate-threshold is retired")
+        assert "\n" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["sweep-surrogate", "--eps", "0.01,abc"], "eps"),
+        (["attack", "--alphas", "0.5,x"], "alphas"),
+        (["train", "--arch", "2-x-2"], "arch"),
+    ], ids=["eps", "alphas", "arch"])
+    def test_malformed_list_is_one_line_error_before_data(self, tmp_path, capsys, argv, key):
+        # the data source does not exist: the list must be rejected before loading it
+        code = self.run(*argv, "--data", "nowhere", "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: config key {key}: cannot parse") and "\n" not in err
+
+    def test_bad_checkpoint_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "m.snnm"
+        checkpoint.save_model(path, build_mlp([4, 3], seed=0), seed=0)
+        blob = path.read_bytes()
+        at = blob.index(b'{"input_shape"')
+        path.write_bytes(blob[:at] + b"#" + blob[at + 1:])
+        assert self.run("inspect", str(path)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: bad checkpoint architecture") and "\n" not in err
+
+    def test_readme_commands_parse(self):
+        # guards README's CLI block against flag drift
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("snnadv ")]
+        parser = _build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+        assert {argv[0] for argv in commands} == set(_SCHEMAS) | {"inspect"}
 
     def test_attack_pipeline_and_csv_schema(self, tmp_path):
         train_out = tmp_path / "t"

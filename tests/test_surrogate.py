@@ -60,8 +60,6 @@ class TestKernelValues:
     def test_hyperparameters_positive(self):
         with pytest.raises(ConfigError):
             SurrogateSpec(kind="erfc", sigma=0.0)
-        with pytest.raises(ConfigError):
-            SurrogateSpec(threshold=-1.0)
 
 
 class TestKernelProperties:
