@@ -147,14 +147,20 @@ def _iterate(x: np.ndarray, eps_max: float, step: float, n_iter: int, direction:
     """The loop every attack runs: from ``x_adv`` (default: x clipped to the
     pixel range), n_iter signed steps of size ``step`` along
     ``direction(x_adv)``, each followed by projection. A zero budget returns
-    the clipped input without evaluating any gradient."""
+    the clipped input without evaluating any gradient.
+
+    The bounds never move, so they are computed once: one clip into
+    [clip(x - eps, 0, 1), clip(x + eps, 0, 1)] equals ``project`` for every
+    x, inside [0, 1] or not. A step never writes into x, the start or what
+    ``direction`` returns."""
     if eps_max == 0.0:
         return np.clip(x, 0.0, 1.0)
     if x_adv is None:
         x_adv = np.clip(x, 0.0, 1.0)
+    lo, hi = (np.clip(b, 0.0, 1.0, out=b) for b in (x - eps_max, x + eps_max))
     for _ in range(n_iter):
-        x_adv = project(x_adv + step * numerics.sign(direction(x_adv)).astype(x.dtype),
-                        x, eps_max)
+        stepped = step * numerics.sign(direction(x_adv)).astype(x.dtype, copy=False)
+        x_adv = np.clip(np.add(x_adv, stepped, out=stepped), lo, hi, out=stepped)
         if trace is not None:
             trace.append(x_adv.copy())
     return x_adv

@@ -28,28 +28,32 @@ _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 # What ``describe`` writes, per model kind: a dict is an object with exactly
-# these fields, a one-item list is a list of that type, a type is a JSON leaf.
-# ANN layers are checked per layer type against _ANN_LAYERS.
+# these fields, a one-item list is a list of that type, a range is an int
+# inside it, a type is a JSON leaf. ANN layers are checked per layer type
+# against _ANN_LAYERS.
 _NUM = (int, float)
+_POS = range(1, 2**63)
 _ARCH = {
-    "snn": {"T": int, "readout": str, "encoding": str, "detach_reset": bool,
+    "snn": {"T": _POS, "readout": str, "encoding": str, "detach_reset": bool,
             "surrogate": {"kind": str, "sigma": _NUM, "alpha": _NUM, "beta": _NUM,
                           "pwe_literal": bool, "fs_conventional": bool},
-            "layers": [{"in": int, "out": int,
+            "layers": [{"in": _POS, "out": _POS,
                         "neuron": {"leak": _NUM, "threshold": _NUM, "reset": str,
                                    "adapt_decay": (*_NUM, type(None))},
                         "synapse": {"alphas": [_NUM], "betas": [_NUM]}}]},
     "ann": {"input_shape": (list, type(None)), "layers": [dict]},
-    "attention": {"image_shape": [int], **dict.fromkeys(
-        ("patch", "embed", "n_layers", "n_heads", "n_classes", "ffn_hidden"), int)},
+    "attention": {"image_shape": [_POS], **dict.fromkeys(
+        ("patch", "embed", "n_layers", "n_heads", "n_classes", "ffn_hidden"), _POS)},
 }
-# ANN layer type -> the int fields of its descriptor, and its builder from them
+# ANN layer type -> the int fields of its descriptor with their ranges, and
+# its builder from them
 _ANN_LAYERS = {
-    "dense": (("in", "out"), lambda d, dtype: Dense(np.zeros((d["in"], d["out"]), dtype=dtype))),
-    "relu": ((), lambda d, dtype: ReLU()),
-    "flatten": ((), lambda d, dtype: Flatten()),
-    "avgpool2": ((), lambda d, dtype: AvgPool2d()),
-    "conv2d": (("out_c", "in_c", "kh", "kw", "pad"),
+    "dense": ({"in": _POS, "out": _POS},
+              lambda d, dtype: Dense(np.zeros((d["in"], d["out"]), dtype=dtype))),
+    "relu": ({}, lambda d, dtype: ReLU()),
+    "flatten": ({}, lambda d, dtype: Flatten()),
+    "avgpool2": ({}, lambda d, dtype: AvgPool2d()),
+    "conv2d": ({**dict.fromkeys(("out_c", "in_c", "kh", "kw"), _POS), "pad": range(2**63)},
                lambda d, dtype: Conv2d(np.zeros((d["out_c"], d["in_c"], d["kh"], d["kw"]),
                                                 dtype=dtype), pad=d["pad"])),
 }
@@ -96,6 +100,10 @@ def _check(value, typ, where: str) -> None:
             raise FormatError(f"checkpoint {where} is not a list: {value!r}")
         for i, item in enumerate(value):
             _check(item, typ[0], f"{where}[{i}]")
+    elif isinstance(typ, range):
+        _check(value, int, where)
+        if value not in typ:
+            raise FormatError(f"checkpoint {where} must be at least {typ.start}, got {value}")
     elif not isinstance(value, typ) or isinstance(value, bool) != (typ is bool):
         raise FormatError(f"checkpoint {where} has the wrong type: {value!r}")
 
@@ -143,17 +151,20 @@ def _rebuild(kind: str, arch: dict, dtype: np.dtype):
                           readout=arch["readout"], detach_reset=arch["detach_reset"])
     if kind == "ann":
         if arch["input_shape"] is not None:
-            _check(arch["input_shape"], [int], "architecture.input_shape")
+            _check(arch["input_shape"], [_POS], "architecture.input_shape")
         layers = []
         for i, spec in enumerate(arch["layers"]):
             if not isinstance(spec.get("type"), str) or spec["type"] not in _ANN_LAYERS:
                 raise FormatError(f"checkpoint architecture.layers[{i}].type is not an ann "
                                   f"layer type: {spec.get('type')!r}")
             fields, build = _ANN_LAYERS[spec["type"]]
-            _check(spec, {"type": str, **dict.fromkeys(fields, int)}, f"architecture.layers[{i}]")
+            _check(spec, {"type": str, **fields}, f"architecture.layers[{i}]")
             layers.append(build(spec, dtype))
         shape = tuple(arch["input_shape"]) if arch["input_shape"] else None
         return AnnNet(layers, input_shape=shape)
+    if len(arch["image_shape"]) not in (2, 3):
+        raise FormatError(f"checkpoint architecture.image_shape has {len(arch['image_shape'])} "
+                          "entries, not 2 or 3")
     return TinyAttentionNet(**{**arch, "image_shape": tuple(arch["image_shape"])}, dtype=dtype)
 
 

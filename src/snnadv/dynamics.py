@@ -7,10 +7,16 @@ firing. Synapses are either stateless (identity) or IIR filters over the
 spike stream. Every layer reads an input stream [T_in, n, in]: the spikes
 of the layer below, or for direct coding the raw input as one time slice,
 presented at every step. The filter is linear and acts on time alone, so
-it runs after the weights: a layer's current is filter(stream @ W) + b,
-with the one-slice input broadcast over the T steps. The readout layer is
-a non-spiking leaky integrator read at the final step (spike-count readout
-selectable).
+it runs after the weights: a layer's current is filter(stream @ W) + b.
+With the identity synapse it stays the one [T_in, n, w] slice stream @ W + b,
+read through a broadcast over the T steps; only an IIR synapse materialises
+[T, n, w]. The readout layer is a non-spiking leaky integrator read at the
+final step (spike-count readout selectable).
+
+Each step rule writes through ``out=`` straight into the trace's [T, n, w]
+buffers, which start empty because every slot is written. The backward
+writes dv[t] over the kernel value in its own di[t], with [n, w] scratch,
+and never writes into a trace, so one trace serves several backwards.
 
 The backward pass substitutes a surrogate kernel for the Heaviside
 derivative and, unless ``detach_reset`` is set, differentiates the
@@ -52,8 +58,8 @@ class NeuronConfig:
     def __post_init__(self):
         if not 0.0 < self.leak <= 1.0:
             raise ConfigError(f"leak must be in (0, 1], got {self.leak}")
-        if not self.threshold > 0.0:
-            raise ConfigError(f"threshold must be > 0, got {self.threshold}")
+        if not 0.0 < self.threshold < np.inf:
+            raise ConfigError(f"threshold must be finite and > 0, got {self.threshold}")
         if self.reset not in (HARD_ZERO, SOFT_SUBTRACT):
             raise ConfigError(f"reset must be {HARD_ZERO!r} or {SOFT_SUBTRACT!r}")
         if self.adapt_decay is not None and not 0.0 <= self.adapt_decay < 1.0:
@@ -91,32 +97,41 @@ class SynapseConfig:
 
 
 def step_lif_hard(v_prev: np.ndarray, o_prev: np.ndarray, input_current: np.ndarray,
-                  cfg: NeuronConfig, spike=heaviside) -> tuple[np.ndarray, np.ndarray]:
+                  cfg: NeuronConfig, spike=heaviside, out=(None, None)) -> tuple:
     """One hard-reset step: the (1 - o_prev) gate zeroes the potential of
-    neurons that fired. ``spike(v, threshold)`` is the firing rule."""
-    numerics.require_finite(input_current, "input current")
-    v = cfg.leak * (1.0 - o_prev) * v_prev + input_current
-    return v, spike(v, cfg.threshold)
+    neurons that fired. ``spike(v, threshold, out)`` is the firing rule. Every
+    step writes into ``out``, arrays apart from its inputs, or into new ones."""
+    v, o = out
+    v = np.subtract(1.0, o_prev, out=v)
+    v *= cfg.leak
+    v *= v_prev
+    v += input_current
+    return v, spike(v, cfg.threshold, out=o)
 
 
 def step_lif_soft(v_prev: np.ndarray, o_prev: np.ndarray, input_current: np.ndarray,
-                  cfg: NeuronConfig, spike=heaviside) -> tuple[np.ndarray, np.ndarray]:
+                  cfg: NeuronConfig, spike=heaviside, out=(None, None)) -> tuple:
     """One soft-reset step: the threshold is subtracted after a spike."""
-    numerics.require_finite(input_current, "input current")
-    v = cfg.leak * v_prev + input_current - cfg.threshold * o_prev
-    return v, spike(v, cfg.threshold)
+    v, o = out
+    v = np.multiply(v_prev, cfg.leak, out=v)
+    v += input_current
+    v -= np.multiply(o_prev, cfg.threshold, out=o)  # o is scratch until the spike
+    return v, spike(v, cfg.threshold, out=o)
 
 
 def step_adaptive(v_prev: np.ndarray, k_prev: np.ndarray, o_prev: np.ndarray,
-                  input_current: np.ndarray, cfg: NeuronConfig, spike=heaviside
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  input_current: np.ndarray, cfg: NeuronConfig, spike=heaviside,
+                  out=(None, None, None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One adaptive step: inhibition k decays by phi and is recharged by the
     previous spike; the potential is inhibited by theta * k_prev."""
-    numerics.require_finite(input_current, "input current")
     phi = cfg.adapt_decay if cfg.adapt_decay is not None else 0.0
-    v = cfg.leak * v_prev + input_current - cfg.threshold * k_prev
-    k = phi * k_prev + o_prev
-    return v, k, spike(v, cfg.threshold)
+    v, k, o = out
+    v = np.multiply(v_prev, cfg.leak, out=v)
+    v += input_current
+    v -= np.multiply(k_prev, cfg.threshold, out=k)  # k is scratch until its update
+    k = np.multiply(k_prev, phi, out=k)
+    k += o_prev
+    return v, k, spike(v, cfg.threshold, out=o)
 
 
 def synapse_filter(cfg: SynapseConfig, s: np.ndarray) -> np.ndarray:
@@ -229,10 +244,11 @@ class SpikingNet:
         return (self.T, len(self.layers), self.readout, self.relaxed,
                 tuple((l.in_width, l.out_width) for l in self.layers))
 
-    def _spike(self, v: np.ndarray, threshold: float) -> np.ndarray:
+    def _spike(self, v: np.ndarray, threshold: float, out: np.ndarray) -> np.ndarray:
         if self.relaxed:
-            return antiderivative(self.surrogate, v, threshold=threshold)
-        return heaviside(v, threshold)
+            out[...] = antiderivative(self.surrogate, v, threshold=threshold)
+            return out
+        return np.greater_equal(v, threshold, out=out)  # NeuronConfig checked threshold
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
@@ -254,28 +270,27 @@ class SpikingNet:
         for li, layer in enumerate(self.layers):
             is_readout = li == len(self.layers) - 1 and self.readout == READOUT_MEMBRANE
             cfg = layer.neuron
+            shape = (T, n, layer.out_width)
             # the filter acts on time alone, so it commutes with the weights
-            xw = np.broadcast_to(stream @ layer.w, (T, n, layer.out_width))
-            currents = synapse_filter(layer.synapse, xw) + layer.b
-            v_buf = np.zeros((T, n, layer.out_width), dtype=layer.w.dtype)
-            o_buf = np.zeros_like(v_buf)
-            k_buf = np.zeros_like(v_buf) if cfg.adaptive else None
-            v = np.zeros((n, layer.out_width), dtype=layer.w.dtype)
-            o = np.zeros_like(v)
-            k = np.zeros_like(v) if cfg.adaptive else None
-            for t, current in enumerate(currents):
+            current = stream @ layer.w
+            if not layer.synapse.is_identity:
+                current = synapse_filter(layer.synapse, np.broadcast_to(current, shape))
+            current += layer.b
+            numerics.require_finite(current, "input current")
+            v_buf = np.empty(shape, dtype=layer.w.dtype)
+            fresh = np.zeros_like if is_readout else np.empty_like  # the readout writes v only
+            o_buf = fresh(v_buf)
+            k_buf = fresh(v_buf) if cfg.adaptive else None
+            v = o = k = np.zeros(shape[1:], dtype=layer.w.dtype)
+            lif = step_lif_hard if cfg.reset == HARD_ZERO else step_lif_soft
+            for t, i_t in enumerate(np.broadcast_to(current, shape)):
                 if is_readout:
-                    v = cfg.leak * v + current
+                    v = np.add(np.multiply(v, cfg.leak, out=v_buf[t]), i_t, out=v_buf[t])
                 elif cfg.adaptive:
-                    v, k, o = step_adaptive(v, k, o, current, cfg, self._spike)
-                    k_buf[t] = k
-                elif cfg.reset == HARD_ZERO:
-                    v, o = step_lif_hard(v, o, current, cfg, self._spike)
+                    v, k, o = step_adaptive(v, k, o, i_t, cfg, self._spike,
+                                            out=(v_buf[t], k_buf[t], o_buf[t]))
                 else:
-                    v, o = step_lif_soft(v, o, current, cfg, self._spike)
-                v_buf[t] = v
-                if not is_readout:
-                    o_buf[t] = o
+                    v, o = lif(v, o, i_t, cfg, self._spike, out=(v_buf[t], o_buf[t]))
             trace.layers.append(LayerTrace(v=v_buf, o=o_buf, k=k_buf))
             stream = o_buf
         last = trace.layers[-1]
@@ -311,39 +326,41 @@ class SpikingNet:
             lt = trace.layers[li]
             cfg = layer.neuron
             is_readout = li == len(self.layers) - 1 and self.readout == READOUT_MEMBRANE
-            di = np.zeros((T, n, layer.out_width), dtype=layer.w.dtype)
             if is_readout:
                 # v[t] = leak * v[t-1] + i[t]; logits = v[T] / T
-                dv = dlogits / T
-                for t in range(T - 1, -1, -1):
-                    di[t] = dv
-                    dv = cfg.leak * dv
+                di = np.empty((T, n, layer.out_width), dtype=layer.w.dtype)
+                np.divide(dlogits, T, out=di[-1])
+                for t in range(T - 2, -1, -1):
+                    np.multiply(di[t + 1], cfg.leak, out=di[t])
             else:
-                if li == len(self.layers) - 1:
-                    do_ext = np.broadcast_to(dlogits / T, (T, n, layer.out_width))
-                else:
-                    do_ext = d_stream
-                grad_k = surrogate_grad(self.surrogate, lt.v, threshold=cfg.threshold)
-                dv_next = np.zeros((n, layer.out_width), dtype=layer.w.dtype)
-                dk_next = np.zeros_like(dv_next)
+                do_ext = (np.broadcast_to(dlogits / T, (T, n, layer.out_width))
+                          if d_stream is None else d_stream)
+                # dv[t] overwrites its kernel value in di[t]; a and dk are scratch
+                di = surrogate_grad(self.surrogate, lt.v, threshold=cfg.threshold)
+                dv_next, dk, a = np.zeros((3, n, layer.out_width), dtype=di.dtype)
                 for t in range(T - 1, -1, -1):
-                    do_tot = np.array(do_ext[t], dtype=layer.w.dtype, copy=True)
-                    if cfg.adaptive:
-                        if not self.detach_reset:
-                            do_tot += dk_next       # o[t] recharges k[t+1]
-                        dv = grad_k[t] * do_tot + cfg.leak * dv_next
-                        dk = -cfg.threshold * dv_next + cfg.adapt_decay * dk_next
-                        dk_next = dk
-                    elif cfg.reset == HARD_ZERO:
-                        if not self.detach_reset:
-                            do_tot += -cfg.leak * lt.v[t] * dv_next
-                        dv = grad_k[t] * do_tot + cfg.leak * (1.0 - lt.o[t]) * dv_next
+                    do_tot = do_ext[t]
+                    if not self.detach_reset:
+                        if cfg.adaptive:
+                            reset = dk                  # o[t] recharges k[t+1]
+                        elif cfg.reset == HARD_ZERO:
+                            reset = np.multiply(lt.v[t], -cfg.leak, out=a)
+                            reset *= dv_next
+                        else:
+                            reset = np.multiply(dv_next, -cfg.threshold, out=a)
+                        do_tot = np.add(do_tot, reset, out=a)
+                    dv = np.multiply(di[t], do_tot, out=di[t])
+                    if cfg.reset == HARD_ZERO and not cfg.adaptive:
+                        np.multiply(np.subtract(1.0, lt.o[t], out=a), cfg.leak, out=a)
+                        a *= dv_next
                     else:
-                        if not self.detach_reset:
-                            do_tot += -cfg.threshold * dv_next
-                        dv = grad_k[t] * do_tot + cfg.leak * dv_next
-                    di[t] = dv
+                        np.multiply(dv_next, cfg.leak, out=a)
+                    dv += a
+                    if cfg.adaptive and not self.detach_reset:
+                        dk *= cfg.adapt_decay
+                        dk += np.multiply(dv_next, -cfg.threshold, out=a)
                     dv_next = dv
+            di = di.astype(layer.w.dtype, copy=False)  # the literal pwe kernel is 64-bit
             if grads is not None:
                 grads[f"layer{li}.b"] = di.sum(axis=(0, 1))
             # through the synapse filter, the broadcast over time and the weights

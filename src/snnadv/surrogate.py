@@ -9,6 +9,7 @@ finite-difference gradient oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,17 +71,17 @@ class SurrogateSpec:
                 raise ConfigError(f"surrogate {name} must be > 0, got {getattr(self, name)}")
 
 
-def heaviside(v: np.ndarray, threshold: float) -> np.ndarray:
-    """Hard spike: 1 where v >= threshold (boundary inclusive), else 0."""
+def heaviside(v: np.ndarray, threshold: float, out=None) -> np.ndarray:
+    """Hard spike in v's dtype, or into ``out``: 1 where v >= threshold, else 0."""
     if not np.isfinite(threshold):
         raise EvaluationError("threshold must be finite")
     v = np.asarray(v)
-    return (v >= threshold).astype(v.dtype)
+    return np.greater_equal(v, threshold, out=np.empty_like(v) if out is None else out)
 
 
 def surrogate_grad(spec: SurrogateSpec, v: np.ndarray,
                    threshold: float = 1.0) -> np.ndarray:
-    """Kernel value per element, the stand-in for d(spike)/d(potential).
+    """Kernel value per element, in a new array: the stand-in for d(spike)/d(potential).
 
     The kernel is centred on ``threshold``; layers pass their own firing
     threshold.
@@ -93,9 +94,12 @@ def surrogate_grad(spec: SurrogateSpec, v: np.ndarray,
         s = _logistic(d)
         return s * (1.0 - s)
     if kind == ERFC:
-        return np.exp(-(d * d) / (2.0 * spec.sigma**2)) / (np.sqrt(2.0 * np.pi) * spec.sigma)
+        # Python-float constants: a numpy float64 scalar would promote float32 v
+        return np.exp(-(d * d) / (2.0 * spec.sigma**2)) / (math.sqrt(2.0 * math.pi) * spec.sigma)
     if kind == ARCTAN:
-        return 1.0 / (1.0 + np.pi**2 * d * d)
+        d *= math.pi**2 * d  # in place: d is this call's own array
+        d += 1.0
+        return np.divide(1.0, d, out=d)
     if kind == PIECEWISE_LINEAR:
         return np.maximum(0.0, 1.0 - np.abs(d)).astype(v.dtype)
     if kind == FAST_SIGMOID:
@@ -130,7 +134,7 @@ def antiderivative(spec: SurrogateSpec, v: np.ndarray,
     if kind == SIGMOID:
         return _logistic(d)
     if kind == ERFC:
-        return 0.5 * (1.0 + erf(d / (np.sqrt(2.0) * spec.sigma)))
+        return 0.5 * (1.0 + erf(d / (math.sqrt(2.0) * spec.sigma)))
     if kind == ARCTAN:
         return np.arctan(np.pi * d) / np.pi + 0.5
     if kind == PIECEWISE_LINEAR:
@@ -174,10 +178,7 @@ def kink_distance(spec: SurrogateSpec, v: np.ndarray,
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid exp overflow
-    out = np.empty_like(x, dtype=np.result_type(x, np.float32))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out.astype(x.dtype) if np.asarray(x).dtype.kind == "f" else out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; e^-|x| <= 1 never overflows,
+    # and max(e, x >= 0) picks the numerator without masks (np.where is slower)
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from snnadv import attacks, numerics
 from snnadv.ann import AnnNet, Dense, build_mlp
@@ -27,6 +30,47 @@ class TestProject:
         x_adv = x + rng.uniform(-0.5, 0.5, size=x.shape)
         once = project(x_adv, x, 0.15)
         assert np.array_equal(project(once, x, 0.15), once)
+
+
+PIXELS = st.floats(-0.5, 1.5, width=32)
+
+
+class TestIterateClamp:
+    """``_iterate`` clips each step into bounds computed once; that must be
+    ``project`` exactly, whatever x is."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float32, 12, elements=PIXELS),
+           start=arrays(np.float32, 12, elements=PIXELS),
+           grads=arrays(np.float32, (3, 12), elements=st.floats(-1, 1, width=32)),
+           eps=st.floats(1e-4, 1.0), step=st.floats(1e-4, 1.0))
+    def test_one_clip_equals_project(self, x, start, grads, eps, step):
+        calls = iter(grads)
+        got = attacks._iterate(x, eps, step, len(grads), lambda _: next(calls), x_adv=start)
+        want = start
+        for g in grads:
+            want = project(want + step * numerics.sign(g).astype(x.dtype), x, eps)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_never_writes_its_inputs_or_the_directions(self):
+        # MIM returns its momentum buffer, which it reads again next iteration
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, (4, 9)).astype(np.float32)
+        start = np.clip(x + 0.02, 0.0, 1.0)
+        held = rng.normal(size=x.shape).astype(np.float32)
+        seen = []
+
+        def direction(x_adv):
+            seen.append((x_adv, x_adv.copy()))
+            return held
+
+        kept = [a.copy() for a in (x, start, held)]
+        out = attacks._iterate(x, 0.05, 0.01, 4, direction, x_adv=start)
+        for arr, copy in zip((x, start, held), kept):
+            assert arr.tobytes() == copy.tobytes()
+        for arr, copy in seen:
+            assert arr.tobytes() == copy.tobytes()
+        assert not any(np.shares_memory(out, a) for a in (x, start, held))
 
 
 class TestConfig:

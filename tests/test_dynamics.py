@@ -302,3 +302,90 @@ class TestSpikingNetForward:
         _, trace = net_a.forward_cached(x)
         with pytest.raises(StateError):
             net_b.backward(trace, np.zeros((2, 3), dtype=F32))
+
+
+class TestThresholdConfig:
+    @pytest.mark.parametrize("threshold", [np.inf, -np.inf, np.nan, 0.0])
+    def test_non_finite_or_non_positive_threshold_rejected(self, threshold):
+        # rejected at construction, so the forward's spike needs no per-step check
+        with pytest.raises(ConfigError):
+            NeuronConfig(threshold=threshold)
+
+
+NET_VARIANTS = [
+    pytest.param(dict(neuron=NeuronConfig(leak=0.9, threshold=0.6)), {}, id="hard"),
+    pytest.param(dict(neuron=NeuronConfig(leak=0.8, threshold=0.5, reset="soft_subtract"),
+                      readout="spike_count"), {}, id="soft-count"),
+    pytest.param(dict(neuron=NeuronConfig(leak=0.85, threshold=0.5, adapt_decay=0.4),
+                      synapse=SynapseConfig(alphas=(0.4,), betas=(1.0, 0.2))), {},
+                 id="adaptive-iir"),
+    pytest.param(dict(neuron=NeuronConfig(leak=0.9, threshold=0.6)),
+                 dict(detach_reset=True), id="hard-detached"),
+    pytest.param(dict(neuron=NeuronConfig(leak=0.9, threshold=0.6),
+                      surrogate=SurrogateSpec(kind="sigmoid")),
+                 dict(relaxed=True), id="hard-relaxed"),
+]
+
+
+def variant_net(build_kw, attrs):
+    net = build_snn_mlp([6, 9, 7, 3], T=5, seed=21, **build_kw)
+    for name, value in attrs.items():
+        setattr(net, name, value)
+    return net
+
+
+def trace_arrays(trace):
+    yield trace.x
+    for lt in trace.layers:
+        yield from (a for a in (lt.v, lt.o, lt.k) if a is not None)
+
+
+class TestBuffers:
+    """The forward writes into its own trace buffers and the backward into
+    its own scratch: nothing either returns is shared or written later."""
+
+    @pytest.mark.parametrize("build_kw,attrs", NET_VARIANTS)
+    def test_backward_leaves_the_trace_unchanged(self, build_kw, attrs):
+        # Auto-SAGA runs two backwards (cross-entropy and margin) on one trace
+        net = variant_net(build_kw, attrs)
+        x = np.random.default_rng(1).uniform(0, 1.5, (4, 6)).astype(F32)
+        logits, trace = net.forward_cached(x)
+        before = [a.tobytes() for a in trace_arrays(trace)]
+        dlogits = np.random.default_rng(2).normal(size=logits.shape).astype(F32)
+        grads = {}
+        first = net.backward(trace, dlogits, grads)
+        assert [a.tobytes() for a in trace_arrays(trace)] == before
+        second = net.backward(trace, dlogits)
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("build_kw,attrs", NET_VARIANTS)
+    def test_two_forwards_are_equal_and_share_no_buffers(self, build_kw, attrs):
+        net = variant_net(build_kw, attrs)
+        x = np.random.default_rng(3).uniform(0, 1.5, (4, 6)).astype(F32)
+        la, ta = net.forward_cached(x)
+        lb, tb = net.forward_cached(x)
+        assert la.tobytes() == lb.tobytes() and not np.shares_memory(la, lb)
+        # trace.x is the caller's input by design; every state buffer is new
+        arrays_a, arrays_b = list(trace_arrays(ta))[1:], list(trace_arrays(tb))[1:]
+        assert len(arrays_a) == len(arrays_b) > 0
+        for a, b in zip(arrays_a, arrays_b):
+            assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(a, b)
+        for a in arrays_a:
+            assert not any(np.shares_memory(a, other) for other in arrays_a if other is not a)
+
+    @pytest.mark.parametrize("step,n_state", [(step_lif_hard, 1), (step_lif_soft, 1),
+                                              (step_adaptive, 2)])
+    def test_step_out_buffers_equal_fresh_results(self, step, n_state):
+        cfg = NeuronConfig(leak=0.8, threshold=0.7, adapt_decay=0.3 if n_state == 2 else None,
+                           reset="soft_subtract" if step is step_lif_soft else "hard_zero")
+        rng = np.random.default_rng(4)
+        state = [rng.uniform(0, 1.2, 16).astype(F32) for _ in range(n_state)]
+        o_prev = (rng.uniform(size=16) > 0.5).astype(F32)
+        current = rng.uniform(-0.5, 1.0, 16).astype(F32)
+        fresh = step(*state, o_prev, current, cfg)
+        out = tuple(np.full(16, np.nan, dtype=F32) for _ in fresh)
+        written = step(*state, o_prev, current, cfg, out=out)
+        for f, w, o in zip(fresh, written, out):
+            assert w is o and f.tobytes() == w.tobytes()

@@ -184,6 +184,34 @@ class TestCheckpoint:
                      id="ann-mistyped-shape"),
         pytest.param(CHECKPOINT_BUILDS[3], lambda a: a.update(patch=True),
                      r"architecture\.patch has the wrong type", id="attention-bool-for-int"),
+        # well-typed but out of range: these escaped as numpy or arithmetic errors
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a["layers"][0].update(out=-4),
+                     r"architecture\.layers\[0\]\.out must be at least 1, got -4",
+                     id="snn-negative-width"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a["layers"][1].update(**{"in": 0}),
+                     r"architecture\.layers\[1\]\.in must be at least 1, got 0",
+                     id="snn-zero-width"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a.update(T=0),
+                     r"architecture\.T must be at least 1, got 0", id="snn-zero-T"),
+        pytest.param(CHECKPOINT_BUILDS[0], lambda a: a["layers"][0].update(out=-1),
+                     r"architecture\.layers\[0\]\.out must be at least 1", id="ann-dense-width"),
+        pytest.param(CHECKPOINT_BUILDS[1], lambda a: a["layers"][0].update(kh=0),
+                     r"architecture\.layers\[0\]\.kh must be at least 1", id="ann-conv-kernel"),
+        pytest.param(CHECKPOINT_BUILDS[1], lambda a: a["layers"][0].update(pad=-1),
+                     r"architecture\.layers\[0\]\.pad must be at least 0", id="ann-conv-pad"),
+        pytest.param(CHECKPOINT_BUILDS[1], lambda a: a.update(input_shape=[1, 0, 8]),
+                     r"architecture\.input_shape\[1\] must be at least 1", id="ann-shape"),
+        pytest.param(CHECKPOINT_BUILDS[3], lambda a: a.update(image_shape=[1, -8, 8]),
+                     r"architecture\.image_shape\[1\] must be at least 1",
+                     id="attention-image-shape"),
+        pytest.param(CHECKPOINT_BUILDS[3], lambda a: a.update(image_shape=[8]),
+                     r"architecture\.image_shape has 1 entries, not 2 or 3",
+                     id="attention-image-rank"),
+        *[pytest.param(CHECKPOINT_BUILDS[3], lambda a, f=field, v=value: a.update({f: v}),
+                       rf"architecture\.{field} must be at least 1, got {value}",
+                       id=f"attention-{field}-{value}")
+          for field in ("patch", "embed", "n_heads", "n_layers", "n_classes", "ffn_hidden")
+          for value in (0, -2)],
     ])
     def test_malformed_descriptor_names_the_field(self, tmp_path, monkeypatch, build, edit,
                                                   match):
@@ -324,6 +352,14 @@ class TestCli:
         assert self.run("inspect", str(path)) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: bad checkpoint architecture") and "\n" not in err
+
+    def test_out_of_range_checkpoint_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        # a zero patch size was a ZeroDivisionError traceback
+        path = save_with_descriptor(tmp_path, monkeypatch, CHECKPOINT_BUILDS[3](),
+                                    lambda a: a.update(patch=0))
+        assert self.run("inspect", str(path)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "error: checkpoint architecture.patch must be at least 1, got 0"
 
     def test_readme_commands_parse(self):
         # guards README's CLI block against flag drift

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from snnadv.errors import ConfigError
+from snnadv.errors import ConfigError, EvaluationError
 from snnadv.numerics import max_rel_err
 from snnadv.surrogate import (KINDS, PIECEWISE_EXP, PIECEWISE_LINEAR, RECTANGULAR,
                               SurrogateSpec, antiderivative, canonical_kind, heaviside,
@@ -28,6 +31,16 @@ class TestHeaviside:
         out = heaviside(GRID, 1.0)
         assert set(np.unique(out)) <= {0.0, 1.0}
         assert np.all(np.diff(out) >= 0.0)
+
+    @pytest.mark.parametrize("threshold", [np.inf, -np.inf, np.nan])
+    def test_direct_call_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(EvaluationError):
+            heaviside(GRID, threshold)
+
+    def test_out_receives_the_spikes_in_its_dtype(self):
+        out = np.full(3, 7.0, dtype=np.float32)
+        got = heaviside(np.array([0.5, 1.0, 1.5], dtype=np.float32), 1.0, out=out)
+        assert got is out and out.tolist() == [0.0, 1.0, 1.0]
 
 
 class TestKernelValues:
@@ -124,3 +137,40 @@ class TestVariantForms:
         v = np.array([2.0])
         assert surrogate_grad(printed, v)[0] == pytest.approx(1.0 / (1.0 + 4.0))
         assert surrogate_grad(conv, v)[0] == pytest.approx(1.0 / 4.0)
+
+
+SPECS = [SurrogateSpec(kind=k) for k in KINDS] + [
+    SurrogateSpec(kind="fast_sigmoid", fs_conventional=True)]
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-conv" * s.fs_conventional)
+    def test_kernel_and_antiderivative_keep_the_potential_dtype(self, spec, dtype):
+        # a numpy float64 constant would promote float32 potentials (NEP 50)
+        v = GRID.astype(dtype)
+        assert surrogate_grad(spec, v).dtype == dtype
+        assert antiderivative(spec, v).dtype == dtype
+
+    def test_literal_pwe_kernel_is_64_bit(self):
+        # documented exception: its range overflows float32
+        spec = SurrogateSpec(kind="piecewise_exp", pwe_literal=True)
+        assert surrogate_grad(spec, GRID.astype(np.float32)).dtype == np.float64
+
+
+class TestSigmoidTails:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_warning_free_and_matches_closed_form(self, dtype):
+        mag = np.logspace(-6, 4, 401)
+        d = np.concatenate([-mag[::-1], [0.0], mag]).astype(dtype)
+        spec = spec_for("sigmoid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kern = surrogate_grad(spec, d + 1.0, threshold=1.0)
+            soft = antiderivative(spec, d, threshold=0.0)
+        assert np.all(np.isfinite(kern)) and np.all(np.isfinite(soft))
+        # references in float64 from the very potentials the kernel saw
+        d64 = ((d + 1.0) - 1.0).astype(np.float64)
+        eps = float(np.finfo(dtype).eps)
+        np.testing.assert_allclose(kern, expit(d64) * expit(-d64), rtol=4 * eps, atol=eps)
+        np.testing.assert_allclose(soft, expit(d.astype(np.float64)), rtol=4 * eps, atol=eps)
