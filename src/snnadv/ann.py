@@ -3,12 +3,29 @@ hand-written backward passes, checked against the finite-difference oracle."""
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 import numpy as np
 
 from . import numerics
 from .errors import ConfigError, DimensionError
+
+
+class Classifier:
+    """``forward`` and ``predict``, which every model builds on its own ``forward_cached``."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.forward_cached(x)[0]
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return np.argmax(self.forward(x), axis=1)
+
+
+def kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
+    """Kaiming-uniform fan-in init: +-sqrt(6 / fan_in), drawn in float64, cast to ``dtype``."""
+    bound = np.sqrt(6.0 / fan_in)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 class Dense:
@@ -19,6 +36,16 @@ class Dense:
         if self.w.ndim != 2:
             raise DimensionError(f"dense weights must be 2-d, got {self.w.shape}")
         self.b = np.zeros(self.w.shape[1], dtype=self.w.dtype) if b is None else np.asarray(b)
+        if self.b.shape != (self.out_width,):
+            raise DimensionError(f"bias shape {self.b.shape} does not match width {self.out_width}")
+
+    @property
+    def in_width(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def out_width(self) -> int:
+        return self.w.shape[1]
 
     def forward(self, x):
         if x.shape[1] != self.w.shape[0]:
@@ -36,7 +63,9 @@ class Dense:
         return [("w", self.w), ("b", self.b)]
 
     def astype(self, dtype):
-        return Dense(self.w.astype(dtype), self.b.astype(dtype))
+        other = copy.copy(self)
+        other.w, other.b = self.w.astype(dtype), self.b.astype(dtype)
+        return other
 
     def descriptor(self):
         return {"type": self.type_name, "in": int(self.w.shape[0]), "out": int(self.w.shape[1])}
@@ -78,6 +107,9 @@ class Conv2d:
         self.pad = pad
 
     def _cols(self, x):
+        """im2col: [n, oh, ow, ic*kh*kw], columns in (ci, i, j) order."""
+        if x.ndim != 4:
+            raise DimensionError(f"conv input must be [n, c, h, w], got {x.shape}")
         n, c, h, w = x.shape
         oc, ic, kh, kw = self.w.shape
         if c != ic:
@@ -85,13 +117,8 @@ class Conv2d:
         p = self.pad
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         oh, ow = h + 2 * p - kh + 1, w + 2 * p - kw + 1
-        cols = np.empty((n, oh, ow, ic * kh * kw), dtype=x.dtype)
-        idx = 0
-        for ci in range(ic):
-            for i in range(kh):
-                for j in range(kw):
-                    cols[..., idx] = xp[:, ci, i:i + oh, j:j + ow]
-                    idx += 1
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh, ow, ic * kh * kw)
         return cols, (n, c, h, w, oh, ow)
 
     def forward(self, x):
@@ -110,15 +137,14 @@ class Conv2d:
             cflat = cols.reshape(-1, ic * kh * kw)
             grads[prefix + "w"] = (cflat.T @ dflat).T.reshape(self.w.shape)
             grads[prefix + "b"] = dflat.sum(axis=0)
-        dcols = (dflat @ self.w.reshape(oc, -1)).reshape(n, oh, ow, ic * kh * kw)
+        # col2im over (i, j), all channels at once: each pixel sums in column order
+        dcols = (dflat @ self.w.reshape(oc, -1)).reshape(n, oh, ow, ic, kh, kw) \
+            .transpose(4, 5, 0, 3, 1, 2)
         p = self.pad
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=dout.dtype)
-        idx = 0
-        for ci in range(ic):
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, ci, i:i + oh, j:j + ow] += dcols[..., idx]
-                    idx += 1
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i:i + oh, j:j + ow] += dcols[i, j]
         return dxp[:, :, p:p + h, p:p + w] if p else dxp
 
     def params(self):
@@ -158,14 +184,15 @@ class Flatten(_ParamFree):
         return dout.reshape(cache)
 
 
-class AnnNet:
-    """Ordered layer stack ending in class logits."""
+class AnnNet(Classifier):
+    """Ordered layer stack ending in class logits. Its input is a batch of ``input_shape``,
+    or else of the first weight layer's width (a conv net needs ``input_shape``)."""
 
     kind = "ann"
 
     def __init__(self, layers: list, input_shape: Optional[tuple] = None):
-        if not layers:
-            raise ConfigError("network needs at least one layer")
+        if not any(layer.params() for layer in layers):
+            raise ConfigError("network needs at least one layer with weights")
         self.layers = layers
         self.input_shape = tuple(input_shape) if input_shape else None
 
@@ -176,26 +203,12 @@ class AnnNet:
                 return layer.w.shape[1]
         raise ConfigError("no dense layer to read the class count from")
 
-    def _shape_input(self, x):
-        x = np.asarray(x, dtype=self._dtype())
-        if self.input_shape and x.shape[1:] != self.input_shape:
-            x = x.reshape((x.shape[0],) + self.input_shape)
-        if self.input_shape is None and x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        return x
-
-    def _dtype(self):
-        for layer in self.layers:
-            if layer.params():
-                return layer.params()[0][1].dtype
-        return numerics.DEFAULT_DTYPE
-
-    def forward(self, x):
-        return self.forward_cached(x)[0]
+    def _first_weights(self) -> np.ndarray:
+        return next(layer.w for layer in self.layers if layer.params())
 
     def forward_cached(self, x):
-        x = self._shape_input(x)
-        numerics.require_finite(x, "network input")
+        w = self._first_weights()
+        x = numerics.as_batch(x, self.input_shape or w.shape[:1], w.dtype)
         caches = []
         for layer in self.layers:
             x, cache = layer.forward(x)
@@ -208,14 +221,11 @@ class AnnNet:
         ``grads`` dict (training), every Dense and Conv2d layer also writes
         its parameter gradients into it under the names ``params`` gives;
         without one (attacks) none are computed."""
-        d = np.asarray(dlogits, dtype=self._dtype())
+        d = np.asarray(dlogits, dtype=self._first_weights().dtype)
         for i in reversed(range(len(self.layers))):
             d = self.layers[i].backward(d, caches[i], grads, f"layer{i}.")
         numerics.require_finite(d, "input gradient")
         return d.reshape(d.shape[0], -1)
-
-    def predict(self, x):
-        return np.argmax(self.forward(x), axis=1)
 
     def params(self):
         return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
@@ -232,8 +242,7 @@ def build_mlp(dims: list, seed: int = 0, dtype=numerics.DEFAULT_DTYPE) -> AnnNet
     rng = np.random.default_rng(seed)
     layers = []
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        bound = np.sqrt(6.0 / d_in)
-        layers.append(Dense(rng.uniform(-bound, bound, size=(d_in, d_out)).astype(dtype)))
+        layers.append(Dense(kaiming_uniform(rng, (d_in, d_out), d_in, dtype)))
         if i < len(dims) - 2:
             layers.append(ReLU())
     return AnnNet(layers)
@@ -247,18 +256,14 @@ def build_cnn(image_shape: tuple, channels: list, hidden: int, n_classes: int,
     layers = []
     in_c = c
     for out_c in channels:
-        fan_in = in_c * 9
-        bound = np.sqrt(6.0 / fan_in)
-        layers.append(Conv2d(rng.uniform(-bound, bound, size=(out_c, in_c, 3, 3)).astype(dtype)))
+        layers.append(Conv2d(kaiming_uniform(rng, (out_c, in_c, 3, 3), in_c * 9, dtype)))
         layers.append(ReLU())
         layers.append(AvgPool2d())
         in_c = out_c
         h, w = h // 2, w // 2
     layers.append(Flatten())
     flat = in_c * h * w
-    bound = np.sqrt(6.0 / flat)
-    layers.append(Dense(rng.uniform(-bound, bound, size=(flat, hidden)).astype(dtype)))
+    layers.append(Dense(kaiming_uniform(rng, (flat, hidden), flat, dtype)))
     layers.append(ReLU())
-    bound = np.sqrt(6.0 / hidden)
-    layers.append(Dense(rng.uniform(-bound, bound, size=(hidden, n_classes)).astype(dtype)))
+    layers.append(Dense(kaiming_uniform(rng, (hidden, n_classes), hidden, dtype)))
     return AnnNet(layers, input_shape=image_shape)

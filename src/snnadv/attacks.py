@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numerics
-from .attention import ones_mask
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -160,7 +159,9 @@ def _iterate(x: np.ndarray, eps_max: float, step: float, n_iter: int, direction:
     lo, hi = (np.clip(b, 0.0, 1.0, out=b) for b in (x - eps_max, x + eps_max))
     for _ in range(n_iter):
         stepped = step * numerics.sign(direction(x_adv)).astype(x.dtype, copy=False)
-        x_adv = np.clip(np.add(x_adv, stepped, out=stepped), lo, hi, out=stepped)
+        # max then min: the bytes of np.clip in about half of its time
+        x_adv = np.maximum(np.add(x_adv, stepped, out=stepped), lo, out=stepped)
+        np.minimum(x_adv, hi, out=x_adv)
         if trace is not None:
             trace.append(x_adv.copy())
     return x_adv
@@ -213,12 +214,13 @@ def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
                     trace=trace)
 
 
-def _mask_for(model, x: np.ndarray, cache) -> np.ndarray:
-    """Blend mask of ``model`` at ``x``; ``cache`` is its forward at x."""
+def _blend_term(model, alpha, x: np.ndarray, cache, grad: np.ndarray) -> np.ndarray:
+    """alpha * (blend mask of ``model`` at ``x``, from its forward ``cache``) * grad.
+    Other models' all-ones mask is not built: alpha * 1 is alpha exactly."""
     rollout = getattr(model, "rollout_mask", None)
     if rollout is None:
-        return ones_mask(x)
-    return rollout(x, cache)
+        return np.asarray(alpha, dtype=x.dtype) * grad
+    return alpha * rollout(x, cache) * grad
 
 
 def saga(models: Sequence, alphas: Sequence[float], x: np.ndarray, labels: np.ndarray,
@@ -240,7 +242,7 @@ def saga(models: Sequence, alphas: Sequence[float], x: np.ndarray, labels: np.nd
             if alpha == 0.0:
                 continue
             _, grad, cache = loss_input_grad(model, x_adv, labels)
-            out += alpha * _mask_for(model, x_adv, cache) * grad
+            out += _blend_term(model, alpha, x_adv, cache, grad)
         return out
 
     return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, blend, trace=trace)
@@ -291,8 +293,8 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
             f_grad = model.backward(cache, f_dlogits).reshape(x.shape)
             grads.append(grad)
             margin_grads.append(f_grad)
-            blend += alphas[:, mi].reshape(bshape).astype(x.dtype) \
-                * _mask_for(model, x_adv, cache) * grad
+            blend += _blend_term(model, alphas[:, mi].reshape(bshape).astype(x.dtype),
+                                 x_adv, cache, grad)
         grad_sum = np.sum(grads, axis=0, dtype=np.float64)
         # sech^2 underflows to 0 beyond ~350 anyway; clip to keep cosh finite
         sech2 = 1.0 / np.square(np.cosh(np.clip(cfg.fit_u * grad_sum, -350.0, 350.0)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
+from .ann import Classifier, kaiming_uniform
 from .errors import ConfigError, DimensionError
 
 
@@ -127,7 +128,7 @@ class AttnBlock:
                 ("ln2_g", self.ln2_g), ("ln2_b", self.ln2_b)]
 
 
-class TinyAttentionNet:
+class TinyAttentionNet(Classifier):
     """Patch embedding + class token + residual attention/FFN blocks.
 
     ``forward_cached`` returns the attention matrices (post-softmax, per layer
@@ -166,8 +167,7 @@ class TinyAttentionNet:
         patch_dim = c * patch * patch
 
         def init(shape, fan_in):
-            bound = np.sqrt(6.0 / fan_in)
-            return rng.uniform(-bound, bound, size=shape).astype(dtype)
+            return kaiming_uniform(rng, shape, fan_in, dtype)
 
         self.wp = init((patch_dim, embed), patch_dim)
         self.bp = np.zeros(embed, dtype=dtype)
@@ -189,17 +189,6 @@ class TinyAttentionNet:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _shape_input(self, x):
-        x = np.asarray(x, dtype=self.wp.dtype)
-        c, h, w = self.image_shape
-        if x.ndim == 2 and x.shape[1] == c * h * w:
-            x = x.reshape(x.shape[0], c, h, w)
-        elif x.ndim == 3:
-            x = x[:, None, :, :]
-        if x.shape[1:] != (c, h, w):
-            raise DimensionError(f"input shape {x.shape[1:]} != image {self.image_shape}")
-        return x
-
     def _to_patches(self, imgs):
         n, c, h, w = imgs.shape
         p = self.patch
@@ -216,12 +205,8 @@ class TinyAttentionNet:
 
     # -- forward / backward ----------------------------------------------
 
-    def forward(self, x):
-        return self.forward_cached(x)[0]
-
     def forward_cached(self, x):
-        imgs = self._shape_input(x)
-        numerics.require_finite(imgs, "network input")
+        imgs = numerics.as_batch(x, self.image_shape, self.wp.dtype)
         n = imgs.shape[0]
         H, E = self.n_heads, self.embed
         dh = E // H
@@ -329,11 +314,6 @@ class TinyAttentionNet:
         numerics.require_finite(dx, "input gradient")
         return dx.reshape(n, -1)
 
-    # -- classifier conveniences -------------------------------------------
-
-    def predict(self, x):
-        return np.argmax(self.forward(x), axis=1)
-
     def params(self):
         return ([("wp", self.wp), ("bp", self.bp), ("cls", self.cls), ("pos", self.pos)]
                 + [(f"block{i}.{name}", arr) for i, blk in enumerate(self.blocks)
@@ -345,11 +325,9 @@ class TinyAttentionNet:
         """Saliency-masked input for the multi-model attacks, shaped like x.
 
         ``cache`` is the one ``forward_cached(x)`` returned; the rollout reads
-        the attention records it carries.
+        the shaped images and the attention records it carries.
         """
-        x = np.asarray(x)
-        phi = attention_rollout(cache[-1], self._shape_input(x))
-        return phi.reshape(x.shape)
+        return attention_rollout(cache[-1], cache[0]).reshape(np.shape(x))
 
     def astype(self, dtype):
         other = TinyAttentionNet(self.image_shape, self.patch, self.embed, self.n_layers,

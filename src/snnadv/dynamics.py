@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
+from .ann import Classifier, Dense, build_mlp
 from .errors import ConfigError, DimensionError, StateError
 from .surrogate import SurrogateSpec, antiderivative, heaviside, surrogate_grad
 
@@ -152,28 +153,15 @@ def synapse_filter(cfg: SynapseConfig, s: np.ndarray) -> np.ndarray:
     return out
 
 
-class SpikingLayer:
-    """Fully connected synapse weights plus one neuron population."""
+class SpikingLayer(Dense):
+    """Fully connected synapse weights, a ``Dense``, plus one neuron population."""
 
     def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None,
                  neuron: NeuronConfig = NeuronConfig(),
                  synapse: SynapseConfig = SynapseConfig()):
-        self.w = np.asarray(w)
-        if self.w.ndim != 2:
-            raise DimensionError(f"layer weights must be 2-d, got {self.w.shape}")
-        self.b = np.zeros(self.w.shape[1], dtype=self.w.dtype) if b is None else np.asarray(b)
-        if self.b.shape != (self.w.shape[1],):
-            raise DimensionError(f"bias shape {self.b.shape} does not match width {self.w.shape[1]}")
+        super().__init__(w, b)
         self.neuron = neuron
         self.synapse = synapse
-
-    @property
-    def in_width(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.w.shape[1]
 
 
 @dataclass
@@ -192,7 +180,7 @@ class ForwardTrace:
     fingerprint: tuple = ()
 
 
-class SpikingNet:
+class SpikingNet(Classifier):
     """Feed-forward stack of spiking layers simulated for T timesteps.
 
     ``relaxed`` replaces the hard threshold with the surrogate kernel's exact
@@ -227,16 +215,12 @@ class SpikingNet:
     def n_classes(self) -> int:
         return self.layers[-1].out_width
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x), axis=1)
-
     def params(self) -> list:
         return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
-                for name, p in (("w", layer.w), ("b", layer.b))]
+                for name, p in layer.params()]
 
     def astype(self, dtype) -> "SpikingNet":
-        layers = [SpikingLayer(l.w.astype(dtype), l.b.astype(dtype), l.neuron, l.synapse)
-                  for l in self.layers]
+        layers = [l.astype(dtype) for l in self.layers]
         return SpikingNet(layers, T=self.T, surrogate=self.surrogate, readout=self.readout,
                           detach_reset=self.detach_reset, relaxed=self.relaxed)
 
@@ -250,18 +234,8 @@ class SpikingNet:
             return out
         return np.greater_equal(v, threshold, out=out)  # NeuronConfig checked threshold
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(x)[0]
-
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-        x = np.asarray(x, dtype=self.layers[0].w.dtype)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        if x.shape[1] != self.layers[0].in_width:
-            raise DimensionError(f"input width {x.shape[1]} != layer width {self.layers[0].in_width}")
-        numerics.require_finite(x, "network input")
+        x = numerics.as_batch(x, (self.layers[0].in_width,), self.layers[0].w.dtype)
         n = x.shape[0]
         T = self.T
         # direct coding: the input is one time slice, presented at every step
@@ -385,13 +359,8 @@ def build_snn_mlp(dims: list, T: int = 8, seed: int = 0,
                   surrogate: SurrogateSpec = SurrogateSpec(),
                   readout: str = READOUT_MEMBRANE,
                   dtype=numerics.DEFAULT_DTYPE) -> SpikingNet:
-    """Seeded fully connected spiking net; Kaiming-uniform fan-in init."""
-    if len(dims) < 2:
-        raise ConfigError("need at least input and output widths")
-    rng = np.random.default_rng(seed)
-    layers = []
-    for d_in, d_out in zip(dims, dims[1:]):
-        bound = np.sqrt(6.0 / d_in)
-        w = rng.uniform(-bound, bound, size=(d_in, d_out)).astype(dtype)
-        layers.append(SpikingLayer(w, neuron=neuron, synapse=synapse))
+    """Seeded fully connected spiking net with the weights of
+    ``build_mlp(dims, seed, dtype)``: Kaiming-uniform fan-in init."""
+    layers = [SpikingLayer(d.w, neuron=neuron, synapse=synapse)
+              for d in build_mlp(dims, seed, dtype).layers if isinstance(d, Dense)]
     return SpikingNet(layers, T=T, surrogate=surrogate, readout=readout)

@@ -25,6 +25,16 @@ def require_finite(arr: np.ndarray, what: str = "result") -> np.ndarray:
     return arr
 
 
+def as_batch(x, shape: tuple, dtype) -> np.ndarray:
+    """The one model input check: ``x`` as a batch [n, *shape] in ``dtype``. Any
+    [n, ...] whose rows hold prod(shape) values passes; any other shape is a
+    DimensionError, and non-finite input an EvaluationError."""
+    x = np.asarray(x, dtype=dtype)
+    if x.ndim < 2 or np.prod(x.shape[1:]) != np.prod(shape):
+        raise DimensionError(f"input shape {x.shape} is not a batch of {tuple(shape)}")
+    return require_finite(x.reshape(x.shape[0], *shape), "network input")
+
+
 def sign(a):
     # numpy convention sign(0) = 0; attacks leave zero-gradient pixels alone
     return np.sign(np.asarray(a))

@@ -51,6 +51,11 @@ class TestDense:
 
 
 class TestConvPool:
+    def test_cnn_wrong_size(self):
+        net = build_cnn((1, 8, 8), [2], 8, 3)
+        with pytest.raises(DimensionError):
+            net.forward(np.zeros((2, 65), dtype=np.float32))
+
     def test_conv_identity_kernel(self):
         w = np.zeros((1, 1, 3, 3), dtype=np.float64)
         w[0, 0, 1, 1] = 1.0

@@ -6,9 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from snnadv import attacks, numerics
 from snnadv.ann import AnnNet, Dense, build_mlp
-from snnadv.attention import TinyAttentionNet
+from snnadv.attention import TinyAttentionNet, ones_mask
 from snnadv.attacks import (AttackConfig, AttackReport, auto_saga, fgsm, loss_input_grad,
                             margin_loss, mim, pgd, project, run_attack, saga)
+from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import ConfigError
 
 
@@ -216,6 +217,34 @@ class TestSaga:
         cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=5)
         x_adv = saga([blob_net, other], [0.5, 0.5], x, y, cfg)
         assert np.max(np.abs(x_adv - x)) <= 0.1 + 1e-6
+
+
+class TestAllOnesMask:
+    """A model without a rollout mask enters the blends as alpha * grad,
+    byte for byte the all-ones-mask term alpha * ones_mask(x) * grad."""
+
+    @staticmethod
+    def reference(model, alpha, x, cache, grad):
+        rollout = getattr(model, "rollout_mask", None)
+        return alpha * (ones_mask(x) if rollout is None else rollout(x, cache)) * grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blends_equal_the_ones_mask_reference(self, monkeypatch, dtype):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0, 1, (6, 12)).astype(dtype)
+        y = rng.integers(0, 3, 6)
+        models = [build_snn_mlp([12, 8, 3], T=3, seed=2), build_mlp([12, 6, 3], seed=3)]
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=4)
+
+        def run():
+            blends = []  # every direction, before its sign is taken
+            monkeypatch.setattr(numerics, "sign", lambda a: blends.append(a.copy()) or np.sign(a))
+            return (saga(models, [0.3, 0.7], x, y, cfg), *auto_saga(models, x, y, cfg), *blends)
+
+        got = run()
+        monkeypatch.setattr(attacks, "_blend_term", self.reference)
+        for g, w in zip(got, run(), strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestOneForwardPerIteration:

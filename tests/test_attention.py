@@ -23,7 +23,7 @@ def full_token_forward(net, x):
     def ln(a, g, b, eps=1e-5):
         return (a - a.mean(-1, keepdims=True)) / np.sqrt(a.var(-1, keepdims=True) + eps) * g + b
 
-    imgs = net._shape_input(x)
+    imgs = numerics.as_batch(x, net.image_shape, net.wp.dtype)
     n, H, E = imgs.shape[0], net.n_heads, net.embed
     dh = E // H
 

@@ -16,7 +16,7 @@ from snnadv.data import (IMAGES_MAGIC, load_idx_images, load_idx_labels,
                          load_mnist_idx, save_idx_images, save_idx_labels, synth_blobs,
                          synth_digits)
 from snnadv.dynamics import NeuronConfig, SynapseConfig, build_snn_mlp
-from snnadv.errors import ConfigError, FormatError
+from snnadv.errors import ConfigError, DimensionError, FormatError
 from snnadv.surrogate import SurrogateSpec
 
 
@@ -218,6 +218,15 @@ class TestCheckpoint:
         path = save_with_descriptor(tmp_path, monkeypatch, build(), edit)
         with pytest.raises(FormatError, match=match):
             checkpoint.load_model(path)
+
+    @pytest.mark.parametrize("shape", [[8], [1, 9, 9], [64]])
+    def test_inconsistent_input_shape_is_dimension_error(self, tmp_path, monkeypatch, shape):
+        # a well-formed descriptor loads; the forward's input check rejects the shape
+        path = save_with_descriptor(tmp_path, monkeypatch, CHECKPOINT_BUILDS[1](),
+                                    lambda a: a.update(input_shape=shape))
+        loaded, _ = checkpoint.load_model(path)
+        with pytest.raises(DimensionError):
+            loaded.forward(np.zeros((2, 1, 8, 8), dtype=np.float32))
 
     def test_retired_surrogate_threshold_is_dropped(self, tmp_path, monkeypatch):
         # old SNN checkpoints carry the kernel centre that never moved the kernel
