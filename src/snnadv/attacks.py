@@ -5,6 +5,17 @@ per-model blend coefficients every iteration (Auto-SAGA).
 Every attack keeps its iterates inside the l-inf ball of radius eps_max
 around the clean input and inside the valid pixel range [0, 1]. Spiking
 models are differentiated through their configured surrogate kernel.
+
+Batch invariance: a sample's adversarial example (and, for Auto-SAGA, its
+coefficient path) does not depend on which other samples share its batch or
+in what order. The input gradients are seeded per sample (softmax - onehot,
+not divided by the batch size), and PGD's random start is keyed on the
+sample's dataset index (``index``), not on its position in the batch. This is
+what lets a transfer matrix attack the union of several evaluation sets once
+and read each set's rows out of the result. The floor is 16 rows: below it
+BLAS switches to other kernels, and the bytes of the gradients, so of the
+attack outputs, may differ from those of the same samples in a larger batch.
+Batches are never padded to reach it.
 """
 
 from __future__ import annotations
@@ -105,12 +116,44 @@ def project(x_adv: np.ndarray, x: np.ndarray, eps_max: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+def keyed_uniform(seed: int, index, row_size: int) -> np.ndarray:
+    """float32 draws in [-1, 1), shaped [len(index), row_size]. Entry (i, p) is
+    a pure function of (seed, index[i], p), so a sample draws the same row in
+    any batch.
+
+    Counter-based, in one vectorized pass: the injective key
+    ``index * row_size + p`` steps a 32-bit Weyl sequence offset by a hash of
+    the seed, the murmur3 finaliser mixes it, and its top 24 bits are the
+    draw."""
+    index = np.asarray(index)
+    if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+        raise ConfigError(f"sample indices must be a 1-d integer array, got {index.dtype} "
+                          f"{index.shape}")
+    if index.size and (index.min() < 0 or (int(index.max()) + 1) * row_size > 2**32):
+        raise ConfigError(f"sample indices must lie in [0, 2**32 / {row_size})")
+    offset = np.random.SeedSequence(seed).generate_state(1, np.uint32)[0]
+    h = index.astype(np.uint32)[:, None] * np.uint32(row_size) + np.arange(row_size,
+                                                                          dtype=np.uint32)
+    h *= np.uint32(0x9E3779B9)
+    h += offset
+    for shift, mult in ((16, 0x85EBCA6B), (13, 0xC2B2AE35)):
+        h ^= h >> np.uint32(shift)
+        h *= np.uint32(mult)
+    h ^= h >> np.uint32(16)
+    h >>= np.uint32(8)
+    u = h.astype(np.float32)
+    u *= np.float32(2.0 ** -23)
+    u -= np.float32(1.0)
+    return u
+
+
 def loss_input_grad(model, x: np.ndarray, labels: np.ndarray) -> tuple:
-    """Cross-entropy loss, its gradient w.r.t. the input (shaped like x), and
-    the forward cache the gradient came from. No parameter gradient is
-    computed."""
+    """Summed cross-entropy loss, its gradient w.r.t. the input (shaped like
+    x), and the forward cache the gradient came from. The gradient is seeded
+    per sample, so its rows do not depend on the rest of the batch. No
+    parameter gradient is computed."""
     logits, cache = model.forward_cached(x)
-    loss, dlogits = numerics.softmax_cross_entropy(logits, labels)
+    loss, dlogits = numerics.softmax_cross_entropy(logits, labels, mean=False)
     dinput = model.backward(cache, dlogits)
     return loss, dinput.reshape(np.asarray(x).shape), cache
 
@@ -181,15 +224,20 @@ def fgsm(model, x: np.ndarray, labels: np.ndarray, eps: float) -> np.ndarray:
 
 
 def pgd(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
-        trace: Optional[list] = None) -> np.ndarray:
-    """Random start inside the ball (seeded), then iterated signed steps,
-    each followed by projection."""
+        trace: Optional[list] = None, index: Optional[np.ndarray] = None) -> np.ndarray:
+    """Random start inside the ball, then iterated signed steps, each
+    followed by projection. The start of each sample is keyed on
+    (``cfg.seed``, its dataset index, pixel); ``index`` gives the samples'
+    dataset indices and defaults to their batch positions."""
     x = np.asarray(x)
     start = None
     if cfg.random_start:
-        rng = np.random.default_rng(cfg.seed)
-        start = project(x + rng.uniform(-cfg.eps_max, cfg.eps_max, size=x.shape).astype(x.dtype),
-                        x, cfg.eps_max)
+        index = np.arange(len(x)) if index is None else np.asarray(index)
+        if index.shape != x.shape[:1]:
+            raise ConfigError(f"{index.shape} sample indices for a batch of {len(x)}")
+        draw = keyed_uniform(cfg.seed, index, int(np.prod(x.shape[1:])))
+        noise = cfg.eps_max * draw.reshape(x.shape).astype(x.dtype, copy=False)
+        start = project(x + noise, x, cfg.eps_max)
     return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, _grad_rule(model, labels),
                     start, trace)
 
@@ -255,7 +303,9 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
     Per iteration: step the adversarial example along the coefficient-weighted
     masked-gradient blend, project, then walk each coefficient down the
     margin-loss slope (the sign is smoothed by u*sech^2(u*sum of gradients)
-    for the coefficient derivative). Coefficients are per sample, clamped
+    for the coefficient derivative). Both input gradients are seeded per
+    sample, so a sample's coefficient step does not scale with the batch
+    size. Coefficients are per sample, clamped
     non-negative and renormalized to sum one (unless normalize_alphas=False);
     fully collapsed rows reset to uniform.
 
@@ -287,7 +337,7 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
         blend = np.zeros_like(x)
         for mi, model in enumerate(models):
             logits, cache = model.forward_cached(x_adv)
-            _, ce_dlogits = numerics.softmax_cross_entropy(logits, labels)
+            _, ce_dlogits = numerics.softmax_cross_entropy(logits, labels, mean=False)
             grad = model.backward(cache, ce_dlogits).reshape(x.shape)
             _, f_dlogits = margin_loss(logits, labels, cfg.kappa)
             f_grad = model.backward(cache, f_dlogits).reshape(x.shape)
@@ -326,13 +376,15 @@ ATTACK_KINDS = ("fgsm", "pgd", "mim", "saga", "autosaga")
 
 
 def run_attack(kind: str, models: Sequence, x: np.ndarray, labels: np.ndarray,
-               cfg: AttackConfig) -> np.ndarray:
-    """Uniform dispatch used by the harness and the CLI."""
+               cfg: AttackConfig, index: Optional[np.ndarray] = None) -> np.ndarray:
+    """Uniform dispatch used by the harness and the CLI. ``index`` (the
+    samples' dataset indices) keys PGD's random start; the other attacks
+    draw nothing."""
     kind = kind.lower()
     if kind == "fgsm":
         return fgsm(models[0], x, labels, cfg.eps_max)
     if kind == "pgd":
-        return pgd(models[0], x, labels, cfg)
+        return pgd(models[0], x, labels, cfg, **({} if index is None else {"index": index}))
     if kind == "mim":
         return mim(models[0], x, labels, cfg)
     if kind == "saga":

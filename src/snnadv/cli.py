@@ -294,7 +294,8 @@ def cmd_attack(cfg: dict) -> int:
                               coeff_lr=cfg["r"], fit_u=cfg["u"], alphas=alphas,
                               random_start=cfg["random-start"], seed=cfg["seed"])
     evalset = harness.select_eval_set(models, test_x, test_y, cfg["n"], seed=cfg["seed"])
-    x_adv = run_attack(cfg["kind"], models, evalset.x, evalset.y, attack_cfg)
+    x_adv = run_attack(cfg["kind"], models, evalset.x, evalset.y, attack_cfg,
+                       index=evalset.indices)
     # fgsm takes one step; a zero budget takes none
     iterations = 0 if cfg["eps"] == 0.0 else 1 if cfg["kind"].lower() == "fgsm" else cfg["steps"]
     report = AttackReport.build(models, evalset.x, x_adv, evalset.y,

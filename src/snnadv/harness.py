@@ -47,8 +47,15 @@ def select_eval_set(models: Sequence, x: np.ndarray, y: np.ndarray, n: int, *,
     correctly. Fails loudly, naming the starved classes, when the data cannot
     supply the per-class quota."""
     y = np.asarray(y)
-    c = int(max(m.n_classes for m in models))
     correct = np.all([predict_batched(model, x) == y for model in models], axis=0)
+    return _draw_eval_set(correct, x, y, n, max(m.n_classes for m in models), seed)
+
+
+def _draw_eval_set(correct: np.ndarray, x: np.ndarray, y: np.ndarray, n: int,
+                   n_classes: int, seed: int) -> EvalSet:
+    """``select_eval_set`` from ``correct``, the mask of the samples that
+    every model under test classifies correctly."""
+    c = int(n_classes)
     base, extra = divmod(n, c)
     quotas = [base + (1 if cls < extra else 0) for cls in range(c)]
     rng = np.random.default_rng(seed)
@@ -103,27 +110,40 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
                     attack_names: Sequence[str] = ("fgsm", "pgd", "mim"),
                     seed: int = 0) -> TransferMatrix:
     """All-pairs transferability, one evaluation set per model pair, plus the
-    elementwise max across attacks."""
+    elementwise max across attacks.
+
+    Each generator is attacked once per attack kind, on the sorted union of
+    its pairs' evaluation sets, and each pair is scored on its own rows of
+    the result. The attacks are batch-invariant (see ``attacks``), so every
+    entry equals attacking that pair's set alone: M x A attack runs instead
+    of M^2 x A."""
     m = len(models)
     names = list(names)
+    y = np.asarray(y)
+    # one prediction pass per model; each pair's mask is the AND of two
+    correct = [predict_batched(model, x) == y for model in models]
     evalsets = {}
     for i in range(m):
         for j in range(m):
             key = frozenset((i, j))
             if key not in evalsets:
-                pair = [models[i]] if i == j else [models[i], models[j]]
-                evalsets[key] = select_eval_set(pair, x, y, n, seed=seed)
+                evalsets[key] = _draw_eval_set(
+                    correct[i] & correct[j], x, y, n,
+                    max(models[i].n_classes, models[j].n_classes), seed)
 
     per_attack = {}
     for attack_name in attack_names:
-        def attack_fn(model, xs, ys):
-            return attacks.run_attack(attack_name, [model], xs, ys, cfg)
-
         matrix = np.zeros((m, m))
         for i in range(m):
-            for j in range(m):
-                matrix[i, j] = transferability(models[i], models[j], attack_fn,
-                                               evalsets[frozenset((i, j))])
+            sets = [evalsets[frozenset((i, j))] for j in range(m)]
+            for j, evalset in enumerate(sets):
+                evalset.verify([models[i], models[j]])
+            union = np.unique(np.concatenate([evalset.indices for evalset in sets]))
+            x_adv = attacks.run_attack(attack_name, [models[i]], x[union], y[union], cfg,
+                                       index=union)
+            for j, evalset in enumerate(sets):
+                rows = np.searchsorted(union, evalset.indices)
+                matrix[i, j] = float(np.mean(models[j].predict(x_adv[rows]) != evalset.y))
         per_attack[attack_name] = matrix
     max_matrix = np.max(np.stack(list(per_attack.values())), axis=0)
     return TransferMatrix(names=names, n=n, per_attack=per_attack, max_matrix=max_matrix)
@@ -170,7 +190,8 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
             else:
                 step = min(cfg.eps_step, eps / 4.0)
                 cfg_eps = replace(cfg, eps_max=float(eps), eps_step=step)
-                x_adv = attacks.pgd(view, evalset.x, evalset.y, cfg_eps)
+                x_adv = attacks.pgd(view, evalset.x, evalset.y, cfg_eps,
+                                    index=evalset.indices)
             acc[si, ei] = float(np.mean(view.predict(x_adv) == evalset.y))
     return SweepGrid(kinds=[s.kind for s in specs], eps_values=list(eps_values),
                      robust_accuracy=acc, success_rate=1.0 - acc)
@@ -200,7 +221,8 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
             mims.append(joint_success(models, attacks.mim(model, evalset.x, evalset.y,
                                                           single_cfg), evalset.y))
             pgds.append(joint_success(models, attacks.pgd(model, evalset.x, evalset.y,
-                                                          single_cfg), evalset.y))
+                                                          single_cfg, index=evalset.indices),
+                                      evalset.y))
         evalset.verify(models)
         basic = joint_success(models, attacks.saga(models, [0.5, 0.5], evalset.x,
                                                    evalset.y, saga_cfg), evalset.y)

@@ -48,10 +48,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. the logits.
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
+                          mean: bool = True) -> tuple[float, np.ndarray]:
+    """Cross-entropy over the batch and its gradient w.r.t. the logits.
 
-    Returns ``(loss, dlogits)`` with ``dlogits = (softmax - onehot) / n``.
+    Returns ``(loss, dlogits)``: the mean loss with ``dlogits = (softmax -
+    onehot) / n`` (training), or with ``mean=False`` the summed loss with
+    ``dlogits = softmax - onehot``, a per-sample seed whose rows do not depend
+    on the rest of the batch (attacks).
     """
     logits = np.asarray(logits)
     labels = np.asarray(labels)
@@ -66,10 +70,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     logsumexp = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
     logp = z - logsumexp
     rows = np.arange(n)
-    loss = float(-np.mean(logp[rows, labels]))
+    picked = logp[rows, labels]
+    loss = float(-(np.mean(picked) if mean else np.sum(picked)))
     dlogits = np.exp(logp)
     dlogits[rows, labels] -= 1.0
-    dlogits /= n
+    if mean:
+        dlogits /= n
     require_finite(dlogits, "cross-entropy gradient")
     if not np.isfinite(loss):
         raise EvaluationError("non-finite cross-entropy loss")

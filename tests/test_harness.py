@@ -132,7 +132,7 @@ class TestTransferMatrix:
         tm = transfer_matrix([blob_net], ["net"], x, y, 20, cfg,
                              attack_names=("pgd",), seed=0)
         es = select_eval_set([blob_net], x, y, 20, seed=0)
-        x_adv = pgd(blob_net, es.x, es.y, cfg)
+        x_adv = pgd(blob_net, es.x, es.y, cfg, index=es.indices)
         want = float((blob_net.predict(x_adv) != es.y).mean())
         assert tm.per_attack["pgd"][0, 0] == pytest.approx(want)
         assert tm.max_matrix[0, 0] == pytest.approx(want)
@@ -188,7 +188,7 @@ class TestSurrogateSweep:
         original = bp_snn.surrogate
         seen = []
 
-        def pgd_failing_on_second_kernel(model, x, labels, cfg, trace=None):
+        def pgd_failing_on_second_kernel(model, x, labels, cfg, trace=None, index=None):
             seen.append((model.surrogate.kind, model.layers is bp_snn.layers))
             if len(seen) == 2:
                 raise RuntimeError("attack failed")

@@ -31,6 +31,20 @@ class TestSoftmaxCrossEntropy:
             lambda z: numerics.softmax_cross_entropy(z, labels)[0], logits, h=1e-6)
         assert numerics.max_rel_err(dlogits, fd) <= 1e-4
 
+    def test_summed_loss_seeds_each_row_alone(self):
+        rng = np.random.default_rng(5)
+        logits = rng.standard_normal((4, 5))
+        labels = np.array([1, 0, 4, 2])
+        loss, dlogits = numerics.softmax_cross_entropy(logits, labels, mean=False)
+        fd = numerics.finite_difference_grad(
+            lambda z: numerics.softmax_cross_entropy(z, labels, mean=False)[0], logits, h=1e-6)
+        assert numerics.max_rel_err(dlogits, fd) <= 1e-4
+        assert loss == pytest.approx(4 * numerics.softmax_cross_entropy(logits, labels)[0])
+        # a row's seed is the same bytes alone as inside the batch
+        for i in range(4):
+            alone = numerics.softmax_cross_entropy(logits[i:i + 1], labels[i:i + 1], mean=False)
+            assert np.array_equal(alone[1][0], dlogits[i])
+
     def test_label_out_of_range(self):
         with pytest.raises(IndexRangeError):
             numerics.softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
