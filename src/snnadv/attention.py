@@ -7,6 +7,15 @@ its query, attention, output projection and FFN on the class-token row
 alone, and its record holds only that query row. The rollout reads only the
 class-token row of its chain, which that record is enough to give.
 
+Each block projects Q, K and V with one GEMM by a [E, 3E] matrix built per
+call from ``wq / sqrt(dh)``, ``wk`` and ``wv`` (the last block fuses K and V
+and projects its query row apart). The softmax scale is folded into that
+query weight; with a power-of-two sqrt(dh) the fold is exact. The softmax
+overwrites the freshly made scores, and its backward overwrites the
+gradient of the attention weights; neither writes into the cache, so one
+cache serves any number of backwards. The parameters stay the separate
+``wq``/``wk``/``wv`` arrays that ``params`` names.
+
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
 the class-token row as per-patch saliency. The row is peak-normalized,
@@ -36,11 +45,9 @@ def rollout_matrix(records: list) -> np.ndarray:
     """
     if not records:
         raise DimensionError("need at least one recorded attention layer")
-    first = np.asarray(records[0])
-    tokens = first.shape[-1]
-    n = first.shape[0]
-    eye = np.eye(tokens, dtype=first.dtype)
-    result = np.broadcast_to(eye, (n, tokens, tokens)).copy()
+    tokens = np.shape(records[0])[-1]
+    eye = np.eye(tokens, dtype=np.asarray(records[0]).dtype)
+    result = None
     for i, rec in enumerate(records):
         rec = np.asarray(rec)
         rows = rec.shape[-2]
@@ -50,7 +57,8 @@ def rollout_matrix(records: list) -> np.ndarray:
             raise DimensionError(f"attention record {i} has {rows} query rows; only the "
                                  f"last may hold the class-token row alone")
         mixed = 0.5 * rec.mean(axis=1) + 0.5 * eye[:rows]
-        result = mixed @ result
+        # the chain starts at the first record: a product with the identity is exact
+        result = mixed if result is None else mixed @ result
     return result
 
 
@@ -98,22 +106,43 @@ def _row_mean(a):
 
 
 def layernorm_forward(x, gamma, beta, eps=1e-5):
+    """(y, (xhat, inv)): the squares' buffer becomes the output, and the
+    per-row scale is one reciprocal of the row's standard deviation."""
     xhat = x - _row_mean(x)
-    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
+    y = xhat * xhat
+    inv = _row_mean(y)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
     xhat *= inv
-    return xhat * gamma + beta, (xhat, inv)
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, (xhat, inv)
 
 
 def layernorm_backward(dy, cache, gamma, grads=None, prefix=""):
-    """dx. Given a ``grads`` dict, also writes the gain and shift gradients
-    into it as ``prefix + "g"`` and ``prefix + "b"``."""
+    """dx, built in place in a new buffer with one scratch of ``dy``'s shape.
+    Given a ``grads`` dict, also writes the gain and shift gradients into it
+    as ``prefix + "g"`` and ``prefix + "b"``."""
     xhat, inv = cache
+    scratch = np.empty_like(xhat)
     if grads is not None:
         axes = tuple(range(dy.ndim - 1))
-        grads[prefix + "g"] = (dy * xhat).sum(axis=axes)
+        grads[prefix + "g"] = np.multiply(dy, xhat, out=scratch).sum(axis=axes)
         grads[prefix + "b"] = dy.sum(axis=axes)
-    dxhat = dy * gamma
-    return inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+    dx = dy * gamma
+    np.multiply(dx, xhat, out=scratch)
+    np.multiply(xhat, _row_mean(scratch), out=scratch)
+    dx -= _row_mean(dx)
+    dx -= scratch
+    dx *= inv
+    return dx
+
+
+def _transposed(w):
+    """``w.T`` as a contiguous copy: numpy multiplies a stack of matrices by
+    it about twice as fast as by the strided view."""
+    return np.ascontiguousarray(w.T)
 
 
 class AttnBlock:
@@ -209,38 +238,47 @@ class TinyAttentionNet(Classifier):
     def forward_cached(self, x):
         imgs = numerics.as_batch(x, self.image_shape, self.wp.dtype)
         n = imgs.shape[0]
-        H, E = self.n_heads, self.embed
+        H, E, T = self.n_heads, self.embed, self.n_tokens
         dh = E // H
+        scale = np.sqrt(dh).astype(self.wp.dtype)
         patches = self._to_patches(imgs)
-        tok = patches @ self.wp + self.bp
-        t = np.concatenate([np.broadcast_to(self.cls, (n, 1, E)), tok], axis=1)
-        t = t + self.pos
+        t = np.empty((n, T, E), dtype=self.wp.dtype)
+        t[:, 0] = self.cls
+        np.matmul(patches, self.wp, out=t[:, 1:])
+        t[:, 1:] += self.bp
+        t += self.pos
         caches = []
         records = []
         for i, blk in enumerate(self.blocks):
-            # query rows: every token, or the class token alone in the last block
-            rows = slice(None) if i < len(self.blocks) - 1 else slice(0, 1)
-            tin = t
-            l1, ln1_cache = layernorm_forward(tin, blk.ln1_g, blk.ln1_b)
-            q = l1[:, rows] @ blk.wq
-            k = l1 @ blk.wk
-            v = l1 @ blk.wv
-            qh = q.reshape(n, -1, H, dh).transpose(0, 2, 1, 3)
-            kh = k.reshape(n, -1, H, dh).transpose(0, 2, 1, 3)
-            vh = v.reshape(n, -1, H, dh).transpose(0, 2, 1, 3)
-            scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh).astype(tin.dtype)
-            att = numerics.softmax(scores)
+            l1, ln1_cache = layernorm_forward(t, blk.ln1_g, blk.ln1_b)
+            # Q, K and V from one GEMM, the softmax scale folded into wq; the
+            # last block projects its class-token query row apart
+            wq = blk.wq / scale
+            if i < len(self.blocks) - 1:
+                w_qkv = np.concatenate([wq, blk.wk, blk.wv], axis=1)
+                qkv = (l1 @ w_qkv).reshape(n, T, 3, H, dh)
+                q = qkv[:, :, 0]
+            else:
+                w_qkv = np.concatenate([blk.wk, blk.wv], axis=1)
+                qkv = (l1 @ w_qkv).reshape(n, T, 2, H, dh)
+                q = (l1[:, :1] @ wq).reshape(n, 1, H, dh)
+            rows = q.shape[1]
+            scores = q.transpose(0, 2, 1, 3) @ qkv[:, :, -2].transpose(0, 2, 3, 1)
+            att = numerics.softmax(scores, out=scores)
             records.append(att)
-            ctx = att @ vh
-            ctxm = ctx.transpose(0, 2, 1, 3).reshape(n, -1, E)
-            y = tin[:, rows] + ctxm @ blk.wo
+            ctxm = np.empty((n, rows, E), dtype=t.dtype)
+            np.matmul(att, qkv[:, :, -1].transpose(0, 2, 1, 3),
+                      out=ctxm.reshape(n, rows, H, dh).transpose(0, 2, 1, 3))
+            y = ctxm @ blk.wo
+            y += t[:, :rows]
             l2, ln2_cache = layernorm_forward(y, blk.ln2_g, blk.ln2_b)
-            h1 = l2 @ blk.w1 + blk.b1
-            relu_mask = h1 > 0
-            r = h1 * relu_mask
-            t = y + r @ blk.w2 + blk.b2
-            caches.append((rows, l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache,
-                           relu_mask, r))
+            r = l2 @ blk.w1
+            r += blk.b1
+            np.maximum(r, 0, out=r)
+            t = r @ blk.w2
+            t += y
+            t += blk.b2
+            caches.append((l1, ln1_cache, w_qkv, wq, qkv, q, att, ctxm, l2, ln2_cache, r))
         feat, lnf_cache = layernorm_forward(t[:, 0], self.lnf_g, self.lnf_b)
         logits = feat @ self.wc + self.bc
         numerics.require_finite(logits, "network logits")
@@ -251,12 +289,14 @@ class TinyAttentionNet(Classifier):
 
         Given a ``grads`` dict (training), it also writes all parameter
         gradients into it under the names ``params`` gives; without one
-        (attacks) none are computed.
+        (attacks) none are computed. The cache is only read, so one cache
+        serves any number of backwards.
         """
         imgs, patches, caches, feat, lnf_cache, _ = cache
         n = imgs.shape[0]
         H, E = self.n_heads, self.embed
         dh = E // H
+        scale = np.sqrt(dh).astype(self.wp.dtype)
         dlogits = np.asarray(dlogits, dtype=self.wp.dtype)
         dfeat = dlogits @ self.wc.T
         dcls_tok = layernorm_backward(dfeat, lnf_cache, self.lnf_g, grads, "lnf_")
@@ -268,29 +308,33 @@ class TinyAttentionNet(Classifier):
         dt = dcls_tok[:, None, :]
         for i in reversed(range(len(self.blocks))):
             blk, pre = self.blocks[i], f"block{i}."
-            rows, l1, ln1_cache, qh, kh, vh, att, ctxm, l2, ln2_cache, relu_mask, r = caches[i]
+            l1, ln1_cache, w_qkv, wq, qkv, q, att, ctxm, l2, ln2_cache, r = caches[i]
+            rows = q.shape[1]
+            fused_q = qkv.shape[2] == 3
             # FFN branch: t = y + relu(LN2(y) w1 + b1) w2 + b2
             dz = dt
-            dr = dz @ blk.w2.T
-            dh1 = dr * relu_mask
-            dl2 = dh1 @ blk.w1.T
-            dy_ffn = layernorm_backward(dl2, ln2_cache, blk.ln2_g, grads, pre + "ln2_")
-            dy = dz + dy_ffn
-            # attention branch: y = tin + (att @ vh merged) wo with q,k,v from LN1(tin)
-            dctxm = dy @ blk.wo.T
-            dctx = dctxm.reshape(n, -1, H, dh).transpose(0, 2, 1, 3)
-            datt = dctx @ vh.transpose(0, 1, 3, 2)
-            dvh = att.transpose(0, 1, 3, 2) @ dctx
-            dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-            scale = np.sqrt(dh).astype(l1.dtype)
-            dqh = dscores @ kh / scale
-            dkh = dscores.transpose(0, 1, 3, 2) @ qh / scale
-            dq = dqh.transpose(0, 2, 1, 3).reshape(n, -1, E)
-            dk = dkh.transpose(0, 2, 1, 3).reshape(n, -1, E)
-            dv = dvh.transpose(0, 2, 1, 3).reshape(n, -1, E)
-            dl1 = dk @ blk.wk.T
-            dl1[:, rows] += dq @ blk.wq.T
-            dl1 += dv @ blk.wv.T
+            dh1 = dz @ _transposed(blk.w2)
+            dh1 *= r > 0
+            dl2 = dh1 @ _transposed(blk.w1)
+            dy = layernorm_backward(dl2, ln2_cache, blk.ln2_g, grads, pre + "ln2_")
+            dy += dz
+            # attention branch: y = tin + (att @ vh merged) wo with q, k, v from
+            # LN1(tin); dQ, dK and dV land in one buffer laid out like qkv
+            dctx = (dy @ _transposed(blk.wo)).reshape(n, rows, H, dh).transpose(0, 2, 1, 3)
+            datt = dctx @ qkv[:, :, -1].transpose(0, 2, 3, 1)
+            dqkv = np.empty_like(qkv)
+            dq = dqkv[:, :, 0] if fused_q else np.empty_like(q)
+            np.matmul(att.transpose(0, 1, 3, 2), dctx,
+                      out=dqkv[:, :, -1].transpose(0, 2, 1, 3))
+            # softmax backward, in place: datt becomes att * (datt - <datt, att>)
+            datt -= np.einsum("...j,...j->...", datt, att)[..., None]
+            datt *= att
+            np.matmul(datt, qkv[:, :, -2].transpose(0, 2, 1, 3), out=dq.transpose(0, 2, 1, 3))
+            np.matmul(datt.transpose(0, 1, 3, 2), q.transpose(0, 2, 1, 3),
+                      out=dqkv[:, :, -2].transpose(0, 2, 1, 3))
+            dl1 = dqkv.reshape(n, -1, w_qkv.shape[1]) @ _transposed(w_qkv)
+            if not fused_q:
+                dl1[:, :rows] += dq.reshape(n, rows, E) @ _transposed(wq)
             dtin_att = layernorm_backward(dl1, ln1_cache, blk.ln1_g, grads, pre + "ln1_")
             if grads is not None:
                 grads[pre + "w2"] = r.reshape(-1, r.shape[-1]).T @ dz.reshape(-1, E)
@@ -298,19 +342,21 @@ class TinyAttentionNet(Classifier):
                 grads[pre + "w1"] = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
                 grads[pre + "b1"] = dh1.sum(axis=(0, 1))
                 grads[pre + "wo"] = ctxm.reshape(-1, E).T @ dy.reshape(-1, E)
-                l1_flat = l1.reshape(-1, E)
-                grads[pre + "wq"] = l1[:, rows].reshape(-1, E).T @ dq.reshape(-1, E)
-                grads[pre + "wk"] = l1_flat.T @ dk.reshape(-1, E)
-                grads[pre + "wv"] = l1_flat.T @ dv.reshape(-1, E)
+                # column blocks of one product; wq's carries the folded scale
+                dw = l1.reshape(-1, E).T @ dqkv.reshape(-1, w_qkv.shape[1])
+                dwq = dw[:, :E] if fused_q else l1[:, :rows].reshape(-1, E).T @ dq.reshape(-1, E)
+                grads[pre + "wq"] = dwq / scale
+                grads[pre + "wk"] = dw[:, -2 * E:-E]
+                grads[pre + "wv"] = dw[:, -E:]
             dt = dtin_att
-            dt[:, rows] += dy
+            dt[:, :rows] += dy
         dtok = dt[:, 1:]
         if grads is not None:
             grads["pos"] = dt.sum(axis=0)
             grads["cls"] = dt[:, 0].sum(axis=0)
             grads["wp"] = patches.reshape(-1, patches.shape[-1]).T @ dtok.reshape(-1, E)
             grads["bp"] = dtok.sum(axis=(0, 1))
-        dpat = dtok @ self.wp.T
+        dpat = dtok @ _transposed(self.wp)
         dx = self._from_patches(dpat, n)
         numerics.require_finite(dx, "input gradient")
         return dx.reshape(n, -1)

@@ -40,9 +40,10 @@ def sign(a):
     return np.sign(np.asarray(a))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
-    e = logits - np.max(logits, axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, stabilized by max subtraction. ``out`` may be
+    ``logits`` itself, which the softmax then overwrites."""
+    e = np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e

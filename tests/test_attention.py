@@ -115,6 +115,62 @@ class TestForward:
         assert numerics.max_rel_err(dinput, fd) <= 1e-5
 
 
+def cache_arrays(cache):
+    """Every array a forward cache holds, depth first."""
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (tuple, list)):
+        for item in cache:
+            yield from cache_arrays(item)
+
+
+class TestCacheIsReadOnly:
+    """The backward only reads the forward's cache: Auto-SAGA runs two
+    backwards on one cache, and SAGA reads the rollout records after the
+    backward. Each forward writes into buffers of its own."""
+
+    @staticmethod
+    def case(dtype):
+        # two blocks: the first runs the fused Q/K/V, the last its class-token query
+        net = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
+                               n_heads=2, n_classes=3, ffn_hidden=12, seed=6, dtype=dtype)
+        rng = np.random.default_rng(16)
+        x = rng.uniform(0, 1, (5, 64)).astype(dtype)
+        return net, x, rng.normal(size=(5, 3)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_backward_leaves_the_cache_unchanged(self, dtype, training):
+        net, x, dlogits = self.case(dtype)
+        _, cache = net.forward_cached(x)
+        before = [a.tobytes() for a in cache_arrays(cache)]
+        mask = net.rollout_mask(x, cache)
+        grads_a, grads_b = ({}, {}) if training else (None, None)
+        first = net.backward(cache, dlogits, grads_a)
+        assert [a.tobytes() for a in cache_arrays(cache)] == before
+        assert net.rollout_mask(x, cache).tobytes() == mask.tobytes()
+        second = net.backward(cache, dlogits, grads_b)
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
+        if training:
+            assert sorted(grads_a) == sorted(grads_b)
+            for name in grads_a:
+                assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_forwards_share_no_buffer(self, dtype):
+        net, x, _ = self.case(dtype)
+        la, ca = net.forward_cached(x)
+        lb, cb = net.forward_cached(x)
+        assert la.tobytes() == lb.tobytes() and not np.shares_memory(la, lb)
+        # the cache's first array is the caller's input, shaped, by design
+        arrays_a, arrays_b = list(cache_arrays(ca))[1:], list(cache_arrays(cb))[1:]
+        assert len(arrays_a) == len(arrays_b) > 0
+        for a, b in zip(arrays_a, arrays_b):
+            assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(a, b)
+
+
 class TestRollout:
     def test_identity_attention_falls_back_to_uniform(self):
         # identity attention puts no class-token mass on patches: the mask
@@ -173,6 +229,18 @@ class TestRollout:
         got = attention_rollout(records, x)
         want = attention_rollout(full, x)
         assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    def test_chain_equals_the_product_from_the_identity(self):
+        # the chain starts at the first record; starting at the identity
+        # multiplies by it exactly, so both give the same bytes
+        rng = np.random.default_rng(17)
+        recs = [random_stochastic(rng, 4, 2, 6) for _ in range(2)]
+        recs.append(random_stochastic(rng, 4, 2, 6, rows=1))
+        eye = np.eye(6)
+        want = np.broadcast_to(eye, (4, 6, 6)).copy()
+        for rec in recs:
+            want = (0.5 * rec.mean(axis=1) + 0.5 * eye[:rec.shape[-2]]) @ want
+        assert rollout_matrix(recs).tobytes() == want.tobytes()
 
     def test_class_row_record_must_come_last(self):
         rng = np.random.default_rng(15)

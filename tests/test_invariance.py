@@ -1,17 +1,23 @@
-"""Batch invariance of the attacks, the keyed random start, and the M x A
-transfer matrix that rests on them.
+"""Batch and thread-count invariance of the attacks, the keyed random start,
+and the M x A transfer matrix that rests on them.
 
 A sample's adversarial example, and its Auto-SAGA coefficient path, must not
-depend on which samples share its batch or in what order. The floor is 16
-rows: below it BLAS picks other kernels and the bytes may differ, so every
-batch here keeps at least 16 rows.
+depend on which samples share its batch or in what order, nor on how many
+BLAS threads compute it. The floor is 16 rows: below it BLAS picks other
+kernels and the bytes may differ, so every batch here keeps at least 16 rows.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snnadv
 from snnadv import attacks, harness
 from snnadv.ann import build_mlp
 from snnadv.attacks import AttackConfig, keyed_uniform, pgd
@@ -221,3 +227,57 @@ class TestMatrixMatchesPerPairReference:
             sets = [select_eval_set([gen] if i == j else [gen, target], x, y, 16, seed=0)
                     for j, target in enumerate(models)]
             assert np.array_equal(unions[i], np.unique(np.concatenate([s.indices for s in sets])))
+
+
+# one line per net: its name, the sha256 of its input gradient and of a 3-step
+# PGD on seeded, untrained nets, and the share of non-zero gradient entries
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from snnadv import attacks
+from snnadv.ann import build_mlp
+from snnadv.attention import TinyAttentionNet
+from snnadv.dynamics import build_snn_mlp
+rng = np.random.default_rng(5)
+x = rng.uniform(0, 1, (40, 784)).astype(np.float32)
+y = rng.integers(0, 10, 40)
+cfg = attacks.AttackConfig(eps_max=0.031, eps_step=0.01, n_iter=3, seed=11)
+nets = {"attention": TinyAttentionNet(seed=1), "snn": build_snn_mlp([784, 128, 10], seed=2),
+        "mlp": build_mlp([784, 128, 10], seed=3)}
+for name, net in nets.items():
+    grad = attacks.loss_input_grad(net, x, y)[1]
+    adv = attacks.pgd(net, x, y, cfg)
+    digest = hashlib.sha256(grad.tobytes() + adv.tobytes()).hexdigest()
+    print(name, digest, np.count_nonzero(grad) / grad.size)
+"""
+
+
+@pytest.fixture(scope="module")
+def thread_runs():
+    """name -> [(digest, nonzero share) with 1 BLAS thread, the same with 2]."""
+    src = str(Path(snnadv.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        for line in out.stdout.splitlines():
+            name, digest, share = line.split()
+            runs.setdefault(name, []).append((digest, float(share)))
+    return runs
+
+
+# OpenBLAS blocks the reduction axis of a threaded GEMM differently from a
+# single-threaded one for some K above 512, so the 784-wide input layers of
+# the SNN and the MLP give other bytes with 2 threads
+K_SPLIT = pytest.mark.xfail(strict=True, reason="the 784-wide input GEMM's bytes "
+                            "depend on the BLAS thread count")
+
+
+@pytest.mark.parametrize("name", ["attention", pytest.param("snn", marks=K_SPLIT),
+                                  pytest.param("mlp", marks=K_SPLIT)])
+def test_one_and_two_blas_threads_give_the_same_bytes(thread_runs, name):
+    one, two = thread_runs[name]
+    assert one[1] > 0.1  # the gradient carries bytes worth comparing
+    assert one == two
