@@ -1,5 +1,12 @@
 """Conventional differentiable classifiers: dense / conv / ReLU stacks with
-hand-written backward passes, checked against the finite-difference oracle."""
+hand-written backward passes, checked against the finite-difference oracle.
+
+A layer is ``forward(x)``, which returns ``(out, cache)``; ``backward(dout,
+cache, grads=None, prefix="")``, which returns the input gradient and, given
+a ``grads`` dict, writes its parameter gradients there under ``prefix`` plus
+their ``params`` names; and ``params()``, its (name, array) pairs. Models
+cast with ``Classifier.astype``; ``checkpoint`` owns each layer type's format.
+"""
 
 from __future__ import annotations
 
@@ -13,13 +20,18 @@ from .errors import ConfigError, DimensionError
 
 
 class Classifier:
-    """``forward`` and ``predict``, which every model builds on its own ``forward_cached``."""
+    """``forward`` and ``predict``, which every model builds on its own
+    ``forward_cached``, and ``astype``, which it builds on its ``params``."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x), axis=1)
+
+    def astype(self, dtype):
+        """A deep copy whose ``params()`` arrays are cast to ``dtype``."""
+        return copy.deepcopy(self, {id(p): p.astype(dtype) for _, p in self.params()})
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
@@ -29,8 +41,6 @@ def kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) 
 
 
 class Dense:
-    type_name = "dense"
-
     def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None):
         self.w = np.asarray(w)
         if self.w.ndim != 2:
@@ -62,31 +72,15 @@ class Dense:
     def params(self):
         return [("w", self.w), ("b", self.b)]
 
-    def astype(self, dtype):
-        other = copy.copy(self)
-        other.w, other.b = self.w.astype(dtype), self.b.astype(dtype)
-        return other
-
-    def descriptor(self):
-        return {"type": self.type_name, "in": int(self.w.shape[0]), "out": int(self.w.shape[1])}
-
 
 class _ParamFree:
-    """Layer without parameters: nothing to train, cast or describe."""
+    """Layer without parameters: nothing to train."""
 
     def params(self):
         return []
 
-    def astype(self, dtype):
-        return self
-
-    def descriptor(self):
-        return {"type": self.type_name}
-
 
 class ReLU(_ParamFree):
-    type_name = "relu"
-
     def forward(self, x):
         return np.maximum(x, 0.0), x > 0
 
@@ -96,8 +90,6 @@ class ReLU(_ParamFree):
 
 class Conv2d:
     """2-d convolution, stride 1, via im2col. Inputs are [n, c, h, w]."""
-
-    type_name = "conv2d"
 
     def __init__(self, w: np.ndarray, b: Optional[np.ndarray] = None, pad: int = 1):
         self.w = np.asarray(w)  # [out_c, in_c, kh, kw]
@@ -150,19 +142,9 @@ class Conv2d:
     def params(self):
         return [("w", self.w), ("b", self.b)]
 
-    def astype(self, dtype):
-        return Conv2d(self.w.astype(dtype), self.b.astype(dtype), pad=self.pad)
-
-    def descriptor(self):
-        oc, ic, kh, kw = (int(d) for d in self.w.shape)
-        return {"type": self.type_name, "out_c": oc, "in_c": ic, "kh": kh, "kw": kw,
-                "pad": int(self.pad)}
-
 
 class AvgPool2d(_ParamFree):
     """2x2 average pooling, stride 2; spatial extents must be even."""
-
-    type_name = "avgpool2"
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -175,8 +157,6 @@ class AvgPool2d(_ParamFree):
 
 
 class Flatten(_ParamFree):
-    type_name = "flatten"
-
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
@@ -230,9 +210,6 @@ class AnnNet(Classifier):
     def params(self):
         return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
                 for name, p in layer.params()]
-
-    def astype(self, dtype):
-        return AnnNet([l.astype(dtype) for l in self.layers], input_shape=self.input_shape)
 
 
 def build_mlp(dims: list, seed: int = 0, dtype=numerics.DEFAULT_DTYPE) -> AnnNet:

@@ -375,10 +375,3 @@ class TinyAttentionNet(Classifier):
         the shaped images and the attention records it carries.
         """
         return attention_rollout(cache[-1], cache[0]).reshape(np.shape(x))
-
-    def astype(self, dtype):
-        other = TinyAttentionNet(self.image_shape, self.patch, self.embed, self.n_layers,
-                                 self.n_heads, self.n_classes, self.ffn_hidden, dtype=dtype)
-        for (_, dst), (_, src) in zip(other.params(), self.params()):
-            dst[...] = src.astype(dtype)
-        return other

@@ -3,7 +3,11 @@
 Layout, all integers little-endian: 4-byte magic, u32 format version, model
 kind tag, architecture descriptor (JSON), configuration echo (JSON), u64
 training seed, then named tensors (dims as u32 counts, data as little-endian
-float32/float64). Loading a saved model reproduces bit-identical weights.
+float32/float64, one of the two for every tensor of a model). Loading a
+saved model reproduces bit-identical weights.
+
+This module alone owns the architecture descriptor: ``_ANN_LAYERS`` is the
+one table of ANN layer types, read by both ``describe`` and ``_rebuild``.
 """
 
 from __future__ import annotations
@@ -45,18 +49,16 @@ _ARCH = {
     "attention": {"image_shape": [_POS], **dict.fromkeys(
         ("patch", "embed", "n_layers", "n_heads", "n_classes", "ffn_hidden"), _POS)},
 }
-# ANN layer type -> the int fields of its descriptor with their ranges, and
-# its builder from them
+# ANN layer type -> its class, the descriptor fields that name the weight
+# shape's axes, and its other int constructor arguments with their ranges.
 _ANN_LAYERS = {
-    "dense": ({"in": _POS, "out": _POS},
-              lambda d, dtype: Dense(np.zeros((d["in"], d["out"]), dtype=dtype))),
-    "relu": ({}, lambda d, dtype: ReLU()),
-    "flatten": ({}, lambda d, dtype: Flatten()),
-    "avgpool2": ({}, lambda d, dtype: AvgPool2d()),
-    "conv2d": ({**dict.fromkeys(("out_c", "in_c", "kh", "kw"), _POS), "pad": range(2**63)},
-               lambda d, dtype: Conv2d(np.zeros((d["out_c"], d["in_c"], d["kh"], d["kw"]),
-                                                dtype=dtype), pad=d["pad"])),
+    "dense": (Dense, ("in", "out"), {}),
+    "conv2d": (Conv2d, ("out_c", "in_c", "kh", "kw"), {"pad": range(2**63)}),
+    "relu": (ReLU, (), {}),
+    "flatten": (Flatten, (), {}),
+    "avgpool2": (AvgPool2d, (), {}),
 }
+_ANN_TYPE_NAMES = {cls: name for name, (cls, _, _) in _ANN_LAYERS.items()}
 
 
 def _write_str(fh, text: str, width: str = "<H") -> None:
@@ -108,24 +110,39 @@ def _check(value, typ, where: str) -> None:
         raise FormatError(f"checkpoint {where} has the wrong type: {value!r}")
 
 
+def _describe_ann_layer(layer) -> dict:
+    name = _ANN_TYPE_NAMES.get(type(layer))
+    if name is None:
+        raise FormatError(f"cannot checkpoint ann layer type {type(layer).__name__}")
+    _, axes, ints = _ANN_LAYERS[name]
+    shape = layer.w.shape if axes else ()
+    return {"type": name, **{axis: int(d) for axis, d in zip(axes, shape)},
+            **{key: int(getattr(layer, key)) for key in ints}}
+
+
+def _rebuild_ann_layer(spec: dict, where: str, dtype: np.dtype):
+    if not isinstance(spec.get("type"), str) or spec["type"] not in _ANN_LAYERS:
+        raise FormatError(f"checkpoint {where}.type is not an ann layer type: "
+                          f"{spec.get('type')!r}")
+    cls, axes, ints = _ANN_LAYERS[spec["type"]]
+    _check(spec, {"type": str, **dict.fromkeys(axes, _POS), **ints}, where)
+    weights = (np.zeros([spec[axis] for axis in axes], dtype=dtype),) if axes else ()
+    return cls(*weights, **{key: spec[key] for key in ints})
+
+
 def describe(model) -> dict:
     if isinstance(model, SpikingNet):
         return {
             "T": model.T, "readout": model.readout, "encoding": "direct",
             "detach_reset": model.detach_reset,
             "surrogate": asdict(model.surrogate),
-            "layers": [{
-                "in": layer.in_width, "out": layer.out_width,
-                "neuron": {"leak": layer.neuron.leak, "threshold": layer.neuron.threshold,
-                           "reset": layer.neuron.reset,
-                           "adapt_decay": layer.neuron.adapt_decay},
-                "synapse": {"alphas": list(layer.synapse.alphas),
-                            "betas": list(layer.synapse.betas)},
-            } for layer in model.layers],
+            "layers": [{"in": layer.in_width, "out": layer.out_width,
+                        "neuron": asdict(layer.neuron), "synapse": asdict(layer.synapse)}
+                       for layer in model.layers],
         }
     if isinstance(model, AnnNet):
         return {"input_shape": list(model.input_shape) if model.input_shape else None,
-                "layers": [layer.descriptor() for layer in model.layers]}
+                "layers": [_describe_ann_layer(layer) for layer in model.layers]}
     if isinstance(model, TinyAttentionNet):
         return {"image_shape": list(model.image_shape), "patch": model.patch,
                 "embed": model.embed, "n_layers": model.n_layers, "n_heads": model.n_heads,
@@ -152,14 +169,8 @@ def _rebuild(kind: str, arch: dict, dtype: np.dtype):
     if kind == "ann":
         if arch["input_shape"] is not None:
             _check(arch["input_shape"], [_POS], "architecture.input_shape")
-        layers = []
-        for i, spec in enumerate(arch["layers"]):
-            if not isinstance(spec.get("type"), str) or spec["type"] not in _ANN_LAYERS:
-                raise FormatError(f"checkpoint architecture.layers[{i}].type is not an ann "
-                                  f"layer type: {spec.get('type')!r}")
-            fields, build = _ANN_LAYERS[spec["type"]]
-            _check(spec, {"type": str, **fields}, f"architecture.layers[{i}]")
-            layers.append(build(spec, dtype))
+        layers = [_rebuild_ann_layer(spec, f"architecture.layers[{i}]", dtype)
+                  for i, spec in enumerate(arch["layers"])]
         shape = tuple(arch["input_shape"]) if arch["input_shape"] else None
         return AnnNet(layers, input_shape=shape)
     if len(arch["image_shape"]) not in (2, 3):
@@ -168,21 +179,36 @@ def _rebuild(kind: str, arch: dict, dtype: np.dtype):
     return TinyAttentionNet(**{**arch, "image_shape": tuple(arch["image_shape"])}, dtype=dtype)
 
 
+def _one_dtype(tensors) -> np.dtype:
+    """The dtype of every (name, array) pair, float32 or float64 (float32 for
+    none); FormatError for any other dtype or for a mix."""
+    for name, arr in tensors:
+        if arr.dtype not in _DTYPE_TAGS:
+            raise FormatError(f"unsupported tensor dtype {arr.dtype} for {name}")
+    dtypes = {arr.dtype for _, arr in tensors}
+    if len(dtypes) > 1:
+        raise FormatError(f"model mixes tensor dtypes {sorted(map(str, dtypes))}")
+    return dtypes.pop() if dtypes else np.dtype(np.float32)
+
+
 def save_model(path, model, seed: int = 0, config_echo: dict | None = None) -> Path:
+    """Write ``model`` to ``path``. Everything that can refuse the model runs
+    before the file is opened, so a refused model leaves no file behind."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tensors = [(name, np.ascontiguousarray(p)) for name, p in model.params()]
+    _one_dtype(tensors)
+    arch = json.dumps(describe(model), sort_keys=True)
+    echo = json.dumps(config_echo or {}, sort_keys=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         _write_str(fh, model.kind)
-        _write_str(fh, json.dumps(describe(model), sort_keys=True), "<I")
-        _write_str(fh, json.dumps(config_echo or {}, sort_keys=True), "<I")
+        _write_str(fh, arch, "<I")
+        _write_str(fh, echo, "<I")
         fh.write(struct.pack("<Q", seed))
         fh.write(struct.pack("<I", len(tensors)))
         for name, arr in tensors:
-            if arr.dtype not in _DTYPE_TAGS:
-                raise FormatError(f"unsupported tensor dtype {arr.dtype} for {name}")
             _write_str(fh, name)
             fh.write(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
             fh.write(struct.pack("<I", arr.ndim))
@@ -222,10 +248,7 @@ def load_model(path):
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after checkpoint payload")
-    dtypes = {arr.dtype for arr in tensors.values()}
-    if len(dtypes) > 1:
-        raise FormatError(f"checkpoint mixes tensor dtypes {sorted(map(str, dtypes))}")
-    model = _rebuild(kind, arch, dtypes.pop() if dtypes else np.dtype(np.float32))
+    model = _rebuild(kind, arch, _one_dtype(tensors.items()))
     params = dict(model.params())
     if set(params) != set(tensors):
         raise FormatError("checkpoint tensors do not match the architecture descriptor")

@@ -168,13 +168,15 @@ def image_dataset(n_train: int, n_test: int, seed: int = 0
         train_x, train_y = load_mnist_idx(mnist_dir / "train-images-idx3-ubyte",
                                           mnist_dir / "train-labels-idx1-ubyte")
         test_images = mnist_dir / "t10k-images-idx3-ubyte"
+        pool = len(train_y)  # the training draw reads rows [0, pool)
         if test_images.exists():
             test_x, test_y = load_mnist_idx(test_images,
                                             mnist_dir / "t10k-labels-idx1-ubyte")
-        else:
-            test_x, test_y = train_x[-n_test:], train_y[-n_test:]
+        else:  # the last n_test rows are the test set, held out of the training draw
+            pool = max(pool - n_test, 0)
+            test_x, test_y = train_x[pool:], train_y[pool:]
         rng = np.random.default_rng(seed)
-        tr = rng.choice(len(train_y), size=min(n_train, len(train_y)), replace=False)
+        tr = rng.choice(pool, size=min(n_train, pool), replace=False)
         te = rng.choice(len(test_y), size=min(n_test, len(test_y)), replace=False)
         return train_x[tr], train_y[tr], test_x[te], test_y[te], "mnist"
     x, y = synth_digits(n_train + n_test, seed=seed)

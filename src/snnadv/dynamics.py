@@ -219,11 +219,6 @@ class SpikingNet(Classifier):
         return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
                 for name, p in layer.params()]
 
-    def astype(self, dtype) -> "SpikingNet":
-        layers = [l.astype(dtype) for l in self.layers]
-        return SpikingNet(layers, T=self.T, surrogate=self.surrogate, readout=self.readout,
-                          detach_reset=self.detach_reset, relaxed=self.relaxed)
-
     def _fingerprint(self) -> tuple:
         return (self.T, len(self.layers), self.readout, self.relaxed,
                 tuple((l.in_width, l.out_width) for l in self.layers))

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import numerics
 from .dynamics import SpikingNet
-from .errors import EvaluationError, TrainingError
+from .errors import ConfigError, EvaluationError, TrainingError
 from .surrogate import SurrogateSpec
 
 EVAL_BATCH = 256  # rows per predict call in predict_batched
@@ -111,6 +111,8 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
     Spiking models require a surrogate spec; it is installed on the model
     and stays there after training.
     """
+    if batch_size < 1 or epochs < 0:
+        raise ConfigError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if isinstance(model, SpikingNet):
         if spec is None:
             raise TrainingError("spiking models need a surrogate spec for training")

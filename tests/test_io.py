@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shlex
 import struct
@@ -8,14 +9,14 @@ import numpy as np
 import pytest
 
 from snnadv import checkpoint
-from snnadv.ann import build_cnn, build_mlp
+from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_mlp, kaiming_uniform
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
 from snnadv.config import parse_config_file, resolve_config, write_config_echo
-from snnadv.data import (IMAGES_MAGIC, load_idx_images, load_idx_labels,
-                         load_mnist_idx, save_idx_images, save_idx_labels, synth_blobs,
-                         synth_digits)
-from snnadv.dynamics import NeuronConfig, SynapseConfig, build_snn_mlp
+from snnadv.data import (IMAGES_MAGIC, MNIST_ENV_VAR, image_dataset, load_idx_images,
+                         load_idx_labels, load_mnist_idx, save_idx_images, save_idx_labels,
+                         synth_blobs, synth_digits)
+from snnadv.dynamics import NeuronConfig, SpikingLayer, SynapseConfig, build_snn_mlp
 from snnadv.errors import ConfigError, DimensionError, FormatError
 from snnadv.surrogate import SurrogateSpec
 
@@ -65,6 +66,20 @@ class TestIdxFormat:
         x = load_idx_images(path)
         assert x[0, 0, 0] == 1.0 and x[0, 1, 1] == 0.0
 
+    @pytest.mark.parametrize("n_train", [100, 500])
+    def test_train_files_alone_hold_the_test_rows_out(self, tmp_path, monkeypatch, n_train):
+        # without t10k files the last n_test rows are the test set; no training row may be one
+        rows = np.zeros((120, 4, 4), dtype=np.uint8)
+        rows[:, 0, 0], rows[:, 0, 1] = np.arange(120), 255  # every row unique
+        save_idx_images(tmp_path / "train-images-idx3-ubyte", rows)
+        save_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.arange(120) % 10)
+        monkeypatch.setenv(MNIST_ENV_VAR, str(tmp_path))
+        train_x, _, test_x, _, source = image_dataset(n_train, 20, seed=3)
+        assert source == "mnist" and len(train_x) == 100 and len(test_x) == 20
+        train_rows = {row.tobytes() for row in train_x}
+        assert len(train_rows) == 100
+        assert train_rows.isdisjoint(row.tobytes() for row in test_x)
+
 
 class TestSynthData:
     def test_blobs_balanced_split(self):
@@ -94,7 +109,31 @@ CHECKPOINT_BUILDS = [
                           surrogate=SurrogateSpec(kind="erfc", sigma=0.5)),
     lambda: TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
                              n_heads=2, n_classes=3, seed=4),
+    lambda: unpadded_conv_net(seed=5),
 ]
+
+# sha256 of each CHECKPOINT_BUILDS model saved by test_format_is_pinned, in
+# float32 and float64: a change to the SNNM bytes must show up here
+FORMAT_PINS = [
+    ("f2a0df2e43740c23a3d042ac060214bc63a896375e9a37377cd1dc90f6f7dd5c",
+     "2ce811710cab28affc3b689d7f4f8120ed66d462c660af5a2995c7594643eb08"),
+    ("0a17f0d309a973539b8c418a0007b6834bba66bca86b5d38cd782a0ffd3ea400",
+     "e6c41d3bfb4a86008fe1d26d03fbb8aa24a1e791bb8efd1758771e29730154d2"),
+    ("ace3c366f5338005dd0cec4428395eaaf64c96df46789ad384b059a1486bc80f",
+     "046205e0fffcb4b81f6229ddab4e34706aa858dc9769e0afe7101c2a401255e0"),
+    ("612ab445d4c870042ddd4893a4efbb658fff991e148ba5d80aa6031bed6d441f",
+     "7367767ea684c3cd3657effcbef9158a5ee0ac83785bae7557aff877d25216a2"),
+    ("dc87f1c519ed318e2fca3366dbeaa9a1ee1db575795f43a3ed283d2438b6ed0a",
+     "551e63259b80bf1c40f6721f702b391d68024a12b62f55956aedac86f3f89c7e"),
+]
+
+
+def unpadded_conv_net(seed):
+    rng = np.random.default_rng(seed)
+    return AnnNet([Conv2d(kaiming_uniform(rng, (2, 1, 3, 3), 9, np.float32),
+                          rng.uniform(-0.1, 0.1, 2).astype(np.float32), pad=0),
+                   ReLU(), Flatten(), Dense(kaiming_uniform(rng, (32, 3), 32, np.float32))],
+                  input_shape=(1, 6, 6))
 
 
 class TestCheckpoint:
@@ -128,13 +167,48 @@ class TestCheckpoint:
         checkpoint.save_model(path2, loaded, seed=1)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("build", CHECKPOINT_BUILDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_format_is_pinned(self, build, dtype, tmp_path):
+        path = tmp_path / "model.snnm"
+        checkpoint.save_model(path, build().astype(dtype), seed=7, config_echo={"pin": 1})
+        want = FORMAT_PINS[CHECKPOINT_BUILDS.index(build)][dtype == np.float64]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
     def test_mixed_dtypes_rejected(self, tmp_path):
+        # refused before the file is opened: no file is left to fail at load
         net = build_mlp([4, 3], seed=0)
         net.layers[0].b = net.layers[0].b.astype(np.float64)
         path = tmp_path / "m.snnm"
-        checkpoint.save_model(path, net, seed=0)
         with pytest.raises(FormatError, match="mixes tensor dtypes"):
-            checkpoint.load_model(path)
+            checkpoint.save_model(path, net, seed=0)
+        assert not path.exists()
+
+    def test_mixed_dtype_file_rejected_at_load(self, tmp_path):
+        # a float32 file up to its bias tensor, then the float64 file's bias
+        net = build_mlp([4, 3], seed=0)
+        blobs = []
+        for dtype in (np.float32, np.float64):
+            checkpoint.save_model(tmp_path / "m.snnm", net.astype(dtype), seed=0)
+            blob = (tmp_path / "m.snnm").read_bytes()
+            blobs.append((blob, blob.index(b"layer0.b") - 2))  # u16 name length first
+        (b32, at32), (b64, at64) = blobs
+        (tmp_path / "m.snnm").write_bytes(b32[:at32] + b64[at64:])
+        with pytest.raises(FormatError, match=r"mixes tensor dtypes \['float32', 'float64'\]"):
+            checkpoint.load_model(tmp_path / "m.snnm")
+
+    def test_unsupported_dtype_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.snnm"
+        with pytest.raises(FormatError, match="unsupported tensor dtype float16"):
+            checkpoint.save_model(path, build_mlp([4, 3], seed=0).astype(np.float16), seed=0)
+        assert not path.exists()
+
+    def test_unknown_layer_type_leaves_no_file(self, tmp_path):
+        net = AnnNet([SpikingLayer(np.zeros((4, 3), dtype=np.float32))])
+        path = tmp_path / "m.snnm"
+        with pytest.raises(FormatError, match="cannot checkpoint ann layer type SpikingLayer"):
+            checkpoint.save_model(path, net, seed=0)
+        assert not path.exists()
 
     def test_loaded_snn_predicts_identically(self, tmp_path):
         net = build_snn_mlp([6, 8, 3], T=4, seed=5)
@@ -437,6 +511,17 @@ class TestCli:
         assert self.run("inspect", str(out / "model.snnm")) == 0
         printed = capsys.readouterr().out
         assert "kind: ann" in printed and "invariants: ok" in printed
+
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--batch-size", "-3"),
+                                            ("--epochs", "-1")])
+    def test_bad_training_length_is_one_line_error(self, tmp_path, capsys, flag, value):
+        # range() would raise a ValueError traceback for a zero batch size
+        code = self.run("train", "--data", "blobs", "--kind", "ann", "--arch", "2-4-2",
+                        "--n-train", "20", "--n-test", "10", flag, value,
+                        "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: need batch_size >= 1 and epochs >= 0") and "\n" not in err
 
     def test_error_is_one_line_nonzero(self, tmp_path, capsys):
         code = self.run("attack", "--models", str(tmp_path / "missing.snnm"),

@@ -49,3 +49,28 @@ def test_snn_mlp_takes_the_mlp_weights(dtype):
     for layer, dense in zip(build_snn_mlp(dims, seed=4, dtype=dtype).layers, denses, strict=True):
         assert layer.w.dtype == dtype
         assert np.array_equal(layer.w, dense.w) and np.array_equal(layer.b, dense.b)
+
+
+class TestAstype:
+    """``Classifier.astype``: a deep copy with every parameter cast."""
+
+    def test_casts_every_parameter(self, model):
+        source = dict(model.params())
+        cast = dict(model.astype(np.float64).params())
+        assert cast.keys() == source.keys()
+        for name, p in cast.items():
+            assert p.dtype == np.float64 and p.shape == source[name].shape
+            assert np.array_equal(p, source[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_copy_shares_no_array_with_its_source(self, model, dtype):
+        cast = model.astype(dtype)
+        for p in dict(cast.params()).values():
+            assert not any(np.shares_memory(p, q) for q in dict(model.params()).values())
+
+    def test_float64_and_back_gives_the_original_bytes_and_logits(self, model):
+        back = model.astype(np.float64).astype(np.float32)
+        source = dict(model.params())
+        for name, p in back.params():
+            assert p.dtype == source[name].dtype and p.tobytes() == source[name].tobytes()
+        assert back.forward(IMAGES).tobytes() == model.forward(IMAGES).tobytes()
