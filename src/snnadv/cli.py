@@ -151,6 +151,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 def _load_dataset(cfg: dict):
+    for key in ("n-train", "n-test"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     name = cfg["data"]
     seed = cfg["seed"]
     if name == "blobs":

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -116,30 +116,26 @@ def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0,
     return np.clip(x, 0.0, 1.0).astype(np.float32)[order], labels[order]
 
 
-def _glyph_array(digit: int) -> np.ndarray:
-    rows = _GLYPHS[digit].split()
-    return np.array([[int(ch) for ch in row] for row in rows], dtype=np.float32)
-
-
 def synth_digits(n: int, seed: int = 0, size: int = 28) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic ten-class digit images: bitmap glyphs with random
     integer scale, near-center placement jitter, stroke intensity, and pixel
-    noise (roughly centered, like the real handwritten sets)."""
+    noise (roughly centered, like the real handwritten sets). The order of
+    the per-sample draws and the float32 rounding define the set (README)."""
+    if n < 0 or size < 21:  # the largest sprite, a 3x glyph, is 21x15
+        raise ConfigError(f"synth_digits needs n >= 0 and size >= 21, got n={n}, size={size}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 10
-    images = np.zeros((n, size, size), dtype=np.float32)
-    for i, digit in enumerate(labels):
-        glyph = _glyph_array(int(digit))
-        scale = int(rng.integers(2, 4))  # 10x14 or 15x21 footprint
-        sprite = np.kron(glyph, np.ones((scale, scale), dtype=np.float32))
+    glyphs = [np.array([list(row) for row in g.split()], dtype=np.float32) for g in _GLYPHS]
+    sprites = {(d, s): g.repeat(s, 0).repeat(s, 1) for d, g in enumerate(glyphs) for s in (2, 3)}
+    images = np.empty((n, size, size), dtype=np.float32)
+    for i, digit in enumerate(labels.tolist()):
+        sprite = sprites[digit, int(rng.integers(2, 4))]  # 10x14 or 15x21 footprint
         sh, sw = sprite.shape
-        top = (size - sh) // 2 + int(rng.integers(-3, 4))
-        left = (size - sw) // 2 + int(rng.integers(-3, 4))
-        top = min(max(top, 0), size - sh)
-        left = min(max(left, 0), size - sw)
+        top = min(max((size - sh) // 2 + int(rng.integers(-3, 4)), 0), size - sh)
+        left = min(max((size - sw) // 2 + int(rng.integers(-3, 4)), 0), size - sw)
         intensity = rng.uniform(0.75, 1.0)
-        images[i, top:top + sh, left:left + sw] = sprite * intensity
-        images[i] += rng.normal(0.0, 0.06, size=(size, size)).astype(np.float32)
+        images[i] = rng.normal(0.0, 0.06, size=(size, size))  # rounds the noise to float32
+        images[i, top:top + sh, left:left + sw] += sprite * intensity
     np.clip(images, 0.0, 1.0, out=images)
     order = rng.permutation(n)
     return images[order], labels[order]
@@ -163,6 +159,8 @@ def image_dataset(n_train: int, n_test: int, seed: int = 0
     """Real MNIST when IDX files are present (env SNNADV_MNIST_DIR or ./data),
     otherwise the synthetic digit set. Returns (train_x, train_y, test_x,
     test_y, source_tag); subsampling is deterministic given the seed."""
+    if n_train < 0 or n_test < 0:
+        raise ConfigError(f"need n_train >= 0 and n_test >= 0, got {n_train} and {n_test}")
     mnist_dir = find_mnist_dir()
     if mnist_dir is not None:
         train_x, train_y = load_mnist_idx(mnist_dir / "train-images-idx3-ubyte",

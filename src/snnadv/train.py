@@ -65,6 +65,12 @@ class Adam:
 
 @dataclass
 class History:
+    """Per-epoch training record, as written to ``history.json``.
+
+    ``train_acc`` of the last epoch scores the trained weights on the whole
+    training set. Earlier epochs' ``train_acc`` is the running batch accuracy:
+    each batch scored by the logits of its own training step, before that
+    step's update. ``test_acc`` is NaN when no test set is given."""
     epochs: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
     train_acc: list = field(default_factory=list)
@@ -109,23 +115,26 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
     """Softmax cross-entropy training loop, bit-reproducible given the seed.
 
     Spiking models require a surrogate spec; it is installed on the model
-    and stays there after training.
+    and stays there after training. Only the last epoch scores the whole
+    training set; see ``History`` for what earlier epochs record.
     """
     if batch_size < 1 or epochs < 0:
         raise ConfigError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
+    train_y = np.asarray(train_y)
+    if epochs and train_y.size == 0:
+        raise TrainingError("cannot train on empty data")
     if isinstance(model, SpikingNet):
         if spec is None:
             raise TrainingError("spiking models need a surrogate spec for training")
         model.surrogate = spec
     if optimizer is None:
         optimizer = Adam() if isinstance(model, SpikingNet) else SGD()
-    train_y = np.asarray(train_y)
     rng = np.random.default_rng(seed)
     history = History()
     n = train_y.size
     for epoch in range(epochs):
         order = rng.permutation(n)
-        losses = []
+        losses, correct = [], 0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             try:
@@ -136,10 +145,14 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             losses.append(loss)
+            correct += int(np.count_nonzero(np.argmax(logits, axis=1) == train_y[idx]))
             grads = {}
             model.backward(cache, dlogits, grads)
             optimizer.step(model.params(), grads)
-        train_acc = evaluate(model, train_x, train_y).accuracy
+        if epoch == epochs - 1:
+            train_acc = evaluate(model, train_x, train_y).accuracy
+        else:
+            train_acc = correct / n
         test_acc = float("nan")
         if test_x is not None:
             test_acc = evaluate(model, test_x, test_y).accuracy

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnadv import checkpoint
 from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_mlp, kaiming_uniform
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
 from snnadv.config import parse_config_file, resolve_config, write_config_echo
-from snnadv.data import (IMAGES_MAGIC, MNIST_ENV_VAR, image_dataset, load_idx_images,
+from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, image_dataset, load_idx_images,
                          load_idx_labels, load_mnist_idx, save_idx_images, save_idx_labels,
                          synth_blobs, synth_digits)
 from snnadv.dynamics import NeuronConfig, SpikingLayer, SynapseConfig, build_snn_mlp
@@ -97,6 +99,78 @@ class TestSynthData:
         assert np.array_equal(a, b) and np.array_equal(ya, yb)
         assert a.min() >= 0.0 and a.max() <= 1.0
         assert np.bincount(ya, minlength=10).tolist() == [3] * 10
+
+    @pytest.mark.parametrize("n,size,match", [(-1, 28, "n=-1"), (5, 20, "size=20")])
+    def test_digits_reject_bad_count_or_size(self, n, size, match):
+        with pytest.raises(ConfigError, match=match):
+            synth_digits(n, size=size)
+
+    @pytest.mark.parametrize("n_train,n_test", [(10, -1), (-1, 10)])
+    @pytest.mark.parametrize("source", ["synthetic", "mnist"])
+    def test_image_dataset_rejects_negative_counts(self, tmp_path, monkeypatch, n_train, n_test,
+                                                   source):
+        if source == "mnist":  # a negative n_test once grew the training pool past the file
+            save_idx_images(tmp_path / "train-images-idx3-ubyte", np.zeros((30, 4, 4), np.uint8))
+            save_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.arange(30) % 10)
+        monkeypatch.setenv(MNIST_ENV_VAR, str(tmp_path))
+        with pytest.raises(ConfigError, match=f"got {n_train} and {n_test}"):
+            image_dataset(n_train, n_test, seed=0)
+
+
+def reference_synth_digits(n, seed=0, size=28):
+    """The per-sample ``np.kron`` synth_digits that defined the set: the
+    library's faster build must give its bytes."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 10
+    images = np.zeros((n, size, size), dtype=np.float32)
+    for i, digit in enumerate(labels):
+        rows = _GLYPHS[int(digit)].split()
+        glyph = np.array([[int(ch) for ch in row] for row in rows], dtype=np.float32)
+        scale = int(rng.integers(2, 4))
+        sprite = np.kron(glyph, np.ones((scale, scale), dtype=np.float32))
+        sh, sw = sprite.shape
+        top = (size - sh) // 2 + int(rng.integers(-3, 4))
+        left = (size - sw) // 2 + int(rng.integers(-3, 4))
+        top = min(max(top, 0), size - sh)
+        left = min(max(left, 0), size - sw)
+        intensity = rng.uniform(0.75, 1.0)
+        images[i, top:top + sh, left:left + sw] = sprite * intensity
+        images[i] += rng.normal(0.0, 0.06, size=(size, size)).astype(np.float32)
+    np.clip(images, 0.0, 1.0, out=images)
+    order = rng.permutation(n)
+    return images[order], labels[order]
+
+
+def digits_sha256(x, y):
+    return hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest()
+
+
+# sha256 of synth_digits(n, seed) images then labels, as first generated:
+# the set is defined by these bytes
+DIGITS_PINS = {
+    (10000, 0): "e1d041f3cb5a332483749688dda99fd086af3b03d8472e97532354522e619e88",
+    (2000, 1): "725857869baa42ced974a5a80d149f994fb4507ef1ad61a2224b87a5ed88659c",
+    (37, 5): "7e901602c9cb65dd6530918da0151cd3351096fc21a77f57d355b3992aa33a13",
+}
+
+
+class TestSynthDigitsBytes:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 40), seed=st.integers(0, 2**64 - 1),
+           size=st.sampled_from([21, 28, 32]))
+    def test_equals_the_reference_byte_for_byte(self, n, seed, size):
+        x, y = synth_digits(n, seed=seed, size=size)
+        want_x, want_y = reference_synth_digits(n, seed=seed, size=size)
+        assert x.dtype == want_x.dtype and y.dtype == want_y.dtype
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
+    def test_fixture_sets_are_pinned(self, digits):
+        train_x, train_y, test_x, test_y = digits  # synth_digits(10000, 0) and (2000, 1)
+        assert digits_sha256(train_x, train_y) == DIGITS_PINS[10000, 0]
+        assert digits_sha256(test_x, test_y) == DIGITS_PINS[2000, 1]
+
+    def test_small_set_is_pinned(self):
+        assert digits_sha256(*synth_digits(37, seed=5)) == DIGITS_PINS[37, 5]
 
 
 CHECKPOINT_BUILDS = [
@@ -522,6 +596,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: need batch_size >= 1 and epochs >= 0") and "\n" not in err
+
+    @pytest.mark.parametrize("data", ["digits", "blobs"])
+    @pytest.mark.parametrize("key,value", [("n-test", "-2"), ("n-train", "-1")])
+    def test_negative_count_is_one_line_error_before_training(self, tmp_path, capsys, data,
+                                                              key, value):
+        counts = {"n-train": "30", "n-test": "10", key: value}
+        code = self.run("train", "--data", data, "--kind", "ann", "--arch", "784-4-10",
+                        "--epochs", "1", "--n-train", counts["n-train"],
+                        "--n-test", counts["n-test"], "--out", str(tmp_path / "o"))
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err == f"error: {key} must be >= 0, got {value}"
+        assert "epoch" not in captured.out and not (tmp_path / "o").exists()
 
     def test_error_is_one_line_nonzero(self, tmp_path, capsys):
         code = self.run("attack", "--models", str(tmp_path / "missing.snnm"),

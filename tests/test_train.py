@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from snnadv import numerics
 from snnadv.ann import build_mlp
-from snnadv.dynamics import build_snn_mlp
+from snnadv.attention import TinyAttentionNet
+from snnadv.data import synth_blobs, synth_digits
+from snnadv.dynamics import NeuronConfig, build_snn_mlp
 from snnadv.errors import TrainingError
 from snnadv.surrogate import SurrogateSpec
 from snnadv.train import EVAL_BATCH, Adam, SGD, evaluate, predict_batched, train_epochs
@@ -71,6 +76,72 @@ class TestTrainLoop:
         train_epochs(snn, x, y, epochs=25, seed=0, spec=SurrogateSpec(kind="arctan"),
                      verbose=False)
         assert evaluate(snn, x, y).accuracy >= 0.95
+
+
+ARCTAN = SurrogateSpec(kind="arctan")
+
+# sha256 of the sorted (name, bytes) params after two epochs (seed 4, batch
+# 64), and the last epoch's train_acc, as first trained; one and two BLAS
+# threads give the same bytes at these sizes
+TWO_EPOCH_PINS = {
+    "ann": ("fe964bd23c9f28cdd2b9786029fe56dbbec4723ce94fade1bf97678a52309360", 1.0),
+    "snn": ("a2582996a2e1fed24630468f03f083e509b71a5f52740016fdfb339dc1336118", 0.825),
+    "attention": ("08f6753d8cff713fe73c84a07a636c7b1273b112ff3946aa7cbe199a722d02c6",
+                  0.12333333333333334),
+}
+
+
+def _two_epoch_case(family):
+    """(model, x, y, spec) of one pinned two-epoch run."""
+    if family == "attention":
+        x, y = synth_digits(300, seed=2)
+        return TinyAttentionNet(image_shape=(1, 28, 28), patch=7, embed=8, n_layers=1,
+                                n_heads=2, seed=3), x, y, None
+    x, y = synth_blobs(400, classes=2, dim=6, seed=3)
+    if family == "ann":
+        return build_mlp([6, 16, 2], seed=3), x, y, None
+    return build_snn_mlp([6, 16, 2], T=4, seed=3,
+                         neuron=NeuronConfig(leak=0.9, threshold=0.5)), x, y, ARCTAN
+
+
+class TestTrainAccuracy:
+    @pytest.mark.parametrize("family", list(TWO_EPOCH_PINS))
+    def test_two_epoch_weights_are_pinned(self, family):
+        # scoring reads the weights only: where it happens cannot move them
+        model, x, y, spec = _two_epoch_case(family)
+        history = train_epochs(model, x, y, epochs=2, seed=4, batch_size=64, spec=spec,
+                               verbose=False)
+        digest = hashlib.sha256()
+        for name, p in sorted(model.params(), key=lambda item: item[0]):
+            digest.update(name.encode())
+            digest.update(p.tobytes())
+        assert (digest.hexdigest(), history.train_acc[-1]) == TWO_EPOCH_PINS[family]
+
+    @pytest.mark.parametrize("family", ["ann", "snn"])
+    def test_train_acc_is_running_batch_accuracy_then_a_full_score(self, family,
+                                                                    monkeypatch):
+        model, x, y, spec = _two_epoch_case(family)
+        hits = []  # correct predictions of each training batch, in order
+        loss_fn = numerics.softmax_cross_entropy
+
+        def counting(logits, labels, **kwargs):
+            hits.append(int(np.sum(np.argmax(logits, axis=1) == labels)))
+            return loss_fn(logits, labels, **kwargs)
+
+        monkeypatch.setattr(numerics, "softmax_cross_entropy", counting)
+        history = train_epochs(model, x, y, epochs=3, seed=4, batch_size=64, spec=spec,
+                               verbose=False)
+        per_epoch = -(-len(y) // 64)
+        assert len(hits) == 3 * per_epoch
+        for epoch in (0, 1):
+            running = sum(hits[epoch * per_epoch:(epoch + 1) * per_epoch]) / len(y)
+            assert history.train_acc[epoch] == running
+        assert history.train_acc[-1] == evaluate(model, x, y).accuracy
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(TrainingError, match="empty"):
+            train_epochs(build_mlp([6, 4, 2], seed=0), np.zeros((0, 6), np.float32),
+                         np.zeros(0, dtype=int), epochs=2, verbose=False)
 
 
 class TestEvaluate:
