@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Every run resolves its configuration (flags > environment > config file >
-defaults), echoes it together with the seed into the output directory, and
-writes its artifacts (checkpoints, CSV/JSON reports) under that directory.
+defaults), writes its artifacts (checkpoints, CSV/JSON reports) under the
+output directory, and then echoes the configuration, seed included, there.
 Errors exit nonzero with a single machine-parseable line on stderr.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import checkpoint, config as cfgmod, convert as convertmod, data as datamod
 from . import harness
 from .ann import build_mlp
-from .attacks import AttackConfig, AttackReport, run_attack
+from .attacks import ATTACK_KINDS, AttackConfig, AttackReport, run_attack
 from .attention import TinyAttentionNet
 from .dynamics import NeuronConfig, SpikingNet, build_snn_mlp
 from .errors import ConfigError, SnnAdvError
@@ -37,6 +37,13 @@ _SURROGATE_KEYS = {
     "surrogate-sigma": (float, 0.4),
     "surrogate-alpha": (float, 1.0),
     "surrogate-beta": (float, 5.0),
+}
+
+# the attack budget of attack, transfer-matrix and multi-attack
+_BUDGET = {
+    "eps": (float, 0.031),
+    "steps": (int, 40),
+    "n": (int, 200),
 }
 
 _SCHEMAS = {
@@ -76,15 +83,13 @@ _SCHEMAS = {
         **_COMMON,
         "kind": (str, "pgd"),
         "models": (str, ""),
-        "eps": (float, 0.031),
+        **_BUDGET,
         "eps-step": (float, 0.01),
-        "steps": (int, 40),
         "mu": (float, 1.0),
         "kappa": (float, 0.0),
         "r": (float, 10000.0),
         "u": (float, 1.0),
         "alphas": (str, ""),
-        "n": (int, 200),
         "random-start": (bool, True),
         "surrogate": (str, ""),          # override the checkpoint's kernel
         **_SURROGATE_KEYS,
@@ -103,24 +108,25 @@ _SCHEMAS = {
         **_COMMON,
         "models": (str, ""),
         "attacks": (str, "fgsm,pgd,mim"),
-        "eps": (float, 0.031),
+        **_BUDGET,
         "eps-step": (float, 0.01),
-        "steps": (int, 40),
-        "n": (int, 200),
     },
     "multi-attack": {
         **_COMMON,
         "pairs": (str, ""),
-        "eps": (float, 0.031),
-        "steps": (int, 40),
+        **_BUDGET,
         "single-eps-step": (float, 0.01),
         "saga-eps-step": (float, 0.005),
         "r": (float, 10000.0),
         "u": (float, 1.0),
         "kappa": (float, 0.0),
-        "n": (int, 200),
     },
 }
+
+# command key -> AttackConfig field, for whichever of these keys a schema has
+_ATTACK_FIELDS = {"eps": "eps_max", "eps-step": "eps_step", "steps": "n_iter", "mu": "mu",
+                  "kappa": "kappa", "r": "coeff_lr", "u": "fit_u",
+                  "random-start": "random_start", "seed": "seed"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,29 +156,26 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return cfgmod.resolve_config(_SCHEMAS[command], config_file=args.config, flags=flags)
 
 
-def _load_dataset(cfg: dict):
+def _load_dataset(cfg: dict, scored: bool = False):
+    """The run's data split; a ``scored`` run scores its model on the test set."""
     for key in ("n-train", "n-test"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
-    name = cfg["data"]
-    seed = cfg["seed"]
+    if scored and cfg["n-test"] < 1:
+        raise ConfigError(f"n-test must be >= 1 to score the model, got {cfg['n-test']}")
+    name, seed, k = cfg["data"], cfg["seed"], cfg["n-train"]
+    if name == "mnist" and datamod.find_mnist_dir() is None:
+        raise ConfigError("data=mnist but no IDX files found "
+                          f"(set {datamod.MNIST_ENV_VAR} or place files under ./data)")
+    if name in ("mnist", "auto"):
+        return datamod.image_dataset(k, cfg["n-test"], seed=seed)
     if name == "blobs":
-        x, y = datamod.synth_blobs(cfg["n-train"] + cfg["n-test"], classes=2, dim=2,
-                                   seed=seed)
-        k = cfg["n-train"]
-        return x[:k], y[:k], x[k:], y[k:], "blobs"
-    if name == "digits":
-        x, y = datamod.synth_digits(cfg["n-train"] + cfg["n-test"], seed=seed)
-        k = cfg["n-train"]
-        return x[:k], y[:k], x[k:], y[k:], "synthetic-digits"
-    if name == "mnist":
-        if datamod.find_mnist_dir() is None:
-            raise ConfigError("data=mnist but no IDX files found "
-                              f"(set {datamod.MNIST_ENV_VAR} or place files under ./data)")
-        return datamod.image_dataset(cfg["n-train"], cfg["n-test"], seed=seed)
-    if name == "auto":
-        return datamod.image_dataset(cfg["n-train"], cfg["n-test"], seed=seed)
-    raise ConfigError(f"unknown data source {name!r}")
+        x, y = datamod.synth_blobs(k + cfg["n-test"], classes=2, dim=2, seed=seed)
+    elif name == "digits":
+        x, y = datamod.synth_digits(k + cfg["n-test"], seed=seed)
+    else:
+        raise ConfigError(f"unknown data source {name!r}")
+    return x[:k], y[:k], x[k:], y[k:], "blobs" if name == "blobs" else "synthetic-digits"
 
 
 def _surrogate_from(cfg: dict, kind: str | None = None) -> SurrogateSpec:
@@ -180,6 +183,17 @@ def _surrogate_from(cfg: dict, kind: str | None = None) -> SurrogateSpec:
                          sigma=cfg["surrogate-sigma"],
                          alpha=cfg["surrogate-alpha"],
                          beta=cfg["surrogate-beta"])
+
+
+def _attack_config(cfg: dict, kinds=(), **overrides) -> AttackConfig:
+    """The settings ``cfg`` states for attacks of ``kinds``, which get
+    run_attack's own check here, before any data is built."""
+    for kind in kinds:
+        if kind.lower() not in ATTACK_KINDS:
+            raise ConfigError(f"unknown attack kind {kind.lower()!r}; "
+                              f"choose one of {', '.join(ATTACK_KINDS)}")
+    fields = {field: cfg[key] for key, field in _ATTACK_FIELDS.items() if key in cfg}
+    return AttackConfig(**{**fields, **overrides})
 
 
 def _numbers(key: str, text: str, typ=float, sep: str = ",") -> list:
@@ -207,20 +221,21 @@ def _load_models(spec: str) -> tuple[list, list]:
     paths = [p for p in spec.split(",") if p]
     if not paths:
         raise ConfigError("no model checkpoints given")
-    models, names = [], []
-    for path in paths:
-        model, _ = checkpoint.load_model(path)
-        models.append(model)
-        names.append(Path(path).stem)
-    return models, names
+    return [checkpoint.load_model(path)[0] for path in paths], [Path(p).stem for p in paths]
 
 
-def cmd_train(cfg: dict) -> int:
-    out_dir = Path(cfg["out"])
+def cmd_train(cfg: dict, out_dir: Path) -> None:
     dims = _parse_arch(cfg["arch"])
-    train_x, train_y, test_x, test_y, source = _load_dataset(cfg)
     kind = cfg["kind"]
     seed = cfg["seed"]
+    opt_name = cfg["optimizer"]
+    if opt_name == "auto":
+        opt_name = "sgd" if kind == "ann" else "adam"
+    if opt_name not in ("sgd", "adam"):
+        raise ConfigError(f"unknown optimizer {cfg['optimizer']!r}")
+    opt_class = SGD if opt_name == "sgd" else Adam
+    optimizer = opt_class(lr=cfg["lr"]) if cfg["lr"] else opt_class()  # lr 0: its default
+    train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
     spec = None
     if kind == "ann":
         model = build_mlp(dims, seed=seed)
@@ -238,32 +253,20 @@ def cmd_train(cfg: dict) -> int:
                                  n_heads=cfg["att-heads"], seed=seed)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
-    opt_name = cfg["optimizer"]
-    if opt_name == "auto":
-        opt_name = "sgd" if kind == "ann" else "adam"
-    if opt_name == "sgd":
-        optimizer = SGD(lr=cfg["lr"] or 0.05)
-    elif opt_name == "adam":
-        optimizer = Adam(lr=cfg["lr"] or 1e-3)
-    else:
-        raise ConfigError(f"unknown optimizer {cfg['optimizer']!r}")
     history = train_epochs(model, train_x, train_y, epochs=cfg["epochs"],
                            optimizer=optimizer, seed=seed, batch_size=cfg["batch-size"],
                            spec=spec, test_x=test_x, test_y=test_y)
-    cfgmod.write_config_echo(out_dir, cfg)
     checkpoint.save_model(out_dir / "model.snnm", model, seed=seed,
                           config_echo=_portable(cfg))
     harness.write_json({"source": source, **history.as_dict()}, out_dir / "history.json")
     print(f"saved {out_dir / 'model.snnm'}")
-    return 0
 
 
-def cmd_convert(cfg: dict) -> int:
-    out_dir = Path(cfg["out"])
-    train_x, train_y, test_x, test_y, source = _load_dataset(cfg)
+def cmd_convert(cfg: dict, out_dir: Path) -> None:
     if not cfg["ann"]:
         raise ConfigError("convert needs --ann checkpoint path")
     ann, _ = checkpoint.load_model(cfg["ann"])
+    train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
     calib = train_x[:cfg["n-calib"]]
     spec = _surrogate_from(cfg)
     snn = convertmod.convert_ann_to_snn(ann, calib, mode=cfg["mode"],
@@ -274,28 +277,22 @@ def cmd_convert(cfg: dict) -> int:
                                   batch_size=cfg["batch-size"], test_x=test_x, test_y=test_y)
     report["source"] = source
     report["test_acc"] = evaluate(snn, test_x, test_y).accuracy
-    cfgmod.write_config_echo(out_dir, cfg)
     checkpoint.save_model(out_dir / "converted.snnm", snn, seed=cfg["seed"],
                           config_echo=_portable(cfg))
     harness.write_json(report, out_dir / "convert_report.json")
     print(f"saved {out_dir / 'converted.snnm'} test_acc {report['test_acc']:.4f}")
-    return 0
 
 
-def cmd_attack(cfg: dict) -> int:
-    out_dir = Path(cfg["out"])
+def cmd_attack(cfg: dict, out_dir: Path) -> None:
     alphas = tuple(_numbers("alphas", cfg["alphas"])) if cfg["alphas"] else None
-    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
+    attack_cfg = _attack_config(cfg, [cfg["kind"]], alphas=alphas)
     models, names = _load_models(cfg["models"])
     if cfg["surrogate"]:
         spec = _surrogate_from(cfg)
         for model in models:
             if isinstance(model, SpikingNet):
                 model.surrogate = spec
-    attack_cfg = AttackConfig(eps_max=cfg["eps"], eps_step=cfg["eps-step"],
-                              n_iter=cfg["steps"], mu=cfg["mu"], kappa=cfg["kappa"],
-                              coeff_lr=cfg["r"], fit_u=cfg["u"], alphas=alphas,
-                              random_start=cfg["random-start"], seed=cfg["seed"])
+    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     evalset = harness.select_eval_set(models, test_x, test_y, cfg["n"], seed=cfg["seed"])
     x_adv = run_attack(cfg["kind"], models, evalset.x, evalset.y, attack_cfg,
                        index=evalset.indices)
@@ -303,55 +300,43 @@ def cmd_attack(cfg: dict) -> int:
     iterations = 0 if cfg["eps"] == 0.0 else 1 if cfg["kind"].lower() == "fgsm" else cfg["steps"]
     report = AttackReport.build(models, evalset.x, x_adv, evalset.y,
                                 iterations=iterations, names=names)
-    cfgmod.write_config_echo(out_dir, cfg)
     harness.write_json(report.as_dict(), out_dir / "attack_report.json")
     rates = " ".join(f"{name}={rate:.3f}" for name, rate in
                      zip(names, report.per_model_rate))
     print(f"{cfg['kind']} success: {rates} joint={report.joint_rate:.3f}")
-    return 0
 
 
-def cmd_sweep_surrogate(cfg: dict) -> int:
-    out_dir = Path(cfg["out"])
+def cmd_sweep_surrogate(cfg: dict, out_dir: Path) -> None:
     eps_values = _numbers("eps", cfg["eps"])
     specs = [_surrogate_from(cfg, kind=k) for k in cfg["surrogates"].split(",") if k]
-    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     if not cfg["model"]:
         raise ConfigError("sweep needs --model checkpoint path")
     model, _ = checkpoint.load_model(cfg["model"])
     if not isinstance(model, SpikingNet):
         raise ConfigError("surrogate sweep expects a spiking checkpoint")
     # eps_max placeholder; the sweep rebuilds the config per grid column
-    attack_cfg = AttackConfig(eps_max=1.0, eps_step=cfg["eps-step"],
-                              n_iter=cfg["steps"], seed=cfg["seed"])
+    attack_cfg = _attack_config(cfg, eps_max=1.0)
+    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     evalset = harness.select_eval_set([model], test_x, test_y, cfg["n"], seed=cfg["seed"])
     grid = harness.surrogate_sweep(model, eps_values, specs, evalset, attack_cfg)
-    cfgmod.write_config_echo(out_dir, cfg)
     grid.write_csv(out_dir / "sweep.csv")
     harness.write_json(grid.as_dict(), out_dir / "sweep.json")
     print(f"wrote {out_dir / 'sweep.csv'}")
-    return 0
 
 
-def cmd_transfer_matrix(cfg: dict) -> int:
-    out_dir = Path(cfg["out"])
-    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
-    models, names = _load_models(cfg["models"])
-    attack_cfg = AttackConfig(eps_max=cfg["eps"], eps_step=cfg["eps-step"],
-                              n_iter=cfg["steps"], seed=cfg["seed"])
+def cmd_transfer_matrix(cfg: dict, out_dir: Path) -> None:
     attack_names = [a.strip() for a in cfg["attacks"].split(",") if a.strip()]
+    attack_cfg = _attack_config(cfg, attack_names)
+    models, names = _load_models(cfg["models"])
+    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     matrix = harness.transfer_matrix(models, names, test_x, test_y, cfg["n"], attack_cfg,
                                      attack_names=attack_names, seed=cfg["seed"])
-    cfgmod.write_config_echo(out_dir, cfg)
     matrix.write_csv(out_dir)
     harness.write_json(matrix.as_dict(), out_dir / "transfer.json")
     print(f"wrote transfer matrices under {out_dir}")
-    return 0
 
 
-def cmd_multi_attack(cfg: dict) -> int:
-    out_dir = Path(cfg["out"])
-    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
+def cmd_multi_attack(cfg: dict, out_dir: Path) -> None:
     if not cfg["pairs"]:
         raise ConfigError("multi-attack needs --pairs a.snnm:b.snnm[,c:d]")
     pairs, names = [], []
@@ -362,20 +347,16 @@ def cmd_multi_attack(cfg: dict) -> int:
         ms, ns = _load_models(",".join(parts))
         pairs.append(tuple(ms))
         names.append("+".join(ns))
-    single_cfg = AttackConfig(eps_max=cfg["eps"], eps_step=cfg["single-eps-step"],
-                              n_iter=cfg["steps"], seed=cfg["seed"], random_start=True)
-    saga_cfg = AttackConfig(eps_max=cfg["eps"], eps_step=cfg["saga-eps-step"],
-                            n_iter=cfg["steps"], kappa=cfg["kappa"], coeff_lr=cfg["r"],
-                            fit_u=cfg["u"], seed=cfg["seed"])
+    single_cfg = _attack_config(cfg, eps_step=cfg["single-eps-step"])
+    saga_cfg = _attack_config(cfg, eps_step=cfg["saga-eps-step"])
+    train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     rows = harness.multi_model_comparison(pairs, test_x, test_y, cfg["n"], single_cfg,
                                           saga_cfg, seed=cfg["seed"], pair_names=names)
-    cfgmod.write_config_echo(out_dir, cfg)
     harness.write_comparison_csv(rows, out_dir / "comparison.csv")
     harness.write_json({"rows": rows}, out_dir / "comparison.json")
     for row in rows:
         print(f"{row['pair']}: max_mim={row['max_mim']:.3f} max_pgd={row['max_pgd']:.3f} "
               f"basic_saga={row['basic_saga']:.3f} auto_saga={row['auto_saga']:.3f}")
-    return 0
 
 
 def cmd_inspect(path: str) -> int:
@@ -408,7 +389,11 @@ def main(argv=None) -> int:
             "transfer-matrix": cmd_transfer_matrix,
             "multi-attack": cmd_multi_attack,
         }[args.command]
-        return handler(cfg)
+        out_dir = Path(cfg["out"])
+        handler(cfg, out_dir)
+        # written last: a run directory that holds config.txt holds a complete run
+        cfgmod.write_config_echo(out_dir, cfg)
+        return 0
     except (SnnAdvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

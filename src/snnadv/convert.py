@@ -106,7 +106,7 @@ def fine_tune(snn: SpikingNet, train_x, train_y, *, epochs: int, spec: Surrogate
         history = train_epochs(snn, train_x, train_y, epochs=epochs, seed=seed,
                                optimizer=Adam(lr=lr), spec=spec, batch_size=batch_size,
                                test_x=test_x, test_y=test_y, verbose=verbose)
-    # train_epochs ends every epoch by scoring the weights on the training set
+    # train_epochs ends its last epoch by scoring the weights on the training set
     after = history.train_acc[-1] if history else before
     return {"train_acc_before": before, "train_acc_after": after,
             "recovery_delta": after - before,

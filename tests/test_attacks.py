@@ -211,6 +211,19 @@ class TestSaga:
         with pytest.raises(ConfigError):
             saga([blob_net], [-1.0], x, y, cfg)
 
+    def test_model_and_coefficient_counts_checked(self, blob_net, blob_data):
+        x, y = blob_data
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2)
+        two = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, alphas=(0.5, 0.5))
+        with pytest.raises(ConfigError, match="^need at least one model$"):
+            saga([], [], x, y, cfg)
+        with pytest.raises(ConfigError, match="^need at least one model$"):
+            auto_saga([], x, y, cfg)
+        with pytest.raises(ConfigError, match="^2 coefficients for 1 models$"):
+            saga([blob_net], [0.5, 0.5], x, y, cfg)
+        with pytest.raises(ConfigError, match="^2 coefficients for 1 models$"):
+            auto_saga([blob_net], x, y, two)
+
     def test_balanced_pair_runs_and_projects(self, blob_net, blob_data):
         x, y = blob_data
         other = build_mlp([6, 10, 2], seed=99)
@@ -322,6 +335,18 @@ class TestAutoSaga:
         pgd(blob_net, x, y, cfg, trace=tr_pgd)
         for a, b in zip(tr_auto, tr_pgd):
             assert np.array_equal(a, b)
+
+    def test_given_coefficients_start_the_walk(self, blob_net, blob_data):
+        # (1, 0) blends the first model's gradient alone into the first step
+        x, y = blob_data
+        other = build_mlp([6, 10, 2], seed=99)
+        cfg = AttackConfig(eps_max=0.15, eps_step=0.03, n_iter=4, alphas=(1.0, 0.0),
+                           random_start=False)
+        tr_auto, tr_pgd = [], []
+        _, hist = auto_saga([blob_net, other], x, y, cfg, trace=tr_auto)
+        pgd(blob_net, x, y, cfg, trace=tr_pgd)
+        assert tr_auto[0].tobytes() == tr_pgd[0].tobytes()
+        assert np.array_equal(hist[0], np.tile([1.0, 0.0], (len(x), 1)))
 
     def test_coefficients_stay_on_simplex(self, blob_net, blob_data):
         x, y = blob_data

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnadv import checkpoint
+from snnadv import checkpoint, harness
 from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_mlp, kaiming_uniform
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
@@ -436,9 +436,95 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="KEY=VALUE"):
             parse_config_file(cfg_file)
 
+    @pytest.mark.parametrize("text,want", [("1", True), ("Yes", True), ("on", True),
+                                           ("0", False), ("false", False), ("OFF", False)])
+    def test_bool_from_file_and_environment(self, tmp_path, text, want):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"random-start={text}\n")
+        schema = _SCHEMAS["attack"]
+        from_file = resolve_config(schema, config_file=str(cfg_file), environ={})
+        from_env = resolve_config(schema, environ={"SNNADV_RANDOM_START": text})
+        assert from_file["random-start"] is want and from_env["random-start"] is want
+
+    def test_bad_bool_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SNNADV_RANDOM_START", "maybe")
+        with pytest.raises(ConfigError) as info:
+            resolve_config(_SCHEMAS["attack"])
+        assert str(info.value) == "config key random-start: cannot parse 'maybe' as bool"
+        assert cli_main(["attack", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
     def test_echo_is_reloadable(self, tmp_path):
         out = write_config_echo(tmp_path, {"seed": 3, "name": "x"})
         assert parse_config_file(out) == {"seed": "3", "name": "x"}
+
+
+# Every subcommand once, run in order from one working directory. The paths
+# are relative: config.txt echoes out=, and the converted checkpoint embeds
+# the --ann path. The blobs models keep every product's reduction axis short,
+# so the bytes do not depend on the BLAS thread count.
+_BLOBS = "--data blobs --n-train 200 --n-test 100 --seed 0"
+_BUDGET = "--eps 0.2 --eps-step 0.05 --steps 3 --n 20"
+_TINY_ATTENTION = "--kind attention --embed 8 --att-layers 1 --att-heads 1 --epochs 1"
+END_TO_END = [
+    f"train {_BLOBS} --kind ann --arch 2-8-2 --epochs 6 --out ann",
+    f"train {_BLOBS} --kind snn --arch 2-16-2 --epochs 10 --lr 0.01 --out snn",
+    f"train --data digits --n-train 300 --n-test 100 {_TINY_ATTENTION} --out att",
+    "inspect snn/model.snnm",
+    f"convert {_BLOBS} --ann ann/model.snnm --timesteps 16 --n-calib 64 --out conv",
+    f"attack {_BLOBS} --kind pgd --models snn/model.snnm --surrogate sigmoid {_BUDGET} --out pgd",
+    f"attack {_BLOBS} --kind pgd --models ann/model.snnm --no-random-start {_BUDGET} "
+    "--out pgd-fixed",
+    f"attack {_BLOBS} --kind autosaga --models snn/model.snnm,ann/model.snnm --alphas 0.7,0.3 "
+    f"{_BUDGET} --out asaga",
+    f"sweep-surrogate {_BLOBS} --model snn/model.snnm --eps 0,0.1,0.2 "
+    "--surrogates arctan,sigmoid --steps 3 --n 20 --out sweep",
+    f"transfer-matrix {_BLOBS} --models ann/model.snnm,snn/model.snnm,conv/converted.snnm "
+    f"{_BUDGET} --out tm",
+    f"multi-attack {_BLOBS} "
+    "--pairs snn/model.snnm:ann/model.snnm,conv/converted.snnm:ann/model.snnm "
+    "--eps 0.2 --single-eps-step 0.05 --saga-eps-step 0.05 --steps 3 --n 20 --out cmp",
+    f"train --data auto --n-train 60 --n-test 20 {_TINY_ATTENTION} --out auto",
+]
+
+# sha256 of every file the END_TO_END runs write, computed before the run
+# protocol moved into cli.main: a change to any run's bytes must show up here
+END_TO_END_SHA256 = {
+    "ann/config.txt": "17274df324320cea7691779aa1773d47be7786533ee9544a7839a169fb041897",
+    "ann/history.json": "7d058af7c4ce6e996682d355d529e3e274bcca19310cf4c4bff454bb2f15fc20",
+    "ann/model.snnm": "34cea3fb6e805bb82d74f9b2d8658cf3ee0e74377e651a6a0dafdaf33ec8d369",
+    "asaga/attack_report.json": "e49aaeee3c596b100ffe21339d7e48fc8c9c87d923202647e3bcd84e3c54dc3f",
+    "asaga/config.txt": "c08be09f34807e8780c7cf533c5f2dbd6961f24ed04e7e36015c7f6de3ebf82c",
+    "att/config.txt": "25f7652099a6085c4a2f3bb702d1832436505dcba1766c43d2ec74c898f980cb",
+    "att/history.json": "11ff9f4f3a640e26caf43435ea2887d19f0d2cdd03763bb1217496578e6a9024",
+    "att/model.snnm": "59dc16793b47b2e19f7b14a2a9baf689a646b7aebea4769402f888160daf9948",
+    "auto/config.txt": "85f409bbaf2b5a8157b4961cd630eef9a36021d85c5092b9dc9ad1fc3fd7ceaa",
+    "auto/history.json": "a8e111be9c3ed99a075a3a8be70dca6269c2f22df1178f24f7e8ee8ca06edae7",
+    "auto/model.snnm": "1aec0e72b69bc44d962e7f4a12e7b76531de5b66589ce641f76ce9f33f228c57",
+    "cmp/comparison.csv": "939f008dab8146088f2a9bb9a9ebe0be8a875a31f8667e1dc0d3ed73a7f9afee",
+    "cmp/comparison.json": "32c3f109a9c3bfec3d4ba775683b95dd190010e9f0870cdcc46d4b7eb11a7598",
+    "cmp/config.txt": "e3e0b94a01a1c31e1f4c1bd5ff830580abdcffef42c954554edf0b2635ef1cc7",
+    "conv/config.txt": "8768b9a89f0c2c264f52ad60b63ab5ffa77785881c0ca1fec19704de537d096d",
+    "conv/convert_report.json": "5df8775a54d8d3c883ea7589802541d211c5870e84508f4752c03047b34d6e39",
+    "conv/converted.snnm": "aa0e7f3c0f5a94afb339b095e24f41d9a872c190a9a43fa34c47f58a32493072",
+    "pgd/attack_report.json": "faf576c69a82b7ecd451f811172ca81cf5ac9763290f28395e19ae3f508be366",
+    "pgd/config.txt": "100abb3b952dfd5621a1b0def1c6001fdcd1d502e787fbecdc0d38399fd65de0",
+    "pgd-fixed/attack_report.json":
+        "11588a8c617312cc161e11ccfde05257ddbfb3806f80b8bf8e110160e0182f72",
+    "pgd-fixed/config.txt": "e197566df1d103ad42c217dd978dca656568f4630a84ae38d752531f4cf49c19",
+    "snn/config.txt": "45a152be79671bcf046fb3cc3836d55e997b435a0942be683c15a764f7737b89",
+    "snn/history.json": "957333f1a85f8ad800e0288178301eb4bddbc7f5d752c09faf331431c5c6a341",
+    "snn/model.snnm": "bc0e64d76e587f95e3509935e01dd2713bea1eae9c8ddcd199da2ed4b1e1bc70",
+    "sweep/config.txt": "d705e7f6cf729ff78be50dc7769527c4086d26cdd44bacb62c4561ea7068ed90",
+    "sweep/sweep.csv": "06a081f6dc2d38b291b97a56b28a8ba989ab7db3d182930033cad53cf64c60ce",
+    "sweep/sweep.json": "ce0cb04087f78dcedef438dd1dcad053b2a8f24967e88ad20a1a39c3def65653",
+    "tm/config.txt": "cc4bf060de371bd7a3adba0e56536633b6ed74e7f3876afc1e271fcba4f19635",
+    "tm/transfer.json": "34a733c7de5749ccc1c099fb567431e4186c7a8d82944bdc3f107f5fbada903d",
+    "tm/transfer_fgsm.csv": "78418804573b44c65ce89544d84aac7c77b019199ea56ec0da07cbddeb2d976b",
+    "tm/transfer_max.csv": "c8763d6c5f17e6482b72549e957451e04de09b7a0fcece16a0f6240a9612b5fd",
+    "tm/transfer_mim.csv": "c8763d6c5f17e6482b72549e957451e04de09b7a0fcece16a0f6240a9612b5fd",
+    "tm/transfer_pgd.csv": "c16accd22f21668e9429f70ed10655d40a8adb42f53c603497f9f22a712760ac",
+}
 
 
 class TestCli:
@@ -499,6 +585,88 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: config key {key}: cannot parse") and "\n" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["attack", "--kind", "bogus"],
+         "unknown attack kind 'bogus'; choose one of fgsm, pgd, mim, saga, autosaga"),
+        (["transfer-matrix", "--attacks", "pgd,bogus"],
+         "unknown attack kind 'bogus'; choose one of fgsm, pgd, mim, saga, autosaga"),
+        (["multi-attack"], "multi-attack needs --pairs a.snnm:b.snnm[,c:d]"),
+        (["multi-attack", "--pairs", "a.snnm"], "bad pair spec 'a.snnm'"),
+        (["convert"], "convert needs --ann checkpoint path"),
+        (["sweep-surrogate"], "sweep needs --model checkpoint path"),
+        (["attack"], "no model checkpoints given"),
+        (["transfer-matrix"], "no model checkpoints given"),
+    ], ids=["attack-kind", "transfer-kind", "no-pairs", "pair-spec", "convert-ann",
+            "sweep-model", "attack-models", "transfer-models"])
+    def test_bad_attack_or_model_spec_is_one_line_error_before_data(self, tmp_path, capsys,
+                                                                     argv, message):
+        # the data source does not exist: the spec must be rejected before loading it
+        code = self.run(*argv, "--data", "nowhere", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--data", "nowhere"], "unknown data source 'nowhere'"),
+        (["--data", "mnist"], f"data=mnist but no IDX files found (set {MNIST_ENV_VAR} "
+                              "or place files under ./data)"),
+        (["--arch", "784", "--data", "nowhere"], "arch needs at least two widths, got '784'"),
+        (["--optimizer", "rmsprop", "--data", "nowhere"], "unknown optimizer 'rmsprop'"),
+        (["--kind", "cnn", "--data", "blobs"], "unknown model kind 'cnn'"),
+        (["--kind", "attention", "--data", "blobs"], "attention models need image data"),
+    ], ids=["data", "mnist", "arch", "optimizer", "kind", "attention-on-blobs"])
+    def test_bad_training_setup_is_one_line_error(self, tmp_path, monkeypatch, capsys, argv,
+                                                  message):
+        monkeypatch.chdir(tmp_path)  # no ./data: no IDX files
+        monkeypatch.delenv(MNIST_ENV_VAR, raising=False)
+        assert self.run("train", "--n-train", "20", "--n-test", "10", *argv,
+                        "--out", "o") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_of_a_non_spiking_model_is_one_line_error(self, tmp_path, blobs_ann, capsys):
+        assert self.run("sweep-surrogate", "--model", str(blobs_ann), "--data", "nowhere",
+                        "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "error: surrogate sweep expects a spiking checkpoint\n"
+
+    @pytest.mark.parametrize("command", ["train", "convert"])
+    def test_empty_test_set_is_one_line_error_before_data(self, tmp_path, capsys, blobs_ann,
+                                                          command):
+        # both commands score their model on the test set; the data source does
+        # not exist, so the count must be rejected before any data is built
+        argv = ["--ann", str(blobs_ann)] if command == "convert" else ["--kind", "ann"]
+        code = self.run(command, *argv, "--data", "nowhere", "--n-test", "0",
+                        "--out", str(tmp_path / "o"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: n-test must be >= 1 to score the model, got 0"
+        assert "epoch" not in captured.out and not (tmp_path / "o").exists()
+
+    def test_failed_run_leaves_no_config_echo(self, tmp_path, monkeypatch):
+        # config.txt is written last: a directory that holds it holds a complete run
+        def refuse(payload, path):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(harness, "write_json", refuse)
+        out = tmp_path / "o"
+        assert self.run("train", "--data", "blobs", "--kind", "ann", "--arch", "2-4-2",
+                        "--epochs", "1", "--n-train", "20", "--n-test", "10",
+                        "--out", str(out)) == 2
+        assert (out / "model.snnm").exists() and not (out / "config.txt").exists()
+
+    def test_every_subcommand_writes_pinned_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(MNIST_ENV_VAR, raising=False)  # data=auto: synthetic digits
+        for line in END_TO_END:
+            assert self.run(*shlex.split(line)) == 0, line
+        assert "invariants: ok" in capsys.readouterr().out
+        # a subcommand without an end-to-end run fails here
+        assert {line.split()[0] for line in END_TO_END} == set(_SCHEMAS) | {"inspect"}
+        written = {path.relative_to(tmp_path).as_posix():
+                   hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.rglob("*") if path.is_file()}
+        assert written == END_TO_END_SHA256
 
     def test_bad_checkpoint_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "m.snnm"
