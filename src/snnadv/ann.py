@@ -5,7 +5,8 @@ A layer is ``forward(x)``, which returns ``(out, cache)``; ``backward(dout,
 cache, grads=None, prefix="")``, which returns the input gradient and, given
 a ``grads`` dict, writes its parameter gradients there under ``prefix`` plus
 their ``params`` names; and ``params()``, its (name, array) pairs. Models
-cast with ``Classifier.astype``; ``checkpoint`` owns each layer type's format.
+get ``forward``, ``predict`` (EVAL_BATCH rows per forward) and ``astype``
+from ``Classifier``; ``checkpoint`` owns each layer type's format.
 """
 
 from __future__ import annotations
@@ -19,15 +20,26 @@ from . import numerics
 from .errors import ConfigError, DimensionError
 
 
+EVAL_BATCH = 256  # rows per forward in Classifier.predict, which bounds its buffers
+
+
 class Classifier:
-    """``forward`` and ``predict``, which every model builds on its own
-    ``forward_cached``, and ``astype``, which it builds on its ``params``."""
+    """``forward`` and ``predict`` over each model's own ``forward_cached``,
+    ``params`` over a ``layers`` stack, and ``astype`` over ``params``."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x), axis=1)
+        """The argmax of one forward on all of ``x`` (every row is computed on
+        its own), taken EVAL_BATCH rows per forward; no rows give an empty array."""
+        return np.concatenate([np.argmax(self.forward(x[start:start + EVAL_BATCH]), axis=1)
+                               for start in range(0, len(x), EVAL_BATCH)]
+                              or [np.zeros(0, dtype=np.intp)])
+
+    def params(self):
+        return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
+                for name, p in layer.params()]
 
     def astype(self, dtype):
         """A deep copy whose ``params()`` arrays are cast to ``dtype``."""
@@ -206,10 +218,6 @@ class AnnNet(Classifier):
             d = self.layers[i].backward(d, caches[i], grads, f"layer{i}.")
         numerics.require_finite(d, "input gradient")
         return d.reshape(d.shape[0], -1)
-
-    def params(self):
-        return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
-                for name, p in layer.params()]
 
 
 def build_mlp(dims: list, seed: int = 0, dtype=numerics.DEFAULT_DTYPE) -> AnnNet:

@@ -148,14 +148,14 @@ def keyed_uniform(seed: int, index, row_size: int) -> np.ndarray:
 
 
 def loss_input_grad(model, x: np.ndarray, labels: np.ndarray) -> tuple:
-    """Summed cross-entropy loss, its gradient w.r.t. the input (shaped like
-    x), and the forward cache the gradient came from. The gradient is seeded
-    per sample, so its rows do not depend on the rest of the batch. No
-    parameter gradient is computed."""
+    """The logits, the cross-entropy gradient w.r.t. the input (shaped like
+    x), and the forward cache both came from. The gradient is seeded per
+    sample, so its rows do not depend on the rest of the batch. No parameter
+    gradient is computed."""
     logits, cache = model.forward_cached(x)
-    loss, dlogits = numerics.softmax_cross_entropy(logits, labels, mean=False)
+    _, dlogits = numerics.softmax_cross_entropy(logits, labels, mean=False)
     dinput = model.backward(cache, dlogits)
-    return loss, dinput.reshape(np.asarray(x).shape), cache
+    return logits, dinput.reshape(np.asarray(x).shape), cache
 
 
 def margin_loss(logits: np.ndarray, labels: np.ndarray, kappa: float
@@ -271,17 +271,26 @@ def _blend_term(model, alpha, x: np.ndarray, cache, grad: np.ndarray) -> np.ndar
     return alpha * rollout(x, cache) * grad
 
 
-def saga(models: Sequence, alphas: Sequence[float], x: np.ndarray, labels: np.ndarray,
-         cfg: AttackConfig, trace: Optional[list] = None) -> np.ndarray:
-    """Fixed-coefficient multi-model blend: attention models contribute their
-    rollout-masked gradients, the rest plain gradients. Coefficients stay
-    constant for every sample and iteration."""
-    if len(models) < 1:
+def _blend_alphas(alphas: Optional[Sequence[float]], m_count: int) -> Sequence[float]:
+    """The blend coefficients of ``m_count`` models: ``alphas``, checked for
+    count and sign, or uniform when it is None."""
+    if m_count < 1:
         raise ConfigError("need at least one model")
-    if len(alphas) != len(models):
-        raise ConfigError(f"{len(alphas)} coefficients for {len(models)} models")
+    if alphas is None:
+        return [1.0 / m_count] * m_count
+    if len(alphas) != m_count:
+        raise ConfigError(f"{len(alphas)} coefficients for {m_count} models")
     if any(a < 0 for a in alphas):
         raise ConfigError("blend coefficients must be non-negative")
+    return alphas
+
+
+def saga(models: Sequence, alphas: Optional[Sequence[float]], x: np.ndarray,
+         labels: np.ndarray, cfg: AttackConfig, trace: Optional[list] = None) -> np.ndarray:
+    """Fixed-coefficient multi-model blend: attention models contribute their
+    rollout-masked gradients, the rest plain gradients. Coefficients stay
+    constant for every sample and iteration; None blends uniformly."""
+    alphas = _blend_alphas(alphas, len(models))
     x = np.asarray(x)
 
     def blend(x_adv):
@@ -313,16 +322,9 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
     [n_iter + 1, n, n_models].
     """
     m_count = len(models)
-    if m_count < 1:
-        raise ConfigError("need at least one model")
     x = np.asarray(x)
     n = x.shape[0]
-    if cfg.alphas is not None:
-        if len(cfg.alphas) != m_count:
-            raise ConfigError(f"{len(cfg.alphas)} coefficients for {m_count} models")
-        alphas = np.tile(np.asarray(cfg.alphas, dtype=np.float64), (n, 1))
-    else:
-        alphas = np.full((n, m_count), 1.0 / m_count)
+    alphas = np.tile(np.asarray(_blend_alphas(cfg.alphas, m_count), dtype=np.float64), (n, 1))
     history = [alphas.copy()]
     grad_axes = tuple(range(1, x.ndim))
     bshape = (n,) + (1,) * (x.ndim - 1)
@@ -336,9 +338,7 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
         margin_grads = []
         blend = np.zeros_like(x)
         for mi, model in enumerate(models):
-            logits, cache = model.forward_cached(x_adv)
-            _, ce_dlogits = numerics.softmax_cross_entropy(logits, labels, mean=False)
-            grad = model.backward(cache, ce_dlogits).reshape(x.shape)
+            logits, grad, cache = loss_input_grad(model, x_adv, labels)
             _, f_dlogits = margin_loss(logits, labels, cfg.kappa)
             f_grad = model.backward(cache, f_dlogits).reshape(x.shape)
             grads.append(grad)
@@ -375,12 +375,20 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
 ATTACK_KINDS = ("fgsm", "pgd", "mim", "saga", "autosaga")
 
 
+def attack_kind(kind: str) -> str:
+    """``kind`` lower-cased, if it names one of ATTACK_KINDS."""
+    kind = kind.lower()
+    if kind not in ATTACK_KINDS:
+        raise ConfigError(f"unknown attack kind {kind!r}; choose one of {', '.join(ATTACK_KINDS)}")
+    return kind
+
+
 def run_attack(kind: str, models: Sequence, x: np.ndarray, labels: np.ndarray,
                cfg: AttackConfig, index: Optional[np.ndarray] = None) -> np.ndarray:
     """Uniform dispatch used by the harness and the CLI. ``index`` (the
     samples' dataset indices) keys PGD's random start; the other attacks
     draw nothing."""
-    kind = kind.lower()
+    kind = attack_kind(kind)
     if kind == "fgsm":
         return fgsm(models[0], x, labels, cfg.eps_max)
     if kind == "pgd":
@@ -388,8 +396,5 @@ def run_attack(kind: str, models: Sequence, x: np.ndarray, labels: np.ndarray,
     if kind == "mim":
         return mim(models[0], x, labels, cfg)
     if kind == "saga":
-        alphas = cfg.alphas if cfg.alphas is not None else [1.0 / len(models)] * len(models)
-        return saga(models, alphas, x, labels, cfg)
-    if kind == "autosaga":
-        return auto_saga(models, x, labels, cfg)[0]
-    raise ConfigError(f"unknown attack kind {kind!r}; choose one of {', '.join(ATTACK_KINDS)}")
+        return saga(models, cfg.alphas, x, labels, cfg)
+    return auto_saga(models, x, labels, cfg)[0]

@@ -195,9 +195,9 @@ def save_model(path, model, seed: int = 0, config_echo: dict | None = None) -> P
     """Write ``model`` to ``path``. Everything that can refuse the model runs
     before the file is opened, so a refused model leaves no file behind."""
     path = Path(path)
+    arch = json.dumps(describe(model), sort_keys=True)
     tensors = [(name, np.ascontiguousarray(p)) for name, p in model.params()]
     _one_dtype(tensors)
-    arch = json.dumps(describe(model), sort_keys=True)
     echo = json.dumps(config_echo or {}, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:

@@ -18,7 +18,7 @@ import numpy as np
 from . import checkpoint, config as cfgmod, convert as convertmod, data as datamod
 from . import harness
 from .ann import build_mlp
-from .attacks import ATTACK_KINDS, AttackConfig, AttackReport, run_attack
+from .attacks import AttackConfig, AttackReport, attack_kind, run_attack
 from .attention import TinyAttentionNet
 from .dynamics import NeuronConfig, SpikingNet, build_snn_mlp
 from .errors import ConfigError, SnnAdvError
@@ -170,7 +170,8 @@ def _load_dataset(cfg: dict, scored: bool = False):
     if name in ("mnist", "auto"):
         return datamod.image_dataset(k, cfg["n-test"], seed=seed)
     if name == "blobs":
-        x, y = datamod.synth_blobs(k + cfg["n-test"], classes=2, dim=2, seed=seed)
+        # one fixed task: a model trained at one --seed scores the same task at another
+        x, y = datamod.synth_blobs(k + cfg["n-test"], classes=2, dim=2, seed=0)
     elif name == "digits":
         x, y = datamod.synth_digits(k + cfg["n-test"], seed=seed)
     else:
@@ -189,9 +190,7 @@ def _attack_config(cfg: dict, kinds=(), **overrides) -> AttackConfig:
     """The settings ``cfg`` states for attacks of ``kinds``, which get
     run_attack's own check here, before any data is built."""
     for kind in kinds:
-        if kind.lower() not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack kind {kind.lower()!r}; "
-                              f"choose one of {', '.join(ATTACK_KINDS)}")
+        attack_kind(kind)
     fields = {field: cfg[key] for key, field in _ATTACK_FIELDS.items() if key in cfg}
     return AttackConfig(**{**fields, **overrides})
 
@@ -227,6 +226,10 @@ def _load_models(spec: str) -> tuple[list, list]:
 def cmd_train(cfg: dict, out_dir: Path) -> None:
     dims = _parse_arch(cfg["arch"])
     kind = cfg["kind"]
+    if kind not in ("ann", "snn", "attention"):
+        raise ConfigError(f"unknown model kind {kind!r}")
+    if kind == "attention" and cfg["data"] == "blobs":  # the one source without images
+        raise ConfigError("attention models need image data")
     seed = cfg["seed"]
     opt_name = cfg["optimizer"]
     if opt_name == "auto":
@@ -245,14 +248,10 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
         spec = _surrogate_from(cfg)
         model = build_snn_mlp(dims, T=cfg["timesteps"], seed=seed, neuron=neuron,
                               surrogate=spec, readout=cfg["readout"])
-    elif kind == "attention":
-        if train_x.ndim < 3:
-            raise ConfigError("attention models need image data")
+    else:
         model = TinyAttentionNet(image_shape=train_x.shape[1:], patch=cfg["patch"],
                                  embed=cfg["embed"], n_layers=cfg["att-layers"],
                                  n_heads=cfg["att-heads"], seed=seed)
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
     history = train_epochs(model, train_x, train_y, epochs=cfg["epochs"],
                            optimizer=optimizer, seed=seed, batch_size=cfg["batch-size"],
                            spec=spec, test_x=test_x, test_y=test_y)

@@ -52,7 +52,7 @@ def _layer_scales(denses: list, calib_x: np.ndarray, percentile: float) -> list:
     x = np.asarray(calib_x, dtype=denses[0].w.dtype).reshape(len(calib_x), -1)
     scales = []
     for layer in denses[:-1]:
-        pre = x @ layer.w + layer.b
+        pre, _ = layer.forward(x)
         scale = float(np.percentile(pre, percentile))
         if not np.isfinite(scale) or scale <= 0.0:
             scale = 1.0  # degenerate calibration: leave the layer unscaled

@@ -215,10 +215,6 @@ class SpikingNet(Classifier):
     def n_classes(self) -> int:
         return self.layers[-1].out_width
 
-    def params(self) -> list:
-        return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
-                for name, p in layer.params()]
-
     def _fingerprint(self) -> tuple:
         return (self.T, len(self.layers), self.readout, self.relaxed,
                 tuple((l.in_width, l.out_width) for l in self.layers))
@@ -227,7 +223,7 @@ class SpikingNet(Classifier):
         if self.relaxed:
             out[...] = antiderivative(self.surrogate, v, threshold=threshold)
             return out
-        return np.greater_equal(v, threshold, out=out)  # NeuronConfig checked threshold
+        return heaviside(v, threshold, out=out)
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
         x = numerics.as_batch(x, (self.layers[0].in_width,), self.layers[0].w.dtype)

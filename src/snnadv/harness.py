@@ -23,7 +23,6 @@ from . import attacks
 from .attacks import AttackConfig
 from .errors import SelectionError
 from .surrogate import SurrogateSpec
-from .train import predict_batched
 
 
 @dataclass
@@ -36,7 +35,7 @@ class EvalSet:
     def verify(self, models: Sequence) -> None:
         """Re-check the all-correct precondition before an attack run."""
         for i, model in enumerate(models):
-            pred = predict_batched(model, self.x)
+            pred = model.predict(self.x)
             if not np.all(pred == self.y):
                 raise SelectionError(f"evaluation set no longer all-correct for model {i}")
 
@@ -47,7 +46,7 @@ def select_eval_set(models: Sequence, x: np.ndarray, y: np.ndarray, n: int, *,
     correctly. Fails loudly, naming the starved classes, when the data cannot
     supply the per-class quota."""
     y = np.asarray(y)
-    correct = np.all([predict_batched(model, x) == y for model in models], axis=0)
+    correct = np.all([model.predict(x) == y for model in models], axis=0)
     return _draw_eval_set(correct, x, y, n, max(m.n_classes for m in models), seed)
 
 
@@ -121,7 +120,7 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
     names = list(names)
     y = np.asarray(y)
     # one prediction pass per model; each pair's mask is the AND of two
-    correct = [predict_batched(model, x) == y for model in models]
+    correct = [model.predict(x) == y for model in models]
     evalsets = {}
     for i in range(m):
         for j in range(m):
@@ -209,7 +208,8 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
                            single_cfg: AttackConfig, saga_cfg: AttackConfig,
                            seed: int = 0, pair_names: Optional[Sequence] = None) -> list:
     """Joint-success table per model pair: best single MIM, best single PGD,
-    the balanced fixed blend [0.5, 0.5], and the self-tuning blend."""
+    the fixed blend of ``saga_cfg.alphas`` (balanced by default), and the
+    self-tuning blend."""
     rows = []
     for pi, pair in enumerate(pairs):
         models = list(pair)
@@ -224,7 +224,7 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
                                                           single_cfg, index=evalset.indices),
                                       evalset.y))
         evalset.verify(models)
-        basic = joint_success(models, attacks.saga(models, [0.5, 0.5], evalset.x,
+        basic = joint_success(models, attacks.saga(models, saga_cfg.alphas, evalset.x,
                                                    evalset.y, saga_cfg), evalset.y)
         evalset.verify(models)
         adv, _ = attacks.auto_saga(models, evalset.x, evalset.y, saga_cfg)

@@ -12,8 +12,6 @@ from .dynamics import SpikingNet
 from .errors import ConfigError, EvaluationError, TrainingError
 from .surrogate import SurrogateSpec
 
-EVAL_BATCH = 256  # rows per predict call in predict_batched
-
 
 class SGD:
     def __init__(self, lr: float = 0.05, momentum: float = 0.9):
@@ -88,22 +86,12 @@ class EvalResult:
     per_class_correct: np.ndarray
 
 
-def predict_batched(model, x: np.ndarray) -> np.ndarray:
-    """``model.predict`` in slices of EVAL_BATCH rows, so no forward holds
-    the buffers of more than one slice. The models compute every row on its
-    own, so this gives the predictions of one call on all of ``x``; zero
-    rows give zero predictions."""
-    return np.concatenate([model.predict(x[start:start + EVAL_BATCH])
-                           for start in range(0, len(x), EVAL_BATCH)]
-                          or [np.zeros(0, dtype=np.intp)])
-
-
 def evaluate(model, x: np.ndarray, y: np.ndarray) -> EvalResult:
     """Accuracy plus per-class sample/correct counts for balance checks."""
     y = np.asarray(y)
     if y.size == 0:
         raise TrainingError("cannot evaluate on empty data")
-    pred = predict_batched(model, x)
+    pred = model.predict(x)
     total = np.bincount(y, minlength=model.n_classes)
     correct = np.bincount(y[pred == y], minlength=model.n_classes)
     return EvalResult(float(correct.sum() / total.sum()), total, correct)

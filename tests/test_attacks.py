@@ -87,6 +87,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AttackConfig(n_iter=0)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("eps_max", 1.5, r"eps_max must be in \[0, 1\]"),
+        ("eps_step", 0.0, "eps_step must be > 0"),
+        ("mu", -1.0, "mu must be >= 0"),
+        ("kappa", -1.0, "kappa must be >= 0"),
+        ("coeff_lr", 0.0, "coefficient learning rate and fitting factor must be > 0"),
+    ])
+    def test_out_of_range_field_rejected(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            AttackConfig(**{field: value})
+
 
 class TestFgsm:
     def test_zero_eps_returns_input(self, blob_net, blob_data):
@@ -218,11 +229,21 @@ class TestSaga:
         with pytest.raises(ConfigError, match="^need at least one model$"):
             saga([], [], x, y, cfg)
         with pytest.raises(ConfigError, match="^need at least one model$"):
+            saga([], None, x, y, cfg)
+        with pytest.raises(ConfigError, match="^need at least one model$"):
             auto_saga([], x, y, cfg)
         with pytest.raises(ConfigError, match="^2 coefficients for 1 models$"):
             saga([blob_net], [0.5, 0.5], x, y, cfg)
         with pytest.raises(ConfigError, match="^2 coefficients for 1 models$"):
             auto_saga([blob_net], x, y, two)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_no_coefficients_blend_uniformly(self, m):
+        models, x, y = TestOneForwardPerIteration._pair()
+        models = models[:m]
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3)
+        uniform = saga(models, [1.0 / m] * m, x, y, cfg)
+        assert saga(models, None, x, y, cfg).tobytes() == uniform.tobytes()
 
     def test_balanced_pair_runs_and_projects(self, blob_net, blob_data):
         x, y = blob_data
@@ -294,6 +315,18 @@ class TestOneForwardPerIteration:
         models, x, y = self._pair()
         auto_saga(models, x, y, AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3))
         assert counted == [5, 5, 5]
+
+
+@pytest.mark.parametrize("model", [
+    build_mlp([64, 6, 3], seed=4),
+    build_snn_mlp([64, 6, 3], T=3, seed=4),
+    TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2, n_heads=2,
+                     n_classes=3, seed=4)], ids=["ann", "snn", "attention"])
+def test_loss_input_grad_returns_the_forward_logits(model):
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0, 1, (20, 64)).astype(np.float32)
+    logits = loss_input_grad(model, x, rng.integers(0, 3, 20))[0]
+    assert logits.tobytes() == model.forward(x).tobytes()
 
 
 class TestMarginLoss:

@@ -84,6 +84,17 @@ class TestConversion:
         with pytest.raises(UnsupportedError):
             convert_ann_to_snn(conv_ann, np.zeros((2, 1, 4, 4), dtype=np.float32))
 
+    @pytest.mark.parametrize("layers,mode,match", [
+        ([(6, 5), (5, 3)], WEIGHT_BALANCE, "expects ReLU after every hidden dense layer"),
+        ([(6, 3), "relu"], WEIGHT_BALANCE, "expects raw logits at the output"),
+        ([(6, 3)], "x", "unknown balancing mode 'x'"),
+    ], ids=["no-relu-between", "trailing-relu", "mode"])
+    def test_unconvertible_setup_rejected(self, layers, mode, match):
+        ann = AnnNet([ReLU() if spec == "relu" else Dense(np.zeros(spec, dtype=np.float32))
+                      for spec in layers])
+        with pytest.raises(UnsupportedError, match=match):
+            convert_ann_to_snn(ann, np.zeros((2, 6), dtype=np.float32), mode=mode)
+
     def test_empty_calibration_rejected(self):
         ann, _ = small_relu_ann()
         with pytest.raises(TrainingError):

@@ -4,7 +4,7 @@ import pytest
 from snnadv.dynamics import (NeuronConfig, SpikingLayer, SpikingNet, SynapseConfig,
                              build_snn_mlp, step_adaptive, step_lif_hard, step_lif_soft,
                              synapse_filter)
-from snnadv.errors import ConfigError, StateError
+from snnadv.errors import ConfigError, DimensionError, StateError
 from snnadv.surrogate import SurrogateSpec
 
 F32 = np.float32
@@ -310,6 +310,31 @@ class TestThresholdConfig:
         # rejected at construction, so the forward's spike needs no per-step check
         with pytest.raises(ConfigError):
             NeuronConfig(threshold=threshold)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(leak=0.0), r"leak must be in \(0, 1\]"),
+        (dict(reset="x"), "reset must be"),
+        (dict(adapt_decay=1.0), r"adapt_decay must be in \[0, 1\)"),
+    ])
+    def test_neuron_config(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            NeuronConfig(**kwargs)
+
+    def test_synapse_without_beta_0(self):
+        with pytest.raises(ConfigError, match="synapse needs at least beta_0"):
+            SynapseConfig(betas=())
+
+    @pytest.mark.parametrize("widths,kwargs,error,match", [
+        ([(4, 3)], dict(readout="rate"), ConfigError, "unknown readout 'rate'"),
+        ([], {}, ConfigError, "network needs at least one layer"),
+        ([(4, 3), (5, 2)], {}, DimensionError, "layer widths mismatch: 3 -> 5"),
+    ], ids=["readout", "no-layers", "widths"])
+    def test_spiking_net(self, widths, kwargs, error, match):
+        layers = [SpikingLayer(np.zeros(shape, dtype=F32)) for shape in widths]
+        with pytest.raises(error, match=match):
+            SpikingNet(layers, **kwargs)
 
 
 NET_VARIANTS = [

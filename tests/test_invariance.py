@@ -212,9 +212,9 @@ class TestMatrixMatchesPerPairReference:
         x, y = blob_data
         models = [blob_net, build_mlp([6, 10, 2], seed=99)]
         pool_passes = []
-        predict = harness.predict_batched
-        monkeypatch.setattr(harness, "predict_batched",
-                            lambda m, xs: pool_passes.append(len(xs) == len(x)) or predict(m, xs))
+        for model in models:
+            monkeypatch.setattr(model, "predict", lambda xs, predict=model.predict:
+                                pool_passes.append(len(xs) == len(x)) or predict(xs))
         unions = []
         run_attack = attacks.run_attack
         monkeypatch.setattr(attacks, "run_attack", lambda *a, index=None, **k:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnadv import checkpoint, harness
+from snnadv import checkpoint, cli, harness
 from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_mlp, kaiming_uniform
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
@@ -332,6 +332,10 @@ class TestCheckpoint:
                      id="ann-mistyped-shape"),
         pytest.param(CHECKPOINT_BUILDS[3], lambda a: a.update(patch=True),
                      r"architecture\.patch has the wrong type", id="attention-bool-for-int"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a.update(surrogate=[]),
+                     r"architecture\.surrogate is not an object", id="snn-list-for-object"),
+        pytest.param(CHECKPOINT_BUILDS[2], lambda a: a.update(layers={}),
+                     r"architecture\.layers is not a list", id="snn-object-for-list"),
         # well-typed but out of range: these escaped as numpy or arithmetic errors
         pytest.param(CHECKPOINT_BUILDS[2], lambda a: a["layers"][0].update(out=-4),
                      r"architecture\.layers\[0\]\.out must be at least 1, got -4",
@@ -387,6 +391,33 @@ class TestCheckpoint:
         checkpoint.save_model(fresh, net, seed=0)
         checkpoint.save_model(resaved, loaded, seed=0)
         assert resaved.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("splice,match", [
+        (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported checkpoint version 2"),
+        (lambda b: b.replace(b"\x03\x00ann", b"\x03\x00cnn", 1), "unknown model kind 'cnn'"),
+        (lambda b: b.replace(b"layer0.w\x00", b"layer0.w\x07", 1),
+         "unknown tensor dtype tag 7"),
+        (lambda b: b + b"\x00", "trailing bytes after checkpoint payload"),
+        (lambda b: b.replace(b"layer0.b", b"layer0.c", 1),
+         "checkpoint tensors do not match the architecture descriptor"),
+        (lambda b: b.replace(struct.pack("<III", 2, 4, 3), struct.pack("<III", 2, 3, 4), 1),
+         r"tensor layer0.w shape \(3, 4\) != expected \(4, 3\)"),
+    ], ids=["version", "kind", "dtype-tag", "trailing-byte", "renamed-tensor", "swapped-dims"])
+    def test_spliced_file_is_refused(self, tmp_path, splice, match):
+        path = tmp_path / "m.snnm"
+        checkpoint.save_model(path, build_mlp([4, 3], seed=0), seed=0)
+        blob = path.read_bytes()
+        spliced = splice(blob)
+        assert spliced != blob
+        path.write_bytes(spliced)
+        with pytest.raises(FormatError, match=match):
+            checkpoint.load_model(path)
+
+    def test_unknown_model_type_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.snnm"
+        with pytest.raises(FormatError, match="cannot checkpoint model type object"):
+            checkpoint.save_model(path, object())
+        assert not path.exists()
 
     def test_truncation_detected(self, tmp_path):
         net = build_mlp([4, 3], seed=0)
@@ -614,8 +645,10 @@ class TestCli:
         (["--arch", "784", "--data", "nowhere"], "arch needs at least two widths, got '784'"),
         (["--optimizer", "rmsprop", "--data", "nowhere"], "unknown optimizer 'rmsprop'"),
         (["--kind", "cnn", "--data", "blobs"], "unknown model kind 'cnn'"),
+        (["--kind", "cnn", "--data", "nowhere"], "unknown model kind 'cnn'"),
         (["--kind", "attention", "--data", "blobs"], "attention models need image data"),
-    ], ids=["data", "mnist", "arch", "optimizer", "kind", "attention-on-blobs"])
+    ], ids=["data", "mnist", "arch", "optimizer", "kind", "kind-before-data",
+            "attention-on-blobs"])
     def test_bad_training_setup_is_one_line_error(self, tmp_path, monkeypatch, capsys, argv,
                                                   message):
         monkeypatch.chdir(tmp_path)  # no ./data: no IDX files
@@ -624,6 +657,27 @@ class TestCli:
                         "--out", "o") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_attention_on_blobs_is_refused_before_data(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data was built")
+
+        monkeypatch.setattr(cli, "_load_dataset", refuse)
+        assert self.run("train", "--kind", "attention", "--data", "blobs",
+                        "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "error: attention models need image data\n"
+
+    def test_blobs_are_one_task_whatever_the_seed(self, tmp_path, blobs_ann):
+        cfg = {"data": "blobs", "n-train": 30, "n-test": 10}
+        first, other = (cli._load_dataset({**cfg, "seed": seed}) for seed in (0, 3))
+        for a, b in zip(first[:4], other[:4]):
+            assert np.array_equal(a, b)
+        # blobs_ann trained at seed 0 scores the same task at seed 3
+        assert self.run("convert", "--ann", str(blobs_ann), "--data", "blobs",
+                        "--n-train", "200", "--n-test", "100", "--timesteps", "16",
+                        "--n-calib", "64", "--seed", "3", "--out", str(tmp_path / "c")) == 0
+        report = json.loads((tmp_path / "c" / "convert_report.json").read_text())
+        assert report["test_acc"] >= 0.9
 
     def test_sweep_of_a_non_spiking_model_is_one_line_error(self, tmp_path, blobs_ann, capsys):
         assert self.run("sweep-surrogate", "--model", str(blobs_ann), "--data", "nowhere",

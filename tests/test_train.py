@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
-from snnadv.ann import build_mlp
+from snnadv.ann import EVAL_BATCH, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.data import synth_blobs, synth_digits
 from snnadv.dynamics import NeuronConfig, build_snn_mlp
 from snnadv.errors import TrainingError
 from snnadv.surrogate import SurrogateSpec
-from snnadv.train import EVAL_BATCH, Adam, SGD, evaluate, predict_batched, train_epochs
+from snnadv.train import Adam, SGD, evaluate, train_epochs
 
 
 class _FixedPredictor:
@@ -170,13 +170,21 @@ class TestEvaluate:
             evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
-class TestPredictBatched:
-    @pytest.mark.parametrize("model", [build_mlp([4, 5, 3], seed=0),
-                                       build_snn_mlp([4, 5, 3], T=3, seed=0)],
-                             ids=["ann", "snn"])
-    def test_zero_rows_give_empty_predictions(self, model):
-        x = np.random.default_rng(0).uniform(0, 1, (EVAL_BATCH + 3, 4)).astype(np.float32)
-        full = predict_batched(model, x)
-        assert np.array_equal(full, model.predict(x))
-        empty = predict_batched(model, x[:0])
-        assert empty.shape == (0,) and empty.dtype == full.dtype
+class TestClassifierPredict:
+    @pytest.mark.parametrize("model", [
+        build_mlp([64, 5, 3], seed=0),
+        build_snn_mlp([64, 5, 3], T=3, seed=0),
+        TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=1, n_heads=2,
+                         n_classes=3, seed=0)], ids=["ann", "snn", "attention"])
+    def test_slices_give_the_argmax_of_one_forward(self, model, monkeypatch):
+        x = np.random.default_rng(0).uniform(0, 1, (2 * EVAL_BATCH + 17, 1, 8, 8))
+        x = x.astype(np.float32)
+        whole = np.argmax(model.forward(x), axis=1)
+        rows = []
+        forward_cached = model.forward_cached
+        monkeypatch.setattr(model, "forward_cached",
+                            lambda xs: rows.append(len(xs)) or forward_cached(xs))
+        assert np.array_equal(model.predict(x), whole)
+        assert max(rows) <= EVAL_BATCH and sum(rows) == len(x)
+        empty = model.predict(x[:0])
+        assert empty.shape == (0,) and empty.dtype == np.intp
