@@ -37,9 +37,11 @@ class AttackConfig:
     """Shared attack knobs.
 
     ``eps_step`` drives PGD/SAGA steps; MIM always steps by eps_max/n_iter as
-    its update rule prescribes. ``coeff_lr`` (r) and ``fit_u`` (u) only matter
-    for the self-tuning blend. ``normalize_alphas=False`` keeps the raw
-    unconstrained coefficient walk for fidelity studies.
+    its update rule prescribes. ``alphas`` are SAGA's fixed blend coefficients
+    and Auto-SAGA's starting ones, one per model; None is uniform.
+    ``coeff_lr`` (r) and ``fit_u`` (u) only matter for the self-tuning blend.
+    ``normalize_alphas=False`` keeps the raw unconstrained coefficient walk for
+    fidelity studies.
     """
 
     eps_max: float = 0.031
@@ -272,25 +274,24 @@ def _blend_term(model, alpha, x: np.ndarray, cache, grad: np.ndarray) -> np.ndar
 
 
 def _blend_alphas(alphas: Optional[Sequence[float]], m_count: int) -> Sequence[float]:
-    """The blend coefficients of ``m_count`` models: ``alphas``, checked for
-    count and sign, or uniform when it is None."""
+    """The blend coefficients of ``m_count`` models: ``alphas`` (whose signs
+    ``AttackConfig`` checks), checked for count, or uniform when it is None."""
     if m_count < 1:
         raise ConfigError("need at least one model")
     if alphas is None:
         return [1.0 / m_count] * m_count
     if len(alphas) != m_count:
         raise ConfigError(f"{len(alphas)} coefficients for {m_count} models")
-    if any(a < 0 for a in alphas):
-        raise ConfigError("blend coefficients must be non-negative")
     return alphas
 
 
-def saga(models: Sequence, alphas: Optional[Sequence[float]], x: np.ndarray,
-         labels: np.ndarray, cfg: AttackConfig, trace: Optional[list] = None) -> np.ndarray:
+def saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
+         trace: Optional[list] = None) -> np.ndarray:
     """Fixed-coefficient multi-model blend: attention models contribute their
-    rollout-masked gradients, the rest plain gradients. Coefficients stay
-    constant for every sample and iteration; None blends uniformly."""
-    alphas = _blend_alphas(alphas, len(models))
+    rollout-masked gradients, the rest plain gradients. The coefficients are
+    ``cfg.alphas`` (uniform when None) and stay constant for every sample and
+    iteration."""
+    alphas = _blend_alphas(cfg.alphas, len(models))
     x = np.asarray(x)
 
     def blend(x_adv):
@@ -385,9 +386,9 @@ def attack_kind(kind: str) -> str:
 
 def run_attack(kind: str, models: Sequence, x: np.ndarray, labels: np.ndarray,
                cfg: AttackConfig, index: Optional[np.ndarray] = None) -> np.ndarray:
-    """Uniform dispatch used by the harness and the CLI. ``index`` (the
-    samples' dataset indices) keys PGD's random start; the other attacks
-    draw nothing."""
+    """The one way the harness and the CLI start an attack; every setting
+    comes from ``cfg``. ``index`` (the samples' dataset indices) keys PGD's
+    random start; the other attacks draw nothing."""
     kind = attack_kind(kind)
     if kind == "fgsm":
         return fgsm(models[0], x, labels, cfg.eps_max)
@@ -396,5 +397,5 @@ def run_attack(kind: str, models: Sequence, x: np.ndarray, labels: np.ndarray,
     if kind == "mim":
         return mim(models[0], x, labels, cfg)
     if kind == "saga":
-        return saga(models, cfg.alphas, x, labels, cfg)
+        return saga(models, x, labels, cfg)
     return auto_saga(models, x, labels, cfg)[0]

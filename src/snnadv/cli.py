@@ -22,7 +22,7 @@ from .attacks import AttackConfig, AttackReport, attack_kind, run_attack
 from .attention import TinyAttentionNet
 from .dynamics import NeuronConfig, SpikingNet, build_snn_mlp
 from .errors import ConfigError, SnnAdvError
-from .surrogate import KINDS, SurrogateSpec, canonical_kind
+from .surrogate import KINDS, SurrogateSpec
 from .train import Adam, SGD, evaluate, train_epochs
 
 _COMMON = {
@@ -180,7 +180,7 @@ def _load_dataset(cfg: dict, scored: bool = False):
 
 
 def _surrogate_from(cfg: dict, kind: str | None = None) -> SurrogateSpec:
-    return SurrogateSpec(kind=canonical_kind(kind or cfg["surrogate"]),
+    return SurrogateSpec(kind=kind or cfg["surrogate"],
                          sigma=cfg["surrogate-sigma"],
                          alpha=cfg["surrogate-alpha"],
                          beta=cfg["surrogate-beta"])

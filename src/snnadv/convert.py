@@ -24,27 +24,18 @@ THRESHOLD_BALANCE = "threshold_balance"
 
 
 def _dense_chain(ann: AnnNet) -> list:
-    """Validate the ann is a dense/ReLU chain and pair each dense layer with
-    whether a ReLU follows it."""
-    chain = []
+    """The ann's dense layers, once its non-Flatten layers are checked to
+    alternate Dense, ReLU, ..., Dense."""
     layers = [l for l in ann.layers if not isinstance(l, Flatten)]
-    i = 0
-    while i < len(layers):
-        layer = layers[i]
-        if not isinstance(layer, Dense):
+    for i, layer in enumerate(layers):
+        if i % 2 == 0 and not isinstance(layer, Dense):
             raise UnsupportedError(
                 f"conversion supports dense/ReLU chains; found {type(layer).__name__}")
-        followed_by_relu = i + 1 < len(layers) and isinstance(layers[i + 1], ReLU)
-        chain.append((layer, followed_by_relu))
-        i += 2 if followed_by_relu else 1
-    if not chain:
-        raise UnsupportedError("no dense layers to convert")
-    for layer, relu in chain[:-1]:
-        if not relu:
+        if i % 2 == 1 and not isinstance(layer, ReLU):
             raise UnsupportedError("conversion expects ReLU after every hidden dense layer")
-    if chain[-1][1]:
+    if len(layers) % 2 == 0:
         raise UnsupportedError("conversion expects raw logits at the output")
-    return [layer for layer, _ in chain]
+    return layers[::2]
 
 
 def _layer_scales(denses: list, calib_x: np.ndarray, percentile: float) -> list:

@@ -189,8 +189,8 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
             else:
                 step = min(cfg.eps_step, eps / 4.0)
                 cfg_eps = replace(cfg, eps_max=float(eps), eps_step=step)
-                x_adv = attacks.pgd(view, evalset.x, evalset.y, cfg_eps,
-                                    index=evalset.indices)
+                x_adv = attacks.run_attack("pgd", [view], evalset.x, evalset.y, cfg_eps,
+                                           index=evalset.indices)
             acc[si, ei] = float(np.mean(view.predict(x_adv) == evalset.y))
     return SweepGrid(kinds=[s.kind for s in specs], eps_values=list(eps_values),
                      robust_accuracy=acc, success_rate=1.0 - acc)
@@ -208,27 +208,28 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
                            single_cfg: AttackConfig, saga_cfg: AttackConfig,
                            seed: int = 0, pair_names: Optional[Sequence] = None) -> list:
     """Joint-success table per model pair: best single MIM, best single PGD,
-    the fixed blend of ``saga_cfg.alphas`` (balanced by default), and the
-    self-tuning blend."""
+    the fixed blend SAGA and the self-tuning blend Auto-SAGA. Both blends take
+    ``saga_cfg``, whose ``alphas`` are SAGA's coefficients and Auto-SAGA's
+    start (uniform when None).
+
+    Each pair's 2M + 2 runs (MIM then PGD per model, then SAGA, then
+    Auto-SAGA) go through ``attacks.run_attack`` on the pair's evaluation set,
+    which is re-verified before each run."""
     rows = []
     for pi, pair in enumerate(pairs):
         models = list(pair)
         evalset = select_eval_set(models, x, y, n, seed=seed)
-        mims = []
-        pgds = []
-        for model in models:
+
+        def joint(kind, attacked, cfg):
             evalset.verify(models)
-            mims.append(joint_success(models, attacks.mim(model, evalset.x, evalset.y,
-                                                          single_cfg), evalset.y))
-            pgds.append(joint_success(models, attacks.pgd(model, evalset.x, evalset.y,
-                                                          single_cfg, index=evalset.indices),
-                                      evalset.y))
-        evalset.verify(models)
-        basic = joint_success(models, attacks.saga(models, saga_cfg.alphas, evalset.x,
-                                                   evalset.y, saga_cfg), evalset.y)
-        evalset.verify(models)
-        adv, _ = attacks.auto_saga(models, evalset.x, evalset.y, saga_cfg)
-        auto = joint_success(models, adv, evalset.y)
+            x_adv = attacks.run_attack(kind, attacked, evalset.x, evalset.y, cfg,
+                                       index=evalset.indices)
+            return joint_success(models, x_adv, evalset.y)
+
+        mims, pgds = zip(*[(joint("mim", [m], single_cfg), joint("pgd", [m], single_cfg))
+                           for m in models])
+        basic = joint("saga", models, saga_cfg)
+        auto = joint("autosaga", models, saga_cfg)
         name = pair_names[pi] if pair_names else f"pair{pi}"
         rows.append({"pair": name, "max_mim": max(mims), "max_pgd": max(pgds),
                      "basic_saga": basic, "auto_saga": auto, "n": n})

@@ -115,9 +115,8 @@ def surrogate_grad(spec: SurrogateSpec, v: np.ndarray,
                 raise EvaluationError("literal piecewise-exp overflowed; use the default form")
             return out
         return spec.alpha * np.exp(-spec.beta * np.abs(d))
-    if kind == RECTANGULAR:
-        return (np.abs(d) < spec.alpha / 2.0).astype(v.dtype) / spec.alpha
-    raise ConfigError(f"unknown surrogate kind {kind!r}")
+    # RECTANGULAR: SurrogateSpec admits no other kind
+    return (np.abs(d) < spec.alpha / 2.0).astype(v.dtype) / spec.alpha
 
 
 def antiderivative(spec: SurrogateSpec, v: np.ndarray,
@@ -152,9 +151,8 @@ def antiderivative(spec: SurrogateSpec, v: np.ndarray,
         scale = spec.alpha / spec.beta
         return np.where(d < 0.0, scale * np.exp(spec.beta * np.minimum(d, 0.0)),
                         scale * (2.0 - np.exp(-spec.beta * np.maximum(d, 0.0)))).astype(v.dtype)
-    if kind == RECTANGULAR:
-        return np.clip((d + spec.alpha / 2.0) / spec.alpha, 0.0, 1.0)
-    raise ConfigError(f"unknown surrogate kind {kind!r}")
+    # RECTANGULAR
+    return np.clip((d + spec.alpha / 2.0) / spec.alpha, 0.0, 1.0)
 
 
 def kink_distance(spec: SurrogateSpec, v: np.ndarray,

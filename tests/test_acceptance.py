@@ -178,7 +178,7 @@ def test_criterion_3_attack_algebra(blob_net, blob_data):
         xi = project(xi + (0.2 / steps) * np.sign(g).astype(x.dtype), x, 0.2)
     ok &= bool(np.array_equal(got, xi))
     cfg2 = AttackConfig(eps_max=0.15, eps_step=0.03, n_iter=6, random_start=False)
-    ok &= bool(np.array_equal(saga([blob_net], [1.0], x, y, cfg2),
+    ok &= bool(np.array_equal(saga([blob_net], x, y, cfg2),
                               pgd(blob_net, x, y, cfg2)))
     tr_a, tr_p = [], []
     auto_saga([blob_net], x, y, cfg2, trace=tr_a)
@@ -200,7 +200,7 @@ def test_criterion_3_attack_algebra(blob_net, blob_data):
         elif kind == "mim":
             adv = mim(blob_net, xs, ys, cfg_f)
         else:
-            adv = saga([blob_net], [1.0], xs, ys, cfg_f)
+            adv = saga([blob_net], xs, ys, cfg_f)
         ok &= bool(np.max(np.abs(adv - xs)) <= eps + 1e-6)
         ok &= bool(adv.min() >= 0.0 and adv.max() <= 1.0)
     elapsed = time.perf_counter() - t0

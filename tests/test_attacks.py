@@ -1,3 +1,7 @@
+import hashlib
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,35 +209,28 @@ class TestSaga:
     def test_single_model_equals_pgd(self, blob_net, blob_data):
         x, y = blob_data
         cfg = AttackConfig(eps_max=0.15, eps_step=0.03, n_iter=6, random_start=False)
-        assert np.array_equal(saga([blob_net], [1.0], x, y, cfg),
-                              pgd(blob_net, x, y, cfg))
+        assert np.array_equal(saga([blob_net], x, y, cfg), pgd(blob_net, x, y, cfg))
 
     def test_zero_weight_removes_model(self, blob_net, blob_data):
         x, y = blob_data
         other = build_mlp([6, 10, 2], seed=99)
         cfg = AttackConfig(eps_max=0.15, eps_step=0.03, n_iter=6, random_start=False)
-        both = saga([blob_net, other], [1.0, 0.0], x, y, cfg)
-        alone = saga([blob_net], [1.0], x, y, cfg)
+        both = saga([blob_net, other], x, y, replace(cfg, alphas=(1.0, 0.0)))
+        alone = saga([blob_net], x, y, cfg)
         assert np.array_equal(both, alone)
-
-    def test_negative_weight_rejected(self, blob_net, blob_data):
-        x, y = blob_data
-        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2)
-        with pytest.raises(ConfigError):
-            saga([blob_net], [-1.0], x, y, cfg)
 
     def test_model_and_coefficient_counts_checked(self, blob_net, blob_data):
         x, y = blob_data
         cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2)
         two = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, alphas=(0.5, 0.5))
         with pytest.raises(ConfigError, match="^need at least one model$"):
-            saga([], [], x, y, cfg)
+            saga([], x, y, replace(cfg, alphas=()))
         with pytest.raises(ConfigError, match="^need at least one model$"):
-            saga([], None, x, y, cfg)
+            saga([], x, y, cfg)
         with pytest.raises(ConfigError, match="^need at least one model$"):
             auto_saga([], x, y, cfg)
         with pytest.raises(ConfigError, match="^2 coefficients for 1 models$"):
-            saga([blob_net], [0.5, 0.5], x, y, cfg)
+            saga([blob_net], x, y, two)
         with pytest.raises(ConfigError, match="^2 coefficients for 1 models$"):
             auto_saga([blob_net], x, y, two)
 
@@ -242,14 +239,28 @@ class TestSaga:
         models, x, y = TestOneForwardPerIteration._pair()
         models = models[:m]
         cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3)
-        uniform = saga(models, [1.0 / m] * m, x, y, cfg)
-        assert saga(models, None, x, y, cfg).tobytes() == uniform.tobytes()
+        uniform = saga(models, x, y, replace(cfg, alphas=(1.0 / m,) * m))
+        assert saga(models, x, y, cfg).tobytes() == uniform.tobytes()
+
+    # sha256 of the saga output on the attention+MLP pair, 20 rows, per
+    # coefficient case; computed when saga still took its coefficients apart
+    # from the config
+    PINS = {"given": "be9c67758d07a63a966faae76b04c85ff4f71ef6dc7381525e9798ffd31c9a56",
+            "uniform": "71ca3f0bea3e5bcbb274c52112f59269a48fe5482a670bf584b9a507b9a0dc15"}
+
+    @pytest.mark.parametrize("case,alphas", [("given", (0.3, 0.7)), ("uniform", None)],
+                             ids=["given", "uniform"])
+    def test_output_is_pinned(self, case, alphas):
+        models, x, y = TestOneForwardPerIteration._pair(20)
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3, alphas=alphas)
+        out = saga(models, x, y, cfg)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.PINS[case]
 
     def test_balanced_pair_runs_and_projects(self, blob_net, blob_data):
         x, y = blob_data
         other = build_mlp([6, 10, 2], seed=99)
-        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=5)
-        x_adv = saga([blob_net, other], [0.5, 0.5], x, y, cfg)
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=5, alphas=(0.5, 0.5))
+        x_adv = saga([blob_net, other], x, y, cfg)
         assert np.max(np.abs(x_adv - x)) <= 0.1 + 1e-6
 
 
@@ -273,7 +284,8 @@ class TestAllOnesMask:
         def run():
             blends = []  # every direction, before its sign is taken
             monkeypatch.setattr(numerics, "sign", lambda a: blends.append(a.copy()) or np.sign(a))
-            return (saga(models, [0.3, 0.7], x, y, cfg), *auto_saga(models, x, y, cfg), *blends)
+            return (saga(models, x, y, replace(cfg, alphas=(0.3, 0.7))),
+                    *auto_saga(models, x, y, cfg), *blends)
 
         got = run()
         monkeypatch.setattr(attacks, "_blend_term", self.reference)
@@ -299,16 +311,16 @@ class TestOneForwardPerIteration:
         return calls
 
     @staticmethod
-    def _pair():
+    def _pair(n=5):
         att = TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
                                n_heads=2, n_classes=3, seed=4)
         rng = np.random.default_rng(13)
-        x = rng.uniform(0, 1, (5, 64)).astype(np.float32)
-        return [att, build_mlp([64, 6, 3], seed=4)], x, rng.integers(0, 3, 5)
+        x = rng.uniform(0, 1, (n, 64)).astype(np.float32)
+        return [att, build_mlp([64, 6, 3], seed=4)], x, rng.integers(0, 3, n)
 
     def test_saga(self, counted):
         models, x, y = self._pair()
-        saga(models, [0.5, 0.5], x, y, AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3))
+        saga(models, x, y, AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3))
         assert counted == [5, 5, 5]
 
     def test_auto_saga(self, counted):
@@ -400,6 +412,24 @@ class TestAutoSaga:
         assert abs(joint - single) <= 0.05
         assert np.max(np.abs(hist.mean(axis=(0, 1)) - 0.5)) <= 0.05
 
+    def test_collapsed_rows_reset_to_uniform(self, blob_data, monkeypatch, caplog):
+        # two copies of one net share every gradient, and a cross-entropy seed
+        # for the margin makes df/dalpha = 2 u eps_step sum(sech^2 grad^2) > 0
+        # for both; a large coeff_lr then drives each row below zero at every
+        # step, so every row collapses and resets at every step
+        x, y = blob_data
+        net = build_mlp([6, 10, 2], seed=99)
+        monkeypatch.setattr(attacks, "margin_loss", lambda logits, labels, kappa:
+                            numerics.softmax_cross_entropy(logits, labels, mean=False))
+        cfg = AttackConfig(eps_max=0.15, eps_step=0.03, n_iter=4, coeff_lr=1e8,
+                           alphas=(0.9, 0.1))
+        caplog.set_level(logging.WARNING, logger=attacks.__name__)
+        _, hist = auto_saga([net, net], x, y, cfg)
+        assert np.array_equal(hist[0], np.tile([0.9, 0.1], (len(x), 1)))
+        assert np.all(hist[1:] == 0.5)
+        collapses = [r.args[0] for r in caplog.records if r.msg.startswith("blend coefficients")]
+        assert collapses == [cfg.n_iter * len(x)]
+
     def test_raw_alpha_mode_skips_normalization(self, blob_net, blob_data):
         x, y = blob_data
         other = build_mlp([6, 10, 2], seed=99)
@@ -451,7 +481,7 @@ class TestNoCrossCalls:
         "fgsm": lambda m, x, y, cfg: attacks.fgsm(m, x, y, cfg.eps_max),
         "pgd": lambda m, x, y, cfg: attacks.pgd(m, x, y, cfg),
         "mim": lambda m, x, y, cfg: attacks.mim(m, x, y, cfg),
-        "saga": lambda m, x, y, cfg: attacks.saga([m], [1.0], x, y, cfg),
+        "saga": lambda m, x, y, cfg: attacks.saga([m], x, y, cfg),
         "auto_saga": lambda m, x, y, cfg: attacks.auto_saga([m], x, y, cfg),
     }
 

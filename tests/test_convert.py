@@ -87,8 +87,9 @@ class TestConversion:
     @pytest.mark.parametrize("layers,mode,match", [
         ([(6, 5), (5, 3)], WEIGHT_BALANCE, "expects ReLU after every hidden dense layer"),
         ([(6, 3), "relu"], WEIGHT_BALANCE, "expects raw logits at the output"),
+        (["relu", (6, 3)], WEIGHT_BALANCE, "dense/ReLU chains; found ReLU"),
         ([(6, 3)], "x", "unknown balancing mode 'x'"),
-    ], ids=["no-relu-between", "trailing-relu", "mode"])
+    ], ids=["no-relu-between", "trailing-relu", "leading-relu", "mode"])
     def test_unconvertible_setup_rejected(self, layers, mode, match):
         ann = AnnNet([ReLU() if spec == "relu" else Dense(np.zeros(spec, dtype=np.float32))
                       for spec in layers])

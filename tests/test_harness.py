@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -231,3 +234,73 @@ class TestMultiModelComparison:
         never = _Oracle(y, n_classes=2)
         assert joint_success([always, never], x + 0.1, y) == 0.0
         assert joint_success([always], x + 0.1, y) == 1.0
+
+
+# sha256 of json.dumps(rows, sort_keys=True) for each case of test_rows_are_pinned,
+# computed before the comparison ran its attacks through ``run_attack``
+COMPARISON_PINS = {
+    "snn+attention": "d19a135e172a7baf49ee9a611acc0ac2e5dbab8b10d1d605fa15cb3287fdfe9a",
+    "mlp+snn": "35190249c5148a5c4e7c799a45ca7de8ba17a300432df1e6b000e0f9161a4fdd",
+}
+
+
+class TestComparisonPins:
+    """The comparison's rows, byte for byte, on the trained fixtures: one
+    pair blends uniformly, the other with given coefficients."""
+
+    @pytest.mark.parametrize("name,alphas", [("snn+attention", None),
+                                             ("mlp+snn", (0.7, 0.3))],
+                             ids=["snn+attention-uniform", "mlp+snn-given"])
+    def test_rows_are_pinned(self, name, alphas, bp_snn, ann_mlp, attention_net, digits):
+        _, _, test_x, test_y = digits
+        pair = {"snn+attention": (bp_snn, attention_net), "mlp+snn": (ann_mlp, bp_snn)}[name]
+        single = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=5, seed=3)
+        sagac = AttackConfig(eps_max=0.1, eps_step=0.01, n_iter=5, coeff_lr=100.0,
+                             alphas=alphas, seed=3)
+        rows = multi_model_comparison([pair], test_x, test_y, 40, single, sagac, seed=2,
+                                      pair_names=[name])
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == COMPARISON_PINS[name], rows
+
+
+class TestAttackRouting:
+    """The harness starts every attack through ``attacks.run_attack``."""
+
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        calls = []
+        run_attack = attacks.run_attack
+
+        def recording(kind, models, x, labels, cfg, index=None):
+            calls.append((kind, list(models), index))
+            return run_attack(kind, models, x, labels, cfg, index=index)
+
+        monkeypatch.setattr(attacks, "run_attack", recording)
+        return calls
+
+    def test_comparison_makes_2m_plus_2_runs_per_pair(self, routed, blob_net, blob_data):
+        x, y = blob_data
+        other = build_mlp([6, 10, 2], seed=99)
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        pairs = [(blob_net, other), (other, blob_net)]
+        multi_model_comparison(pairs, x, y, 16, cfg, cfg, seed=0)
+        assert len(routed) == 2 * (2 * 2 + 2)
+        for pair, runs in zip(pairs, (routed[:6], routed[6:])):
+            evalset = select_eval_set(list(pair), x, y, 16, seed=0)
+            # MIM then PGD per model, then SAGA, then Auto-SAGA
+            assert [kind for kind, _, _ in runs] == ["mim", "pgd", "mim", "pgd", "saga",
+                                                     "autosaga"]
+            assert [models for _, models, _ in runs] == [[pair[0]], [pair[0]], [pair[1]],
+                                                         [pair[1]], list(pair), list(pair)]
+            assert all(np.array_equal(index, evalset.indices) for _, _, index in runs)
+
+    def test_sweep_makes_one_run_per_kernel_and_nonzero_eps(self, routed, bp_snn, digits):
+        _, _, test_x, test_y = digits
+        es = select_eval_set([bp_snn], test_x, test_y, 10, seed=0)
+        cfg = AttackConfig(eps_max=1.0, eps_step=0.02, n_iter=2, seed=0)
+        specs = [SurrogateSpec(kind="sigmoid"), SurrogateSpec(kind="erfc")]
+        surrogate_sweep(bp_snn, [0.0, 0.05, 0.1], specs, es, cfg)
+        assert [(kind, len(models), models[0].surrogate.kind) for kind, models, _ in routed] \
+            == [("pgd", 1, "sigmoid")] * 2 + [("pgd", 1, "erfc")] * 2
+        assert all(models[0].layers is bp_snn.layers for _, models, _ in routed)
+        assert all(np.array_equal(index, es.indices) for _, _, index in routed)

@@ -48,7 +48,7 @@ def _run(kind, models, x, y, index):
     if kind == "mim":
         return attacks.mim(models[0], x, y, CFG), None
     if kind == "saga":
-        return attacks.saga(models, [0.5, 0.5], x, y, BLEND_CFG), None
+        return attacks.saga(models, x, y, BLEND_CFG), None
     return attacks.auto_saga(models, x, y, BLEND_CFG)
 
 

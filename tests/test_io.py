@@ -628,8 +628,14 @@ class TestCli:
         (["sweep-surrogate"], "sweep needs --model checkpoint path"),
         (["attack"], "no model checkpoints given"),
         (["transfer-matrix"], "no model checkpoints given"),
+        (["attack", "--kind", "saga", "--alphas", "0.5,-1"],
+         "blend coefficients must be non-negative"),
+        (["sweep-surrogate", "--surrogates", "arctan,bogus"],
+         "unknown surrogate kind 'bogus'; choose one of sigmoid, erfc, arctan, "
+         "piecewise_linear, fast_sigmoid, piecewise_exp, rectangular"),
     ], ids=["attack-kind", "transfer-kind", "no-pairs", "pair-spec", "convert-ann",
-            "sweep-model", "attack-models", "transfer-models"])
+            "sweep-model", "attack-models", "transfer-models", "negative-alphas",
+            "surrogate-kind"])
     def test_bad_attack_or_model_spec_is_one_line_error_before_data(self, tmp_path, capsys,
                                                                      argv, message):
         # the data source does not exist: the spec must be rejected before loading it
