@@ -9,6 +9,7 @@ round-trips through the same IDX reader/writer.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -46,40 +47,60 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
-def load_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """The unsigned bytes of one IDX file, shaped by its header; the low byte
+    of the magic is the number of dimensions."""
+    ndim = magic & 0xFF
     with open(path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "image header"))
-        if magic != IMAGES_MAGIC:
-            raise FormatError(f"bad IDX image magic: expected {IMAGES_MAGIC:#010x}, "
-                              f"observed {magic:#010x}")
-        raw = _read_exact(fh, count * rows * cols, "pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    return pixels.astype(np.float32) / 255.0
+        observed, *shape = struct.unpack(f">{1 + ndim}I",
+                                         _read_exact(fh, 4 * (1 + ndim), f"{what} header"))
+        if observed != magic:
+            raise FormatError(f"bad IDX {what} magic: expected {magic:#010x}, "
+                              f"observed {observed:#010x}")
+        raw = _read_exact(fh, math.prod(shape), f"{what} data")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+
+
+def _read_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 pixels and int64 labels of one image file and its label file."""
+    pixels = _read_idx(images_path, IMAGES_MAGIC, "image")
+    labels = load_idx_labels(labels_path)
+    if len(pixels) != len(labels):
+        raise FormatError(f"image count {len(pixels)} != label count {len(labels)}")
+    return pixels, labels
+
+
+def _scaled(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float32 in [0, 1], in one new buffer."""
+    x = pixels.astype(np.float32)
+    x /= 255.0
+    return x
+
+
+def load_idx_images(path) -> np.ndarray:
+    return _scaled(_read_idx(path, IMAGES_MAGIC, "image"))
 
 
 def load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, count = struct.unpack(">II", _read_exact(fh, 8, "label header"))
-        if magic != LABELS_MAGIC:
-            raise FormatError(f"bad IDX label magic: expected {LABELS_MAGIC:#010x}, "
-                              f"observed {magic:#010x}")
-        raw = _read_exact(fh, count, "label data")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, LABELS_MAGIC, "label").astype(np.int64)
 
 
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    images = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
-    if len(images) != len(labels):
-        raise FormatError(f"image count {len(images)} != label count {len(labels)}")
-    return images, labels
+    pixels, labels = _read_idx_pair(images_path, labels_path)
+    return _scaled(pixels), labels
 
 
 def save_idx_images(path, images: np.ndarray) -> None:
-    """Write [n, rows, cols] images; float inputs in [0, 1] are quantized."""
+    """Write [n, rows, cols] images: uint8 as they are, floats in [0, 1]
+    quantized to 0..255 in one scratch array. Other integer dtypes are refused,
+    since their range is not [0, 1]."""
     images = np.asarray(images)
+    if images.dtype.kind in "iu" and images.dtype != np.uint8:
+        raise FormatError(f"IDX images must be uint8 or float in [0, 1], got {images.dtype}")
     if images.dtype != np.uint8:
-        images = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
+        scratch = images * 255.0
+        np.rint(scratch, out=scratch)
+        images = np.clip(scratch, 0, 255, out=scratch).astype(np.uint8)
     n, rows, cols = images.shape
     with open(path, "wb") as fh:
         fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
@@ -116,11 +137,31 @@ def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0,
     return np.clip(x, 0.0, 1.0).astype(np.float32)[order], labels[order]
 
 
+def _permute_rows(rows: np.ndarray, order: np.ndarray) -> None:
+    """``rows[:] = rows[order]`` in place: each cycle of the permutation
+    ``order`` is walked with one spare row, so no second set is made."""
+    spare = np.empty(rows.shape[1:], dtype=rows.dtype)
+    order = order.tolist()
+    done = bytearray(len(order))
+    for start, j in enumerate(order):
+        if done[start] or j == start:
+            continue
+        spare[...] = rows[start]
+        i = start
+        while j != start:
+            rows[i] = rows[j]
+            done[i] = 1
+            i, j = j, order[j]
+        rows[i] = spare
+        done[i] = 1
+
+
 def synth_digits(n: int, seed: int = 0, size: int = 28) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic ten-class digit images: bitmap glyphs with random
     integer scale, near-center placement jitter, stroke intensity, and pixel
     noise (roughly centered, like the real handwritten sets). The order of
-    the per-sample draws and the float32 rounding define the set (README)."""
+    the per-sample draws and the float32 rounding define the set (README).
+    The set is built and then shuffled in one [n, size, size] buffer."""
     if n < 0 or size < 21:  # the largest sprite, a 3x glyph, is 21x15
         raise ConfigError(f"synth_digits needs n >= 0 and size >= 21, got n={n}, size={size}")
     rng = np.random.default_rng(seed)
@@ -138,7 +179,8 @@ def synth_digits(n: int, seed: int = 0, size: int = 28) -> tuple[np.ndarray, np.
         images[i, top:top + sh, left:left + sw] += sprite * intensity
     np.clip(images, 0.0, 1.0, out=images)
     order = rng.permutation(n)
-    return images[order], labels[order]
+    _permute_rows(images, order)
+    return images, labels[order]
 
 
 def find_mnist_dir() -> Optional[Path]:
@@ -158,24 +200,25 @@ def image_dataset(n_train: int, n_test: int, seed: int = 0
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]:
     """Real MNIST when IDX files are present (env SNNADV_MNIST_DIR or ./data),
     otherwise the synthetic digit set. Returns (train_x, train_y, test_x,
-    test_y, source_tag); subsampling is deterministic given the seed."""
+    test_y, source_tag); subsampling is deterministic given the seed. MNIST
+    rows are drawn on the raw uint8 pixels, and only the drawn rows are
+    scaled to float32."""
     if n_train < 0 or n_test < 0:
         raise ConfigError(f"need n_train >= 0 and n_test >= 0, got {n_train} and {n_test}")
     mnist_dir = find_mnist_dir()
     if mnist_dir is not None:
-        train_x, train_y = load_mnist_idx(mnist_dir / "train-images-idx3-ubyte",
-                                          mnist_dir / "train-labels-idx1-ubyte")
+        train_px, train_y = _read_idx_pair(mnist_dir / "train-images-idx3-ubyte",
+                                           mnist_dir / "train-labels-idx1-ubyte")
         test_images = mnist_dir / "t10k-images-idx3-ubyte"
         pool = len(train_y)  # the training draw reads rows [0, pool)
         if test_images.exists():
-            test_x, test_y = load_mnist_idx(test_images,
-                                            mnist_dir / "t10k-labels-idx1-ubyte")
+            test_px, test_y = _read_idx_pair(test_images, mnist_dir / "t10k-labels-idx1-ubyte")
         else:  # the last n_test rows are the test set, held out of the training draw
             pool = max(pool - n_test, 0)
-            test_x, test_y = train_x[pool:], train_y[pool:]
+            test_px, test_y = train_px[pool:], train_y[pool:]
         rng = np.random.default_rng(seed)
         tr = rng.choice(pool, size=min(n_train, pool), replace=False)
         te = rng.choice(len(test_y), size=min(n_test, len(test_y)), replace=False)
-        return train_x[tr], train_y[tr], test_x[te], test_y[te], "mnist"
+        return _scaled(train_px[tr]), train_y[tr], _scaled(test_px[te]), test_y[te], "mnist"
     x, y = synth_digits(n_train + n_test, seed=seed)
     return x[:n_train], y[:n_train], x[n_train:], y[n_train:], "synthetic-digits"

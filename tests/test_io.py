@@ -3,6 +3,7 @@ import hashlib
 import json
 import shlex
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_ml
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
 from snnadv.config import parse_config_file, resolve_config, write_config_echo
-from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, image_dataset, load_idx_images,
-                         load_idx_labels, load_mnist_idx, save_idx_images, save_idx_labels,
-                         synth_blobs, synth_digits)
+from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, _permute_rows, image_dataset,
+                         load_idx_images, load_idx_labels, load_mnist_idx, save_idx_images,
+                         save_idx_labels, synth_blobs, synth_digits)
 from snnadv.dynamics import NeuronConfig, SpikingLayer, SynapseConfig, build_snn_mlp
 from snnadv.errors import ConfigError, DimensionError, FormatError
 from snnadv.surrogate import SurrogateSpec
@@ -68,6 +69,24 @@ class TestIdxFormat:
         x = load_idx_images(path)
         assert x[0, 0, 0] == 1.0 and x[0, 1, 1] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_save_quantizes_floats_to_the_same_bytes(self, tmp_path, dtype):
+        rng = np.random.default_rng(0)
+        images = rng.uniform(-0.2, 1.2, (7, 5, 4)).astype(dtype)  # clipped at both ends
+        images[0, 0] = np.array([0.5, 1.5, 2.5, 254.5]) / 255  # rint rounds ties to even
+        before = images.copy()
+        save_idx_images(tmp_path / "x", images)
+        want = np.clip(np.rint(before * 255.0), 0, 255).astype(np.uint8)
+        assert (tmp_path / "x").read_bytes()[16:] == want.tobytes()
+        assert images.tobytes() == before.tobytes()  # the input is left as it was
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16])
+    def test_save_refuses_other_integer_dtypes(self, tmp_path, dtype):
+        # an int64 array of 0..255 was scaled by 255 and saturated
+        with pytest.raises(FormatError, match=np.dtype(dtype).name):
+            save_idx_images(tmp_path / "x", np.full((1, 2, 2), 100, dtype=dtype))
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("n_train", [100, 500])
     def test_train_files_alone_hold_the_test_rows_out(self, tmp_path, monkeypatch, n_train):
         # without t10k files the last n_test rows are the test set; no training row may be one
@@ -81,6 +100,81 @@ class TestIdxFormat:
         train_rows = {row.tobytes() for row in train_x}
         assert len(train_rows) == 100
         assert train_rows.isdisjoint(row.tobytes() for row in test_x)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran, its result included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def write_idx_pair(directory, prefix, n, seed):
+    rng = np.random.default_rng(seed)
+    save_idx_images(directory / f"{prefix}-images-idx3-ubyte",
+                    rng.integers(0, 256, (n, 28, 28), dtype=np.uint8))
+    save_idx_labels(directory / f"{prefix}-labels-idx1-ubyte", rng.integers(0, 10, n))
+
+
+# sha256 of image_dataset(200, 50, seed=3)'s four arrays on write_idx_pair files:
+# 600 train rows (seed 1), with and without 100 t10k rows (seed 2)
+IDX_DATASET_PINS = {
+    True: ("071e3e5bfa39418089a0bb780c1e3d1d98e8bd99aad59cbbb6b2c938c3a6ac88",
+           "3151ca4bb304af3a2e1b1c70b7ae24361cdc15ff1237a2dee3e3169b88c6a1b2",
+           "9c92c9c7f79a87513400f830dcd748f4773632a6d41809e743f9d26b05abcca0",
+           "213d0ad67998c74983a4a57fba0efd3c59ec97b003428f6d349eaa2e87a488d1"),
+    False: ("c73198f375c097beeeb610bd54ecdcc935a2d71fcd4f03b99e7e7e572ed60f97",
+            "44034f0dea6f95bfd7fb81d21245d819a000da2591a5b612b31e05123399fd03",
+            "30847994e7ff954137d44e069a933b624114a7854ac0b475e676fd5a50fb6a1a",
+            "1ea1c1885b841b39d1750c4850c342e1d513a460be86993d26c6674f7a7fb19b"),
+}
+
+
+class TestIdxDataset:
+    @pytest.fixture(params=[True, False], ids=["t10k", "train-only"])
+    def mnist_dir(self, request, tmp_path, monkeypatch):
+        write_idx_pair(tmp_path, "train", 600, seed=1)
+        if request.param:
+            write_idx_pair(tmp_path, "t10k", 100, seed=2)
+        monkeypatch.setenv(MNIST_ENV_VAR, str(tmp_path))
+        return tmp_path, request.param
+
+    def test_arrays_are_pinned(self, mnist_dir):
+        _, t10k = mnist_dir
+        *arrays, source = image_dataset(200, 50, seed=3)
+        assert source == "mnist"
+        assert [a.dtype for a in arrays] == [np.float32, np.int64] * 2
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) \
+            == IDX_DATASET_PINS[t10k]
+
+    def test_holds_the_files_and_the_drawn_rows_once(self, mnist_dir):
+        # the raw file bytes, the float32 rows drawn, and no float32 copy of a whole file
+        directory, _ = mnist_dir
+        (train_x, _, test_x, _, _), peak = traced_peak(image_dataset, 200, 50, 3)
+        file_bytes = sum(path.stat().st_size for path in directory.iterdir())
+        assert peak < file_bytes + 1.25 * (train_x.nbytes + test_x.nbytes)
+
+
+class TestPermuteRows:
+    @pytest.mark.parametrize("order", [[], [0], [0, 1, 2, 3], [1, 2, 3, 4, 0], [3, 0, 4, 1, 2]],
+                             ids=["empty", "one-row", "identity", "one-cycle", "two-cycles"])
+    def test_small_orders(self, order):
+        order = np.array(order, dtype=int)
+        rows = np.arange(order.size * 6, dtype=np.float32).reshape(order.size, 2, 3)
+        want = rows[order]
+        _permute_rows(rows, order)
+        assert rows.tobytes() == want.tobytes()
+
+    def test_random_order(self):
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((500, 4, 4)).astype(np.float32)
+        order = rng.permutation(500)
+        want = rows[order]
+        _permute_rows(rows, order)
+        assert rows.tobytes() == want.tobytes()
 
 
 class TestSynthData:
@@ -171,6 +265,11 @@ class TestSynthDigitsBytes:
 
     def test_small_set_is_pinned(self):
         assert digits_sha256(*synth_digits(37, seed=5)) == DIGITS_PINS[37, 5]
+
+    def test_holds_one_set(self):
+        # the set is shuffled in place: no second [n, 28, 28] float32 copy
+        (x, _), peak = traced_peak(synth_digits, 2000)
+        assert peak < 1.25 * x.nbytes
 
 
 CHECKPOINT_BUILDS = [
@@ -783,6 +882,24 @@ class TestCli:
         assert rows[0][0] == "generator" and rows[0][1] == "model"
         for cell in rows[1][1:]:
             assert 0.0 <= float(cell) <= 1.0
+
+    def test_transfer_matrix_takes_attention_checkpoints(self, tmp_path, ann_mlp,
+                                                         attention_net):
+        # distinct stems: a checkpoint's file stem names its row and column
+        paths = [checkpoint.save_model(tmp_path / f"{stem}.snnm", model, seed=0)
+                 for stem, model in (("mlp", ann_mlp), ("attention", attention_net))]
+        out = tmp_path / "tm"
+        assert self.run("transfer-matrix", "--data", "digits",
+                        "--models", ",".join(str(path) for path in paths),
+                        "--eps", "0.05", "--eps-step", "0.0125", "--steps", "3", "--n", "20",
+                        "--n-train", "0", "--n-test", "200", "--out", str(out)) == 0
+        for attack in ("fgsm", "pgd", "mim", "max"):
+            with open(out / f"transfer_{attack}.csv") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["generator", "mlp", "attention"]
+            assert [row[0] for row in rows] == ["mlp", "attention"]
+            rates = np.array([row[1:] for row in rows], dtype=float)
+            assert rates.shape == (2, 2) and np.all((rates >= 0) & (rates <= 1))
 
     @pytest.fixture(scope="class")
     def blobs_ann(self, tmp_path_factory):

@@ -6,7 +6,9 @@ These tests document where each finding DOES reproduce at this scale:
 the kernel-choice effect appears through the printed (reciprocal)
 piecewise-exponential form, whose unrolled gradients explode, and the
 conversion-transferability gap reproduces with the stated margin at
-perturbation budgets below the desk models' saturation point.
+perturbation budgets below the desk models' saturation point. Across model
+families, examples crafted on attention rarely fool the SNNs, while those
+crafted on the ANN often do.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from snnadv import numerics
 from snnadv.attacks import AttackConfig, pgd
 from snnadv.errors import EvaluationError
-from snnadv.harness import select_eval_set, surrogate_sweep, transferability
+from snnadv.harness import select_eval_set, surrogate_sweep, transfer_matrix, transferability
 from snnadv.surrogate import SurrogateSpec
 
 ARCTAN = SurrogateSpec(kind="arctan")
@@ -70,3 +72,24 @@ class TestTransferabilityStudy:
         noise = 0.2 * rng.choice([-1.0, 1.0], size=es.x.shape).astype(np.float32)
         noisy_acc = float((indep_snn.predict(np.clip(es.x + noise, 0, 1)) == es.y).mean())
         assert noisy_acc < 0.80
+
+
+class TestModelFamilyTransferStudy:
+    def test_attention_transfers_less_to_snns_than_the_ann(self, ann_mlp, bp_snn, converted_snn,
+                                                            attention_net, digits):
+        # experiment 2 below saturation, on a grid fixed before it was run: at every
+        # budget and for both attacks, attention -> SNN transfer stays below ANN -> SNN
+        _, _, test_x, test_y = digits
+        names = ["ann", "snn", "converted", "attention"]
+        models = [ann_mlp, bp_snn, converted_snn, attention_net]
+        misses = []
+        for eps in (0.03, 0.05, 0.1):
+            cfg = AttackConfig(eps_max=eps, eps_step=eps / 4, n_iter=20, seed=0)
+            matrix = transfer_matrix(models, names, test_x, test_y, 200, cfg,
+                                     attack_names=("pgd", "mim"), seed=0)
+            for attack, rates in matrix.per_attack.items():
+                for target in (1, 2):  # the two SNNs
+                    if not rates[3, target] < rates[0, target]:
+                        misses.append(f"{attack}@{eps} {names[target]}: attention "
+                                      f"{rates[3, target]:.3f} >= ann {rates[0, target]:.3f}")
+        assert not misses, "; ".join(misses)
