@@ -1,6 +1,6 @@
-"""White-box attack suite: single-model FGSM / PGD / MIM, the fixed-weight
-multi-model blend (SAGA), and the self-tuning variant that re-derives the
-per-model blend coefficients every iteration (Auto-SAGA).
+"""White-box attack suite: single-model FGSM / PGD / MIM, the multi-model
+blend that re-derives its per-model coefficients every iteration (Auto-SAGA),
+and the same blend with the coefficients held (SAGA).
 
 Every attack keeps its iterates inside the l-inf ball of radius eps_max
 around the clean input and inside the valid pixel range [0, 1]. Spiking
@@ -36,12 +36,11 @@ log = logging.getLogger(__name__)
 class AttackConfig:
     """Shared attack knobs.
 
-    ``eps_step`` drives PGD/SAGA steps; MIM always steps by eps_max/n_iter as
-    its update rule prescribes. ``alphas`` are SAGA's fixed blend coefficients
-    and Auto-SAGA's starting ones, one per model; None is uniform.
-    ``coeff_lr`` (r) and ``fit_u`` (u) only matter for the self-tuning blend.
-    ``normalize_alphas=False`` keeps the raw unconstrained coefficient walk for
-    fidelity studies.
+    ``eps_step`` drives the PGD and blend steps; MIM always steps by
+    eps_max/n_iter as its update rule prescribes. ``alphas`` are the blend's
+    start coefficients, one per model, None for uniform: SAGA holds them,
+    Auto-SAGA walks from them. ``coeff_lr`` (r) and ``fit_u`` (u) only set
+    Auto-SAGA's walk.
     """
 
     eps_max: float = 0.031
@@ -54,7 +53,6 @@ class AttackConfig:
     alphas: Optional[tuple] = None
     random_start: bool = True
     seed: int = 0
-    normalize_alphas: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.eps_max <= 1.0:
@@ -265,45 +263,51 @@ def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
 
 
 def _blend_term(model, alpha, x: np.ndarray, cache, grad: np.ndarray) -> np.ndarray:
-    """alpha * (blend mask of ``model`` at ``x``, from its forward ``cache``) * grad.
-    Other models' all-ones mask is not built: alpha * 1 is alpha exactly."""
+    """alpha * (blend mask of ``model`` at ``x``, from its forward ``cache``) * grad,
+    with ``alpha`` a column of x's dtype. Other models' all-ones mask is not
+    built: alpha * 1 is alpha exactly."""
     rollout = getattr(model, "rollout_mask", None)
-    if rollout is None:
-        return np.asarray(alpha, dtype=x.dtype) * grad
-    return alpha * rollout(x, cache) * grad
+    return alpha * grad if rollout is None else alpha * rollout(x, cache) * grad
 
 
-def _blend_alphas(alphas: Optional[Sequence[float]], m_count: int) -> Sequence[float]:
-    """The blend coefficients of ``m_count`` models: ``alphas`` (whose signs
-    ``AttackConfig`` checks), checked for count, or uniform when it is None."""
+def _blend_alphas(alphas: Optional[Sequence[float]], m_count: int, n: int) -> np.ndarray:
+    """The float64 start rows [n, m_count] of both blends: ``alphas`` (whose
+    signs ``AttackConfig`` checks), checked for count, or uniform when it is
+    None, for every sample."""
     if m_count < 1:
         raise ConfigError("need at least one model")
     if alphas is None:
-        return [1.0 / m_count] * m_count
-    if len(alphas) != m_count:
+        alphas = [1.0 / m_count] * m_count
+    elif len(alphas) != m_count:
         raise ConfigError(f"{len(alphas)} coefficients for {m_count} models")
-    return alphas
+    return np.tile(np.asarray(alphas, dtype=np.float64), (n, 1))
+
+
+def _blend(models: Sequence, rows: np.ndarray, x_adv: np.ndarray, labels: np.ndarray
+           ) -> tuple[np.ndarray, list]:
+    """The blend sum_k rows[:, k] * mask_k * g_k at ``x_adv``, and each model's
+    (logits, input gradient, forward cache) from ``loss_input_grad``.
+    Attention models contribute their rollout-masked gradients, the rest plain
+    gradients; a zero coefficient adds an exact zero."""
+    columns = rows.T.astype(x_adv.dtype).reshape(rows.shape[::-1] + (1,) * (x_adv.ndim - 1))
+    blend = np.zeros_like(x_adv)
+    evals = []
+    for model, alpha in zip(models, columns):
+        logits, grad, cache = loss_input_grad(model, x_adv, labels)
+        blend += _blend_term(model, alpha, x_adv, cache, grad)
+        evals.append((logits, grad, cache))
+    return blend, evals
 
 
 def saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
          trace: Optional[list] = None) -> np.ndarray:
-    """Fixed-coefficient multi-model blend: attention models contribute their
-    rollout-masked gradients, the rest plain gradients. The coefficients are
-    ``cfg.alphas`` (uniform when None) and stay constant for every sample and
-    iteration."""
-    alphas = _blend_alphas(cfg.alphas, len(models))
+    """Auto-SAGA's blend with the coefficients held: every step follows the
+    blend at the start rows of ``cfg.alphas`` (uniform when None), the same
+    for every sample and iteration."""
     x = np.asarray(x)
-
-    def blend(x_adv):
-        out = np.zeros_like(x)
-        for model, alpha in zip(models, alphas):
-            if alpha == 0.0:
-                continue
-            _, grad, cache = loss_input_grad(model, x_adv, labels)
-            out += _blend_term(model, alpha, x_adv, cache, grad)
-        return out
-
-    return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, blend, trace=trace)
+    rows = _blend_alphas(cfg.alphas, len(models), len(x))
+    return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter,
+                    lambda x_adv: _blend(models, rows, x_adv, labels)[0], trace=trace)
 
 
 def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
@@ -315,61 +319,51 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
     margin-loss slope (the sign is smoothed by u*sech^2(u*sum of gradients)
     for the coefficient derivative). Both input gradients are seeded per
     sample, so a sample's coefficient step does not scale with the batch
-    size. Coefficients are per sample, clamped
-    non-negative and renormalized to sum one (unless normalize_alphas=False);
-    fully collapsed rows reset to uniform.
+    size. Coefficients are per sample, start at SAGA's rows, are clamped
+    non-negative and renormalized to sum one; fully collapsed rows reset to
+    uniform.
 
     Returns the adversarial batch and the coefficient trajectory
     [n_iter + 1, n, n_models].
     """
     m_count = len(models)
     x = np.asarray(x)
-    n = x.shape[0]
-    alphas = np.tile(np.asarray(_blend_alphas(cfg.alphas, m_count), dtype=np.float64), (n, 1))
+    alphas = _blend_alphas(cfg.alphas, m_count, len(x))
     history = [alphas.copy()]
     grad_axes = tuple(range(1, x.ndim))
-    bshape = (n,) + (1,) * (x.ndim - 1)
     collapse_events = 0
 
-    def blend_and_update(x_adv):
-        # the coefficient update reads only quantities at the current iterate,
-        # so it runs here, before the step this blend drives
+    def blend_and_walk(x_adv):
+        # the walk reads only quantities at the current iterate, so it runs
+        # here, before the step this blend drives
         nonlocal alphas, collapse_events
-        grads = []
-        margin_grads = []
-        blend = np.zeros_like(x)
-        for mi, model in enumerate(models):
-            logits, grad, cache = loss_input_grad(model, x_adv, labels)
-            _, f_dlogits = margin_loss(logits, labels, cfg.kappa)
-            f_grad = model.backward(cache, f_dlogits).reshape(x.shape)
-            grads.append(grad)
-            margin_grads.append(f_grad)
-            blend += _blend_term(model, alphas[:, mi].reshape(bshape).astype(x.dtype),
-                                 x_adv, cache, grad)
+        blend, evals = _blend(models, alphas, x_adv, labels)
+        grads = [grad for _, grad, _ in evals]
+        margin_grads = [model.backward(cache, margin_loss(logits, labels, cfg.kappa)[1])
+                        .reshape(x.shape) for model, (logits, _, cache) in zip(models, evals)]
         grad_sum = np.sum(grads, axis=0, dtype=np.float64)
         # sech^2 underflows to 0 beyond ~350 anyway; clip to keep cosh finite
         sech2 = 1.0 / np.square(np.cosh(np.clip(cfg.fit_u * grad_sum, -350.0, 350.0)))
         df_dx = np.sum(margin_grads, axis=0, dtype=np.float64)
-        for mi in range(m_count):
-            dx_dalpha = cfg.fit_u * cfg.eps_step * sech2 * grads[mi]
+        for mi, grad in enumerate(grads):
+            dx_dalpha = cfg.fit_u * cfg.eps_step * sech2 * grad
             df_dalpha = np.sum(df_dx * dx_dalpha, axis=grad_axes)
             alphas[:, mi] -= cfg.coeff_lr * df_dalpha
-        if cfg.normalize_alphas:
-            alphas = np.maximum(alphas, 0.0)
-            row_sum = alphas.sum(axis=1)
-            collapsed = row_sum <= 0.0
-            if np.any(collapsed):
-                collapse_events += int(collapsed.sum())
-                alphas[collapsed] = 1.0 / m_count
-                row_sum[collapsed] = 1.0
-            alphas /= row_sum[:, None]
+        alphas = np.maximum(alphas, 0.0)
+        row_sum = alphas.sum(axis=1)
+        collapsed = row_sum <= 0.0
+        if np.any(collapsed):
+            collapse_events += int(collapsed.sum())
+            alphas[collapsed] = 1.0 / m_count
+            row_sum[collapsed] = 1.0
+        alphas /= row_sum[:, None]
         history.append(alphas.copy())
         return blend
 
-    x_adv = _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, blend_and_update, trace=trace)
+    x_adv = _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, blend_and_walk, trace=trace)
     if collapse_events:
         log.warning("blend coefficients collapsed to zero %d times across %d samples; "
-                    "reset to uniform each time", collapse_events, n)
+                    "reset to uniform each time", collapse_events, len(x))
     return x_adv, np.asarray(history)
 
 

@@ -19,8 +19,10 @@ cache serves any number of backwards. The parameters stay the separate
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
 the class-token row as per-patch saliency. The row is peak-normalized,
-upsampled to pixels, and multiplied into the input. Non-attention models use
-the all-ones mask, which is the identity under elementwise multiplication.
+upsampled to pixels, and multiplied into the input. The blend attacks take
+the gradients of non-attention models as they are; ``ones_mask``, the
+all-ones mask that would leave them unchanged, remains as the reference that
+the rollout suite checks.
 """
 
 from __future__ import annotations

@@ -217,10 +217,19 @@ def _portable(cfg: dict) -> dict:
 
 
 def _load_models(spec: str) -> tuple[list, list]:
+    """The checkpoints of comma-separated ``spec`` and their report names:
+    each file stem when the run's distinct paths have distinct stems, else
+    each path as given without ``.snnm``, so that two ``model.snnm`` stay
+    apart."""
     paths = [p for p in spec.split(",") if p]
     if not paths:
         raise ConfigError("no model checkpoints given")
-    return [checkpoint.load_model(path)[0] for path in paths], [Path(p).stem for p in paths]
+    distinct = set(paths)
+    if len({Path(p).stem for p in distinct}) == len(distinct):
+        names = [Path(p).stem for p in paths]
+    else:
+        names = [p.removesuffix(".snnm") for p in paths]
+    return [checkpoint.load_model(path)[0] for path in paths], names
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> None:
@@ -338,14 +347,15 @@ def cmd_transfer_matrix(cfg: dict, out_dir: Path) -> None:
 def cmd_multi_attack(cfg: dict, out_dir: Path) -> None:
     if not cfg["pairs"]:
         raise ConfigError("multi-attack needs --pairs a.snnm:b.snnm[,c:d]")
-    pairs, names = [], []
+    paths = []
     for pair_spec in cfg["pairs"].split(","):
         parts = [p for p in pair_spec.split(":") if p]
         if len(parts) != 2:
             raise ConfigError(f"bad pair spec {pair_spec!r}")
-        ms, ns = _load_models(",".join(parts))
-        pairs.append(tuple(ms))
-        names.append("+".join(ns))
+        paths += parts
+    models, model_names = _load_models(",".join(paths))
+    pairs = list(zip(models[::2], models[1::2]))
+    names = [f"{a}+{b}" for a, b in zip(model_names[::2], model_names[1::2])]
     single_cfg = _attack_config(cfg, eps_step=cfg["single-eps-step"])
     saga_cfg = _attack_config(cfg, eps_step=cfg["saga-eps-step"])
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)

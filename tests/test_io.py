@@ -618,12 +618,14 @@ END_TO_END = [
 ]
 
 # sha256 of every file the END_TO_END runs write, computed before the run
-# protocol moved into cli.main: a change to any run's bytes must show up here
+# protocol moved into cli.main: a change to any run's bytes must show up here.
+# The asaga, tm and cmp reports name their models by path ("snn/model"), as
+# their checkpoints share the stem "model".
 END_TO_END_SHA256 = {
     "ann/config.txt": "17274df324320cea7691779aa1773d47be7786533ee9544a7839a169fb041897",
     "ann/history.json": "7d058af7c4ce6e996682d355d529e3e274bcca19310cf4c4bff454bb2f15fc20",
     "ann/model.snnm": "34cea3fb6e805bb82d74f9b2d8658cf3ee0e74377e651a6a0dafdaf33ec8d369",
-    "asaga/attack_report.json": "e49aaeee3c596b100ffe21339d7e48fc8c9c87d923202647e3bcd84e3c54dc3f",
+    "asaga/attack_report.json": "774e9f275ac65b7cfbca3c0ec1f883c1acffdbba2bc1970ee0dd00f79c9d49cd",
     "asaga/config.txt": "c08be09f34807e8780c7cf533c5f2dbd6961f24ed04e7e36015c7f6de3ebf82c",
     "att/config.txt": "25f7652099a6085c4a2f3bb702d1832436505dcba1766c43d2ec74c898f980cb",
     "att/history.json": "11ff9f4f3a640e26caf43435ea2887d19f0d2cdd03763bb1217496578e6a9024",
@@ -631,8 +633,8 @@ END_TO_END_SHA256 = {
     "auto/config.txt": "85f409bbaf2b5a8157b4961cd630eef9a36021d85c5092b9dc9ad1fc3fd7ceaa",
     "auto/history.json": "a8e111be9c3ed99a075a3a8be70dca6269c2f22df1178f24f7e8ee8ca06edae7",
     "auto/model.snnm": "1aec0e72b69bc44d962e7f4a12e7b76531de5b66589ce641f76ce9f33f228c57",
-    "cmp/comparison.csv": "939f008dab8146088f2a9bb9a9ebe0be8a875a31f8667e1dc0d3ed73a7f9afee",
-    "cmp/comparison.json": "32c3f109a9c3bfec3d4ba775683b95dd190010e9f0870cdcc46d4b7eb11a7598",
+    "cmp/comparison.csv": "329cb0d37c2bda5116acec274c7038a8f58b642b3c1bcf3d88c8cfab89869cad",
+    "cmp/comparison.json": "f044fa1517a56c975e341407d6044ebbdbfe14d3f7a57f7adc63f5ce87e5020f",
     "cmp/config.txt": "e3e0b94a01a1c31e1f4c1bd5ff830580abdcffef42c954554edf0b2635ef1cc7",
     "conv/config.txt": "8768b9a89f0c2c264f52ad60b63ab5ffa77785881c0ca1fec19704de537d096d",
     "conv/convert_report.json": "5df8775a54d8d3c883ea7589802541d211c5870e84508f4752c03047b34d6e39",
@@ -649,11 +651,11 @@ END_TO_END_SHA256 = {
     "sweep/sweep.csv": "06a081f6dc2d38b291b97a56b28a8ba989ab7db3d182930033cad53cf64c60ce",
     "sweep/sweep.json": "ce0cb04087f78dcedef438dd1dcad053b2a8f24967e88ad20a1a39c3def65653",
     "tm/config.txt": "cc4bf060de371bd7a3adba0e56536633b6ed74e7f3876afc1e271fcba4f19635",
-    "tm/transfer.json": "34a733c7de5749ccc1c099fb567431e4186c7a8d82944bdc3f107f5fbada903d",
-    "tm/transfer_fgsm.csv": "78418804573b44c65ce89544d84aac7c77b019199ea56ec0da07cbddeb2d976b",
-    "tm/transfer_max.csv": "c8763d6c5f17e6482b72549e957451e04de09b7a0fcece16a0f6240a9612b5fd",
-    "tm/transfer_mim.csv": "c8763d6c5f17e6482b72549e957451e04de09b7a0fcece16a0f6240a9612b5fd",
-    "tm/transfer_pgd.csv": "c16accd22f21668e9429f70ed10655d40a8adb42f53c603497f9f22a712760ac",
+    "tm/transfer.json": "6056466fd6c716ea70c1d3e914918aa50aa216361236186ed71fe092495be066",
+    "tm/transfer_fgsm.csv": "232e91ecf95bba568eae4a467e5b338812853b8e2ca26127f9d225bd540dc9e4",
+    "tm/transfer_max.csv": "5ac4bd51cdfcac256f36efaba05e29cbdfa731b068789cc75e15ce7e77b0404a",
+    "tm/transfer_mim.csv": "5ac4bd51cdfcac256f36efaba05e29cbdfa731b068789cc75e15ce7e77b0404a",
+    "tm/transfer_pgd.csv": "8532f30828409607e4dc0c7da89476976aa00145de3ab18c15aa05e2101e61a1",
 }
 
 
@@ -900,6 +902,20 @@ class TestCli:
             assert [row[0] for row in rows] == ["mlp", "attention"]
             rates = np.array([row[1:] for row in rows], dtype=float)
             assert rates.shape == (2, 2) and np.all((rates >= 0) & (rates <= 1))
+
+    def test_checkpoints_sharing_a_stem_are_named_by_path(self, tmp_path, monkeypatch,
+                                                         blobs_ann):
+        monkeypatch.chdir(tmp_path)
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            (tmp_path / run / "model.snnm").write_bytes(blobs_ann.read_bytes())
+        assert self.run("transfer-matrix", "--data", "blobs", "--models",
+                        "a/model.snnm,b/model.snnm", "--attacks", "fgsm", "--eps", "0.2",
+                        "--n", "10", "--n-train", "0", "--n-test", "100", "--out", "tm") == 0
+        with open(tmp_path / "tm" / "transfer_fgsm.csv") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["generator", "a/model", "b/model"]
+        assert [row[0] for row in rows] == ["a/model", "b/model"]
 
     @pytest.fixture(scope="class")
     def blobs_ann(self, tmp_path_factory):
