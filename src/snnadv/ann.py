@@ -224,6 +224,8 @@ def build_mlp(dims: list, seed: int = 0, dtype=numerics.DEFAULT_DTYPE) -> AnnNet
     """Dense/ReLU stack: ReLU between layers, raw logits at the end."""
     if len(dims) < 2:
         raise ConfigError("need at least input and output widths")
+    if min(dims) < 1:
+        raise ConfigError(f"layer widths must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
     layers = []
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):

@@ -65,19 +65,15 @@ def rollout_matrix(records: list) -> np.ndarray:
 
 
 def attention_rollout(records: list, x: np.ndarray) -> np.ndarray:
-    """Saliency-masked input, shaped like ``x`` ([n, c, h, w] or [n, h, w]).
+    """Saliency-masked images ``x``, [n, c, h, w].
 
     Degenerate records that put no class-token mass on patch tokens fall back
     to uniform patch weights so the mask never silently zeroes a gradient.
     """
     x = np.asarray(x)
-    if x.ndim == 3:
-        imgs = x[:, None, :, :]
-    elif x.ndim == 4:
-        imgs = x
-    else:
-        raise DimensionError(f"expected image input, got shape {x.shape}")
-    n, c, h, w = imgs.shape
+    if x.ndim != 4:
+        raise DimensionError(f"expected [n, c, h, w] images, got shape {x.shape}")
+    n, c, h, w = x.shape
     chain = rollout_matrix(records)
     row = chain[:, 0, 1:].astype(numerics.GRAD_CHECK_DTYPE)
     n_patches = row.shape[1]
@@ -92,9 +88,8 @@ def attention_rollout(records: list, x: np.ndarray) -> np.ndarray:
     row = row / peak
     mask = row.reshape(n, gh, gw)
     mask = np.repeat(np.repeat(mask, ph, axis=1), ph, axis=2)
-    mask = np.broadcast_to(mask[:, None, :, :], imgs.shape).astype(x.dtype)
-    out = mask * imgs
-    return out[:, 0] if x.ndim == 3 else out
+    mask = np.broadcast_to(mask[:, None, :, :], x.shape).astype(x.dtype)
+    return mask * x
 
 
 def _row_mean(a):
@@ -180,6 +175,9 @@ class TinyAttentionNet(Classifier):
         if len(image_shape) == 2:
             image_shape = (1,) + tuple(image_shape)
         c, h, w = image_shape
+        if min(patch, embed, n_heads) < 1:
+            raise ConfigError(f"patch, embed and n_heads must be >= 1, got {patch}, {embed} "
+                              f"and {n_heads}")
         if h % patch or w % patch:
             raise ConfigError(f"image {h}x{w} not divisible into {patch}x{patch} patches")
         if embed % n_heads:

@@ -161,6 +161,10 @@ def _load_dataset(cfg: dict, scored: bool = False):
     for key in ("n-train", "n-test"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
+    # the evaluation-set size and the calibration slice, where a command has them
+    for key in ("n", "n-calib"):
+        if cfg.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     if scored and cfg["n-test"] < 1:
         raise ConfigError(f"n-test must be >= 1 to score the model, got {cfg['n-test']}")
     name, seed, k = cfg["data"], cfg["seed"], cfg["n-train"]

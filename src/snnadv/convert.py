@@ -15,7 +15,7 @@ import numpy as np
 from .ann import AnnNet, Dense, Flatten, ReLU
 from .dynamics import (READOUT_MEMBRANE, SOFT_SUBTRACT, NeuronConfig, SpikingLayer,
                        SpikingNet)
-from .errors import TrainingError, UnsupportedError
+from .errors import ConfigError, TrainingError, UnsupportedError
 from .surrogate import SurrogateSpec
 from .train import Adam, evaluate, train_epochs
 
@@ -63,6 +63,8 @@ def convert_ann_to_snn(ann: AnnNet, calib_x: np.ndarray, mode: str = WEIGHT_BALA
         raise TrainingError("conversion needs a non-empty calibration slice")
     if mode not in (WEIGHT_BALANCE, THRESHOLD_BALANCE):
         raise UnsupportedError(f"unknown balancing mode {mode!r}")
+    if not 0.0 <= percentile <= 100.0:
+        raise ConfigError(f"percentile must be in [0, 100], got {percentile}")
     denses = _dense_chain(ann)
     scales = _layer_scales(denses, calib_x, percentile)
     layers = []
@@ -91,6 +93,8 @@ def fine_tune(snn: SpikingNet, train_x, train_y, *, epochs: int, spec: Surrogate
               test_x=None, test_y=None, verbose: bool = True) -> dict:
     """Retrain a converted net from its copied weights; reports the
     accuracy-recovery delta. Zero epochs leaves the weights untouched."""
+    if epochs < 0:
+        raise ConfigError(f"fine-tuning needs epochs >= 0, got {epochs}")
     before = evaluate(snn, train_x, train_y).accuracy
     history = None
     if epochs > 0:

@@ -3,9 +3,14 @@ transferability matrices, the surrogate-kernel robustness sweep, and the
 four-column multi-model attack comparison.
 
 Every evaluation set contains only samples that all models under test
-classify correctly, with class counts differing by at most one; that
-precondition is re-verified before each attack run. All runs are
-deterministic under a fixed seed, which is recorded alongside the outputs.
+classify correctly, with class counts differing by at most one. It is
+re-verified: by ``transferability`` against the generator and each target
+before its one run (so ``transfer_matrix`` verifies every pair set once per
+generator and attack kind), by ``multi_model_comparison`` before each run,
+and by ``surrogate_sweep`` once, as its kernel views share the weights.
+Every attack starts through ``attacks.run_attack`` with dataset indices.
+All runs are deterministic under a fixed seed, which is recorded alongside
+the outputs.
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import attacks
-from .attacks import AttackConfig
-from .errors import SelectionError
+from .attacks import AttackConfig, AttackReport
+from .errors import ConfigError, SelectionError
 from .surrogate import SurrogateSpec
 
 
@@ -75,12 +80,25 @@ def _draw_eval_set(correct: np.ndarray, x: np.ndarray, y: np.ndarray, n: int,
     return EvalSet(indices=indices, x=x[indices], y=y[indices], class_counts=counts)
 
 
-def transferability(gen_model, eval_model, attack_fn: Callable, evalset: EvalSet) -> float:
-    """Fraction of adversarial examples crafted on gen_model that eval_model
-    misclassifies. The evaluation set guarantees clean correctness."""
-    evalset.verify([gen_model, eval_model])
-    x_adv = attack_fn(gen_model, evalset.x, evalset.y)
-    return float(np.mean(eval_model.predict(x_adv) != evalset.y))
+def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], kind: str,
+                    cfg: AttackConfig) -> list:
+    """Per target, the fraction of its evaluation set that it misclassifies
+    once ``kind`` has attacked ``gen_model`` on that set.
+
+    Each set is re-verified against the generator and its target. The
+    generator is then attacked once, on the sorted union of the sets' rows,
+    keyed by their dataset indices, and each target is scored on its own
+    rows. The attacks are batch-invariant (see ``attacks``), so each rate
+    equals attacking its set alone."""
+    for target, evalset in zip(targets, evalsets, strict=True):
+        evalset.verify([gen_model, target])
+    indices, xs, ys = (np.concatenate(parts) for parts in
+                       zip(*[(evalset.indices, evalset.x, evalset.y) for evalset in evalsets]))
+    union, first = np.unique(indices, return_index=True)
+    x_adv = attacks.run_attack(kind, [gen_model], xs[first], ys[first], cfg, index=union)
+    return [float(np.mean(target.predict(x_adv[np.searchsorted(union, evalset.indices)])
+                          != evalset.y))
+            for target, evalset in zip(targets, evalsets)]
 
 
 @dataclass
@@ -111,41 +129,27 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
     """All-pairs transferability, one evaluation set per model pair, plus the
     elementwise max across attacks.
 
-    Each generator is attacked once per attack kind, on the sorted union of
-    its pairs' evaluation sets, and each pair is scored on its own rows of
-    the result. The attacks are batch-invariant (see ``attacks``), so every
-    entry equals attacking that pair's set alone: M x A attack runs instead
-    of M^2 x A."""
+    Row i of each matrix is one ``transferability`` run of generator i
+    against every model on its pair sets: M x A attack runs instead of
+    M^2 x A."""
+    if not attack_names:
+        raise ConfigError("transfer matrix needs at least one attack kind")
     m = len(models)
-    names = list(names)
     y = np.asarray(y)
     # one prediction pass per model; each pair's mask is the AND of two
     correct = [model.predict(x) == y for model in models]
-    evalsets = {}
-    for i in range(m):
-        for j in range(m):
-            key = frozenset((i, j))
-            if key not in evalsets:
-                evalsets[key] = _draw_eval_set(
-                    correct[i] & correct[j], x, y, n,
-                    max(models[i].n_classes, models[j].n_classes), seed)
-
-    per_attack = {}
-    for attack_name in attack_names:
-        matrix = np.zeros((m, m))
-        for i in range(m):
-            sets = [evalsets[frozenset((i, j))] for j in range(m)]
-            for j, evalset in enumerate(sets):
-                evalset.verify([models[i], models[j]])
-            union = np.unique(np.concatenate([evalset.indices for evalset in sets]))
-            x_adv = attacks.run_attack(attack_name, [models[i]], x[union], y[union], cfg,
-                                       index=union)
-            for j, evalset in enumerate(sets):
-                rows = np.searchsorted(union, evalset.indices)
-                matrix[i, j] = float(np.mean(models[j].predict(x_adv[rows]) != evalset.y))
-        per_attack[attack_name] = matrix
+    evalsets = {(i, j): _draw_eval_set(correct[i] & correct[j], x, y, n,
+                                       max(models[i].n_classes, models[j].n_classes), seed)
+                for i in range(m) for j in range(i, m)}
+    per_attack = {
+        attack_name: np.array([
+            transferability(models[i], models,
+                            [evalsets[min(i, j), max(i, j)] for j in range(m)],
+                            attack_name, cfg)
+            for i in range(m)])
+        for attack_name in attack_names}
     max_matrix = np.max(np.stack(list(per_attack.values())), axis=0)
-    return TransferMatrix(names=names, n=n, per_attack=per_attack, max_matrix=max_matrix)
+    return TransferMatrix(names=list(names), n=n, per_attack=per_attack, max_matrix=max_matrix)
 
 
 @dataclass
@@ -196,14 +200,6 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
                      robust_accuracy=acc, success_rate=1.0 - acc)
 
 
-def joint_success(models: Sequence, x_adv: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction misclassified by every model simultaneously."""
-    flags = np.ones(len(labels), dtype=bool)
-    for model in models:
-        flags &= model.predict(x_adv) != labels
-    return float(flags.mean())
-
-
 def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray, n: int,
                            single_cfg: AttackConfig, saga_cfg: AttackConfig,
                            seed: int = 0, pair_names: Optional[Sequence] = None) -> list:
@@ -224,7 +220,8 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
             evalset.verify(models)
             x_adv = attacks.run_attack(kind, attacked, evalset.x, evalset.y, cfg,
                                        index=evalset.indices)
-            return joint_success(models, x_adv, evalset.y)
+            return AttackReport.build(models, evalset.x, x_adv, evalset.y,
+                                      iterations=cfg.n_iter).joint_rate
 
         mims, pgds = zip(*[(joint("mim", [m], single_cfg), joint("pgd", [m], single_cfg))
                            for m in models])

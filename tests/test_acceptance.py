@@ -238,9 +238,8 @@ def test_criterion_5_transferability_direction(ann_mlp, converted_snn, indep_snn
     _, _, test_x, test_y = digits
     es = select_eval_set([ann_mlp, converted_snn, indep_snn], test_x, test_y, 200, seed=0)
     cfg = AttackConfig(eps_max=0.2, eps_step=0.05, n_iter=20, seed=0)
-    atk = lambda m, xs, ys: pgd(m, xs, ys, cfg)
-    t_conv = transferability(ann_mlp, converted_snn, atk, es)
-    t_indep = transferability(ann_mlp, indep_snn, atk, es)
+    t_conv, t_indep = transferability(ann_mlp, [converted_snn, indep_snn], [es, es], "pgd",
+                                      cfg)
     gap = t_conv - t_indep
     elapsed = time.perf_counter() - t0
     ok = gap >= 0.10 and elapsed < 600

@@ -258,6 +258,12 @@ class TestRollout:
         with pytest.raises(DimensionError):
             rollout_matrix([a, b])
 
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 64), (1, 1, 1, 8, 8)])
+    def test_images_must_be_four_dimensional(self, shape):
+        rec = random_stochastic(np.random.default_rng(9), 1, 1, 5)  # 4 patches
+        with pytest.raises(DimensionError, match=r"expected \[n, c, h, w\] images"):
+            attention_rollout([rec], np.zeros(shape, dtype=np.float32))
+
     def test_patch_count_image_mismatch_rejected(self):
         rec = random_stochastic(np.random.default_rng(9), 1, 1, 8)  # 7 patches
         x = np.zeros((1, 1, 8, 8), dtype=np.float32)

@@ -6,11 +6,10 @@ import pytest
 
 from snnadv import attacks
 from snnadv.ann import build_mlp
-from snnadv.attacks import AttackConfig, fgsm, pgd
+from snnadv.attacks import AttackConfig, AttackReport, pgd
 from snnadv.errors import SelectionError
-from snnadv.harness import (EvalSet, joint_success, multi_model_comparison,
-                            select_eval_set, surrogate_sweep, transfer_matrix,
-                            transferability)
+from snnadv.harness import (EvalSet, multi_model_comparison, select_eval_set,
+                            surrogate_sweep, transfer_matrix, transferability)
 from snnadv.surrogate import SurrogateSpec
 
 
@@ -96,20 +95,30 @@ class TestSelectEvalSet:
 
 
 class TestTransferability:
-    def test_always_fooled_oracle_gives_one(self, blob_net, blob_data):
+    """The rates from fake adversarial batches: ``run_attack`` returns
+    ``perturb(x)``."""
+
+    @pytest.fixture
+    def fake_attack(self, monkeypatch):
+        def install(perturb):
+            monkeypatch.setattr(attacks, "run_attack",
+                                lambda kind, models, x, labels, cfg, index=None: perturb(x))
+        return install
+
+    def test_always_fooled_oracle_gives_one(self, blob_net, blob_data, fake_attack):
         x, y = blob_data
         es = select_eval_set([blob_net], x, y, 20, seed=1)
         fooled = _Oracle(es.y, wrong_on_perturbed=True, n_classes=2).bind_clean(es.x)
-        atk = lambda m, xs, ys: np.clip(xs + 0.05, 0, 1)
-        assert transferability(blob_net, fooled, atk, es) == 1.0
+        fake_attack(lambda xs: np.clip(xs + 0.05, 0, 1))
+        assert transferability(blob_net, [fooled], [es], "pgd", AttackConfig()) == [1.0]
 
-    def test_identity_attack_gives_zero(self, blob_net, blob_data):
+    def test_identity_attack_gives_zero(self, blob_net, blob_data, fake_attack):
         x, y = blob_data
         es = select_eval_set([blob_net], x, y, 20, seed=1)
-        atk = lambda m, xs, ys: xs
-        assert transferability(blob_net, blob_net, atk, es) == 0.0
+        fake_attack(lambda xs: xs)
+        assert transferability(blob_net, [blob_net], [es], "pgd", AttackConfig()) == [0.0]
 
-    def test_manual_fixture_fraction(self):
+    def test_manual_fixture_fraction(self, fake_attack):
         y = np.array([0, 1, 2, 3, 4])
         x = np.zeros((5, 2), dtype=np.float32)
         gen = _Oracle(y, n_classes=5)
@@ -124,8 +133,19 @@ class TestTransferability:
         ev = _Two(y, n_classes=5)
         es = EvalSet(indices=np.arange(5), x=x, y=y,
                      class_counts=np.bincount(y, minlength=5))
-        atk = lambda m, xs, ys: xs + 0.1
-        assert transferability(gen, ev, atk, es) == pytest.approx(2 / 5)
+        fake_attack(lambda xs: xs + 0.1)
+        assert transferability(gen, [ev], [es], "pgd", AttackConfig()) == [pytest.approx(2 / 5)]
+
+    @pytest.mark.parametrize("kind", ["fgsm", "pgd", "mim"])
+    def test_one_pair_equals_its_matrix_cell(self, kind, blob_net, blob_data):
+        x, y = blob_data
+        other = build_mlp([6, 10, 2], seed=99)
+        cfg = AttackConfig(eps_max=0.2, eps_step=0.05, n_iter=5, seed=3)
+        tm = transfer_matrix([blob_net, other], ["a", "b"], x, y, 16, cfg,
+                             attack_names=(kind,), seed=0)
+        pair_set = select_eval_set([blob_net, other], x, y, 16, seed=0)
+        [rate] = transferability(blob_net, [other], [pair_set], kind, cfg)
+        assert np.float64(rate).tobytes() == tm.per_attack[kind][0, 1].tobytes()
 
 
 class TestTransferMatrix:
@@ -232,8 +252,9 @@ class TestMultiModelComparison:
         x, y = blob_data
         always = _Oracle(y, wrong_on_perturbed=True, n_classes=2).bind_clean(x)
         never = _Oracle(y, n_classes=2)
-        assert joint_success([always, never], x + 0.1, y) == 0.0
-        assert joint_success([always], x + 0.1, y) == 1.0
+        joint = lambda models: AttackReport.build(models, x, x + 0.1, y, iterations=1).joint_rate
+        assert joint([always, never]) == 0.0
+        assert joint([always]) == 1.0
 
 
 # sha256 of json.dumps(rows, sort_keys=True) for each case of test_rows_are_pinned,
@@ -293,6 +314,18 @@ class TestAttackRouting:
             assert [models for _, models, _ in runs] == [[pair[0]], [pair[0]], [pair[1]],
                                                          [pair[1]], list(pair), list(pair)]
             assert all(np.array_equal(index, evalset.indices) for _, _, index in runs)
+
+    def test_transferability_makes_one_run_on_the_union(self, routed, blob_net, blob_data):
+        x, y = blob_data
+        other = build_mlp([6, 10, 2], seed=99)
+        sets = [select_eval_set([blob_net], x, y, 16, seed=1),
+                select_eval_set([blob_net, other], x, y, 16, seed=0)]
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        transferability(blob_net, [blob_net, other], sets, "pgd", cfg)
+        [(kind, models, index)] = routed
+        assert kind == "pgd" and models == [blob_net]
+        union = np.union1d(sets[0].indices, sets[1].indices)
+        assert len(union) > 16 and np.array_equal(index, union)
 
     def test_sweep_makes_one_run_per_kernel_and_nonzero_eps(self, routed, bp_snn, digits):
         _, _, test_x, test_y = digits

@@ -925,6 +925,46 @@ class TestCli:
                         "--seed", "0", "--out", str(out)) == 0
         return out / "model.snnm"
 
+    @pytest.fixture(scope="class")
+    def blobs_snn(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("blobs_snn") / "snn.snnm"
+        checkpoint.save_model(path, build_snn_mlp([2, 6, 2], T=4, seed=0), seed=0)
+        return path
+
+    @pytest.mark.parametrize("argv,message", [
+        (["attack", "--models", "{ann}", "--n", "0"], "n must be >= 1, got 0"),
+        (["transfer-matrix", "--models", "{ann}", "--n", "0"], "n must be >= 1, got 0"),
+        (["multi-attack", "--pairs", "{ann}:{ann}", "--n", "0"], "n must be >= 1, got 0"),
+        (["attack", "--models", "{ann}", "--n", "-3"], "n must be >= 1, got -3"),
+        (["sweep-surrogate", "--model", "{snn}", "--n", "0"], "n must be >= 1, got 0"),
+        (["transfer-matrix", "--models", "{ann}", "--attacks", ","],
+         "transfer matrix needs at least one attack kind"),
+        (["convert", "--ann", "{ann}", "--percentile", "150"],
+         "percentile must be in [0, 100], got 150.0"),
+        (["convert", "--ann", "{ann}", "--n-calib", "-5"], "n-calib must be >= 1, got -5"),
+        (["convert", "--ann", "{ann}", "--fine-tune-epochs", "-2"],
+         "fine-tuning needs epochs >= 0, got -2"),
+        (["train", "--kind", "attention", "--data", "digits", "--patch", "0"],
+         "patch, embed and n_heads must be >= 1, got 0, 32 and 2"),
+        (["train", "--kind", "attention", "--data", "digits", "--att-heads", "0"],
+         "patch, embed and n_heads must be >= 1, got 4, 32 and 0"),
+        (["train", "--kind", "attention", "--data", "digits", "--embed", "0"],
+         "patch, embed and n_heads must be >= 1, got 4, 0 and 2"),
+        (["train", "--arch", "2-0-2"], "layer widths must be >= 1, got [2, 0, 2]"),
+    ], ids=["attack-n", "transfer-n", "multi-n", "attack-negative-n", "sweep-n",
+            "no-attacks", "percentile", "n-calib", "fine-tune-epochs", "patch", "heads",
+            "embed", "zero-width"])
+    def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, blobs_ann,
+                                                  blobs_snn, argv, message):
+        argv = [arg.format(ann=blobs_ann, snn=blobs_snn) for arg in argv]
+        data = [] if "--data" in argv else ["--data", "blobs"]
+        code = self.run(*argv, *data, "--n-train", "200", "--n-test", "100",
+                        "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "config.txt").exists()
+
     @pytest.mark.parametrize("kind,eps,want", [("fgsm", "0.2", 1), ("pgd", "0.2", 3),
                                                ("pgd", "0", 0), ("fgsm", "0", 0)])
     def test_attack_report_counts_iterations_taken(self, tmp_path, blobs_ann, kind, eps, want):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
-from snnadv.attacks import AttackConfig, pgd
+from snnadv.attacks import AttackConfig
 from snnadv.errors import EvaluationError
 from snnadv.harness import select_eval_set, surrogate_sweep, transfer_matrix, transferability
 from snnadv.surrogate import SurrogateSpec
@@ -58,9 +58,8 @@ class TestTransferabilityStudy:
         es = select_eval_set([ann_mlp, converted_snn, indep_snn], test_x, test_y,
                              200, seed=0)
         cfg = AttackConfig(eps_max=0.05, eps_step=0.0125, n_iter=20, seed=0)
-        atk = lambda m, xs, ys: pgd(m, xs, ys, cfg)
-        t_conv = transferability(ann_mlp, converted_snn, atk, es)
-        t_indep = transferability(ann_mlp, indep_snn, atk, es)
+        t_conv, t_indep = transferability(ann_mlp, [converted_snn, indep_snn], [es, es],
+                                          "pgd", cfg)
         assert t_conv >= t_indep + 0.10
 
     def test_saturation_at_pinned_budget(self, indep_snn, digits):
