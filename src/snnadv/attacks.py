@@ -71,6 +71,8 @@ class AttackConfig:
             raise ConfigError("coefficient learning rate and fitting factor must be > 0")
         if self.alphas is not None and any(a < 0 for a in self.alphas):
             raise ConfigError("blend coefficients must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -215,12 +217,11 @@ def _grad_rule(model, labels: np.ndarray) -> Callable:
 
 
 def fgsm(model, x: np.ndarray, labels: np.ndarray, eps: float) -> np.ndarray:
-    """Single signed step of size eps, then pixel-range clip."""
+    """One signed step of size eps from x clipped to [0, 1], then projection:
+    PGD's one step without a random start."""
     if eps < 0:
         raise ConfigError(f"eps must be >= 0, got {eps}")
-    x = np.asarray(x)
-    # starting at x itself, the projection onto the eps ball is a no-op
-    return _iterate(x, eps, eps, 1, _grad_rule(model, labels), x_adv=x)
+    return _iterate(np.asarray(x), eps, eps, 1, _grad_rule(model, labels))
 
 
 def pgd(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,

@@ -194,6 +194,8 @@ def _one_dtype(tensors) -> np.dtype:
 def save_model(path, model, seed: int = 0, config_echo: dict | None = None) -> Path:
     """Write ``model`` to ``path``. Everything that can refuse the model runs
     before the file is opened, so a refused model leaves no file behind."""
+    if not 0 <= seed < 2**64:
+        raise FormatError(f"cannot checkpoint seed {seed}: it must lie in [0, 2**64)")
     path = Path(path)
     arch = json.dumps(describe(model), sort_keys=True)
     tensors = [(name, np.ascontiguousarray(p)) for name, p in model.params()]

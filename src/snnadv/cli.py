@@ -158,29 +158,15 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 def _load_dataset(cfg: dict, scored: bool = False):
     """The run's data split; a ``scored`` run scores its model on the test set."""
-    for key in ("n-train", "n-test"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     # the evaluation-set size and the calibration slice, where a command has them
     for key in ("n", "n-calib"):
         if cfg.get(key, 1) < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     if scored and cfg["n-test"] < 1:
         raise ConfigError(f"n-test must be >= 1 to score the model, got {cfg['n-test']}")
-    name, seed, k = cfg["data"], cfg["seed"], cfg["n-train"]
-    if name == "mnist" and datamod.find_mnist_dir() is None:
-        raise ConfigError("data=mnist but no IDX files found "
-                          f"(set {datamod.MNIST_ENV_VAR} or place files under ./data)")
-    if name in ("mnist", "auto"):
-        return datamod.image_dataset(k, cfg["n-test"], seed=seed)
-    if name == "blobs":
-        # one fixed task: a model trained at one --seed scores the same task at another
-        x, y = datamod.synth_blobs(k + cfg["n-test"], classes=2, dim=2, seed=0)
-    elif name == "digits":
-        x, y = datamod.synth_digits(k + cfg["n-test"], seed=seed)
-    else:
-        raise ConfigError(f"unknown data source {name!r}")
-    return x[:k], y[:k], x[k:], y[k:], "blobs" if name == "blobs" else "synthetic-digits"
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    return datamod.load_split(cfg["data"], cfg["n-train"], cfg["n-test"], seed=cfg["seed"])
 
 
 def _surrogate_from(cfg: dict, kind: str | None = None) -> SurrogateSpec:

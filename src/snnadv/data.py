@@ -4,7 +4,8 @@ IDX files (the MNIST binary layout) are parsed bit-exactly: big-endian magic
 and counts, unsigned-byte pixels scaled to [0, 1]. When no real MNIST files
 are available the package synthesizes a deterministic 28x28 ten-class digit
 set from bitmap glyphs (random placement, scale, intensity, and noise), which
-round-trips through the same IDX reader/writer.
+round-trips through the same IDX reader/writer. ``load_split`` turns a data
+source name into a run's training and test rows.
 """
 
 from __future__ import annotations
@@ -196,16 +197,24 @@ def find_mnist_dir() -> Optional[Path]:
     return None
 
 
-def image_dataset(n_train: int, n_test: int, seed: int = 0
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]:
-    """Real MNIST when IDX files are present (env SNNADV_MNIST_DIR or ./data),
-    otherwise the synthetic digit set. Returns (train_x, train_y, test_x,
-    test_y, source_tag); subsampling is deterministic given the seed. MNIST
-    rows are drawn on the raw uint8 pixels, and only the drawn rows are
-    scaled to float32."""
+def load_split(source: str, n_train: int, n_test: int, seed: int = 0
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]:
+    """(train_x, train_y, test_x, test_y, source_tag) of data ``source``;
+    every draw is deterministic given the seed.
+
+    ``auto`` is MNIST when IDX files are present (env SNNADV_MNIST_DIR or
+    ./data), else ``digits``, the synthetic digit set; ``mnist`` requires the
+    files, whose rows are drawn on the raw uint8 pixels and scaled to float32
+    once drawn. ``blobs`` is one two-class task, drawn with seed 0 whatever
+    ``seed`` is. A synthetic set's first n_train rows are the training rows."""
     if n_train < 0 or n_test < 0:
         raise ConfigError(f"need n_train >= 0 and n_test >= 0, got {n_train} and {n_test}")
-    mnist_dir = find_mnist_dir()
+    if source not in ("auto", "mnist", "digits", "blobs"):
+        raise ConfigError(f"unknown data source {source!r}")
+    mnist_dir = find_mnist_dir() if source in ("auto", "mnist") else None
+    if source == "mnist" and mnist_dir is None:
+        raise ConfigError("data=mnist but no IDX files found "
+                          f"(set {MNIST_ENV_VAR} or place files under ./data)")
     if mnist_dir is not None:
         train_px, train_y = _read_idx_pair(mnist_dir / "train-images-idx3-ubyte",
                                            mnist_dir / "train-labels-idx1-ubyte")
@@ -220,5 +229,9 @@ def image_dataset(n_train: int, n_test: int, seed: int = 0
         tr = rng.choice(pool, size=min(n_train, pool), replace=False)
         te = rng.choice(len(test_y), size=min(n_test, len(test_y)), replace=False)
         return _scaled(train_px[tr]), train_y[tr], _scaled(test_px[te]), test_y[te], "mnist"
-    x, y = synth_digits(n_train + n_test, seed=seed)
-    return x[:n_train], y[:n_train], x[n_train:], y[n_train:], "synthetic-digits"
+    if source == "blobs":
+        x, y = synth_blobs(n_train + n_test, classes=2, dim=2, seed=0)
+    else:
+        x, y = synth_digits(n_train + n_test, seed=seed)
+    tag = "blobs" if source == "blobs" else "synthetic-digits"
+    return x[:n_train], y[:n_train], x[n_train:], y[n_train:], tag

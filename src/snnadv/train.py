@@ -13,9 +13,16 @@ from .errors import ConfigError, EvaluationError, TrainingError
 from .surrogate import SurrogateSpec
 
 
+def _rate(lr: float) -> float:
+    """``lr``, refused when negative or not finite."""
+    if not 0.0 <= lr < np.inf:
+        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
+    return lr
+
+
 class SGD:
     def __init__(self, lr: float = 0.05, momentum: float = 0.9):
-        self.lr = lr
+        self.lr = _rate(lr)
         self.momentum = momentum
         self._velocity = {}
 
@@ -33,7 +40,7 @@ class SGD:
 class Adam:
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
-        self.lr = lr
+        self.lr = _rate(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -130,8 +137,6 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
                 loss, dlogits = numerics.softmax_cross_entropy(logits, train_y[idx])
             except EvaluationError as exc:
                 raise TrainingError(f"loss diverged at epoch {epoch}: {exc}") from exc
-            if not np.isfinite(loss):
-                raise TrainingError(f"loss diverged at epoch {epoch}")
             losses.append(loss)
             correct += int(np.count_nonzero(np.argmax(logits, axis=1) == train_y[idx]))
             grads = {}

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from snnadv import numerics
 from snnadv.ann import AnnNet, AvgPool2d, Conv2d, Dense, Flatten, ReLU, build_cnn, build_mlp
-from snnadv.errors import DimensionError
+from snnadv.errors import ConfigError, DimensionError
 
 
 def ce_input_grad(net, x, y):
@@ -115,3 +117,26 @@ class TestConvPool:
         out, cache = flat.forward(x)
         assert out.shape == (2, 12)
         assert np.array_equal(flat.backward(out, cache), x)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: Dense(np.zeros(3)), DimensionError, "dense weights must be 2-d, got (3,)"),
+        (lambda: Dense(np.zeros((2, 3)), np.zeros(2)), DimensionError,
+         "bias shape (2,) does not match width 3"),
+        (lambda: Dense(np.zeros((2, 3))).forward(np.zeros((1, 4))), DimensionError,
+         "dense input width 4 != 2"),
+        (lambda: Conv2d(np.zeros((1, 1, 3))), DimensionError,
+         "conv weights must be 4-d, got (1, 1, 3)"),
+        (lambda: Conv2d(np.zeros((1, 2, 3, 3))).forward(np.zeros((1, 1, 4, 4))),
+         DimensionError, "conv input channels 1 != 2"),
+        (lambda: AnnNet([ReLU(), Flatten()]), ConfigError,
+         "network needs at least one layer with weights"),
+        (lambda: AnnNet([Conv2d(np.zeros((1, 1, 3, 3)))]).n_classes, ConfigError,
+         "no dense layer to read the class count from"),
+        (lambda: build_mlp([4]), ConfigError, "need at least input and output widths"),
+    ], ids=["dense-rank", "dense-bias", "dense-input", "conv-rank", "conv-channels",
+            "no-weights", "no-dense", "one-width"])
+    def test_refusal_names_its_cause(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()

@@ -32,6 +32,10 @@ class TestProject:
     def test_pixel_floor_dominates(self):
         assert project(np.array([-0.5]), np.array([0.0]), 0.2)[0] == 0.0
 
+    def test_shapes_must_match(self):
+        with pytest.raises(ConfigError, match=r"^projection shapes differ: \(2, 3\) vs \(2, 4\)$"):
+            project(np.zeros((2, 3)), np.zeros((2, 4)), 0.1)
+
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=(3, 4))
@@ -100,6 +104,7 @@ class TestConfig:
         ("mu", -1.0, "mu must be >= 0"),
         ("kappa", -1.0, "kappa must be >= 0"),
         ("coeff_lr", 0.0, "coefficient learning rate and fitting factor must be > 0"),
+        ("seed", -1, "^seed must be >= 0, got -1$"),
     ])
     def test_out_of_range_field_rejected(self, field, value, match):
         with pytest.raises(ConfigError, match=match):
@@ -107,6 +112,11 @@ class TestConfig:
 
 
 class TestFgsm:
+    def test_negative_eps_rejected(self, blob_net, blob_data):
+        x, y = blob_data
+        with pytest.raises(ConfigError, match="^eps must be >= 0, got -0.1$"):
+            fgsm(blob_net, x, y, -0.1)
+
     def test_zero_eps_returns_input(self, blob_net, blob_data):
         x, y = blob_data
         assert np.array_equal(fgsm(blob_net, x, y, 0.0), np.clip(x, 0, 1))
@@ -144,6 +154,12 @@ class TestPgd:
         x, y = blob_data
         cfg = AttackConfig(eps_max=0.1, eps_step=0.1, n_iter=1, random_start=False)
         assert np.array_equal(pgd(blob_net, x, y, cfg), fgsm(blob_net, x, y, 0.1))
+        # outside [0, 1] both start from the batch clipped to the pixel range
+        rng = np.random.default_rng(0)
+        net = build_mlp([6, 16, 2], seed=5)
+        x = rng.uniform(-0.3, 1.3, (32, 6)).astype(np.float32)
+        y = rng.integers(0, 2, 32)
+        assert np.array_equal(pgd(net, x, y, cfg), fgsm(net, x, y, 0.1))
 
     def test_projection_invariant(self, blob_net, blob_data):
         x, y = blob_data

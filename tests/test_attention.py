@@ -68,6 +68,10 @@ class TestForward:
         with pytest.raises(ConfigError):
             TinyAttentionNet(image_shape=(1, 9, 9), patch=4)
 
+    def test_heads_must_divide_the_embedding(self):
+        with pytest.raises(ConfigError, match="^embed width 6 not divisible by 4 heads$"):
+            TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=6, n_heads=4)
+
     def test_no_blocks_rejected(self):
         with pytest.raises(ConfigError):
             TinyAttentionNet(image_shape=(1, 8, 8), patch=4, n_layers=0)
@@ -251,6 +255,10 @@ class TestRollout:
             rollout_matrix([row, full])
         with pytest.raises(DimensionError):
             rollout_matrix([full, random_stochastic(rng, 2, 2, 5, rows=2)])
+
+    def test_no_records_rejected(self):
+        with pytest.raises(DimensionError, match="^need at least one recorded attention layer$"):
+            rollout_matrix([])
 
     def test_token_mismatch_rejected(self):
         a = random_stochastic(np.random.default_rng(7), 1, 1, 5)

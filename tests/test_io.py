@@ -16,8 +16,8 @@ from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_ml
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
 from snnadv.config import parse_config_file, resolve_config, write_config_echo
-from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, _permute_rows, image_dataset,
-                         load_idx_images, load_idx_labels, load_mnist_idx, save_idx_images,
+from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, _permute_rows, load_idx_images,
+                         load_idx_labels, load_mnist_idx, load_split, save_idx_images,
                          save_idx_labels, synth_blobs, synth_digits)
 from snnadv.dynamics import NeuronConfig, SpikingLayer, SynapseConfig, build_snn_mlp
 from snnadv.errors import ConfigError, DimensionError, FormatError
@@ -95,7 +95,7 @@ class TestIdxFormat:
         save_idx_images(tmp_path / "train-images-idx3-ubyte", rows)
         save_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.arange(120) % 10)
         monkeypatch.setenv(MNIST_ENV_VAR, str(tmp_path))
-        train_x, _, test_x, _, source = image_dataset(n_train, 20, seed=3)
+        train_x, _, test_x, _, source = load_split("auto", n_train, 20, seed=3)
         assert source == "mnist" and len(train_x) == 100 and len(test_x) == 20
         train_rows = {row.tobytes() for row in train_x}
         assert len(train_rows) == 100
@@ -119,7 +119,7 @@ def write_idx_pair(directory, prefix, n, seed):
     save_idx_labels(directory / f"{prefix}-labels-idx1-ubyte", rng.integers(0, 10, n))
 
 
-# sha256 of image_dataset(200, 50, seed=3)'s four arrays on write_idx_pair files:
+# sha256 of load_split("auto", 200, 50, seed=3)'s four arrays on write_idx_pair files:
 # 600 train rows (seed 1), with and without 100 t10k rows (seed 2)
 IDX_DATASET_PINS = {
     True: ("071e3e5bfa39418089a0bb780c1e3d1d98e8bd99aad59cbbb6b2c938c3a6ac88",
@@ -144,7 +144,7 @@ class TestIdxDataset:
 
     def test_arrays_are_pinned(self, mnist_dir):
         _, t10k = mnist_dir
-        *arrays, source = image_dataset(200, 50, seed=3)
+        *arrays, source = load_split("auto", 200, 50, seed=3)
         assert source == "mnist"
         assert [a.dtype for a in arrays] == [np.float32, np.int64] * 2
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) \
@@ -153,7 +153,7 @@ class TestIdxDataset:
     def test_holds_the_files_and_the_drawn_rows_once(self, mnist_dir):
         # the raw file bytes, the float32 rows drawn, and no float32 copy of a whole file
         directory, _ = mnist_dir
-        (train_x, _, test_x, _, _), peak = traced_peak(image_dataset, 200, 50, 3)
+        (train_x, _, test_x, _, _), peak = traced_peak(load_split, "auto", 200, 50, 3)
         file_bytes = sum(path.stat().st_size for path in directory.iterdir())
         assert peak < file_bytes + 1.25 * (train_x.nbytes + test_x.nbytes)
 
@@ -208,7 +208,7 @@ class TestSynthData:
             save_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.arange(30) % 10)
         monkeypatch.setenv(MNIST_ENV_VAR, str(tmp_path))
         with pytest.raises(ConfigError, match=f"got {n_train} and {n_test}"):
-            image_dataset(n_train, n_test, seed=0)
+            load_split("auto", n_train, n_test, seed=0)
 
 
 def reference_synth_digits(n, seed=0, size=28):
@@ -374,6 +374,14 @@ class TestCheckpoint:
         path = tmp_path / "m.snnm"
         with pytest.raises(FormatError, match="unsupported tensor dtype float16"):
             checkpoint.save_model(path, build_mlp([4, 3], seed=0).astype(np.float16), seed=0)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_leaves_no_file(self, tmp_path, seed):
+        # struct.pack("<Q") cannot write it: refused before the file is opened
+        path = tmp_path / "m.snnm"
+        with pytest.raises(FormatError, match=rf"cannot checkpoint seed {seed}: it must lie in"):
+            checkpoint.save_model(path, build_mlp([4, 3], seed=0), seed=seed)
         assert not path.exists()
 
     def test_unknown_layer_type_leaves_no_file(self, tmp_path):
@@ -559,6 +567,10 @@ class TestRunConfig:
         cfg_file.write_text("bogus=1\nmystery=2\n")
         with pytest.raises(ConfigError, match="bogus, mystery"):
             resolve_config({"seed": (int, 0)}, config_file=str(cfg_file))
+
+    def test_unknown_flag_keys_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown config keys from flags: bogus, odd$"):
+            resolve_config({"seed": (int, 0)}, flags={"odd": 1, "seed": 2, "bogus": None})
 
     def test_bad_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -951,9 +963,15 @@ class TestCli:
         (["train", "--kind", "attention", "--data", "digits", "--embed", "0"],
          "patch, embed and n_heads must be >= 1, got 4, 0 and 2"),
         (["train", "--arch", "2-0-2"], "layer widths must be >= 1, got [2, 0, 2]"),
+        (["train", "--arch", "2-4-2", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["attack", "--models", "{ann}", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--arch", "2-4-2", "--lr", "-1"],
+         "learning rate must be finite and >= 0, got -1.0"),
+        (["convert", "--ann", "{ann}", "--lr", "-1"],
+         "learning rate must be finite and >= 0, got -1.0"),
     ], ids=["attack-n", "transfer-n", "multi-n", "attack-negative-n", "sweep-n",
             "no-attacks", "percentile", "n-calib", "fine-tune-epochs", "patch", "heads",
-            "embed", "zero-width"])
+            "embed", "zero-width", "train-seed", "attack-seed", "train-lr", "convert-lr"])
     def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, blobs_ann,
                                                   blobs_snn, argv, message):
         argv = [arg.format(ann=blobs_ann, snn=blobs_snn) for arg in argv]
@@ -1008,8 +1026,10 @@ class TestCli:
                         "--n-test", counts["n-test"], "--out", str(tmp_path / "o"))
         assert code == 2
         captured = capsys.readouterr()
-        err = captured.err.strip()
-        assert err == f"error: {key} must be >= 0, got {value}"
+        # train scores its model, so a negative n-test fails the CLI's scoring check
+        want = {"n-test": "n-test must be >= 1 to score the model, got -2",
+                "n-train": "need n_train >= 0 and n_test >= 0, got -1 and 10"}[key]
+        assert captured.err.strip() == f"error: {want}"
         assert "epoch" not in captured.out and not (tmp_path / "o").exists()
 
     def test_error_is_one_line_nonzero(self, tmp_path, capsys):

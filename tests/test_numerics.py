@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
-from snnadv.errors import EvaluationError, IndexRangeError
+from snnadv.errors import DimensionError, EvaluationError, IndexRangeError
 
 
 class TestElementwise:
@@ -48,6 +48,23 @@ class TestSoftmaxCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(IndexRangeError):
             numerics.softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
+
+    def test_logits_must_be_two_dimensional(self):
+        with pytest.raises(DimensionError,
+                           match=r"^logits must be 2-d \(batch x classes\), got \(3,\)$"):
+            numerics.softmax_cross_entropy(np.zeros(3), np.array([0]))
+
+    def test_labels_must_match_the_batch(self):
+        with pytest.raises(DimensionError, match=r"^labels shape \(1,\) does not match batch 2$"):
+            numerics.softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
+
+    def test_infinite_loss_with_a_finite_gradient_rejected(self):
+        # the float32 logit gap overflows to inf: the true class gets probability 0,
+        # while the gradient stays finite
+        logits = np.array([[3e38, -3e38]], dtype=np.float32)
+        with np.errstate(over="ignore"), pytest.raises(
+                EvaluationError, match="^non-finite cross-entropy loss$"):
+            numerics.softmax_cross_entropy(logits, np.array([1]))
 
 
 class TestFiniteDifference:

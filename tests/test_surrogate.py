@@ -131,6 +131,12 @@ class TestVariantForms:
         assert surrogate_grad(dec, far)[0] < surrogate_grad(dec, near)[0]
         assert surrogate_grad(lit, far)[0] > surrogate_grad(lit, near)[0]
 
+    def test_literal_pwe_overflow_rejected(self):
+        spec = SurrogateSpec(kind="piecewise_exp", pwe_literal=True)
+        with np.errstate(over="ignore"), pytest.raises(
+                EvaluationError, match="^literal piecewise-exp overflowed; use the default form$"):
+            surrogate_grad(spec, np.array([1000.0]))
+
     def test_fast_sigmoid_forms(self):
         printed = SurrogateSpec(kind="fast_sigmoid")
         conv = SurrogateSpec(kind="fast_sigmoid", fs_conventional=True)

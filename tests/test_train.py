@@ -8,7 +8,7 @@ from snnadv.ann import EVAL_BATCH, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.data import synth_blobs, synth_digits
 from snnadv.dynamics import NeuronConfig, build_snn_mlp
-from snnadv.errors import TrainingError
+from snnadv.errors import ConfigError, TrainingError
 from snnadv.surrogate import SurrogateSpec
 from snnadv.train import Adam, SGD, evaluate, train_epochs
 
@@ -33,6 +33,13 @@ class TestTrainLoop:
             train_epochs(net, x, y, epochs=2, optimizer=opt, seed=0, verbose=False)
             for b, (_, p) in zip(before, net.params()):
                 assert np.array_equal(b, p)
+
+    @pytest.mark.parametrize("optimizer", [SGD, Adam])
+    @pytest.mark.parametrize("lr", [-1.0, float("inf"), float("nan")])
+    def test_negative_or_non_finite_rate_rejected(self, optimizer, lr):
+        # a negative rate would train by gradient ascent
+        with pytest.raises(ConfigError, match=f"^learning rate must be finite and >= 0, got {lr}$"):
+            optimizer(lr=lr)
 
     def test_blobs_reach_99_percent(self, blob_net, blob_data):
         x, y = blob_data
