@@ -12,7 +12,7 @@ from .dynamics import NeuronConfig, SpikingLayer, SpikingNet, SynapseConfig, bui
 from .harness import (EvalSet, multi_model_comparison, select_eval_set, surrogate_sweep,
                       transfer_matrix, transferability)
 from .surrogate import SurrogateSpec, heaviside, surrogate_grad
-from .train import Adam, SGD, evaluate, train_epochs
+from .train import Adam, SGD, evaluate, make_optimizer, train_epochs
 
 
 def _keep_heap_resident():
@@ -54,5 +54,5 @@ __all__ = [
     "EvalSet", "multi_model_comparison", "select_eval_set", "surrogate_sweep",
     "transfer_matrix", "transferability",
     "SurrogateSpec", "heaviside", "surrogate_grad",
-    "Adam", "SGD", "evaluate", "train_epochs",
+    "Adam", "SGD", "evaluate", "make_optimizer", "train_epochs",
 ]

@@ -57,20 +57,22 @@ class AttackConfig:
     def __post_init__(self):
         if not 0.0 <= self.eps_max <= 1.0:
             raise ConfigError(f"eps_max must be in [0, 1], got {self.eps_max}")
-        if self.eps_step <= 0.0:
-            raise ConfigError(f"eps_step must be > 0, got {self.eps_step}")
+        if not 0.0 < self.eps_step < np.inf:
+            raise ConfigError(f"eps_step must be > 0 and finite, got {self.eps_step}")
         if self.eps_max > 0.0 and self.eps_step > self.eps_max:
             raise ConfigError(f"eps_step {self.eps_step} exceeds eps_max {self.eps_max}")
         if self.n_iter < 1:
             raise ConfigError(f"n_iter must be >= 1, got {self.n_iter}")
-        if self.mu < 0.0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
-        if self.kappa < 0.0:
-            raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
-        if self.coeff_lr <= 0.0 or self.fit_u <= 0.0:
-            raise ConfigError("coefficient learning rate and fitting factor must be > 0")
-        if self.alphas is not None and any(a < 0 for a in self.alphas):
-            raise ConfigError("blend coefficients must be non-negative")
+        if not 0.0 <= self.mu < np.inf:
+            raise ConfigError(f"mu must be >= 0 and finite, got {self.mu}")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ConfigError(f"kappa must be >= 0 and finite, got {self.kappa}")
+        if not (0.0 < self.coeff_lr < np.inf and 0.0 < self.fit_u < np.inf):
+            raise ConfigError("coefficient learning rate and fitting factor must be > 0 "
+                              f"and finite, got {self.coeff_lr} and {self.fit_u}")
+        if self.alphas is not None and not all(0.0 <= a < np.inf for a in self.alphas):
+            raise ConfigError("blend coefficients must be non-negative and finite, "
+                              f"got {self.alphas}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

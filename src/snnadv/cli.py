@@ -23,7 +23,7 @@ from .attention import TinyAttentionNet
 from .dynamics import NeuronConfig, SpikingNet, build_snn_mlp
 from .errors import ConfigError, SnnAdvError
 from .surrogate import KINDS, SurrogateSpec
-from .train import Adam, SGD, evaluate, train_epochs
+from .train import evaluate, make_optimizer, train_epochs
 
 _COMMON = {
     "out": (str, "run"),
@@ -52,7 +52,7 @@ _SCHEMAS = {
         "kind": (str, "ann"),            # ann | snn | attention
         "arch": (str, "784-128-10"),
         "epochs": (int, 10),
-        "lr": (float, 0.0),              # 0 keeps the per-kind default
+        "lr": (float, 0.0),              # 0 keeps the optimizer's default
         "optimizer": (str, "auto"),      # auto | adam | sgd
         "batch-size": (int, 128),
         "surrogate": (str, "arctan"),
@@ -230,30 +230,22 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     if kind == "attention" and cfg["data"] == "blobs":  # the one source without images
         raise ConfigError("attention models need image data")
     seed = cfg["seed"]
-    opt_name = cfg["optimizer"]
-    if opt_name == "auto":
-        opt_name = "sgd" if kind == "ann" else "adam"
-    if opt_name not in ("sgd", "adam"):
-        raise ConfigError(f"unknown optimizer {cfg['optimizer']!r}")
-    opt_class = SGD if opt_name == "sgd" else Adam
-    optimizer = opt_class(lr=cfg["lr"]) if cfg["lr"] else opt_class()  # lr 0: its default
+    optimizer = make_optimizer(kind, cfg["optimizer"], cfg["lr"])
     train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
-    spec = None
     if kind == "ann":
         model = build_mlp(dims, seed=seed)
     elif kind == "snn":
-        adapt = cfg["adapt-decay"] if cfg["adapt-decay"] >= 0 else None
+        adapt = None if cfg["adapt-decay"] < 0 else cfg["adapt-decay"]
         neuron = NeuronConfig(reset=cfg["reset"], adapt_decay=adapt)
-        spec = _surrogate_from(cfg)
         model = build_snn_mlp(dims, T=cfg["timesteps"], seed=seed, neuron=neuron,
-                              surrogate=spec, readout=cfg["readout"])
+                              surrogate=_surrogate_from(cfg), readout=cfg["readout"])
     else:
         model = TinyAttentionNet(image_shape=train_x.shape[1:], patch=cfg["patch"],
                                  embed=cfg["embed"], n_layers=cfg["att-layers"],
                                  n_heads=cfg["att-heads"], seed=seed)
     history = train_epochs(model, train_x, train_y, epochs=cfg["epochs"],
                            optimizer=optimizer, seed=seed, batch_size=cfg["batch-size"],
-                           spec=spec, test_x=test_x, test_y=test_y)
+                           test_x=test_x, test_y=test_y)
     checkpoint.save_model(out_dir / "model.snnm", model, seed=seed,
                           config_echo=_portable(cfg))
     harness.write_json({"source": source, **history.as_dict()}, out_dir / "history.json")
@@ -266,15 +258,14 @@ def cmd_convert(cfg: dict, out_dir: Path) -> None:
     ann, _ = checkpoint.load_model(cfg["ann"])
     train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
     calib = train_x[:cfg["n-calib"]]
-    spec = _surrogate_from(cfg)
     snn = convertmod.convert_ann_to_snn(ann, calib, mode=cfg["mode"],
                                         percentile=cfg["percentile"],
-                                        T=cfg["timesteps"], surrogate=spec)
+                                        T=cfg["timesteps"], surrogate=_surrogate_from(cfg))
     report = convertmod.fine_tune(snn, train_x, train_y, epochs=cfg["fine-tune-epochs"],
-                                  spec=spec, seed=cfg["seed"], lr=cfg["lr"],
+                                  seed=cfg["seed"], lr=cfg["lr"],
                                   batch_size=cfg["batch-size"], test_x=test_x, test_y=test_y)
     report["source"] = source
-    report["test_acc"] = evaluate(snn, test_x, test_y).accuracy
+    report["test_acc"] = evaluate(snn, test_x, test_y)
     checkpoint.save_model(out_dir / "converted.snnm", snn, seed=cfg["seed"],
                           config_echo=_portable(cfg))
     harness.write_json(report, out_dir / "convert_report.json")

@@ -17,7 +17,7 @@ from .dynamics import (READOUT_MEMBRANE, SOFT_SUBTRACT, NeuronConfig, SpikingLay
                        SpikingNet)
 from .errors import ConfigError, TrainingError, UnsupportedError
 from .surrogate import SurrogateSpec
-from .train import Adam, evaluate, train_epochs
+from .train import evaluate, make_optimizer, train_epochs
 
 WEIGHT_BALANCE = "weight_balance"
 THRESHOLD_BALANCE = "threshold_balance"
@@ -88,18 +88,21 @@ def convert_ann_to_snn(ann: AnnNet, calib_x: np.ndarray, mode: str = WEIGHT_BALA
     return SpikingNet(layers, T=T, surrogate=surrogate, readout=READOUT_MEMBRANE)
 
 
-def fine_tune(snn: SpikingNet, train_x, train_y, *, epochs: int, spec: SurrogateSpec,
-              seed: int = 0, lr: float = 1e-3, batch_size: int = 128,
+def fine_tune(snn: SpikingNet, train_x, train_y, *, epochs: int, seed: int = 0,
+              lr: float = 0.0, batch_size: int = 128, spec: SurrogateSpec | None = None,
               test_x=None, test_y=None, verbose: bool = True) -> dict:
-    """Retrain a converted net from its copied weights; reports the
+    """Retrain a converted net from its copied weights with the spiking
+    models' optimizer of ``make_optimizer`` at ``lr`` (0 keeps its default)
+    and the surrogate kernel the net carries, or ``spec``; reports the
     accuracy-recovery delta. Zero epochs leaves the weights untouched."""
     if epochs < 0:
         raise ConfigError(f"fine-tuning needs epochs >= 0, got {epochs}")
-    before = evaluate(snn, train_x, train_y).accuracy
+    optimizer = make_optimizer(snn.kind, lr=lr)
+    before = evaluate(snn, train_x, train_y)
     history = None
     if epochs > 0:
         history = train_epochs(snn, train_x, train_y, epochs=epochs, seed=seed,
-                               optimizer=Adam(lr=lr), spec=spec, batch_size=batch_size,
+                               optimizer=optimizer, spec=spec, batch_size=batch_size,
                                test_x=test_x, test_y=test_y, verbose=verbose)
     # train_epochs ends its last epoch by scoring the weights on the training set
     after = history.train_acc[-1] if history else before

@@ -85,6 +85,9 @@ class SynapseConfig:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if not self.betas:
             raise ConfigError("synapse needs at least beta_0")
+        if not np.all(np.isfinite(self.alphas + self.betas)):
+            raise ConfigError(f"synapse coefficients must be finite, got alphas "
+                              f"{self.alphas} and betas {self.betas}")
         if self.alphas:
             # roots of 1 - sum(alpha_p z^-p) must lie strictly inside the unit circle
             poly = np.array([1.0] + [-a for a in self.alphas])

@@ -67,8 +67,9 @@ class SurrogateSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
         for name in ("sigma", "alpha", "beta"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"surrogate {name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"surrogate {name} must be > 0 and finite, "
+                                  f"got {getattr(self, name)}")
 
 
 def heaviside(v: np.ndarray, threshold: float, out=None) -> np.ndarray:

@@ -68,6 +68,18 @@ class Adam:
             p -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
 
 
+def make_optimizer(kind: str, name: str = "auto", lr: float = 0.0):
+    """Optimizer ``name`` for a model of ``kind`` ("ann", "snn" or
+    "attention"): ``auto`` is Adam for spiking models and SGD for the rest,
+    and ``lr`` 0 keeps the optimizer's own default rate (SGD 0.05, Adam 1e-3)."""
+    if name == "auto":
+        name = "adam" if kind == "snn" else "sgd"
+    optimizer = {"sgd": SGD, "adam": Adam}.get(name)
+    if optimizer is None:
+        raise ConfigError(f"unknown optimizer {name!r}")
+    return optimizer(lr=lr) if lr else optimizer()
+
+
 @dataclass
 class History:
     """Per-epoch training record, as written to ``history.json``.
@@ -86,22 +98,12 @@ class History:
                 "train_acc": self.train_acc, "test_acc": self.test_acc}
 
 
-@dataclass
-class EvalResult:
-    accuracy: float
-    per_class_total: np.ndarray
-    per_class_correct: np.ndarray
-
-
-def evaluate(model, x: np.ndarray, y: np.ndarray) -> EvalResult:
-    """Accuracy plus per-class sample/correct counts for balance checks."""
+def evaluate(model, x: np.ndarray, y: np.ndarray) -> float:
+    """The share of ``x`` that ``model`` labels as ``y``."""
     y = np.asarray(y)
     if y.size == 0:
         raise TrainingError("cannot evaluate on empty data")
-    pred = model.predict(x)
-    total = np.bincount(y, minlength=model.n_classes)
-    correct = np.bincount(y[pred == y], minlength=model.n_classes)
-    return EvalResult(float(correct.sum() / total.sum()), total, correct)
+    return np.count_nonzero(model.predict(x) == y) / y.size
 
 
 def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: int = 0,
@@ -109,21 +111,21 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
                  test_x=None, test_y=None, verbose: bool = True) -> History:
     """Softmax cross-entropy training loop, bit-reproducible given the seed.
 
-    Spiking models require a surrogate spec; it is installed on the model
-    and stays there after training. Only the last epoch scores the whole
-    training set; see ``History`` for what earlier epochs record.
+    Without an ``optimizer`` it trains with ``make_optimizer(model.kind)``.
+    A spiking model trains with the surrogate kernel it carries; a ``spec``
+    replaces that kernel on the model, where it stays after training. Only
+    the last epoch scores the whole training set; see ``History`` for what
+    earlier epochs record.
     """
     if batch_size < 1 or epochs < 0:
         raise ConfigError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     train_y = np.asarray(train_y)
     if epochs and train_y.size == 0:
         raise TrainingError("cannot train on empty data")
-    if isinstance(model, SpikingNet):
-        if spec is None:
-            raise TrainingError("spiking models need a surrogate spec for training")
+    if spec is not None and isinstance(model, SpikingNet):
         model.surrogate = spec
     if optimizer is None:
-        optimizer = Adam() if isinstance(model, SpikingNet) else SGD()
+        optimizer = make_optimizer(model.kind)
     rng = np.random.default_rng(seed)
     history = History()
     n = train_y.size
@@ -143,12 +145,12 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
             model.backward(cache, dlogits, grads)
             optimizer.step(model.params(), grads)
         if epoch == epochs - 1:
-            train_acc = evaluate(model, train_x, train_y).accuracy
+            train_acc = evaluate(model, train_x, train_y)
         else:
             train_acc = correct / n
         test_acc = float("nan")
         if test_x is not None:
-            test_acc = evaluate(model, test_x, test_y).accuracy
+            test_acc = evaluate(model, test_x, test_y)
         history.epochs.append(epoch)
         history.train_loss.append(float(np.mean(losses)))
         history.train_acc.append(train_acc)

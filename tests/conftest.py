@@ -55,8 +55,7 @@ def bp_snn(digits):
     net = build_snn_mlp([784, 128, 10], T=8, seed=0,
                         neuron=NeuronConfig(leak=0.9, threshold=1.0, reset="hard_zero"),
                         surrogate=ARCTAN)
-    net.history = train_epochs(net, train_x, train_y, epochs=6, seed=0, spec=ARCTAN,
-                               verbose=False)
+    net.history = train_epochs(net, train_x, train_y, epochs=6, seed=0, verbose=False)
     return net
 
 
@@ -66,7 +65,7 @@ def indep_snn(digits):
     net = build_snn_mlp([784, 100, 10], T=8, seed=7,
                         neuron=NeuronConfig(leak=0.9, threshold=1.0, reset="hard_zero"),
                         surrogate=ARCTAN)
-    train_epochs(net, train_x, train_y, epochs=6, seed=7, spec=ARCTAN, verbose=False)
+    train_epochs(net, train_x, train_y, epochs=6, seed=7, verbose=False)
     return net
 
 
@@ -74,7 +73,7 @@ def indep_snn(digits):
 def converted_snn(ann_mlp, digits):
     train_x, train_y, _, _ = digits
     snn = convert_ann_to_snn(ann_mlp, train_x[:512], T=32, surrogate=ARCTAN)
-    fine_tune(snn, train_x, train_y, epochs=1, spec=ARCTAN, seed=0, verbose=False)
+    fine_tune(snn, train_x, train_y, epochs=1, seed=0, verbose=False)
     return snn
 
 

@@ -254,8 +254,7 @@ def test_criterion_5_transferability_direction(ann_mlp, converted_snn, indep_snn
 def test_criterion_6_auto_saga_dominance(bp_snn, ann_mlp, attention_net, digits):
     t0 = time.perf_counter()
     _, _, test_x, test_y = digits
-    clean = [evaluate(m, test_x, test_y).accuracy
-             for m in (bp_snn, ann_mlp, attention_net)]
+    clean = [evaluate(m, test_x, test_y) for m in (bp_snn, ann_mlp, attention_net)]
     ok = all(acc >= 0.85 for acc in clean)
     single = AttackConfig(eps_max=0.2, eps_step=0.01, n_iter=40, seed=0)
     sagac = AttackConfig(eps_max=0.2, eps_step=0.005, n_iter=40, kappa=0.0,

@@ -19,6 +19,7 @@ from snnadv.attacks import (AttackConfig, AttackReport, auto_saga, fgsm, loss_in
 from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import ConfigError
 
+NAN, INF = float("nan"), float("inf")
 
 class TestProject:
     def test_inside_ball_unchanged(self):
@@ -107,6 +108,28 @@ class TestConfig:
         ("seed", -1, "^seed must be >= 0, got -1$"),
     ])
     def test_out_of_range_field_rejected(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            AttackConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("eps_max", NAN, r"^eps_max must be in \[0, 1\], got nan$"),
+        ("eps_step", NAN, "^eps_step must be > 0 and finite, got nan$"),
+        ("eps_step", INF, "^eps_step must be > 0 and finite, got inf$"),
+        ("mu", NAN, "^mu must be >= 0 and finite, got nan$"),
+        ("mu", INF, "^mu must be >= 0 and finite, got inf$"),
+        ("kappa", NAN, "^kappa must be >= 0 and finite, got nan$"),
+        ("kappa", INF, "^kappa must be >= 0 and finite, got inf$"),
+        ("coeff_lr", NAN, "^coefficient learning rate and fitting factor must be > 0 and "
+                          "finite, got nan and 1.0$"),
+        ("coeff_lr", INF, "and finite, got inf and 1.0$"),
+        ("fit_u", NAN, "and finite, got 10000.0 and nan$"),
+        ("fit_u", INF, "and finite, got 10000.0 and inf$"),
+        ("alphas", (0.5, NAN), r"^blend coefficients must be non-negative and finite, "
+                               r"got \(0.5, nan\)$"),
+        ("alphas", (INF, 0.5), r"and finite, got \(inf, 0.5\)$"),
+    ])
+    def test_non_finite_field_rejected(self, field, value, match):
+        # every check is written so that NaN fails it
         with pytest.raises(ConfigError, match=match):
             AttackConfig(**{field: value})
 

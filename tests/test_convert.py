@@ -107,8 +107,7 @@ class TestFineTune:
         train_x, train_y, _, _ = digits
         snn = convert_ann_to_snn(ann_mlp, train_x[:256], T=16, surrogate=ARCTAN)
         before = [l.w.copy() for l in snn.layers]
-        report = fine_tune(snn, train_x[:512], train_y[:512], epochs=0, spec=ARCTAN,
-                           verbose=False)
+        report = fine_tune(snn, train_x[:512], train_y[:512], epochs=0, verbose=False)
         for w0, layer in zip(before, snn.layers):
             assert np.array_equal(w0, layer.w)
         assert report["recovery_delta"] == 0.0
@@ -116,12 +115,12 @@ class TestFineTune:
     def test_fine_tune_does_not_collapse_accuracy(self, ann_mlp, digits):
         train_x, train_y, _, _ = digits
         snn = convert_ann_to_snn(ann_mlp, train_x[:512], T=16, surrogate=ARCTAN)
-        report = fine_tune(snn, train_x[:2000], train_y[:2000], epochs=1, spec=ARCTAN,
-                           lr=1e-3, seed=0, verbose=False)
+        report = fine_tune(snn, train_x[:2000], train_y[:2000], epochs=1, lr=1e-3,
+                           seed=0, verbose=False)
         assert report["train_acc_after"] >= report["train_acc_before"] - 0.01
 
     def test_converted_tracks_source_accuracy(self, ann_mlp, converted_snn, digits):
         _, _, test_x, test_y = digits
-        ann_acc = evaluate(ann_mlp, test_x, test_y).accuracy
-        snn_acc = evaluate(converted_snn, test_x, test_y).accuracy
+        ann_acc = evaluate(ann_mlp, test_x, test_y)
+        snn_acc = evaluate(converted_snn, test_x, test_y)
         assert snn_acc >= ann_acc - 0.03

@@ -317,6 +317,7 @@ class TestRefusals:
         (dict(leak=0.0), r"leak must be in \(0, 1\]"),
         (dict(reset="x"), "reset must be"),
         (dict(adapt_decay=1.0), r"adapt_decay must be in \[0, 1\)"),
+        (dict(adapt_decay=float("nan")), r"adapt_decay must be in \[0, 1\), got nan"),
     ])
     def test_neuron_config(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
@@ -325,6 +326,15 @@ class TestRefusals:
     def test_synapse_without_beta_0(self):
         with pytest.raises(ConfigError, match="synapse needs at least beta_0"):
             SynapseConfig(betas=())
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(alphas=(float("nan"),)), dict(alphas=(0.4, float("inf"))),
+        dict(betas=(float("nan"),)), dict(betas=(1.0, float("-inf")))],
+        ids=["nan-alpha", "inf-alpha", "nan-beta", "inf-beta"])
+    def test_non_finite_synapse_coefficients(self, kwargs):
+        # a NaN alpha reached np.roots, whose LinAlgError was no ConfigError
+        with pytest.raises(ConfigError, match="^synapse coefficients must be finite"):
+            SynapseConfig(**kwargs)
 
     @pytest.mark.parametrize("widths,kwargs,error,match", [
         ([(4, 3)], dict(readout="rate"), ConfigError, "unknown readout 'rate'"),

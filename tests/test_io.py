@@ -632,7 +632,8 @@ END_TO_END = [
 # sha256 of every file the END_TO_END runs write, computed before the run
 # protocol moved into cli.main: a change to any run's bytes must show up here.
 # The asaga, tm and cmp reports name their models by path ("snn/model"), as
-# their checkpoints share the stem "model".
+# their checkpoints share the stem "model". The att and auto entries were
+# re-pinned when --optimizer auto came to give attention nets SGD.
 END_TO_END_SHA256 = {
     "ann/config.txt": "17274df324320cea7691779aa1773d47be7786533ee9544a7839a169fb041897",
     "ann/history.json": "7d058af7c4ce6e996682d355d529e3e274bcca19310cf4c4bff454bb2f15fc20",
@@ -640,11 +641,11 @@ END_TO_END_SHA256 = {
     "asaga/attack_report.json": "774e9f275ac65b7cfbca3c0ec1f883c1acffdbba2bc1970ee0dd00f79c9d49cd",
     "asaga/config.txt": "c08be09f34807e8780c7cf533c5f2dbd6961f24ed04e7e36015c7f6de3ebf82c",
     "att/config.txt": "25f7652099a6085c4a2f3bb702d1832436505dcba1766c43d2ec74c898f980cb",
-    "att/history.json": "11ff9f4f3a640e26caf43435ea2887d19f0d2cdd03763bb1217496578e6a9024",
-    "att/model.snnm": "59dc16793b47b2e19f7b14a2a9baf689a646b7aebea4769402f888160daf9948",
+    "att/history.json": "53291659ee32373cca93ddecca76b84ab4c7e9baf0d90a1ee185566d5c1da9db",
+    "att/model.snnm": "f9a1461d40c6972812355930caa5bd3209f4c09b85cf1ee7766fc3623363f795",
     "auto/config.txt": "85f409bbaf2b5a8157b4961cd630eef9a36021d85c5092b9dc9ad1fc3fd7ceaa",
-    "auto/history.json": "a8e111be9c3ed99a075a3a8be70dca6269c2f22df1178f24f7e8ee8ca06edae7",
-    "auto/model.snnm": "1aec0e72b69bc44d962e7f4a12e7b76531de5b66589ce641f76ce9f33f228c57",
+    "auto/history.json": "b0655ac3b8dde5fa58ddceef01bdf4e09ca4f91f3066b8359daee6a174cd7873",
+    "auto/model.snnm": "1a92ce1df3f736afb22f7bc336b85762b818fba3b8b4b0983162f1f01ff1df01",
     "cmp/comparison.csv": "329cb0d37c2bda5116acec274c7038a8f58b642b3c1bcf3d88c8cfab89869cad",
     "cmp/comparison.json": "f044fa1517a56c975e341407d6044ebbdbfe14d3f7a57f7adc63f5ce87e5020f",
     "cmp/config.txt": "e3e0b94a01a1c31e1f4c1bd5ff830580abdcffef42c954554edf0b2635ef1cc7",
@@ -695,6 +696,27 @@ class TestCli:
         for name in ("model.snnm", "history.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def trained_params(self, out, *argv):
+        """The params of the checkpoint one run writes to ``out``, as bytes:
+        the file itself also embeds the config echo."""
+        assert self.run(*argv, "--out", str(out)) == 0
+        model, _ = checkpoint.load_model(next(out.glob("*.snnm")))
+        return [(name, p.tobytes()) for name, p in model.params()]
+
+    def test_auto_optimizer_of_attention_is_sgd(self, tmp_path):
+        # the attention nets of the fixtures and the bench train with SGD
+        argv = ["train", "--data", "digits", "--n-train", "60", "--n-test", "20",
+                *shlex.split(_TINY_ATTENTION)]
+        auto = self.trained_params(tmp_path / "auto", *argv, "--optimizer", "auto")
+        assert auto == self.trained_params(tmp_path / "sgd", *argv, "--optimizer", "sgd")
+
+    def test_convert_lr_0_fine_tunes_at_the_default_rate(self, tmp_path, blobs_ann):
+        argv = ["convert", "--ann", str(blobs_ann), *shlex.split(_BLOBS), "--timesteps", "16",
+                "--n-calib", "64"]
+        zero = self.trained_params(tmp_path / "zero", *argv, "--lr", "0")
+        assert zero == self.trained_params(tmp_path / "default", *argv, "--lr", "0.001")
+        assert zero != self.trained_params(tmp_path / "raw", *argv, "--fine-tune-epochs", "0")
+
     @pytest.mark.parametrize("old_line", ["", "surrogate-threshold=1.0\n"],
                              ids=["echo", "older-echo"])
     def test_echoed_config_replays_bit_identically(self, tmp_path, old_line):
@@ -742,7 +764,7 @@ class TestCli:
         (["attack"], "no model checkpoints given"),
         (["transfer-matrix"], "no model checkpoints given"),
         (["attack", "--kind", "saga", "--alphas", "0.5,-1"],
-         "blend coefficients must be non-negative"),
+         "blend coefficients must be non-negative and finite, got (0.5, -1.0)"),
         (["sweep-surrogate", "--surrogates", "arctan,bogus"],
          "unknown surrogate kind 'bogus'; choose one of sigmoid, erfc, arctan, "
          "piecewise_linear, fast_sigmoid, piecewise_exp, rectangular"),
@@ -969,9 +991,18 @@ class TestCli:
          "learning rate must be finite and >= 0, got -1.0"),
         (["convert", "--ann", "{ann}", "--lr", "-1"],
          "learning rate must be finite and >= 0, got -1.0"),
+        (["convert", "--ann", "{ann}", "--fine-tune-epochs", "0", "--lr", "-1"],
+         "learning rate must be finite and >= 0, got -1.0"),
+        (["attack", "--models", "{ann}", "--eps-step", "nan"],
+         "eps_step must be > 0 and finite, got nan"),
+        (["train", "--kind", "snn", "--arch", "2-4-2", "--surrogate-sigma", "inf"],
+         "surrogate sigma must be > 0 and finite, got inf"),
+        (["train", "--kind", "snn", "--arch", "2-4-2", "--adapt-decay", "nan"],
+         "adapt_decay must be in [0, 1), got nan"),
     ], ids=["attack-n", "transfer-n", "multi-n", "attack-negative-n", "sweep-n",
             "no-attacks", "percentile", "n-calib", "fine-tune-epochs", "patch", "heads",
-            "embed", "zero-width", "train-seed", "attack-seed", "train-lr", "convert-lr"])
+            "embed", "zero-width", "train-seed", "attack-seed", "train-lr", "convert-lr",
+            "convert-lr-without-epochs", "nan-eps-step", "inf-surrogate-sigma", "nan-adapt-decay"])
     def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, blobs_ann,
                                                   blobs_snn, argv, message):
         argv = [arg.format(ann=blobs_ann, snn=blobs_snn) for arg in argv]

@@ -74,6 +74,14 @@ class TestKernelValues:
         with pytest.raises(ConfigError):
             SurrogateSpec(kind="erfc", sigma=0.0)
 
+    @pytest.mark.parametrize("name", ["sigma", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_hyperparameters_finite(self, name, value):
+        # an infinite sigma made the erfc kernel 0 everywhere
+        with pytest.raises(ConfigError,
+                           match=f"^surrogate {name} must be > 0 and finite, got {value}$"):
+            SurrogateSpec(kind="erfc", **{name: value})
+
 
 class TestKernelProperties:
     @pytest.mark.parametrize("kind", KINDS)

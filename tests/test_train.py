@@ -10,15 +10,14 @@ from snnadv.data import synth_blobs, synth_digits
 from snnadv.dynamics import NeuronConfig, build_snn_mlp
 from snnadv.errors import ConfigError, TrainingError
 from snnadv.surrogate import SurrogateSpec
-from snnadv.train import Adam, SGD, evaluate, train_epochs
+from snnadv.train import Adam, SGD, evaluate, make_optimizer, train_epochs
 
 
 class _FixedPredictor:
     """Stub classifier returning preset labels; enough for evaluate()."""
 
-    def __init__(self, preds, n_classes=10):
+    def __init__(self, preds):
         self.preds = np.asarray(preds)
-        self.n_classes = n_classes
 
     def predict(self, x):
         return self.preds[: len(x)]
@@ -41,9 +40,18 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=f"^learning rate must be finite and >= 0, got {lr}$"):
             optimizer(lr=lr)
 
+    @pytest.mark.parametrize("kind,name,lr,want", [
+        ("snn", "auto", 0.0, (Adam, 1e-3)), ("ann", "auto", 0.0, (SGD, 0.05)),
+        ("attention", "auto", 0.0, (SGD, 0.05)), ("snn", "sgd", 0.2, (SGD, 0.2)),
+        ("attention", "adam", 0.01, (Adam, 0.01))])
+    def test_one_optimizer_rule(self, kind, name, lr, want):
+        # auto: Adam for spiking models, SGD for the rest; lr 0: the class's default
+        optimizer = make_optimizer(kind, name, lr)
+        assert (type(optimizer), optimizer.lr) == want
+
     def test_blobs_reach_99_percent(self, blob_net, blob_data):
         x, y = blob_data
-        assert evaluate(blob_net, x, y).accuracy >= 0.99
+        assert evaluate(blob_net, x, y) >= 0.99
 
     def test_loss_decreases_over_first_epochs(self, blob_data):
         x, y = blob_data
@@ -69,11 +77,18 @@ class TestTrainLoop:
                 train_epochs(net, x, y, epochs=50, optimizer=SGD(lr=1e12, momentum=0.99),
                              seed=0, verbose=False)
 
-    def test_spiking_model_requires_spec(self, blob_data):
+    def test_spiking_model_trains_with_the_kernel_it_carries(self, blob_data):
         x, y = blob_data
-        snn = build_snn_mlp([6, 8, 2], T=4, seed=0)
-        with pytest.raises(TrainingError):
-            train_epochs(snn, x, y, epochs=1, seed=0, verbose=False)
+        weights = []
+        for pass_spec in (False, True):
+            snn = build_snn_mlp([6, 8, 2], T=4, seed=0,
+                                neuron=NeuronConfig(leak=0.9, threshold=0.5),
+                                surrogate=SurrogateSpec(kind="sigmoid", alpha=2.0))
+            initial = b"".join(p.tobytes() for _, p in snn.params())
+            train_epochs(snn, x, y, epochs=1, seed=0,
+                         spec=snn.surrogate if pass_spec else None, verbose=False)
+            weights.append(b"".join(p.tobytes() for _, p in snn.params()))
+        assert weights[0] == weights[1] != initial
 
     def test_spiking_model_trains_on_blobs(self, blob_data):
         from snnadv.dynamics import NeuronConfig
@@ -82,7 +97,7 @@ class TestTrainLoop:
                             neuron=NeuronConfig(leak=0.9, threshold=0.5))
         train_epochs(snn, x, y, epochs=25, seed=0, spec=SurrogateSpec(kind="arctan"),
                      verbose=False)
-        assert evaluate(snn, x, y).accuracy >= 0.95
+        assert evaluate(snn, x, y) >= 0.95
 
 
 ARCTAN = SurrogateSpec(kind="arctan")
@@ -143,7 +158,7 @@ class TestTrainAccuracy:
         for epoch in (0, 1):
             running = sum(hits[epoch * per_epoch:(epoch + 1) * per_epoch]) / len(y)
             assert history.train_acc[epoch] == running
-        assert history.train_acc[-1] == evaluate(model, x, y).accuracy
+        assert history.train_acc[-1] == evaluate(model, x, y)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
@@ -154,25 +169,22 @@ class TestTrainAccuracy:
 class TestEvaluate:
     def test_perfect_predictor(self):
         y = np.array([0, 1, 2, 1])
-        model = _FixedPredictor(y, n_classes=3)
-        assert evaluate(model, np.zeros((4, 2)), y).accuracy == 1.0
+        model = _FixedPredictor(y)
+        assert evaluate(model, np.zeros((4, 2)), y) == 1.0
 
     def test_constant_predictor_on_balanced_data(self):
         y = np.arange(10).repeat(5)
-        model = _FixedPredictor(np.zeros(len(y), dtype=int), n_classes=10)
-        assert evaluate(model, np.zeros((len(y), 2)), y).accuracy == pytest.approx(0.10)
+        model = _FixedPredictor(np.zeros(len(y), dtype=int))
+        assert evaluate(model, np.zeros((len(y), 2)), y) == pytest.approx(0.10)
 
     def test_matches_hand_count(self):
         y = np.array([0, 1, 1, 2, 0])
         preds = np.array([0, 1, 2, 2, 1])  # 3 correct out of 5
-        model = _FixedPredictor(preds, n_classes=3)
-        result = evaluate(model, np.zeros((5, 2)), y)
-        assert result.accuracy == pytest.approx(3 / 5)
-        assert result.per_class_total.tolist() == [2, 2, 1]
-        assert result.per_class_correct.tolist() == [1, 1, 1]
+        model = _FixedPredictor(preds)
+        assert evaluate(model, np.zeros((5, 2)), y) == pytest.approx(3 / 5)
 
     def test_empty_data_rejected(self):
-        model = _FixedPredictor(np.zeros(0, dtype=int), n_classes=3)
+        model = _FixedPredictor(np.zeros(0, dtype=int))
         with pytest.raises(TrainingError):
             evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
