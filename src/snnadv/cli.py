@@ -120,6 +120,7 @@ _SCHEMAS = {
         "r": (float, 10000.0),
         "u": (float, 1.0),
         "kappa": (float, 0.0),
+        "alphas": (str, ""),             # both blends' coefficients; uniform when empty
     },
 }
 
@@ -194,6 +195,18 @@ def _numbers(key: str, text: str, typ=float, sep: str = ",") -> list:
                           f"values separated by {sep!r}") from exc
 
 
+def _alphas(cfg: dict, m_count: int = 0) -> tuple | None:
+    """The blend coefficients of ``alphas``, None when it is empty; with
+    ``m_count``, any count but one per model is refused here, before any
+    data is built."""
+    if not cfg["alphas"]:
+        return None
+    alphas = tuple(_numbers("alphas", cfg["alphas"]))
+    if m_count and len(alphas) != m_count:
+        raise ConfigError(f"{len(alphas)} coefficients for {m_count} models")
+    return alphas
+
+
 def _parse_arch(arch: str) -> list:
     dims = _numbers("arch", arch, int, sep="-")
     if len(dims) < 2:
@@ -231,14 +244,16 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
         raise ConfigError("attention models need image data")
     seed = cfg["seed"]
     optimizer = make_optimizer(kind, cfg["optimizer"], cfg["lr"])
+    if kind == "snn":  # the spiking settings get their checks before the data is built
+        adapt = None if cfg["adapt-decay"] < 0 else cfg["adapt-decay"]
+        neuron = NeuronConfig(reset=cfg["reset"], adapt_decay=adapt)
+        surrogate = _surrogate_from(cfg)
     train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
     if kind == "ann":
         model = build_mlp(dims, seed=seed)
     elif kind == "snn":
-        adapt = None if cfg["adapt-decay"] < 0 else cfg["adapt-decay"]
-        neuron = NeuronConfig(reset=cfg["reset"], adapt_decay=adapt)
         model = build_snn_mlp(dims, T=cfg["timesteps"], seed=seed, neuron=neuron,
-                              surrogate=_surrogate_from(cfg), readout=cfg["readout"])
+                              surrogate=surrogate, readout=cfg["readout"])
     else:
         model = TinyAttentionNet(image_shape=train_x.shape[1:], patch=cfg["patch"],
                                  embed=cfg["embed"], n_layers=cfg["att-layers"],
@@ -255,12 +270,13 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
 def cmd_convert(cfg: dict, out_dir: Path) -> None:
     if not cfg["ann"]:
         raise ConfigError("convert needs --ann checkpoint path")
+    surrogate = _surrogate_from(cfg)
     ann, _ = checkpoint.load_model(cfg["ann"])
     train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
     calib = train_x[:cfg["n-calib"]]
     snn = convertmod.convert_ann_to_snn(ann, calib, mode=cfg["mode"],
                                         percentile=cfg["percentile"],
-                                        T=cfg["timesteps"], surrogate=_surrogate_from(cfg))
+                                        T=cfg["timesteps"], surrogate=surrogate)
     report = convertmod.fine_tune(snn, train_x, train_y, epochs=cfg["fine-tune-epochs"],
                                   seed=cfg["seed"], lr=cfg["lr"],
                                   batch_size=cfg["batch-size"], test_x=test_x, test_y=test_y)
@@ -273,8 +289,7 @@ def cmd_convert(cfg: dict, out_dir: Path) -> None:
 
 
 def cmd_attack(cfg: dict, out_dir: Path) -> None:
-    alphas = tuple(_numbers("alphas", cfg["alphas"])) if cfg["alphas"] else None
-    attack_cfg = _attack_config(cfg, [cfg["kind"]], alphas=alphas)
+    attack_cfg = _attack_config(cfg, [cfg["kind"]], alphas=_alphas(cfg))
     models, names = _load_models(cfg["models"])
     if cfg["surrogate"]:
         spec = _surrogate_from(cfg)
@@ -334,11 +349,11 @@ def cmd_multi_attack(cfg: dict, out_dir: Path) -> None:
         if len(parts) != 2:
             raise ConfigError(f"bad pair spec {pair_spec!r}")
         paths += parts
+    single_cfg = _attack_config(cfg, eps_step=cfg["single-eps-step"])
+    saga_cfg = _attack_config(cfg, eps_step=cfg["saga-eps-step"], alphas=_alphas(cfg, 2))
     models, model_names = _load_models(",".join(paths))
     pairs = list(zip(models[::2], models[1::2]))
     names = [f"{a}+{b}" for a, b in zip(model_names[::2], model_names[1::2])]
-    single_cfg = _attack_config(cfg, eps_step=cfg["single-eps-step"])
-    saga_cfg = _attack_config(cfg, eps_step=cfg["saga-eps-step"])
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     rows = harness.multi_model_comparison(pairs, test_x, test_y, cfg["n"], single_cfg,
                                           saga_cfg, seed=cfg["seed"], pair_names=names)

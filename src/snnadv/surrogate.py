@@ -4,7 +4,8 @@ The forward pass of a spiking layer always thresholds with the hard Heaviside
 step; only the backward pass substitutes one of these kernels for the step's
 derivative. Seven kernels are provided, all centered on the firing threshold,
 plus each kernel's exact antiderivative (the "relaxed" soft spike used by the
-finite-difference gradient oracle).
+finite-difference gradient oracle). The erfc kernel's antiderivative takes the
+error function from libm (``math.erf``), so the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, EvaluationError
 
@@ -26,6 +26,9 @@ PIECEWISE_EXP = "piecewise_exp"
 RECTANGULAR = "rectangular"
 
 KINDS = (SIGMOID, ERFC, ARCTAN, PIECEWISE_LINEAR, FAST_SIGMOID, PIECEWISE_EXP, RECTANGULAR)
+
+# libm's error function per element, in float64; only the relaxed erfc spike uses it
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 
 # common shorthand seen in configs / tables; "actfun" is the rectangular
 # window under its original implementation name
@@ -134,7 +137,8 @@ def antiderivative(spec: SurrogateSpec, v: np.ndarray,
     if kind == SIGMOID:
         return _logistic(d)
     if kind == ERFC:
-        return 0.5 * (1.0 + erf(d / (math.sqrt(2.0) * spec.sigma)))
+        z = d / (math.sqrt(2.0) * spec.sigma)
+        return 0.5 * (1.0 + _erf(z).astype(z.dtype, copy=False))
     if kind == ARCTAN:
         return np.arctan(np.pi * d) / np.pi + 0.5
     if kind == PIECEWISE_LINEAR:

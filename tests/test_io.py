@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnadv import checkpoint, cli, harness
+from snnadv import attacks, checkpoint, cli, harness
 from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_mlp, kaiming_uniform
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
@@ -633,7 +633,8 @@ END_TO_END = [
 # protocol moved into cli.main: a change to any run's bytes must show up here.
 # The asaga, tm and cmp reports name their models by path ("snn/model"), as
 # their checkpoints share the stem "model". The att and auto entries were
-# re-pinned when --optimizer auto came to give attention nets SGD.
+# re-pinned when --optimizer auto came to give attention nets SGD, and
+# cmp/config.txt when multi-attack gained the alphas key (echoed empty).
 END_TO_END_SHA256 = {
     "ann/config.txt": "17274df324320cea7691779aa1773d47be7786533ee9544a7839a169fb041897",
     "ann/history.json": "7d058af7c4ce6e996682d355d529e3e274bcca19310cf4c4bff454bb2f15fc20",
@@ -648,7 +649,7 @@ END_TO_END_SHA256 = {
     "auto/model.snnm": "1a92ce1df3f736afb22f7bc336b85762b818fba3b8b4b0983162f1f01ff1df01",
     "cmp/comparison.csv": "329cb0d37c2bda5116acec274c7038a8f58b642b3c1bcf3d88c8cfab89869cad",
     "cmp/comparison.json": "f044fa1517a56c975e341407d6044ebbdbfe14d3f7a57f7adc63f5ce87e5020f",
-    "cmp/config.txt": "e3e0b94a01a1c31e1f4c1bd5ff830580abdcffef42c954554edf0b2635ef1cc7",
+    "cmp/config.txt": "d2ac3fce0aa6954d8b7be5fa52273d8321f4126cdc42fa29b7a217964bcd9cb3",
     "conv/config.txt": "8768b9a89f0c2c264f52ad60b63ab5ffa77785881c0ca1fec19704de537d096d",
     "conv/convert_report.json": "5df8775a54d8d3c883ea7589802541d211c5870e84508f4752c03047b34d6e39",
     "conv/converted.snnm": "aa0e7f3c0f5a94afb339b095e24f41d9a872c190a9a43fa34c47f58a32493072",
@@ -744,7 +745,8 @@ class TestCli:
         (["sweep-surrogate", "--eps", "0.01,abc"], "eps"),
         (["attack", "--alphas", "0.5,x"], "alphas"),
         (["train", "--arch", "2-x-2"], "arch"),
-    ], ids=["eps", "alphas", "arch"])
+        (["multi-attack", "--pairs", "a.snnm:b.snnm", "--alphas", "0.5,x"], "alphas"),
+    ], ids=["eps", "alphas", "arch", "multi-alphas"])
     def test_malformed_list_is_one_line_error_before_data(self, tmp_path, capsys, argv, key):
         # the data source does not exist: the list must be rejected before loading it
         code = self.run(*argv, "--data", "nowhere", "--out", str(tmp_path / "o"))
@@ -765,12 +767,18 @@ class TestCli:
         (["transfer-matrix"], "no model checkpoints given"),
         (["attack", "--kind", "saga", "--alphas", "0.5,-1"],
          "blend coefficients must be non-negative and finite, got (0.5, -1.0)"),
+        (["multi-attack", "--pairs", "a.snnm:b.snnm", "--alphas", "0.5,0.3,0.2"],
+         "3 coefficients for 2 models"),
+        (["multi-attack", "--pairs", "a.snnm:b.snnm", "--alphas", "0.5,-1"],
+         "blend coefficients must be non-negative and finite, got (0.5, -1.0)"),
         (["sweep-surrogate", "--surrogates", "arctan,bogus"],
          "unknown surrogate kind 'bogus'; choose one of sigmoid, erfc, arctan, "
          "piecewise_linear, fast_sigmoid, piecewise_exp, rectangular"),
+        (["convert", "--ann", "missing.snnm", "--surrogate-sigma", "inf"],
+         "surrogate sigma must be > 0 and finite, got inf"),
     ], ids=["attack-kind", "transfer-kind", "no-pairs", "pair-spec", "convert-ann",
             "sweep-model", "attack-models", "transfer-models", "negative-alphas",
-            "surrogate-kind"])
+            "pair-alphas-count", "pair-negative-alphas", "surrogate-kind", "convert-sigma"])
     def test_bad_attack_or_model_spec_is_one_line_error_before_data(self, tmp_path, capsys,
                                                                      argv, message):
         # the data source does not exist: the spec must be rejected before loading it
@@ -788,8 +796,12 @@ class TestCli:
         (["--kind", "cnn", "--data", "blobs"], "unknown model kind 'cnn'"),
         (["--kind", "cnn", "--data", "nowhere"], "unknown model kind 'cnn'"),
         (["--kind", "attention", "--data", "blobs"], "attention models need image data"),
+        (["--kind", "snn", "--arch", "2-4-2", "--surrogate-sigma", "inf", "--data", "nowhere"],
+         "surrogate sigma must be > 0 and finite, got inf"),
+        (["--kind", "snn", "--arch", "2-4-2", "--adapt-decay", "nan", "--data", "nowhere"],
+         "adapt_decay must be in [0, 1), got nan"),
     ], ids=["data", "mnist", "arch", "optimizer", "kind", "kind-before-data",
-            "attention-on-blobs"])
+            "attention-on-blobs", "sigma-before-data", "adapt-decay-before-data"])
     def test_bad_training_setup_is_one_line_error(self, tmp_path, monkeypatch, capsys, argv,
                                                   message):
         monkeypatch.chdir(tmp_path)  # no ./data: no IDX files
@@ -798,6 +810,24 @@ class TestCli:
                         "--out", "o") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_multi_attack_alphas_reach_both_blends(self, tmp_path, monkeypatch, blobs_ann):
+        seen = {}
+
+        def spy(name):
+            real = getattr(attacks, name)
+
+            def blend(models, x, labels, cfg):
+                seen[name] = cfg.alphas
+                return real(models, x, labels, cfg)
+            monkeypatch.setattr(attacks, name, blend)
+
+        spy("saga")
+        spy("auto_saga")
+        assert self.run("multi-attack", *shlex.split(_BLOBS), "--pairs",
+                        f"{blobs_ann}:{blobs_ann}", "--alphas", "0.8,0.2", "--eps", "0.2",
+                        "--steps", "2", "--n", "10", "--out", str(tmp_path / "cmp")) == 0
+        assert seen == {"saga": (0.8, 0.2), "auto_saga": (0.8, 0.2)}
 
     def test_attention_on_blobs_is_refused_before_data(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -1,8 +1,13 @@
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from snnadv.errors import ConfigError, EvaluationError
 from snnadv.numerics import max_rel_err
@@ -170,6 +175,42 @@ class TestDtype:
         # documented exception: its range overflows float32
         spec = SurrogateSpec(kind="piecewise_exp", pwe_literal=True)
         assert surrogate_grad(spec, GRID.astype(np.float32)).dtype == np.float64
+
+
+class TestLibmErf:
+    """The relaxed erfc spike takes libm's erf; scipy's was the reference."""
+
+    @staticmethod
+    def scipy_spike(sigma, v):
+        # the formula before libm: Python-float constants keep float32 potentials
+        return 0.5 * (1.0 + erf((v - 1.0) / (math.sqrt(2.0) * sigma)))
+
+    @pytest.mark.parametrize("sigma", [0.4, 0.1])
+    def test_float32_equals_the_scipy_spike_bytewise(self, sigma):
+        v = GRID.astype(np.float32)
+        got = antiderivative(SurrogateSpec(kind="erfc", sigma=sigma), v)
+        assert got.dtype == np.float32
+        assert got.tobytes() == self.scipy_spike(sigma, v).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.4, 0.1])
+    def test_float64_is_within_4_ulp_of_the_scipy_spike(self, sigma):
+        got = antiderivative(SurrogateSpec(kind="erfc", sigma=sigma), GRID)
+        want = self.scipy_spike(sigma, GRID)
+        # ulps of the spike at its half height and above: below 0.5 the sum
+        # 1 + erf cancels, and both erfs carry ulps of values near -1
+        ulps = np.abs(got - want) / np.spacing(np.maximum(want, 0.5))
+        assert ulps.max() <= 4.0
+
+    def test_package_import_loads_no_scipy(self):
+        # scipy.special alone adds about 24 MiB to every run's resident memory
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, snnadv, snnadv.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSigmoidTails:
