@@ -273,10 +273,10 @@ def _blend_term(model, alpha, x: np.ndarray, cache, grad: np.ndarray) -> np.ndar
     return alpha * grad if rollout is None else alpha * rollout(x, cache) * grad
 
 
-def _blend_alphas(alphas: Optional[Sequence[float]], m_count: int, n: int) -> np.ndarray:
+def blend_alphas(alphas: Optional[Sequence[float]], m_count: int, n: int = 1) -> np.ndarray:
     """The float64 start rows [n, m_count] of both blends: ``alphas`` (whose
-    signs ``AttackConfig`` checks), checked for count, or uniform when it is
-    None, for every sample."""
+    signs ``AttackConfig`` checks), or uniform when it is None, for every
+    sample. The one count rule: any count but one per model is refused."""
     if m_count < 1:
         raise ConfigError("need at least one model")
     if alphas is None:
@@ -308,7 +308,7 @@ def saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
     blend at the start rows of ``cfg.alphas`` (uniform when None), the same
     for every sample and iteration."""
     x = np.asarray(x)
-    rows = _blend_alphas(cfg.alphas, len(models), len(x))
+    rows = blend_alphas(cfg.alphas, len(models), len(x))
     return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter,
                     lambda x_adv: _blend(models, rows, x_adv, labels)[0], trace=trace)
 
@@ -331,7 +331,7 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
     """
     m_count = len(models)
     x = np.asarray(x)
-    alphas = _blend_alphas(cfg.alphas, m_count, len(x))
+    alphas = blend_alphas(cfg.alphas, m_count, len(x))
     history = [alphas.copy()]
     grad_axes = tuple(range(1, x.ndim))
     collapse_events = 0

@@ -18,7 +18,7 @@ import numpy as np
 from . import checkpoint, config as cfgmod, convert as convertmod, data as datamod
 from . import harness
 from .ann import build_mlp
-from .attacks import AttackConfig, AttackReport, attack_kind, run_attack
+from .attacks import AttackConfig, AttackReport, attack_kind, blend_alphas, run_attack
 from .attention import TinyAttentionNet
 from .dynamics import NeuronConfig, SpikingNet, build_snn_mlp
 from .errors import ConfigError, SnnAdvError
@@ -154,7 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     flags = {key: getattr(args, key) for key in _SCHEMAS[command]}
-    return cfgmod.resolve_config(_SCHEMAS[command], config_file=args.config, flags=flags)
+    cfg = cfgmod.resolve_config(_SCHEMAS[command], config_file=args.config, flags=flags)
+    if cfg["seed"] < 0:  # before anything seeded is built
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    return cfg
 
 
 def _load_dataset(cfg: dict, scored: bool = False):
@@ -165,8 +168,6 @@ def _load_dataset(cfg: dict, scored: bool = False):
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     if scored and cfg["n-test"] < 1:
         raise ConfigError(f"n-test must be >= 1 to score the model, got {cfg['n-test']}")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return datamod.load_split(cfg["data"], cfg["n-train"], cfg["n-test"], seed=cfg["seed"])
 
 
@@ -195,16 +196,9 @@ def _numbers(key: str, text: str, typ=float, sep: str = ",") -> list:
                           f"values separated by {sep!r}") from exc
 
 
-def _alphas(cfg: dict, m_count: int = 0) -> tuple | None:
-    """The blend coefficients of ``alphas``, None when it is empty; with
-    ``m_count``, any count but one per model is refused here, before any
-    data is built."""
-    if not cfg["alphas"]:
-        return None
-    alphas = tuple(_numbers("alphas", cfg["alphas"]))
-    if m_count and len(alphas) != m_count:
-        raise ConfigError(f"{len(alphas)} coefficients for {m_count} models")
-    return alphas
+def _alphas(cfg: dict) -> tuple | None:
+    """The blend coefficients of ``alphas``, None when it is empty."""
+    return tuple(_numbers("alphas", cfg["alphas"])) if cfg["alphas"] else None
 
 
 def _parse_arch(arch: str) -> list:
@@ -244,17 +238,16 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
         raise ConfigError("attention models need image data")
     seed = cfg["seed"]
     optimizer = make_optimizer(kind, cfg["optimizer"], cfg["lr"])
-    if kind == "snn":  # the spiking settings get their checks before the data is built
-        adapt = None if cfg["adapt-decay"] < 0 else cfg["adapt-decay"]
-        neuron = NeuronConfig(reset=cfg["reset"], adapt_decay=adapt)
-        surrogate = _surrogate_from(cfg)
-    train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
+    # the MLPs are built, so their settings checked, before the data
     if kind == "ann":
         model = build_mlp(dims, seed=seed)
     elif kind == "snn":
-        model = build_snn_mlp(dims, T=cfg["timesteps"], seed=seed, neuron=neuron,
-                              surrogate=surrogate, readout=cfg["readout"])
-    else:
+        adapt = None if cfg["adapt-decay"] < 0 else cfg["adapt-decay"]
+        model = build_snn_mlp(dims, T=cfg["timesteps"], seed=seed,
+                              neuron=NeuronConfig(reset=cfg["reset"], adapt_decay=adapt),
+                              surrogate=_surrogate_from(cfg), readout=cfg["readout"])
+    train_x, train_y, test_x, test_y, source = _load_dataset(cfg, scored=True)
+    if kind == "attention":  # its image shape comes from the rows
         model = TinyAttentionNet(image_shape=train_x.shape[1:], patch=cfg["patch"],
                                  embed=cfg["embed"], n_layers=cfg["att-layers"],
                                  n_heads=cfg["att-heads"], seed=seed)
@@ -291,11 +284,10 @@ def cmd_convert(cfg: dict, out_dir: Path) -> None:
 def cmd_attack(cfg: dict, out_dir: Path) -> None:
     attack_cfg = _attack_config(cfg, [cfg["kind"]], alphas=_alphas(cfg))
     models, names = _load_models(cfg["models"])
-    if cfg["surrogate"]:
+    blend_alphas(attack_cfg.alphas, len(models))  # for every kind, before the data
+    if cfg["surrogate"]:  # through views: the loaded nets keep their own kernels
         spec = _surrogate_from(cfg)
-        for model in models:
-            if isinstance(model, SpikingNet):
-                model.surrogate = spec
+        models = [m.with_surrogate(spec) if isinstance(m, SpikingNet) else m for m in models]
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     evalset = harness.select_eval_set(models, test_x, test_y, cfg["n"], seed=cfg["seed"])
     x_adv = run_attack(cfg["kind"], models, evalset.x, evalset.y, attack_cfg,
@@ -350,7 +342,8 @@ def cmd_multi_attack(cfg: dict, out_dir: Path) -> None:
             raise ConfigError(f"bad pair spec {pair_spec!r}")
         paths += parts
     single_cfg = _attack_config(cfg, eps_step=cfg["single-eps-step"])
-    saga_cfg = _attack_config(cfg, eps_step=cfg["saga-eps-step"], alphas=_alphas(cfg, 2))
+    saga_cfg = _attack_config(cfg, eps_step=cfg["saga-eps-step"], alphas=_alphas(cfg))
+    blend_alphas(saga_cfg.alphas, 2)
     models, model_names = _load_models(",".join(paths))
     pairs = list(zip(models[::2], models[1::2]))
     names = [f"{a}+{b}" for a, b in zip(model_names[::2], model_names[1::2])]

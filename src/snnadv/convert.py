@@ -93,8 +93,9 @@ def fine_tune(snn: SpikingNet, train_x, train_y, *, epochs: int, seed: int = 0,
               test_x=None, test_y=None, verbose: bool = True) -> dict:
     """Retrain a converted net from its copied weights with the spiking
     models' optimizer of ``make_optimizer`` at ``lr`` (0 keeps its default)
-    and the surrogate kernel the net carries, or ``spec``; reports the
-    accuracy-recovery delta. Zero epochs leaves the weights untouched."""
+    and the surrogate kernel the net carries, or ``spec`` through a view that
+    keeps the net's own; reports the accuracy-recovery delta. Zero epochs
+    leaves the weights untouched."""
     if epochs < 0:
         raise ConfigError(f"fine-tuning needs epochs >= 0, got {epochs}")
     optimizer = make_optimizer(snn.kind, lr=lr)

@@ -218,6 +218,11 @@ class SpikingNet(Classifier):
     def n_classes(self) -> int:
         return self.layers[-1].out_width
 
+    def with_surrogate(self, spec: SurrogateSpec) -> "SpikingNet":
+        """A view that shares this net's layers and settings; its backward uses ``spec``."""
+        return SpikingNet(self.layers, T=self.T, surrogate=spec, readout=self.readout,
+                          detach_reset=self.detach_reset, relaxed=self.relaxed)
+
     def _fingerprint(self) -> tuple:
         return (self.T, len(self.layers), self.readout, self.relaxed,
                 tuple((l.in_width, l.out_width) for l in self.layers))

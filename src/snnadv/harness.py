@@ -15,7 +15,6 @@ the outputs.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 from dataclasses import dataclass, replace
@@ -177,24 +176,24 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
                     evalset: EvalSet, cfg: AttackConfig) -> SweepGrid:
     """PGD robust accuracy over a (kernel, eps) grid.
 
-    The forward pass is untouched; only the backward kernel is swapped, on a
-    shallow copy that shares the weights, so ``snn`` itself never changes.
-    Each eps restarts the attack from the clean inputs. Both robust accuracy
-    and its complement are reported, since tables in this area mix the two.
+    Each kernel attacks a ``snn.with_surrogate`` view that shares the weights,
+    so ``snn`` never changes. The whole grid, each column's settings included,
+    is checked before the first attack. Each eps restarts from the clean
+    inputs. Robust accuracy and its complement are both reported, since
+    tables in this area mix the two.
     """
+    if not specs or not eps_values:
+        raise ConfigError("surrogate sweep needs at least one kernel and one eps")
+    # a zero budget runs no attack: its column scores the clean inputs
+    columns = [replace(cfg, eps_max=float(eps), eps_step=min(cfg.eps_step, eps / 4.0))
+               if eps else None for eps in eps_values]
     evalset.verify([snn])
     acc = np.zeros((len(specs), len(eps_values)))
     for si, spec in enumerate(specs):
-        view = copy.copy(snn)
-        view.surrogate = spec
-        for ei, eps in enumerate(eps_values):
-            if eps == 0.0:
-                x_adv = evalset.x
-            else:
-                step = min(cfg.eps_step, eps / 4.0)
-                cfg_eps = replace(cfg, eps_max=float(eps), eps_step=step)
-                x_adv = attacks.run_attack("pgd", [view], evalset.x, evalset.y, cfg_eps,
-                                           index=evalset.indices)
+        view = snn.with_surrogate(spec)
+        for ei, cfg_eps in enumerate(columns):
+            x_adv = evalset.x if cfg_eps is None else attacks.run_attack(
+                "pgd", [view], evalset.x, evalset.y, cfg_eps, index=evalset.indices)
             acc[si, ei] = float(np.mean(view.predict(x_adv) == evalset.y))
     return SweepGrid(kinds=[s.kind for s in specs], eps_values=list(eps_values),
                      robust_accuracy=acc, success_rate=1.0 - acc)

@@ -8,7 +8,6 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .dynamics import SpikingNet
 from .errors import ConfigError, EvaluationError, TrainingError
 from .surrogate import SurrogateSpec
 
@@ -112,18 +111,18 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
     """Softmax cross-entropy training loop, bit-reproducible given the seed.
 
     Without an ``optimizer`` it trains with ``make_optimizer(model.kind)``.
-    A spiking model trains with the surrogate kernel it carries; a ``spec``
-    replaces that kernel on the model, where it stays after training. Only
-    the last epoch scores the whole training set; see ``History`` for what
-    earlier epochs record.
+    A spiking model trains with the surrogate kernel it carries, or with
+    ``spec`` through ``model.with_surrogate(spec)``, a view that trains the
+    model's weights and leaves its kernel as it was. Only the last epoch
+    scores the whole training set; see ``History`` for earlier epochs.
     """
     if batch_size < 1 or epochs < 0:
         raise ConfigError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     train_y = np.asarray(train_y)
     if epochs and train_y.size == 0:
         raise TrainingError("cannot train on empty data")
-    if spec is not None and isinstance(model, SpikingNet):
-        model.surrogate = spec
+    if spec is not None and model.kind == "snn":
+        model = model.with_surrogate(spec)
     if optimizer is None:
         optimizer = make_optimizer(model.kind)
     rng = np.random.default_rng(seed)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -278,10 +281,8 @@ class TestSpikingNetForward:
     def test_forward_invariant_to_surrogate_spec(self):
         net = build_snn_mlp([4, 6, 3], T=5, seed=6)
         x = np.random.default_rng(7).uniform(0, 1.2, (4, 4)).astype(F32)
-        net.surrogate = SurrogateSpec(kind="arctan")
-        a, ta = net.forward_cached(x)
-        net.surrogate = SurrogateSpec(kind="rectangular")
-        b, tb = net.forward_cached(x)
+        a, ta = net.with_surrogate(SurrogateSpec(kind="arctan")).forward_cached(x)
+        b, tb = net.with_surrogate(SurrogateSpec(kind="rectangular")).forward_cached(x)
         assert np.array_equal(a, b)
         for la, lb in zip(ta.layers, tb.layers):
             assert np.array_equal(la.o, lb.o)
@@ -424,3 +425,43 @@ class TestBuffers:
         written = step(*state, o_prev, current, cfg, out=out)
         for f, w, o in zip(fresh, written, out):
             assert w is o and f.tobytes() == w.tobytes()
+
+
+class TestWithSurrogate:
+    def test_view_shares_the_weights_and_keeps_the_original_kernel(self):
+        carried, other = SurrogateSpec(kind="sigmoid"), SurrogateSpec(kind="rectangular")
+        net = build_snn_mlp([4, 6, 3], T=5, seed=6, surrogate=carried)
+        view = net.with_surrogate(other)
+        assert net.surrogate == carried and view.surrogate == other
+        assert all(p is q for (_, p), (_, q) in zip(view.params(), net.params()))
+        x = np.random.default_rng(7).uniform(0, 1.2, (4, 4)).astype(F32)
+        assert np.array_equal(view.forward(x), net.forward(x))
+        # the view's backward is the one a net built with ``other`` takes
+        built = SpikingNet(net.layers, T=5, surrogate=other)
+        seed = np.ones((4, 3), dtype=F32)
+        assert np.array_equal(view.backward(view.forward_cached(x)[1], seed),
+                              built.backward(built.forward_cached(x)[1], seed))
+
+    def test_view_keeps_every_other_setting(self):
+        net = SpikingNet(build_snn_mlp([4, 6, 3], seed=6).layers, T=3,
+                         readout="spike_count", detach_reset=True, relaxed=True)
+        view = net.with_surrogate(SurrogateSpec(kind="erfc"))
+        assert ((view.T, view.readout, view.detach_reset, view.relaxed)
+                == (3, "spike_count", True, True))
+
+    def test_only_dynamics_assigns_a_surrogate(self):
+        # a kernel reaches a net one way: the view SpikingNet.with_surrogate builds
+        src = Path(__file__).resolve().parents[1] / "src" / "snnadv"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                stored = (isinstance(node, ast.Attribute) and node.attr == "surrogate"
+                          and isinstance(node.ctx, (ast.Store, ast.Del)))
+                set_by_name = (isinstance(node, ast.Call)
+                               and getattr(node.func, "id", None) == "setattr"
+                               and len(node.args) > 1
+                               and getattr(node.args[1], "value", None) == "surrogate")
+                if stored or set_by_name:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert [f for f in found if not f.startswith("dynamics.py:")] == []
+        assert found, "the scan found no assignment at all"

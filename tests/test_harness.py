@@ -7,7 +7,7 @@ import pytest
 from snnadv import attacks
 from snnadv.ann import build_mlp
 from snnadv.attacks import AttackConfig, AttackReport, pgd
-from snnadv.errors import SelectionError
+from snnadv.errors import ConfigError, SelectionError
 from snnadv.harness import (EvalSet, multi_model_comparison, select_eval_set,
                             surrogate_sweep, transfer_matrix, transferability)
 from snnadv.surrogate import SurrogateSpec
@@ -223,8 +223,26 @@ class TestSurrogateSweep:
             surrogate_sweep(bp_snn, [0.05], [SurrogateSpec(kind="sigmoid"),
                                              SurrogateSpec(kind="erfc")], es, cfg)
         assert bp_snn.surrogate is original
-        # each kernel is attacked on a copy that shares the trained weights
+        # each kernel is attacked on a view that shares the trained weights
         assert seen == [("sigmoid", True), ("erfc", True)]
+
+    @pytest.mark.parametrize("eps,kinds,message", [
+        ([0.05], [], "surrogate sweep needs at least one kernel and one eps"),
+        ([], ["arctan"], "surrogate sweep needs at least one kernel and one eps"),
+        ([0.0, 0.05, -0.1], ["arctan", "sigmoid"], r"eps_max must be in \[0, 1\], got -0.1"),
+    ], ids=["no-kernel", "no-eps", "negative-eps"])
+    def test_grid_is_checked_before_the_first_attack(self, bp_snn, digits, monkeypatch,
+                                                     eps, kinds, message):
+        _, _, test_x, test_y = digits
+        es = select_eval_set([bp_snn], test_x, test_y, 10, seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an attack ran")
+
+        monkeypatch.setattr(attacks, "run_attack", refuse)
+        cfg = AttackConfig(eps_max=1.0, eps_step=0.02, n_iter=2, seed=0)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            surrogate_sweep(bp_snn, eps, [SurrogateSpec(kind=k) for k in kinds], es, cfg)
 
 
 class TestMultiModelComparison:

@@ -800,8 +800,16 @@ class TestCli:
          "surrogate sigma must be > 0 and finite, got inf"),
         (["--kind", "snn", "--arch", "2-4-2", "--adapt-decay", "nan", "--data", "nowhere"],
          "adapt_decay must be in [0, 1), got nan"),
+        (["--kind", "snn", "--arch", "2-4-2", "--timesteps", "0", "--data", "nowhere"],
+         "timestep count T must be >= 1, got 0"),
+        (["--kind", "snn", "--arch", "2-4-2", "--readout", "bogus", "--data", "nowhere"],
+         "unknown readout 'bogus'"),
+        (["--arch", "4-0-2", "--data", "nowhere"], "layer widths must be >= 1, got [4, 0, 2]"),
+        (["--arch", "2-4-2", "--seed", "-1", "--data", "nowhere"], "seed must be >= 0, got -1"),
     ], ids=["data", "mnist", "arch", "optimizer", "kind", "kind-before-data",
-            "attention-on-blobs", "sigma-before-data", "adapt-decay-before-data"])
+            "attention-on-blobs", "sigma-before-data", "adapt-decay-before-data",
+            "timesteps-before-data", "readout-before-data", "zero-width-before-data",
+            "seed-before-data"])
     def test_bad_training_setup_is_one_line_error(self, tmp_path, monkeypatch, capsys, argv,
                                                   message):
         monkeypatch.chdir(tmp_path)  # no ./data: no IDX files
@@ -828,6 +836,37 @@ class TestCli:
                         f"{blobs_ann}:{blobs_ann}", "--alphas", "0.8,0.2", "--eps", "0.2",
                         "--steps", "2", "--n", "10", "--out", str(tmp_path / "cmp")) == 0
         assert seen == {"saga": (0.8, 0.2), "auto_saga": (0.8, 0.2)}
+
+    @pytest.mark.parametrize("kind,n_models", [("saga", 2), ("autosaga", 2), ("pgd", 1)])
+    def test_wrong_alphas_count_is_refused_before_data(self, tmp_path, capsys, blobs_ann,
+                                                       kind, n_models):
+        code = self.run("attack", "--kind", kind, "--models",
+                        ",".join([str(blobs_ann)] * n_models), "--alphas", "0.5,0.3,0.2",
+                        "--data", "nowhere", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: 3 coefficients for {n_models} models\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_attack_surrogate_attacks_a_view(self, tmp_path, monkeypatch, blobs_snn):
+        loaded, attacked = [], []
+        load, run = checkpoint.load_model, cli.run_attack
+
+        def spy_load(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        def spy_run(kind, models, *args, **kwargs):
+            attacked.extend(models)
+            return run(kind, models, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "load_model", spy_load)
+        monkeypatch.setattr(cli, "run_attack", spy_run)
+        assert self.run("attack", *shlex.split(_BLOBS), "--models", str(blobs_snn),
+                        "--surrogate", "erfc", "--eps", "0.2", "--steps", "2", "--n", "10",
+                        "--out", str(tmp_path / "atk")) == 0
+        (net, _), = loaded
+        assert attacked[0].surrogate.kind == "erfc" and attacked[0].layers is net.layers
+        assert net.surrogate == SurrogateSpec()  # the checkpoint's own kernel
 
     def test_attention_on_blobs_is_refused_before_data(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -1001,6 +1040,8 @@ class TestCli:
         (["multi-attack", "--pairs", "{ann}:{ann}", "--n", "0"], "n must be >= 1, got 0"),
         (["attack", "--models", "{ann}", "--n", "-3"], "n must be >= 1, got -3"),
         (["sweep-surrogate", "--model", "{snn}", "--n", "0"], "n must be >= 1, got 0"),
+        (["sweep-surrogate", "--model", "{snn}", "--surrogates", ",", "--n", "10"],
+         "surrogate sweep needs at least one kernel and one eps"),
         (["transfer-matrix", "--models", "{ann}", "--attacks", ","],
          "transfer matrix needs at least one attack kind"),
         (["convert", "--ann", "{ann}", "--percentile", "150"],
@@ -1030,7 +1071,7 @@ class TestCli:
         (["train", "--kind", "snn", "--arch", "2-4-2", "--adapt-decay", "nan"],
          "adapt_decay must be in [0, 1), got nan"),
     ], ids=["attack-n", "transfer-n", "multi-n", "attack-negative-n", "sweep-n",
-            "no-attacks", "percentile", "n-calib", "fine-tune-epochs", "patch", "heads",
+            "no-kernels", "no-attacks", "percentile", "n-calib", "fine-tune-epochs", "patch", "heads",
             "embed", "zero-width", "train-seed", "attack-seed", "train-lr", "convert-lr",
             "convert-lr-without-epochs", "nan-eps-step", "inf-surrogate-sigma", "nan-adapt-decay"])
     def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, blobs_ann,

@@ -40,8 +40,8 @@ class TestKernelChoiceStudy:
         # overflow and the toolkit surfaces the non-finite gradient instead of
         # silently feeding garbage to the attack: gradient masking, made loud
         _, _, test_x, test_y = digits
-        net = bp_snn.astype(np.float64)
-        net.surrogate = SurrogateSpec(kind="piecewise_exp", pwe_literal=True)
+        net = bp_snn.astype(np.float64).with_surrogate(
+            SurrogateSpec(kind="piecewise_exp", pwe_literal=True))
         logits, cache = net.forward_cached(test_x[:8])
         _, dlogits = numerics.softmax_cross_entropy(logits, test_y[:8])
         with np.errstate(over="ignore", invalid="ignore"):

@@ -90,6 +90,18 @@ class TestTrainLoop:
             weights.append(b"".join(p.tobytes() for _, p in snn.params()))
         assert weights[0] == weights[1] != initial
 
+    def test_spec_trains_through_a_view_and_leaves_the_kernel(self, blob_data):
+        x, y = blob_data
+        carried, spec = SurrogateSpec(kind="sigmoid", alpha=2.0), SurrogateSpec(kind="erfc")
+        snn, twin = (build_snn_mlp([6, 8, 2], T=4, seed=0,
+                                   neuron=NeuronConfig(leak=0.9, threshold=0.5),
+                                   surrogate=kernel) for kernel in (carried, spec))
+        train_epochs(snn, x, y, epochs=1, seed=0, spec=spec, verbose=False)
+        train_epochs(twin, x, y, epochs=1, seed=0, verbose=False)
+        assert snn.surrogate == carried
+        # the view trained snn's own weights with spec's kernel
+        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(snn.params(), twin.params()))
+
     def test_spiking_model_trains_on_blobs(self, blob_data):
         from snnadv.dynamics import NeuronConfig
         x, y = blob_data
