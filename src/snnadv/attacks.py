@@ -286,27 +286,32 @@ def blend_alphas(alphas: Optional[Sequence[float]], m_count: int, n: int = 1) ->
     return np.tile(np.asarray(alphas, dtype=np.float64), (n, 1))
 
 
-def _blend(models: Sequence, rows: np.ndarray, x_adv: np.ndarray, labels: np.ndarray
-           ) -> tuple[np.ndarray, list]:
-    """The blend sum_k rows[:, k] * mask_k * g_k at ``x_adv``, and each model's
-    (logits, input gradient, forward cache) from ``loss_input_grad``.
-    Attention models contribute their rollout-masked gradients, the rest plain
-    gradients; a zero coefficient adds an exact zero."""
+def _blend(models: Sequence, rows: np.ndarray, x_adv: np.ndarray, labels: np.ndarray,
+           kappa: Optional[float] = None) -> tuple[np.ndarray, list, list]:
+    """The blend sum_k rows[:, k] * mask_k * g_k at ``x_adv``, the input
+    gradients g_k of cross-entropy and, given ``kappa``, those of the margin
+    loss (else none), both from one forward per model. Attention models
+    contribute rollout-masked gradients, the rest plain ones; a zero
+    coefficient adds an exact zero. One model's forward cache is alive at a time."""
     columns = rows.T.astype(x_adv.dtype).reshape(rows.shape[::-1] + (1,) * (x_adv.ndim - 1))
     blend = np.zeros_like(x_adv)
-    evals = []
+    grads, margin_grads = [], []
     for model, alpha in zip(models, columns):
         logits, grad, cache = loss_input_grad(model, x_adv, labels)
+        if kappa is not None:
+            seed = margin_loss(logits, labels, kappa)[1]
+            margin_grads.append(model.backward(cache, seed).reshape(x_adv.shape))
         blend += _blend_term(model, alpha, x_adv, cache, grad)
-        evals.append((logits, grad, cache))
-    return blend, evals
+        grads.append(grad)
+        del cache
+    return blend, grads, margin_grads
 
 
 def saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
          trace: Optional[list] = None) -> np.ndarray:
     """Auto-SAGA's blend with the coefficients held: every step follows the
     blend at the start rows of ``cfg.alphas`` (uniform when None), the same
-    for every sample and iteration."""
+    for every sample and iteration. One model's forward cache is alive at a time."""
     x = np.asarray(x)
     rows = blend_alphas(cfg.alphas, len(models), len(x))
     return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter,
@@ -322,9 +327,11 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
     margin-loss slope (the sign is smoothed by u*sech^2(u*sum of gradients)
     for the coefficient derivative). Both input gradients are seeded per
     sample, so a sample's coefficient step does not scale with the batch
-    size. Coefficients are per sample, start at SAGA's rows, are clamped
-    non-negative and renormalized to sum one; fully collapsed rows reset to
-    uniform.
+    size. Each model's margin gradient follows its cross-entropy gradient, so
+    one model's forward cache is alive at a time, and the float64 walk runs
+    after every cache is gone. Coefficients are per sample, start at SAGA's
+    rows, are clamped non-negative and renormalized to sum one; fully
+    collapsed rows reset to uniform.
 
     Returns the adversarial batch and the coefficient trajectory
     [n_iter + 1, n, n_models].
@@ -340,10 +347,7 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
         # the walk reads only quantities at the current iterate, so it runs
         # here, before the step this blend drives
         nonlocal alphas, collapse_events
-        blend, evals = _blend(models, alphas, x_adv, labels)
-        grads = [grad for _, grad, _ in evals]
-        margin_grads = [model.backward(cache, margin_loss(logits, labels, cfg.kappa)[1])
-                        .reshape(x.shape) for model, (logits, _, cache) in zip(models, evals)]
+        blend, grads, margin_grads = _blend(models, alphas, x_adv, labels, cfg.kappa)
         grad_sum = np.sum(grads, axis=0, dtype=np.float64)
         # sech^2 underflows to 0 beyond ~350 anyway; clip to keep cosh finite
         sech2 = 1.0 / np.square(np.cosh(np.clip(cfg.fit_u * grad_sum, -350.0, 350.0)))

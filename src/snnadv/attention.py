@@ -13,8 +13,11 @@ and projects its query row apart). The softmax scale is folded into that
 query weight; with a power-of-two sqrt(dh) the fold is exact. The softmax
 overwrites the freshly made scores, and its backward overwrites the
 gradient of the attention weights; neither writes into the cache, so one
-cache serves any number of backwards. The parameters stay the separate
-``wq``/``wk``/``wv`` arrays that ``params`` names.
+cache serves any number of backwards. The backward drops each gradient
+buffer right after its last read, so beyond the cache it holds at most a
+block's attention-weight gradient, its fused dQ/dK/dV buffer and about two
+[n, T, E] activations. The parameters stay the separate ``wq``/``wk``/``wv``
+arrays that ``params`` names.
 
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
@@ -290,7 +293,10 @@ class TinyAttentionNet(Classifier):
         Given a ``grads`` dict (training), it also writes all parameter
         gradients into it under the names ``params`` gives; without one
         (attacks) none are computed. The cache is only read, so one cache
-        serves any number of backwards.
+        serves any number of backwards. Parameter gradients are taken as soon
+        as their operands exist, and each buffer is dropped after its last
+        read: dh1 and ``dt`` before the attention branch, dctx after dV, datt
+        after dQ and dK, dqkv after dl1 and the QKV weight gradient.
         """
         imgs, patches, caches, feat, lnf_cache, _ = cache
         n = imgs.shape[0]
@@ -312,12 +318,17 @@ class TinyAttentionNet(Classifier):
             rows = q.shape[1]
             fused_q = qkv.shape[2] == 3
             # FFN branch: t = y + relu(LN2(y) w1 + b1) w2 + b2
-            dz = dt
-            dh1 = dz @ _transposed(blk.w2)
+            dh1 = dt @ _transposed(blk.w2)
             dh1 *= r > 0
-            dl2 = dh1 @ _transposed(blk.w1)
-            dy = layernorm_backward(dl2, ln2_cache, blk.ln2_g, grads, pre + "ln2_")
-            dy += dz
+            if grads is not None:
+                grads[pre + "w2"] = r.reshape(-1, r.shape[-1]).T @ dt.reshape(-1, E)
+                grads[pre + "b2"] = dt.sum(axis=(0, 1))
+                grads[pre + "w1"] = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
+                grads[pre + "b1"] = dh1.sum(axis=(0, 1))
+            dy = layernorm_backward(dh1 @ _transposed(blk.w1), ln2_cache, blk.ln2_g, grads,
+                                    pre + "ln2_")
+            dy += dt
+            del dh1, dt
             # attention branch: y = tin + (att @ vh merged) wo with q, k, v from
             # LN1(tin); dQ, dK and dV land in one buffer laid out like qkv
             dctx = (dy @ _transposed(blk.wo)).reshape(n, rows, H, dh).transpose(0, 2, 1, 3)
@@ -326,21 +337,18 @@ class TinyAttentionNet(Classifier):
             dq = dqkv[:, :, 0] if fused_q else np.empty_like(q)
             np.matmul(att.transpose(0, 1, 3, 2), dctx,
                       out=dqkv[:, :, -1].transpose(0, 2, 1, 3))
+            del dctx
             # softmax backward, in place: datt becomes att * (datt - <datt, att>)
             datt -= np.einsum("...j,...j->...", datt, att)[..., None]
             datt *= att
             np.matmul(datt, qkv[:, :, -2].transpose(0, 2, 1, 3), out=dq.transpose(0, 2, 1, 3))
             np.matmul(datt.transpose(0, 1, 3, 2), q.transpose(0, 2, 1, 3),
                       out=dqkv[:, :, -2].transpose(0, 2, 1, 3))
+            del datt
             dl1 = dqkv.reshape(n, -1, w_qkv.shape[1]) @ _transposed(w_qkv)
             if not fused_q:
                 dl1[:, :rows] += dq.reshape(n, rows, E) @ _transposed(wq)
-            dtin_att = layernorm_backward(dl1, ln1_cache, blk.ln1_g, grads, pre + "ln1_")
             if grads is not None:
-                grads[pre + "w2"] = r.reshape(-1, r.shape[-1]).T @ dz.reshape(-1, E)
-                grads[pre + "b2"] = dz.sum(axis=(0, 1))
-                grads[pre + "w1"] = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
-                grads[pre + "b1"] = dh1.sum(axis=(0, 1))
                 grads[pre + "wo"] = ctxm.reshape(-1, E).T @ dy.reshape(-1, E)
                 # column blocks of one product; wq's carries the folded scale
                 dw = l1.reshape(-1, E).T @ dqkv.reshape(-1, w_qkv.shape[1])
@@ -348,8 +356,10 @@ class TinyAttentionNet(Classifier):
                 grads[pre + "wq"] = dwq / scale
                 grads[pre + "wk"] = dw[:, -2 * E:-E]
                 grads[pre + "wv"] = dw[:, -E:]
-            dt = dtin_att
+            del dqkv, dq
+            dt = layernorm_backward(dl1, ln1_cache, blk.ln1_g, grads, pre + "ln1_")
             dt[:, :rows] += dy
+            del dl1, dy
         dtok = dt[:, 1:]
         if grads is not None:
             grads["pos"] = dt.sum(axis=0)

@@ -307,11 +307,12 @@ def cmd_sweep_surrogate(cfg: dict, out_dir: Path) -> None:
     specs = [_surrogate_from(cfg, kind=k) for k in cfg["surrogates"].split(",") if k]
     if not cfg["model"]:
         raise ConfigError("sweep needs --model checkpoint path")
+    # eps_max placeholder; the sweep rebuilds the config per grid column
+    attack_cfg = _attack_config(cfg, eps_max=1.0)
+    harness.sweep_columns(eps_values, specs, attack_cfg)
     model, _ = checkpoint.load_model(cfg["model"])
     if not isinstance(model, SpikingNet):
         raise ConfigError("surrogate sweep expects a spiking checkpoint")
-    # eps_max placeholder; the sweep rebuilds the config per grid column
-    attack_cfg = _attack_config(cfg, eps_max=1.0)
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     evalset = harness.select_eval_set([model], test_x, test_y, cfg["n"], seed=cfg["seed"])
     grid = harness.surrogate_sweep(model, eps_values, specs, evalset, attack_cfg)

@@ -172,21 +172,25 @@ class SweepGrid:
                 "success_rate": self.success_rate.tolist()}
 
 
+def sweep_columns(eps_values: Sequence[float], specs: Sequence, cfg: AttackConfig) -> list:
+    """The sweep grid's one check: each eps column's PGD settings from ``cfg``,
+    None for a zero budget (no attack: the column scores the clean inputs)."""
+    if not specs or not eps_values:
+        raise ConfigError("surrogate sweep needs at least one kernel and one eps")
+    return [replace(cfg, eps_max=float(eps), eps_step=min(cfg.eps_step, eps / 4.0))
+            if eps else None for eps in eps_values]
+
+
 def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateSpec],
                     evalset: EvalSet, cfg: AttackConfig) -> SweepGrid:
     """PGD robust accuracy over a (kernel, eps) grid.
 
     Each kernel attacks a ``snn.with_surrogate`` view that shares the weights,
-    so ``snn`` never changes. The whole grid, each column's settings included,
-    is checked before the first attack. Each eps restarts from the clean
-    inputs. Robust accuracy and its complement are both reported, since
-    tables in this area mix the two.
+    so ``snn`` never changes. ``sweep_columns`` checks the whole grid before
+    the first attack. Each eps restarts from the clean inputs. Robust accuracy
+    and its complement are both reported, since tables in this area mix the two.
     """
-    if not specs or not eps_values:
-        raise ConfigError("surrogate sweep needs at least one kernel and one eps")
-    # a zero budget runs no attack: its column scores the clean inputs
-    columns = [replace(cfg, eps_max=float(eps), eps_step=min(cfg.eps_step, eps / 4.0))
-               if eps else None for eps in eps_values]
+    columns = sweep_columns(eps_values, specs, cfg)
     evalset.verify([snn])
     acc = np.zeros((len(specs), len(eps_values)))
     for si, spec in enumerate(specs):

@@ -4,6 +4,7 @@ Training happens once per session; every fixture is seeded and deterministic.
 """
 
 import logging
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,16 @@ from snnadv.train import train_epochs
 logging.getLogger("snnadv").setLevel(logging.ERROR)
 
 ARCTAN = SurrogateSpec(kind="arctan")
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran, its result included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from snnadv.attacks import (AttackConfig, AttackReport, auto_saga, fgsm, loss_in
 from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import ConfigError
 
+from conftest import traced_peak
+
 NAN, INF = float("nan"), float("inf")
 
 class TestProject:
@@ -460,6 +462,47 @@ class TestOneForwardPerIteration:
         models, x, y = self._pair()
         auto_saga(models, x, y, AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3))
         assert counted == [5, 5, 5]
+
+
+class TestOneCacheAtATime:
+    """The blends take each model's margin gradient right after its
+    cross-entropy gradient, from the same forward, and drop that forward's
+    cache before the next model's forward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    def test_margin_gradients_equal_a_separate_forward(self, dtype, kappa):
+        models = [build_snn_mlp([64, 8, 3], T=3, seed=4, dtype=dtype),
+                  TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=2,
+                                   n_heads=2, n_classes=3, seed=4, dtype=dtype)]
+        rng = np.random.default_rng(17)
+        x = rng.uniform(0, 1, (16, 64)).astype(dtype)
+        y = rng.integers(0, 3, 16)
+        rows = attacks.blend_alphas((0.3, 0.7), 2, len(x))
+        blend, grads, margin_grads = attacks._blend(models, rows, x, y, kappa)
+        for model, grad, margin_grad in zip(models, grads, margin_grads, strict=True):
+            logits, cache = model.forward_cached(x)
+            want = model.backward(cache, margin_loss(logits, y, kappa)[1]).reshape(x.shape)
+            assert margin_grad.dtype == want.dtype and margin_grad.tobytes() == want.tobytes()
+            assert grad.tobytes() == loss_input_grad(model, x, y)[1].tobytes()
+        plain_blend, plain_grads, no_margin = attacks._blend(models, rows, x, y)
+        assert plain_blend.tobytes() == blend.tobytes() and no_margin == []
+        assert [g.tobytes() for g in plain_grads] == [g.tobytes() for g in grads]
+
+    def test_auto_saga_peaks_less_than_one_snn_cache_above_attention_pgd(self):
+        # the SNN's forward cache is gone before the attention net's forward,
+        # so the pair costs little more than the attention net alone
+        rng = np.random.default_rng(18)
+        x = rng.uniform(0, 1, (200, 784)).astype(np.float32)
+        y = rng.integers(0, 10, 200)
+        snn = build_snn_mlp([784, 128, 10], T=8, seed=0)
+        att = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                               n_heads=2, seed=0)
+        cfg = AttackConfig(eps_max=0.031, eps_step=0.005, n_iter=2)
+        _, snn_cache = traced_peak(snn.forward_cached, x)
+        _, att_alone = traced_peak(pgd, att, x, y, cfg)
+        _, pair = traced_peak(auto_saga, [snn, att], x, y, cfg)
+        assert pair < att_alone + snn_cache
 
 
 @pytest.mark.parametrize("model", [

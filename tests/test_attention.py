@@ -10,6 +10,8 @@ from snnadv.attention import (TinyAttentionNet, attention_rollout, ones_mask,
                               rollout_matrix)
 from snnadv.errors import ConfigError, DimensionError
 
+from conftest import traced_peak
+
 
 def random_stochastic(rng, n, heads, tokens, rows=None):
     m = rng.uniform(0, 1, size=(n, heads, tokens if rows is None else rows, tokens))
@@ -173,6 +175,21 @@ class TestCacheIsReadOnly:
         for a, b in zip(arrays_a, arrays_b):
             assert a.tobytes() == b.tobytes()
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_backward_holds_block_zero_attention_and_three_activations(training):
+    # each gradient buffer is dropped after its last read: beyond the cache,
+    # the backward holds block 0's attention gradient and fused dQ/dK/dV
+    # buffer, the sizes of their forward counterparts, and under three
+    # [n, T, E] activations
+    net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                           n_heads=2, seed=0)
+    rng = np.random.default_rng(14)
+    logits, cache = net.forward_cached(rng.uniform(0, 1, (200, 784)).astype(np.float32))
+    l1, _, _, _, qkv, _, att = cache[2][0][:7]
+    _, peak = traced_peak(net.backward, cache, np.ones_like(logits), {} if training else None)
+    assert peak < att.nbytes + qkv.nbytes + 3 * l1.nbytes
 
 
 class TestRollout:

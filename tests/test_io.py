@@ -3,7 +3,6 @@ import hashlib
 import json
 import shlex
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,8 @@ from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, _permute_rows, lo
 from snnadv.dynamics import NeuronConfig, SpikingLayer, SynapseConfig, build_snn_mlp
 from snnadv.errors import ConfigError, DimensionError, FormatError
 from snnadv.surrogate import SurrogateSpec
+
+from conftest import traced_peak
 
 
 class TestIdxFormat:
@@ -100,16 +101,6 @@ class TestIdxFormat:
         train_rows = {row.tobytes() for row in train_x}
         assert len(train_rows) == 100
         assert train_rows.isdisjoint(row.tobytes() for row in test_x)
-
-
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak bytes traced while it ran, its result included."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def write_idx_pair(directory, prefix, n, seed):
@@ -776,9 +767,17 @@ class TestCli:
          "piecewise_linear, fast_sigmoid, piecewise_exp, rectangular"),
         (["convert", "--ann", "missing.snnm", "--surrogate-sigma", "inf"],
          "surrogate sigma must be > 0 and finite, got inf"),
+        # the sweep grid is checked before the checkpoint is loaded
+        (["sweep-surrogate", "--model", "missing.snnm", "--surrogates", ","],
+         "surrogate sweep needs at least one kernel and one eps"),
+        (["sweep-surrogate", "--model", "missing.snnm", "--eps", "0.01,-0.1"],
+         "eps_max must be in [0, 1], got -0.1"),
+        (["sweep-surrogate", "--model", "missing.snnm", "--eps", "0,1.5"],
+         "eps_max must be in [0, 1], got 1.5"),
     ], ids=["attack-kind", "transfer-kind", "no-pairs", "pair-spec", "convert-ann",
             "sweep-model", "attack-models", "transfer-models", "negative-alphas",
-            "pair-alphas-count", "pair-negative-alphas", "surrogate-kind", "convert-sigma"])
+            "pair-alphas-count", "pair-negative-alphas", "surrogate-kind", "convert-sigma",
+            "sweep-no-kernels", "sweep-negative-eps", "sweep-eps-above-one"])
     def test_bad_attack_or_model_spec_is_one_line_error_before_data(self, tmp_path, capsys,
                                                                      argv, message):
         # the data source does not exist: the spec must be rejected before loading it
