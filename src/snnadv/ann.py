@@ -20,7 +20,9 @@ from . import numerics
 from .errors import ConfigError, DimensionError
 
 
-EVAL_BATCH = 256  # rows per forward in Classifier.predict, which bounds its buffers
+# rows per forward in Classifier.predict and per row block of an attention
+# input gradient, which bounds their buffers
+EVAL_BATCH = 128
 
 
 class Classifier:
@@ -32,7 +34,8 @@ class Classifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """The argmax of one forward on all of ``x`` (every row is computed on
-        its own), taken EVAL_BATCH rows per forward; no rows give an empty array."""
+        its own), taken EVAL_BATCH rows per forward, so no forward holds the
+        buffers of more than EVAL_BATCH rows; no rows give an empty array."""
         return np.concatenate([np.argmax(self.forward(x[start:start + EVAL_BATCH]), axis=1)
                                for start in range(0, len(x), EVAL_BATCH)]
                               or [np.zeros(0, dtype=np.intp)])

@@ -13,11 +13,21 @@ and projects its query row apart). The softmax scale is folded into that
 query weight; with a power-of-two sqrt(dh) the fold is exact. The softmax
 overwrites the freshly made scores, and its backward overwrites the
 gradient of the attention weights; neither writes into the cache, so one
-cache serves any number of backwards. The backward drops each gradient
-buffer right after its last read, so beyond the cache it holds at most a
-block's attention-weight gradient, its fused dQ/dK/dV buffer and about two
-[n, T, E] activations. The parameters stay the separate ``wq``/``wk``/``wv``
-arrays that ``params`` names.
+cache serves any number of backwards. The parameters stay the separate
+``wq``/``wk``/``wv`` arrays that ``params`` names.
+
+The cache holds the images, each LayerNorm's normalized input and row scale,
+and the results of products (Q/K/V, the attention weights, the merged
+context, the FFN's hidden layer), which the input gradient reads. The patch
+copy, the LayerNorm outputs and the head's features are read only by
+parameter gradients, so a backward given a ``grads`` dict rebuilds them with
+the forward's own operations, to the same bytes. A backward without one runs
+the blocks over row blocks of at most ``ann.EVAL_BATCH`` rows (every product
+in a block is per sample, so the bytes do not depend on the block size); one
+with it runs them on the whole batch, since parameter gradients sum over
+every row. Each gradient buffer is dropped right after its last read, so
+beyond the cache a backward holds at most a row block's attention-weight
+gradient, its fused dQ/dK/dV buffer and about two [rows, T, E] activations.
 
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
@@ -33,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .ann import Classifier, kaiming_uniform
+from .ann import EVAL_BATCH, Classifier, kaiming_uniform
 from .errors import ConfigError, DimensionError
 
 
@@ -120,6 +130,14 @@ def layernorm_forward(x, gamma, beta, eps=1e-5):
     return y, (xhat, inv)
 
 
+def layernorm_output(cache, gamma, beta):
+    """The output of the ``layernorm_forward`` that returned ``cache``,
+    rebuilt by the same operations, so to the same bytes."""
+    y = np.multiply(cache[0], gamma)
+    y += beta
+    return y
+
+
 def layernorm_backward(dy, cache, gamma, grads=None, prefix=""):
     """dx, built in place in a new buffer with one scratch of ``dy``'s shape.
     Given a ``grads`` dict, also writes the gain and shift gradients into it
@@ -137,6 +155,14 @@ def layernorm_backward(dy, cache, gamma, grads=None, prefix=""):
     dx -= scratch
     dx *= inv
     return dx
+
+
+def _row_block(caches, part):
+    """The per-block caches of ``forward_cached`` for the batch rows ``part``
+    (views); the weights they carry serve every row."""
+    return [((xhat1[part], inv1[part]), w_qkv, wq, qkv[part], q[part], att[part], ctxm[part],
+             (xhat2[part], inv2[part]), r[part])
+            for (xhat1, inv1), w_qkv, wq, qkv, q, att, ctxm, (xhat2, inv2), r in caches]
 
 
 def _transposed(w):
@@ -244,10 +270,9 @@ class TinyAttentionNet(Classifier):
         H, E, T = self.n_heads, self.embed, self.n_tokens
         dh = E // H
         scale = np.sqrt(dh).astype(self.wp.dtype)
-        patches = self._to_patches(imgs)
         t = np.empty((n, T, E), dtype=self.wp.dtype)
         t[:, 0] = self.cls
-        np.matmul(patches, self.wp, out=t[:, 1:])
+        np.matmul(self._to_patches(imgs), self.wp, out=t[:, 1:])
         t[:, 1:] += self.bp
         t += self.pos
         caches = []
@@ -281,50 +306,69 @@ class TinyAttentionNet(Classifier):
             t = r @ blk.w2
             t += y
             t += blk.b2
-            caches.append((l1, ln1_cache, w_qkv, wq, qkv, q, att, ctxm, l2, ln2_cache, r))
+            caches.append((ln1_cache, w_qkv, wq, qkv, q, att, ctxm, ln2_cache, r))
         feat, lnf_cache = layernorm_forward(t[:, 0], self.lnf_g, self.lnf_b)
         logits = feat @ self.wc + self.bc
         numerics.require_finite(logits, "network logits")
-        return logits, (imgs, patches, caches, feat, lnf_cache, records)
+        return logits, (imgs, caches, lnf_cache, records)
 
     def backward(self, cache, dlogits, grads=None):
         """Gradient of the input, flattened to [n, c*h*w].
 
         Given a ``grads`` dict (training), it also writes all parameter
         gradients into it under the names ``params`` gives; without one
-        (attacks) none are computed. The cache is only read, so one cache
-        serves any number of backwards. Parameter gradients are taken as soon
-        as their operands exist, and each buffer is dropped after its last
-        read: dh1 and ``dt`` before the attention branch, dctx after dV, datt
-        after dQ and dK, dqkv after dl1 and the QKV weight gradient.
+        (attacks) none are computed, and the blocks run over row blocks of at
+        most ``EVAL_BATCH`` rows. The cache is only read, so one cache serves
+        any number of backwards.
         """
-        imgs, patches, caches, feat, lnf_cache, _ = cache
+        imgs, caches, lnf_cache, _ = cache
         n = imgs.shape[0]
-        H, E = self.n_heads, self.embed
-        dh = E // H
-        scale = np.sqrt(dh).astype(self.wp.dtype)
         dlogits = np.asarray(dlogits, dtype=self.wp.dtype)
         dfeat = dlogits @ self.wc.T
         dcls_tok = layernorm_backward(dfeat, lnf_cache, self.lnf_g, grads, "lnf_")
         if grads is not None:
+            feat = layernorm_output(lnf_cache, self.lnf_g, self.lnf_b)
             grads["wc"] = feat.T @ dlogits
             grads["bc"] = dlogits.sum(axis=0)
+            dx = self._blocks_backward(imgs, caches, dcls_tok, grads)
+        else:
+            parts = [slice(start, start + EVAL_BATCH) for start in range(0, n, EVAL_BATCH)]
+            dx = np.concatenate([self._blocks_backward(imgs[part], _row_block(caches, part),
+                                                       dcls_tok[part]) for part in parts])
+        numerics.require_finite(dx, "input gradient")
+        return dx
+
+    def _blocks_backward(self, imgs, caches, dcls_tok, grads=None):
+        """Input gradient, [n, c*h*w], of the rows of ``imgs`` and ``caches``
+        given ``dcls_tok``, the gradient of the last block's class token.
+
+        Parameter gradients are taken as soon as their operands exist, and
+        each buffer is dropped after its last read: dh1 and ``dt`` before the
+        attention branch, dctx after dV, datt after dQ and dK, dqkv after dl1
+        and the QKV weight gradient.
+        """
+        n = imgs.shape[0]
+        H, E = self.n_heads, self.embed
+        dh = E // H
+        scale = np.sqrt(dh).astype(self.wp.dtype)
         # dt is the gradient of a block's output, which has that block's query
         # rows: the class token alone in the last block, every token before it
         dt = dcls_tok[:, None, :]
         for i in reversed(range(len(self.blocks))):
             blk, pre = self.blocks[i], f"block{i}."
-            l1, ln1_cache, w_qkv, wq, qkv, q, att, ctxm, l2, ln2_cache, r = caches[i]
+            ln1_cache, w_qkv, wq, qkv, q, att, ctxm, ln2_cache, r = caches[i]
             rows = q.shape[1]
             fused_q = qkv.shape[2] == 3
             # FFN branch: t = y + relu(LN2(y) w1 + b1) w2 + b2
             dh1 = dt @ _transposed(blk.w2)
             dh1 *= r > 0
             if grads is not None:
+                l2 = layernorm_output(ln2_cache, blk.ln2_g, blk.ln2_b).reshape(-1, E)
                 grads[pre + "w2"] = r.reshape(-1, r.shape[-1]).T @ dt.reshape(-1, E)
                 grads[pre + "b2"] = dt.sum(axis=(0, 1))
-                grads[pre + "w1"] = l2.reshape(-1, E).T @ dh1.reshape(-1, dh1.shape[-1])
+                grads[pre + "w1"] = l2.T @ dh1.reshape(-1, dh1.shape[-1])
                 grads[pre + "b1"] = dh1.sum(axis=(0, 1))
+                del l2
             dy = layernorm_backward(dh1 @ _transposed(blk.w1), ln2_cache, blk.ln2_g, grads,
                                     pre + "ln2_")
             dy += dt
@@ -349,6 +393,7 @@ class TinyAttentionNet(Classifier):
             if not fused_q:
                 dl1[:, :rows] += dq.reshape(n, rows, E) @ _transposed(wq)
             if grads is not None:
+                l1 = layernorm_output(ln1_cache, blk.ln1_g, blk.ln1_b)
                 grads[pre + "wo"] = ctxm.reshape(-1, E).T @ dy.reshape(-1, E)
                 # column blocks of one product; wq's carries the folded scale
                 dw = l1.reshape(-1, E).T @ dqkv.reshape(-1, w_qkv.shape[1])
@@ -356,20 +401,20 @@ class TinyAttentionNet(Classifier):
                 grads[pre + "wq"] = dwq / scale
                 grads[pre + "wk"] = dw[:, -2 * E:-E]
                 grads[pre + "wv"] = dw[:, -E:]
+                del l1
             del dqkv, dq
             dt = layernorm_backward(dl1, ln1_cache, blk.ln1_g, grads, pre + "ln1_")
             dt[:, :rows] += dy
             del dl1, dy
         dtok = dt[:, 1:]
         if grads is not None:
+            patches = self._to_patches(imgs)
             grads["pos"] = dt.sum(axis=0)
             grads["cls"] = dt[:, 0].sum(axis=0)
             grads["wp"] = patches.reshape(-1, patches.shape[-1]).T @ dtok.reshape(-1, E)
             grads["bp"] = dtok.sum(axis=(0, 1))
         dpat = dtok @ _transposed(self.wp)
-        dx = self._from_patches(dpat, n)
-        numerics.require_finite(dx, "input gradient")
-        return dx.reshape(n, -1)
+        return self._from_patches(dpat, n).reshape(n, -1)
 
     def params(self):
         return ([("wp", self.wp), ("bp", self.bp), ("cls", self.cls), ("pos", self.pos)]

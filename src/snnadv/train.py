@@ -143,6 +143,8 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
             grads = {}
             model.backward(cache, dlogits, grads)
             optimizer.step(model.params(), grads)
+            # the next batch's forward must not run beside this batch's cache
+            del cache, grads
         if epoch == epochs - 1:
             train_acc = evaluate(model, train_x, train_y)
         else:

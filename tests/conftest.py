@@ -6,6 +6,7 @@ Training happens once per session; every fixture is seeded and deterministic.
 import logging
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from snnadv.ann import build_mlp
@@ -29,6 +30,26 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def cache_arrays(cache):
+    """Every array a forward cache holds, depth first."""
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (tuple, list)):
+        for item in cache:
+            yield from cache_arrays(item)
+
+
+def held_nbytes(arrays):
+    """The bytes of the distinct buffers behind ``arrays``: a view counts
+    once, with the array it views."""
+    held = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        held[id(a)] = a.nbytes
+    return sum(held.values())
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
+from snnadv.ann import EVAL_BATCH
 from snnadv.attacks import AttackConfig, pgd
 from snnadv.attention import (TinyAttentionNet, attention_rollout, ones_mask,
                               rollout_matrix)
 from snnadv.errors import ConfigError, DimensionError
 
-from conftest import traced_peak
+from conftest import cache_arrays, held_nbytes, traced_peak
 
 
 def random_stochastic(rng, n, heads, tokens, rows=None):
@@ -121,15 +122,6 @@ class TestForward:
         assert numerics.max_rel_err(dinput, fd) <= 1e-5
 
 
-def cache_arrays(cache):
-    """Every array a forward cache holds, depth first."""
-    if isinstance(cache, np.ndarray):
-        yield cache
-    elif isinstance(cache, (tuple, list)):
-        for item in cache:
-            yield from cache_arrays(item)
-
-
 class TestCacheIsReadOnly:
     """The backward only reads the forward's cache: Auto-SAGA runs two
     backwards on one cache, and SAGA reads the rollout records after the
@@ -177,19 +169,52 @@ class TestCacheIsReadOnly:
             assert not np.shares_memory(a, b)
 
 
+def bench_sized_case(n=200):
+    """The benchmark's attention architecture, its logits and forward cache
+    on ``n`` float32 rows."""
+    net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                           n_heads=2, seed=0)
+    rng = np.random.default_rng(14)
+    return (net,) + net.forward_cached(rng.uniform(0, 1, (n, 784)).astype(np.float32))
+
+
 @pytest.mark.parametrize("training", [False, True])
 def test_backward_holds_block_zero_attention_and_three_activations(training):
     # each gradient buffer is dropped after its last read: beyond the cache,
     # the backward holds block 0's attention gradient and fused dQ/dK/dV
     # buffer, the sizes of their forward counterparts, and under three
     # [n, T, E] activations
-    net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
-                           n_heads=2, seed=0)
-    rng = np.random.default_rng(14)
-    logits, cache = net.forward_cached(rng.uniform(0, 1, (200, 784)).astype(np.float32))
-    l1, _, _, _, qkv, _, att = cache[2][0][:7]
+    net, logits, cache = bench_sized_case()
+    (xhat, _), _, _, qkv, _, att = cache[1][0][:6]
     _, peak = traced_peak(net.backward, cache, np.ones_like(logits), {} if training else None)
-    assert peak < att.nbytes + qkv.nbytes + 3 * l1.nbytes
+    assert peak < att.nbytes + qkv.nbytes + 3 * xhat.nbytes
+
+
+def test_gradient_only_backward_holds_one_row_block():
+    # without a grads dict the blocks run EVAL_BATCH rows at a time, so the
+    # bound above shrinks to one row block's share of block 0's buffers
+    n = 200
+    net, logits, cache = bench_sized_case(n)
+    (xhat, _), _, _, qkv, _, att = cache[1][0][:6]
+    _, peak = traced_peak(net.backward, cache, np.ones_like(logits))
+    assert peak < (att.nbytes + qkv.nbytes + 3 * xhat.nbytes) * EVAL_BATCH // n
+
+
+def test_cache_holds_only_what_the_input_gradient_reads():
+    # per sample: the image; each LayerNorm's normalized input and row scale;
+    # Q, K and V (the last block's Q for the class token alone), the
+    # attention weights, the merged context and the FFN's hidden layer. The
+    # patch copy, the LayerNorm outputs and the head's features are rebuilt
+    # by a backward that takes parameter gradients; the smallest of them,
+    # the features, is E values per sample
+    n = 200
+    net, _, cache = bench_sized_case(n)
+    T, E, H, F = net.n_tokens, net.embed, net.n_heads, net.ffn_hidden
+    first = 2 * (T * E + T) + 3 * T * E + H * T * T + T * E + T * F
+    last = T * E + T + 2 * T * E + E + H * T + E + (E + 1) + F
+    per_sample = 784 + first + last + (E + 1)
+    held = held_nbytes(a for a in cache_arrays(cache) if a.shape[0] == n)
+    assert held < (per_sample + E) * n * 4
 
 
 class TestRollout:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
-from snnadv.ann import build_cnn, build_mlp
+from snnadv.ann import EVAL_BATCH, build_cnn, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.dynamics import NeuronConfig, build_snn_mlp
 
@@ -95,10 +95,10 @@ def _assert_same_state(before, after):
             assert part_after[k][1] == raw, k
 
 
-def _lean_case(name):
+def _lean_case(name, rows=3, dtype=np.float32):
     build, input_shape = LEAN_NETS[name]
-    x = np.random.default_rng(1).uniform(0, 1, size=(3,) + input_shape).astype(np.float32)
-    return build(), x, np.array([0, 1, 2])
+    x = np.random.default_rng(1).uniform(0, 1, size=(rows,) + input_shape).astype(dtype)
+    return build().astype(dtype), x, np.arange(rows) % 3
 
 
 @pytest.mark.parametrize("name", list(LEAN_NETS))
@@ -117,14 +117,23 @@ def test_backward_stores_nothing_on_the_model(name):
     assert sorted(grads) == sorted(pname for pname, _ in net.params())
 
 
-@pytest.mark.parametrize("name", list(LEAN_NETS))
-def test_gradient_only_backward(name):
+# without a grads dict the attention blocks run EVAL_BATCH rows at a time, so
+# these rows take three row blocks; with one they run on the whole batch
+BLOCKED_ROWS = 2 * EVAL_BATCH + 17
+
+
+@pytest.mark.parametrize("name, rows, dtype", [
+    *(pytest.param(name, 3, np.float32, id=name) for name in LEAN_NETS),
+    *(pytest.param("attention-2", BLOCKED_ROWS, dtype, id=f"attention-2-blocked-{dtype.__name__}")
+      for dtype in (np.float32, F64))])
+def test_gradient_only_backward(name, rows, dtype):
     # the attacks' backward gives the input gradient of the training one
-    net, x, y = _lean_case(name)
+    net, x, y = _lean_case(name, rows, dtype)
     logits, cache = net.forward_cached(x)
     _, dlogits = numerics.softmax_cross_entropy(logits, y)
     lean = net.backward(cache, dlogits)
     full = net.backward(cache, dlogits, grads={})
     assert isinstance(lean, np.ndarray) and isinstance(full, np.ndarray)
-    assert lean.dtype == full.dtype and lean.shape == full.shape
+    assert lean.dtype == full.dtype == dtype and lean.shape == full.shape
     assert lean.tobytes() == full.tobytes()
+

@@ -12,6 +12,8 @@ from snnadv.errors import ConfigError, TrainingError
 from snnadv.surrogate import SurrogateSpec
 from snnadv.train import Adam, SGD, evaluate, make_optimizer, train_epochs
 
+from conftest import cache_arrays, held_nbytes, traced_peak
+
 
 class _FixedPredictor:
     """Stub classifier returning preset labels; enough for evaluate()."""
@@ -219,3 +221,25 @@ class TestClassifierPredict:
         assert max(rows) <= EVAL_BATCH and sum(rows) == len(x)
         empty = model.predict(x[:0])
         assert empty.shape == (0,) and empty.dtype == np.intp
+
+
+def test_an_epoch_holds_one_training_cache_at_a_time():
+    # each step drops its cache and gradients, so the next batch's forward
+    # does not run beside them: three steps peak where one does
+    net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                           n_heads=2, seed=0)
+    x, y = synth_digits(384, seed=0)
+    optimizer = SGD()
+
+    def step():
+        logits, cache = net.forward_cached(x[:128])
+        _, dlogits = numerics.softmax_cross_entropy(logits, y[:128])
+        grads = {}
+        net.backward(cache, dlogits, grads)
+        optimizer.step(net.params(), grads)
+
+    _, one_step = traced_peak(step)
+    cache = net.forward_cached(x[:128].copy())[1]
+    _, epoch = traced_peak(lambda: train_epochs(net, x, y, epochs=1, batch_size=128,
+                                                optimizer=optimizer, verbose=False))
+    assert epoch < one_step + held_nbytes(cache_arrays(cache))
