@@ -241,11 +241,16 @@ def build_mlp(dims: list, seed: int = 0, dtype=numerics.DEFAULT_DTYPE) -> AnnNet
 def build_cnn(image_shape: tuple, channels: list, hidden: int, n_classes: int,
               seed: int = 0, dtype=numerics.DEFAULT_DTYPE) -> AnnNet:
     """Small conv net: [conv3x3 + relu + pool] blocks, then dense head."""
+    if min(*image_shape, *channels, hidden, n_classes) < 1:
+        raise ConfigError(f"image sizes, channels, hidden and n_classes must be >= 1, got "
+                          f"{tuple(image_shape)}, {list(channels)}, {hidden} and {n_classes}")
     rng = np.random.default_rng(seed)
     c, h, w = image_shape
     layers = []
     in_c = c
     for out_c in channels:
+        if h % 2 or w % 2:  # the pooling would drop a row or column, or the whole map
+            raise ConfigError(f"avgpool needs even extents, got {h}x{w}")
         layers.append(Conv2d(kaiming_uniform(rng, (out_c, in_c, 3, 3), in_c * 9, dtype)))
         layers.append(ReLU())
         layers.append(AvgPool2d())

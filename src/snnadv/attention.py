@@ -207,6 +207,9 @@ class TinyAttentionNet(Classifier):
         if min(patch, embed, n_heads) < 1:
             raise ConfigError(f"patch, embed and n_heads must be >= 1, got {patch}, {embed} "
                               f"and {n_heads}")
+        if min(c, h, w, n_classes, ffn_hidden) < 1:
+            raise ConfigError(f"image sizes, n_classes and ffn_hidden must be >= 1, got "
+                              f"{(c, h, w)}, {n_classes} and {ffn_hidden}")
         if h % patch or w % patch:
             raise ConfigError(f"image {h}x{w} not divisible into {patch}x{patch} patches")
         if embed % n_heads:

@@ -20,10 +20,27 @@ from . import harness
 from .ann import build_mlp
 from .attacks import AttackConfig, AttackReport, attack_kind, blend_alphas, run_attack
 from .attention import TinyAttentionNet
-from .dynamics import NeuronConfig, SpikingNet, build_snn_mlp
+from .dynamics import READOUT_MEMBRANE, NeuronConfig, SpikingNet, build_snn_mlp
 from .errors import ConfigError, SnnAdvError
 from .surrogate import KINDS, SurrogateSpec
 from .train import evaluate, make_optimizer, train_epochs
+
+# command key -> AttackConfig field, for whichever of these keys a schema has:
+# the field gives the key's default and receives its value
+_ATTACK_FIELDS = {"eps": "eps_max", "eps-step": "eps_step", "steps": "n_iter", "mu": "mu",
+                  "kappa": "kappa", "r": "coeff_lr", "u": "fit_u",
+                  "random-start": "random_start", "seed": "seed"}
+
+
+def _owned(owner, field: str) -> tuple:
+    """The schema entry (type, default) of a setting whose default ``owner`` holds."""
+    default = getattr(owner, field)
+    return type(default), default
+
+
+def _attack_keys(*keys) -> dict:
+    return {key: _owned(AttackConfig, _ATTACK_FIELDS[key]) for key in keys}
+
 
 _COMMON = {
     "out": (str, "run"),
@@ -33,18 +50,11 @@ _COMMON = {
     "n-test": (int, 2000),
 }
 
-_SURROGATE_KEYS = {
-    "surrogate-sigma": (float, 0.4),
-    "surrogate-alpha": (float, 1.0),
-    "surrogate-beta": (float, 5.0),
-}
+_SURROGATE_KEYS = {f"surrogate-{name}": _owned(SurrogateSpec, name)
+                   for name in ("sigma", "alpha", "beta")}
 
 # the attack budget of attack, transfer-matrix and multi-attack
-_BUDGET = {
-    "eps": (float, 0.031),
-    "steps": (int, 40),
-    "n": (int, 200),
-}
+_BUDGET = {**_attack_keys("eps", "steps"), "n": (int, 200)}
 
 _SCHEMAS = {
     "train": {
@@ -55,11 +65,11 @@ _SCHEMAS = {
         "lr": (float, 0.0),              # 0 keeps the optimizer's default
         "optimizer": (str, "auto"),      # auto | adam | sgd
         "batch-size": (int, 128),
-        "surrogate": (str, "arctan"),
+        "surrogate": _owned(SurrogateSpec, "kind"),
         **_SURROGATE_KEYS,
         "timesteps": (int, 8),
-        "readout": (str, "membrane"),
-        "reset": (str, "hard_zero"),
+        "readout": (str, READOUT_MEMBRANE),
+        "reset": _owned(NeuronConfig, "reset"),
         "adapt-decay": (float, -1.0),    # < 0 disables adaptation
         "patch": (int, 4),
         "embed": (int, 32),
@@ -69,11 +79,11 @@ _SCHEMAS = {
     "convert": {
         **_COMMON,
         "ann": (str, ""),
-        "mode": (str, "weight_balance"),
+        "mode": (str, convertmod.WEIGHT_BALANCE),
         "percentile": (float, 99.9),
         "n-calib": (int, 512),
         "timesteps": (int, 64),
-        "surrogate": (str, "arctan"),
+        "surrogate": _owned(SurrogateSpec, "kind"),
         **_SURROGATE_KEYS,
         "fine-tune-epochs": (int, 1),
         "lr": (float, 1e-3),
@@ -84,13 +94,8 @@ _SCHEMAS = {
         "kind": (str, "pgd"),
         "models": (str, ""),
         **_BUDGET,
-        "eps-step": (float, 0.01),
-        "mu": (float, 1.0),
-        "kappa": (float, 0.0),
-        "r": (float, 10000.0),
-        "u": (float, 1.0),
+        **_attack_keys("eps-step", "mu", "kappa", "r", "u", "random-start"),
         "alphas": (str, ""),
-        "random-start": (bool, True),
         "surrogate": (str, ""),          # override the checkpoint's kernel
         **_SURROGATE_KEYS,
     },
@@ -100,8 +105,8 @@ _SCHEMAS = {
         "eps": (str, "0.0062,0.0124,0.0186,0.0248,0.031"),
         "surrogates": (str, ",".join(KINDS)),
         **_SURROGATE_KEYS,
-        "steps": (int, 20),
-        "eps-step": (float, 0.01),
+        "steps": (int, 20),              # a grid cell takes fewer steps than an attack
+        **_attack_keys("eps-step"),
         "n": (int, 200),
     },
     "transfer-matrix": {
@@ -109,30 +114,30 @@ _SCHEMAS = {
         "models": (str, ""),
         "attacks": (str, "fgsm,pgd,mim"),
         **_BUDGET,
-        "eps-step": (float, 0.01),
+        **_attack_keys("eps-step"),
     },
     "multi-attack": {
         **_COMMON,
         "pairs": (str, ""),
         **_BUDGET,
-        "single-eps-step": (float, 0.01),
+        "single-eps-step": _owned(AttackConfig, "eps_step"),
         "saga-eps-step": (float, 0.005),
-        "r": (float, 10000.0),
-        "u": (float, 1.0),
-        "kappa": (float, 0.0),
+        **_attack_keys("r", "u", "kappa"),
         "alphas": (str, ""),             # both blends' coefficients; uniform when empty
     },
 }
 
-# command key -> AttackConfig field, for whichever of these keys a schema has
-_ATTACK_FIELDS = {"eps": "eps_max", "eps-step": "eps_step", "steps": "n_iter", "mu": "mu",
-                  "kappa": "kappa", "r": "coeff_lr", "u": "fit_u",
-                  "random-start": "random_start", "seed": "seed"}
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses unknown flags, missing values and subcommands by ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="snnadv",
-                                     description="spiking-network adversarial toolkit")
+    """Flags keep their values as text, which config._coerce parses like file values."""
+    parser = _Parser(prog="snnadv", description="spiking-network adversarial toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in _SCHEMAS.items():
         p = sub.add_parser(command)
@@ -145,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 group.add_argument(f"--no-{key}", dest=key, action="store_const", const=False,
                                    default=None)
             else:
-                p.add_argument(f"--{key}", dest=key, type=typ, default=None,
-                               help=f"default: {default}")
+                p.add_argument(f"--{key}", dest=key, default=None, help=f"default: {default}")
     ins = sub.add_parser("inspect")
     ins.add_argument("checkpoint")
     return parser
@@ -374,9 +378,8 @@ def cmd_inspect(path: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "inspect":
             return cmd_inspect(args.checkpoint)
         cfg = _resolve(args.command, args)

@@ -58,33 +58,29 @@ def resolve_config(schema: Mapping[str, tuple], *, config_file: Optional[str] = 
                    environ: Optional[Mapping[str, str]] = None) -> dict:
     """Merge defaults < file < environment < flags under a typed schema.
 
-    ``schema`` maps key -> (type, default). Flags with value None are treated
-    as unset.
+    ``schema`` maps key -> (type, default). Every layer's values pass the
+    same unknown-key check and the same ``_coerce``; flags with value None
+    are treated as unset.
     """
     environ = os.environ if environ is None else environ
-    resolved = {key: default for key, (_, default) in schema.items()}
-
+    layers = []
     if config_file:
         file_values = parse_config_file(config_file)
         for key, (value, why) in RETIRED_KEYS.items():
             if key in file_values and _coerce(key, file_values.pop(key), float) != value:
                 raise ConfigError(f"config key {key} is retired: {why}; delete its line")
-        unknown = sorted(set(file_values) - set(schema))
-        if unknown:
-            raise ConfigError(f"unknown config keys in {config_file}: {', '.join(unknown)}")
-        for key, value in file_values.items():
-            resolved[key] = _coerce(key, value, schema[key][0])
+        layers.append((f"in {config_file}", file_values))
+    env_keys = {key: ENV_PREFIX + key.upper().replace("-", "_") for key in schema}
+    layers.append(("from the environment",
+                   {key: environ[name] for key, name in env_keys.items() if name in environ}))
+    layers.append(("from flags", flags or {}))
 
-    for key in schema:
-        env_key = ENV_PREFIX + key.upper().replace("-", "_")
-        if env_key in environ:
-            resolved[key] = _coerce(key, environ[env_key], schema[key][0])
-
-    if flags:
-        unknown = sorted(set(flags) - set(schema))
+    resolved = {key: default for key, (_, default) in schema.items()}
+    for source, values in layers:
+        unknown = sorted(set(values) - set(schema))
         if unknown:
-            raise ConfigError(f"unknown config keys from flags: {', '.join(unknown)}")
-        for key, value in flags.items():
+            raise ConfigError(f"unknown config keys {source}: {', '.join(unknown)}")
+        for key, value in values.items():
             if value is not None:
                 resolved[key] = _coerce(key, value, schema[key][0])
     return resolved

@@ -134,6 +134,8 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
     if not attack_names:
         raise ConfigError("transfer matrix needs at least one attack kind")
     m = len(models)
+    if len(names) != m:
+        raise ConfigError(f"{len(names)} names for {m} models")
     y = np.asarray(y)
     # one prediction pass per model; each pair's mask is the AND of two
     correct = [model.predict(x) == y for model in models]
@@ -214,6 +216,8 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
     Each pair's 2M + 2 runs (MIM then PGD per model, then SAGA, then
     Auto-SAGA) go through ``attacks.run_attack`` on the pair's evaluation set,
     which is re-verified before each run."""
+    if pair_names and len(pair_names) != len(pairs):
+        raise ConfigError(f"{len(pair_names)} pair names for {len(pairs)} pairs")
     rows = []
     for pi, pair in enumerate(pairs):
         models = list(pair)

@@ -345,6 +345,23 @@ class TestAttackRouting:
         union = np.union1d(sets[0].indices, sets[1].indices)
         assert len(union) > 16 and np.array_equal(index, union)
 
+    @pytest.mark.parametrize("run,message", [
+        (lambda models, x, y, cfg: transfer_matrix(models, ["a"], x, y, 16, cfg),
+         "1 names for 2 models"),
+        (lambda models, x, y, cfg: transfer_matrix(models, ["a", "b", "c"], x, y, 16, cfg),
+         "3 names for 2 models"),
+        (lambda models, x, y, cfg: multi_model_comparison(
+            [tuple(models), tuple(models[::-1])], x, y, 16, cfg, cfg, pair_names=["p"]),
+         "1 pair names for 2 pairs"),
+    ], ids=["matrix-short", "matrix-long", "comparison-short"])
+    def test_name_list_of_another_length_is_refused_before_any_run(self, routed, blob_net,
+                                                                    blob_data, run, message):
+        x, y = blob_data
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run([blob_net, build_mlp([6, 10, 2], seed=99)], x, y, cfg)
+        assert routed == []
+
     def test_sweep_makes_one_run_per_kernel_and_nonzero_eps(self, routed, bp_snn, digits):
         _, _, test_x, test_y = digits
         es = select_eval_set([bp_snn], test_x, test_y, 10, seed=0)

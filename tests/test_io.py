@@ -745,6 +745,55 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: config key {key}: cannot parse") and "\n" not in err
 
+    # one int and one float key of each subcommand
+    _INT_KEYS = {"train": "epochs", "convert": "n-calib", "attack": "steps",
+                 "sweep-surrogate": "steps", "transfer-matrix": "n", "multi-attack": "n"}
+    _FLOAT_KEYS = {"train": "lr", "convert": "percentile", "attack": "eps",
+                   "sweep-surrogate": "eps-step", "transfer-matrix": "eps",
+                   "multi-attack": "saga-eps-step"}
+
+    @pytest.mark.parametrize("argv,message", [
+        *[([command, f"--{key}", "2.5"], f"config key {key}: cannot parse '2.5' as int")
+          for command, key in _INT_KEYS.items()],
+        *[([command, f"--{key}", "abc"], f"config key {key}: cannot parse 'abc' as float")
+          for command, key in _FLOAT_KEYS.items()],
+        *[([command, "--bogus", "1"], "unrecognized arguments: --bogus 1")
+          for command in _INT_KEYS],
+        *[([command, f"--{key}"], f"argument --{key}: expected one argument")
+          for command, key in _FLOAT_KEYS.items()],
+        ([], "the following arguments are required: command"),
+    ], ids=[*(f"{c}-int" for c in _INT_KEYS), *(f"{c}-float" for c in _FLOAT_KEYS),
+            *(f"{c}-unknown-flag" for c in _INT_KEYS), *(f"{c}-no-value" for c in _FLOAT_KEYS),
+            "no-subcommand"])
+    def test_refused_command_line_is_one_line_error(self, tmp_path, capsys, argv, message):
+        out = ["--out", str(tmp_path / "o")] if argv else []
+        assert self.run(*argv[:1], *out, *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value,typ", [("steps", "2.5", "int"), ("eps", "abc", "float")])
+    def test_flag_environment_and_file_values_parse_alike(self, tmp_path, monkeypatch, capsys,
+                                                          key, value, typ):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        errors = []
+        for argv, env in [([f"--{key}", value], {}), (["--config", str(cfg)], {}),
+                          ([], {f"SNNADV_{key.upper()}": value})]:
+            with monkeypatch.context() as patch:
+                for name, text in env.items():
+                    patch.setenv(name, text)
+                assert self.run("attack", *argv, "--out", str(tmp_path / "o")) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: config key {key}: cannot parse {value!r} as {typ}\n"] * 3
+
+    @pytest.mark.parametrize("argv", [["-h"], ["attack", "-h"]], ids=["top", "attack"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            self.run(*argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: snnadv")
+
     @pytest.mark.parametrize("argv,message", [
         (["attack", "--kind", "bogus"],
          "unknown attack kind 'bogus'; choose one of fgsm, pgd, mim, saga, autosaga"),

@@ -1,13 +1,16 @@
 """What the SNN, the ANN and the attention net share: one input check
 (``numerics.as_batch``) and one weight init."""
 
+import re
+
 import numpy as np
 import pytest
 
+from snnadv import checkpoint
 from snnadv.ann import Dense, build_cnn, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.dynamics import build_snn_mlp
-from snnadv.errors import DimensionError, EvaluationError
+from snnadv.errors import ConfigError, DimensionError, EvaluationError
 
 MODELS = {
     "snn": lambda: build_snn_mlp([784, 8, 10], T=2, seed=1),
@@ -74,3 +77,49 @@ class TestAstype:
         for name, p in back.params():
             assert p.dtype == source[name].dtype and p.tobytes() == source[name].tobytes()
         assert back.forward(IMAGES).tobytes() == model.forward(IMAGES).tobytes()
+
+
+class TestBuilderSizes:
+    """A builder refuses a size that leaves a layer empty before it draws a
+    weight, and every net it builds is one that load_model takes back."""
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: TinyAttentionNet(patch=7, embed=8, n_layers=1, ffn_hidden=0),
+         "image sizes, n_classes and ffn_hidden must be >= 1, got (1, 28, 28), 10 and 0"),
+        (lambda: TinyAttentionNet(image_shape=(0, 8, 8), patch=4, embed=8, n_layers=1),
+         "image sizes, n_classes and ffn_hidden must be >= 1, got (0, 8, 8), 10 and 64"),
+        (lambda: TinyAttentionNet(patch=7, embed=8, n_layers=1, n_classes=0),
+         "image sizes, n_classes and ffn_hidden must be >= 1, got (1, 28, 28), 0 and 64"),
+        (lambda: build_cnn((1, 8, 8), [0], 8, 3),
+         "image sizes, channels, hidden and n_classes must be >= 1, got (1, 8, 8), [0], 8 "
+         "and 3"),
+        (lambda: build_cnn((1, 8, 8), [2], 0, 3),
+         "image sizes, channels, hidden and n_classes must be >= 1, got (1, 8, 8), [2], 0 "
+         "and 3"),
+        (lambda: build_cnn((1, 8, 8), [2], 8, 0),
+         "image sizes, channels, hidden and n_classes must be >= 1, got (1, 8, 8), [2], 8 "
+         "and 0"),
+        (lambda: build_cnn((0, 8, 8), [2], 8, 3),
+         "image sizes, channels, hidden and n_classes must be >= 1, got (0, 8, 8), [2], 8 "
+         "and 3"),
+        # a 1x1 map pooled by 2 leaves nothing for the dense head
+        (lambda: build_cnn((1, 4, 4), [2, 2, 2], 8, 3), "avgpool needs even extents, got 1x1"),
+    ], ids=["attention-ffn", "attention-channels", "attention-classes", "cnn-channels",
+            "cnn-hidden", "cnn-classes", "cnn-image", "cnn-pooled-away"])
+    def test_zero_size_is_one_line_config_error(self, make, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("make,width", [
+        (lambda: TinyAttentionNet(image_shape=(1, 1, 1), patch=1, embed=1, n_layers=1,
+                                  n_heads=1, n_classes=1, ffn_hidden=1), 1),
+        (lambda: build_cnn((1, 2, 2), [1], 1, 1), 4),
+        (lambda: build_mlp([1, 1]), 1),
+        (lambda: build_snn_mlp([1, 1], T=1), 1),
+    ], ids=["attention", "cnn", "mlp", "snn"])
+    def test_smallest_nets_round_trip(self, make, width, tmp_path):
+        model = make()
+        checkpoint.save_model(tmp_path / "m.snnm", model)
+        loaded, _ = checkpoint.load_model(tmp_path / "m.snnm")
+        x = np.full((2, width), 0.5, dtype=np.float32)
+        assert loaded.forward(x).tobytes() == model.forward(x).tobytes()
