@@ -20,14 +20,19 @@ from . import numerics
 from .errors import ConfigError, DimensionError
 
 
-# rows per forward in Classifier.predict and per row block of an attention
-# input gradient, which bounds their buffers
+# rows per forward in Classifier.predict and per row block of the attacks'
+# evaluation of an attention net, which bounds their buffers
 EVAL_BATCH = 128
 
 
 class Classifier:
     """``forward`` and ``predict`` over each model's own ``forward_cached``,
-    ``params`` over a ``layers`` stack, and ``astype`` over ``params``."""
+    ``params`` over a ``layers`` stack, and ``astype`` over ``params``.
+
+    ``grad_rows`` is the most rows per forward of the attacks' gradient
+    evaluation; None, one forward and backward on the whole batch."""
+
+    grad_rows = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]

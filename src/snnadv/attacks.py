@@ -12,10 +12,12 @@ in what order. The input gradients are seeded per sample (softmax - onehot,
 not divided by the batch size), and PGD's random start is keyed on the
 sample's dataset index (``index``), not on its position in the batch. This is
 what lets a transfer matrix attack the union of several evaluation sets once
-and read each set's rows out of the result. The floor is 16 rows: below it
-BLAS switches to other kernels, and the bytes of the gradients, so of the
-attack outputs, may differ from those of the same samples in a larger batch.
-Batches are never padded to reach it.
+and read each set's rows out of the result, and what makes the gradients of a
+model evaluated over row blocks of ``grad_rows`` (the attention net, whose
+forward cache is the largest buffer an attack holds) the bytes of one pass.
+The floor is 16 rows: below it BLAS switches to other kernels, and the bytes
+of the gradients, so of the attack outputs, may differ from those of the same
+samples in a larger batch. Batches are never padded to reach it.
 """
 
 from __future__ import annotations
@@ -151,15 +153,44 @@ def keyed_uniform(seed: int, index, row_size: int) -> np.ndarray:
     return u
 
 
+def _evaluate(model, x: np.ndarray, labels: np.ndarray, blend: Optional[np.ndarray] = None,
+              alpha: Optional[np.ndarray] = None, kappa: Optional[float] = None) -> tuple:
+    """The logits, the per-sample cross-entropy input gradient (shaped like x)
+    and, given ``kappa``, the margin loss's one (else None), all from one
+    forward; given ``blend``, ``_blend_term`` with ``alpha`` is added into it
+    in place. No parameter gradient is computed.
+
+    A model whose ``grad_rows`` is set is evaluated over ceil(n / grad_rows)
+    equal row blocks, each block's forward cache dropped before the next
+    forward, so no cache holds more than a block's rows; batch invariance
+    makes the bytes those of one pass. Other models take one pass and no copy.
+    """
+    n = len(x)
+    block = getattr(model, "grad_rows", None)
+    count = -(-n // block) if block and n > block else 1
+    bounds = [n * i // count for i in range(count + 1)]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        xb, yb = x[lo:hi], labels[lo:hi]
+        logits, cache = model.forward_cached(xb)
+        _, seed = numerics.softmax_cross_entropy(logits, yb, mean=False)
+        grad = model.backward(cache, seed).reshape(xb.shape)
+        margin_grad = None if kappa is None else \
+            model.backward(cache, margin_loss(logits, yb, kappa)[1]).reshape(xb.shape)
+        if blend is not None:
+            blend[lo:hi] += _blend_term(model, alpha[lo:hi], xb, cache, grad)
+        del cache
+        blocks.append((logits, grad, margin_grad))
+    if count == 1:
+        return blocks[0]
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
+
+
 def loss_input_grad(model, x: np.ndarray, labels: np.ndarray) -> tuple:
-    """The logits, the cross-entropy gradient w.r.t. the input (shaped like
-    x), and the forward cache both came from. The gradient is seeded per
-    sample, so its rows do not depend on the rest of the batch. No parameter
-    gradient is computed."""
-    logits, cache = model.forward_cached(x)
-    _, dlogits = numerics.softmax_cross_entropy(logits, labels, mean=False)
-    dinput = model.backward(cache, dlogits)
-    return logits, dinput.reshape(np.asarray(x).shape), cache
+    """The logits and the cross-entropy gradient w.r.t. the input (shaped like
+    x). The gradient is seeded per sample, so its rows do not depend on the
+    rest of the batch. No parameter gradient is computed."""
+    return _evaluate(model, np.asarray(x), labels)[:2]
 
 
 def margin_loss(logits: np.ndarray, labels: np.ndarray, kappa: float
@@ -255,7 +286,7 @@ def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
 
     def momentum(x_adv):
         nonlocal g
-        _, grad, _ = loss_input_grad(model, x_adv, labels)
+        _, grad = loss_input_grad(model, x_adv, labels)
         l1 = np.sum(np.abs(grad), axis=axes, keepdims=True)
         normed = np.divide(grad, l1, out=np.zeros_like(grad), where=l1 > 0)
         g = cfg.mu * g + normed
@@ -290,20 +321,17 @@ def _blend(models: Sequence, rows: np.ndarray, x_adv: np.ndarray, labels: np.nda
            kappa: Optional[float] = None) -> tuple[np.ndarray, list, list]:
     """The blend sum_k rows[:, k] * mask_k * g_k at ``x_adv``, the input
     gradients g_k of cross-entropy and, given ``kappa``, those of the margin
-    loss (else none), both from one forward per model. Attention models
-    contribute rollout-masked gradients, the rest plain ones; a zero
-    coefficient adds an exact zero. One model's forward cache is alive at a time."""
+    loss (else none), both from one forward per model and row block. Attention
+    models contribute rollout-masked gradients, the rest plain ones; a zero
+    coefficient adds an exact zero. One forward cache is alive at a time."""
     columns = rows.T.astype(x_adv.dtype).reshape(rows.shape[::-1] + (1,) * (x_adv.ndim - 1))
     blend = np.zeros_like(x_adv)
     grads, margin_grads = [], []
     for model, alpha in zip(models, columns):
-        logits, grad, cache = loss_input_grad(model, x_adv, labels)
-        if kappa is not None:
-            seed = margin_loss(logits, labels, kappa)[1]
-            margin_grads.append(model.backward(cache, seed).reshape(x_adv.shape))
-        blend += _blend_term(model, alpha, x_adv, cache, grad)
+        _, grad, margin_grad = _evaluate(model, x_adv, labels, blend, alpha, kappa)
         grads.append(grad)
-        del cache
+        if kappa is not None:
+            margin_grads.append(margin_grad)
     return blend, grads, margin_grads
 
 
@@ -311,7 +339,7 @@ def saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
          trace: Optional[list] = None) -> np.ndarray:
     """Auto-SAGA's blend with the coefficients held: every step follows the
     blend at the start rows of ``cfg.alphas`` (uniform when None), the same
-    for every sample and iteration. One model's forward cache is alive at a time."""
+    for every sample and iteration. One forward cache is alive at a time."""
     x = np.asarray(x)
     rows = blend_alphas(cfg.alphas, len(models), len(x))
     return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter,
@@ -326,12 +354,12 @@ def auto_saga(models: Sequence, x: np.ndarray, labels: np.ndarray, cfg: AttackCo
     masked-gradient blend, project, then walk each coefficient down the
     margin-loss slope (the sign is smoothed by u*sech^2(u*sum of gradients)
     for the coefficient derivative). Both input gradients are seeded per
-    sample, so a sample's coefficient step does not scale with the batch
-    size. Each model's margin gradient follows its cross-entropy gradient, so
-    one model's forward cache is alive at a time, and the float64 walk runs
-    after every cache is gone. Coefficients are per sample, start at SAGA's
-    rows, are clamped non-negative and renormalized to sum one; fully
-    collapsed rows reset to uniform.
+    sample, so a sample's coefficient step does not scale with the batch size.
+    Each model's margin gradient follows its cross-entropy gradient, so one
+    forward cache (a model's, or one row block's) is alive at a time, and the
+    float64 walk runs after every cache is gone. Coefficients are per sample,
+    start at SAGA's rows, are clamped non-negative and renormalized to sum
+    one; fully collapsed rows reset to uniform.
 
     Returns the adversarial batch and the coefficient trajectory
     [n_iter + 1, n, n_models].

@@ -21,13 +21,14 @@ and the results of products (Q/K/V, the attention weights, the merged
 context, the FFN's hidden layer), which the input gradient reads. The patch
 copy, the LayerNorm outputs and the head's features are read only by
 parameter gradients, so a backward given a ``grads`` dict rebuilds them with
-the forward's own operations, to the same bytes. A backward without one runs
-the blocks over row blocks of at most ``ann.EVAL_BATCH`` rows (every product
-in a block is per sample, so the bytes do not depend on the block size); one
-with it runs them on the whole batch, since parameter gradients sum over
-every row. Each gradient buffer is dropped right after its last read, so
-beyond the cache a backward holds at most a row block's attention-weight
-gradient, its fused dQ/dK/dV buffer and about two [rows, T, E] activations.
+the forward's own operations, to the same bytes. Each gradient buffer is
+dropped right after its last read, so beyond the cache a backward holds at
+most block 0's attention-weight gradient, its fused dQ/dK/dV buffer and
+about two [n, T, E] activations. The cache of a batch is the largest buffer
+an attack meets, so ``grad_rows`` (``ann.EVAL_BATCH``) has the attacks take
+input gradients over row blocks of at most that many rows, forward
+included: every product is per sample, so the bytes do not depend on the
+block size.
 
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
@@ -157,14 +158,6 @@ def layernorm_backward(dy, cache, gamma, grads=None, prefix=""):
     return dx
 
 
-def _row_block(caches, part):
-    """The per-block caches of ``forward_cached`` for the batch rows ``part``
-    (views); the weights they carry serve every row."""
-    return [((xhat1[part], inv1[part]), w_qkv, wq, qkv[part], q[part], att[part], ctxm[part],
-             (xhat2[part], inv2[part]), r[part])
-            for (xhat1, inv1), w_qkv, wq, qkv, q, att, ctxm, (xhat2, inv2), r in caches]
-
-
 def _transposed(w):
     """``w.T`` as a contiguous copy: numpy multiplies a stack of matrices by
     it about twice as fast as by the strided view."""
@@ -197,6 +190,8 @@ class TinyAttentionNet(Classifier):
     """
 
     kind = "attention"
+    # the attacks' row block: the cost per row is flat from about 50 rows
+    grad_rows = EVAL_BATCH
 
     def __init__(self, image_shape: tuple = (1, 28, 28), patch: int = 4, embed: int = 32,
                  n_layers: int = 2, n_heads: int = 2, n_classes: int = 10,
@@ -320,12 +315,15 @@ class TinyAttentionNet(Classifier):
 
         Given a ``grads`` dict (training), it also writes all parameter
         gradients into it under the names ``params`` gives; without one
-        (attacks) none are computed, and the blocks run over row blocks of at
-        most ``EVAL_BATCH`` rows. The cache is only read, so one cache serves
-        any number of backwards.
+        (attacks) none are computed. The cache is only read, so one cache
+        serves any number of backwards.
+
+        Parameter gradients are taken as soon as their operands exist, and
+        each buffer is dropped after its last read: dh1 and ``dt`` before the
+        attention branch, dctx after dV, datt after dQ and dK, dqkv after dl1
+        and the QKV weight gradient.
         """
         imgs, caches, lnf_cache, _ = cache
-        n = imgs.shape[0]
         dlogits = np.asarray(dlogits, dtype=self.wp.dtype)
         dfeat = dlogits @ self.wc.T
         dcls_tok = layernorm_backward(dfeat, lnf_cache, self.lnf_g, grads, "lnf_")
@@ -333,23 +331,6 @@ class TinyAttentionNet(Classifier):
             feat = layernorm_output(lnf_cache, self.lnf_g, self.lnf_b)
             grads["wc"] = feat.T @ dlogits
             grads["bc"] = dlogits.sum(axis=0)
-            dx = self._blocks_backward(imgs, caches, dcls_tok, grads)
-        else:
-            parts = [slice(start, start + EVAL_BATCH) for start in range(0, n, EVAL_BATCH)]
-            dx = np.concatenate([self._blocks_backward(imgs[part], _row_block(caches, part),
-                                                       dcls_tok[part]) for part in parts])
-        numerics.require_finite(dx, "input gradient")
-        return dx
-
-    def _blocks_backward(self, imgs, caches, dcls_tok, grads=None):
-        """Input gradient, [n, c*h*w], of the rows of ``imgs`` and ``caches``
-        given ``dcls_tok``, the gradient of the last block's class token.
-
-        Parameter gradients are taken as soon as their operands exist, and
-        each buffer is dropped after its last read: dh1 and ``dt`` before the
-        attention branch, dctx after dV, datt after dQ and dK, dqkv after dl1
-        and the QKV weight gradient.
-        """
         n = imgs.shape[0]
         H, E = self.n_heads, self.embed
         dh = E // H
@@ -417,7 +398,9 @@ class TinyAttentionNet(Classifier):
             grads["wp"] = patches.reshape(-1, patches.shape[-1]).T @ dtok.reshape(-1, E)
             grads["bp"] = dtok.sum(axis=(0, 1))
         dpat = dtok @ _transposed(self.wp)
-        return self._from_patches(dpat, n).reshape(n, -1)
+        dx = self._from_patches(dpat, n).reshape(n, -1)
+        numerics.require_finite(dx, "input gradient")
+        return dx
 
     def params(self):
         return ([("wp", self.wp), ("bp", self.bp), ("cls", self.cls), ("pos", self.pos)]

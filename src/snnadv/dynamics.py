@@ -340,9 +340,10 @@ class SpikingNet(Classifier):
             dxw = synapse_filter(layer.synapse, di[::-1])[::-1]
             stream = streams[li]
             if stream.shape[0] == 1:
-                # the adjoint of the broadcast over time is a sum over time
-                ones = np.ones(T, dtype=layer.w.dtype)
-                dxw = (ones @ dxw.reshape(T, -1)).reshape(1, n, layer.out_width)
+                # the adjoint of the broadcast over time is a sum over time,
+                # taken in time order per entry, so its bytes do not depend on
+                # the row count (a BLAS matrix-vector product's may)
+                dxw = dxw.sum(axis=0, keepdims=True)
             if grads is not None:
                 grads[f"layer{li}.w"] = (stream.reshape(-1, layer.in_width).T
                                          @ dxw.reshape(-1, layer.out_width))

@@ -174,7 +174,7 @@ def test_criterion_3_attack_algebra(blob_net, blob_data):
     got = mim(blob_net, x, y, cfg)
     xi = np.clip(x, 0, 1)
     for _ in range(steps):
-        _, g, _ = loss_input_grad(blob_net, xi, y)
+        _, g = loss_input_grad(blob_net, xi, y)
         xi = project(xi + (0.2 / steps) * np.sign(g).astype(x.dtype), x, 0.2)
     ok &= bool(np.array_equal(got, xi))
     cfg2 = AttackConfig(eps_max=0.15, eps_step=0.03, n_iter=6, random_start=False)

@@ -149,7 +149,7 @@ class TestFgsm:
     def test_moves_each_pixel_by_eps_or_not_at_all(self, blob_net, blob_data):
         x, y = blob_data
         eps = 0.07
-        _, grad, _ = loss_input_grad(blob_net, x, y)
+        _, grad = loss_input_grad(blob_net, x, y)
         x_adv = fgsm(blob_net, x, y, eps)
         raw = x + eps * np.sign(grad).astype(x.dtype)
         assert np.array_equal(x_adv, np.clip(raw, 0, 1))
@@ -217,7 +217,7 @@ class TestMim:
         got = mim(blob_net, x, y, cfg)
         xi = np.clip(x, 0, 1)
         for _ in range(steps):
-            _, g, _ = loss_input_grad(blob_net, xi, y)
+            _, g = loss_input_grad(blob_net, xi, y)
             xi = project(xi + (0.2 / steps) * np.sign(g).astype(x.dtype), x, 0.2)
         assert np.array_equal(got, xi)
 

@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snnadv import numerics
-from snnadv.ann import EVAL_BATCH
-from snnadv.attacks import AttackConfig, pgd
+from snnadv import attacks, numerics
+from snnadv.attacks import AttackConfig, auto_saga, loss_input_grad, pgd
 from snnadv.attention import (TinyAttentionNet, attention_rollout, ones_mask,
                               rollout_matrix)
 from snnadv.errors import ConfigError, DimensionError
@@ -190,14 +189,28 @@ def test_backward_holds_block_zero_attention_and_three_activations(training):
     assert peak < att.nbytes + qkv.nbytes + 3 * xhat.nbytes
 
 
-def test_gradient_only_backward_holds_one_row_block():
-    # without a grads dict the blocks run EVAL_BATCH rows at a time, so the
-    # bound above shrinks to one row block's share of block 0's buffers
+def test_attack_gradients_hold_one_row_block():
+    # the attacks evaluate the net grad_rows rows at a time, forward
+    # included, so 200 rows take two blocks of 100: an input gradient peaks
+    # below one block's evaluation plus its 200-row outputs, and Auto-SAGA
+    # below one block's blend evaluation plus six 200-row arrays (its bounds,
+    # iterate and blend, and the model's two input gradients)
     n = 200
-    net, logits, cache = bench_sized_case(n)
-    (xhat, _), _, _, qkv, _, att = cache[1][0][:6]
-    _, peak = traced_peak(net.backward, cache, np.ones_like(logits))
-    assert peak < (att.nbytes + qkv.nbytes + 3 * xhat.nbytes) * EVAL_BATCH // n
+    net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                           n_heads=2, seed=0)
+    assert net.grad_rows < n <= 2 * net.grad_rows
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0, 1, (n, 784)).astype(np.float32)
+    y = rng.integers(0, 10, n)
+    half = slice(0, n // 2)
+    _, block = traced_peak(loss_input_grad, net, x[half], y[half])
+    (logits, grad), peak = traced_peak(loss_input_grad, net, x, y)
+    assert peak < block + logits.nbytes + grad.nbytes
+    _, blend_block = traced_peak(attacks._blend, [net], np.ones((n // 2, 1)), x[half], y[half],
+                                 0.0)
+    _, peak = traced_peak(auto_saga, [net], x, y,
+                          AttackConfig(eps_max=0.031, eps_step=0.005, n_iter=2))
+    assert peak < blend_block + 6 * x.nbytes
 
 
 def test_cache_holds_only_what_the_input_gradient_reads():

@@ -7,6 +7,7 @@ BLAS threads compute it. The floor is 16 rows: below it BLAS picks other
 kernels and the bytes may differ, so every batch here keeps at least 16 rows.
 """
 
+import copy
 import os
 import subprocess
 import sys
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 
 import snnadv
 from snnadv import attacks, harness
-from snnadv.ann import build_mlp
+from snnadv.ann import EVAL_BATCH, build_mlp
 from snnadv.attacks import AttackConfig, keyed_uniform, pgd
+from snnadv.attention import TinyAttentionNet
+from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import ConfigError
 from snnadv.harness import select_eval_set, transfer_matrix
 
@@ -91,6 +94,44 @@ def test_permuted_and_split_batches_give_the_same_bytes(families, references, ki
         assert np.array_equal(adv, want_adv[rows])
         if alpha is not None:
             assert np.array_equal(alpha, want_alpha[:, rows])
+
+
+# past one row block: the attention net's evaluation takes three blocks of 91
+BLOCKED = 2 * EVAL_BATCH + 17
+
+
+@pytest.mark.parametrize("kind", ["grad", "pgd", "mim", "saga", "auto_saga"])
+def test_row_blocks_give_the_bytes_of_one_pass(bp_snn, attention_net, digits, kind,
+                                               monkeypatch):
+    _, _, test_x, test_y = digits
+    x, y = test_x[:BLOCKED].reshape(BLOCKED, 1, 28, 28), test_y[:BLOCKED]
+    one_pass = copy.copy(attention_net)
+    one_pass.grad_rows = None
+    rows = {id(attention_net): set(), id(one_pass): set()}
+    forward = TinyAttentionNet.forward_cached
+    monkeypatch.setattr(TinyAttentionNet, "forward_cached",
+                        lambda self, xb: rows[id(self)].add(len(xb)) or forward(self, xb))
+    (blocked_adv, blocked_alpha), (want_adv, want_alpha) = [
+        _run(kind, [net] if kind in ("grad", "pgd", "mim") else [net, bp_snn], x, y,
+             np.arange(BLOCKED)) for net in (attention_net, one_pass)]
+    assert rows == {id(attention_net): {91}, id(one_pass): {BLOCKED}}
+    assert blocked_adv.tobytes() == want_adv.tobytes()
+    if want_alpha is not None:
+        assert blocked_alpha.tobytes() == want_alpha.tobytes()
+
+
+@pytest.mark.parametrize("name, rows, more", [("converted", 100, 300), ("snn-64-12-3", 18, 24)])
+def test_spiking_input_gradient_rows_do_not_depend_on_the_batch(converted_snn, digits, name,
+                                                                rows, more):
+    # the sum over time of the input layer's gradient, which the network
+    # input's single time slice takes, is the same per row in any batch
+    _, _, test_x, test_y = digits
+    net = converted_snn if name == "converted" else build_snn_mlp([64, 12, 3], T=4, seed=1)
+    x = test_x[:more] if name == "converted" else \
+        np.random.default_rng(0).uniform(0, 1, (more, 64)).astype(np.float32)
+    y = test_y[:more] % net.layers[-1].out_width
+    grad = attacks.loss_input_grad(net, x, y)[1]
+    assert attacks.loss_input_grad(net, x[:rows], y[:rows])[1].tobytes() == grad[:rows].tobytes()
 
 
 class _Flat:

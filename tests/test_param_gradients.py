@@ -117,8 +117,8 @@ def test_backward_stores_nothing_on_the_model(name):
     assert sorted(grads) == sorted(pname for pname, _ in net.params())
 
 
-# without a grads dict the attention blocks run EVAL_BATCH rows at a time, so
-# these rows take three row blocks; with one they run on the whole batch
+# more rows than an attack evaluates the attention net at a time: its
+# backward takes every row at once, with a grads dict or without
 BLOCKED_ROWS = 2 * EVAL_BATCH + 17
 
 
