@@ -5,8 +5,11 @@ A layer is ``forward(x)``, which returns ``(out, cache)``; ``backward(dout,
 cache, grads=None, prefix="")``, which returns the input gradient and, given
 a ``grads`` dict, writes its parameter gradients there under ``prefix`` plus
 their ``params`` names; and ``params()``, its (name, array) pairs. Models
-get ``forward``, ``predict`` (EVAL_BATCH rows per forward) and ``astype``
-from ``Classifier``; ``checkpoint`` owns each layer type's format.
+get ``forward``, ``predict`` and ``astype`` from ``Classifier``;
+``checkpoint`` owns each layer type's format. ``row_blocks`` is the one rule
+for the rows of a forward, in predict and in the attacks: no block holds
+more than the model's ``block_rows``, nor, from 16 rows up, fewer than 16,
+the floor above which a float32 row's bytes do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -20,29 +23,34 @@ from . import numerics
 from .errors import ConfigError, DimensionError
 
 
-# rows per forward in Classifier.predict and per row block of the attacks'
-# evaluation of an attention net, which bounds their buffers
-EVAL_BATCH = 128
+def row_blocks(n: int, block_rows: int) -> list:
+    """The slices of ceil(n / block_rows) contiguous blocks that cover n rows,
+    their sizes equal or one apart; none for no rows. A batch of 16 rows or
+    more gets no block below 16 when block_rows >= 32, since every block of
+    a batch past one block holds at least block_rows // 2 rows."""
+    count = -(-n // block_rows)
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
 class Classifier:
     """``forward`` and ``predict`` over each model's own ``forward_cached``,
     ``params`` over a ``layers`` stack, and ``astype`` over ``params``.
 
-    ``grad_rows`` is the most rows per forward of the attacks' gradient
-    evaluation; None, one forward and backward on the whole batch."""
+    ``block_rows`` is the most rows of one forward, in ``predict`` and in the
+    attacks' gradient evaluation (``row_blocks``); it bounds their buffers."""
 
-    grad_rows = None
+    block_rows = 256
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """The argmax of one forward on all of ``x`` (every row is computed on
-        its own), taken EVAL_BATCH rows per forward, so no forward holds the
-        buffers of more than EVAL_BATCH rows; no rows give an empty array."""
-        return np.concatenate([np.argmax(self.forward(x[start:start + EVAL_BATCH]), axis=1)
-                               for start in range(0, len(x), EVAL_BATCH)]
+        its own), taken over ``row_blocks``, so no forward holds the buffers
+        of more than ``block_rows`` rows; no rows give an empty array and run
+        no forward."""
+        return np.concatenate([np.argmax(self.forward(x[rows]), axis=1)
+                               for rows in row_blocks(len(x), self.block_rows)]
                               or [np.zeros(0, dtype=np.intp)])
 
     def params(self):

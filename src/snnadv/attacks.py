@@ -13,11 +13,13 @@ not divided by the batch size), and PGD's random start is keyed on the
 sample's dataset index (``index``), not on its position in the batch. This is
 what lets a transfer matrix attack the union of several evaluation sets once
 and read each set's rows out of the result, and what makes the gradients of a
-model evaluated over row blocks of ``grad_rows`` (the attention net, whose
-forward cache is the largest buffer an attack holds) the bytes of one pass.
-The floor is 16 rows: below it BLAS switches to other kernels, and the bytes
-of the gradients, so of the attack outputs, may differ from those of the same
-samples in a larger batch. Batches are never padded to reach it.
+model evaluated over ``ann.row_blocks`` of its ``block_rows`` (4 blocks of 50
+for the attention net at 200 rows, one pass for the spiking and conventional
+nets up to 256) the bytes of one pass. The floor is 16 float32 rows: below
+it BLAS switches to other kernels, and the bytes of the gradients, so of the
+attack outputs, may differ from those of the same samples in a larger batch.
+Every block of a batch of 16 rows or more holds at least 16; batches are
+never padded to reach it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numerics
+from .ann import Classifier, row_blocks
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -160,29 +163,29 @@ def _evaluate(model, x: np.ndarray, labels: np.ndarray, blend: Optional[np.ndarr
     forward; given ``blend``, ``_blend_term`` with ``alpha`` is added into it
     in place. No parameter gradient is computed.
 
-    A model whose ``grad_rows`` is set is evaluated over ceil(n / grad_rows)
-    equal row blocks, each block's forward cache dropped before the next
-    forward, so no cache holds more than a block's rows; batch invariance
-    makes the bytes those of one pass. Other models take one pass and no copy.
+    The rows are taken over ``row_blocks`` of the model's ``block_rows`` (the
+    ``Classifier`` default for a model without one), each block's forward
+    cache dropped before the next forward, so no cache holds more than a
+    block's rows; batch invariance makes the bytes those of one pass. A batch
+    of one block takes one pass and no copy; no rows run no forward.
     """
-    n = len(x)
-    block = getattr(model, "grad_rows", None)
-    count = -(-n // block) if block and n > block else 1
-    bounds = [n * i // count for i in range(count + 1)]
     blocks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        xb, yb = x[lo:hi], labels[lo:hi]
+    for rows in row_blocks(len(x), getattr(model, "block_rows", Classifier.block_rows)):
+        xb, yb = x[rows], labels[rows]
         logits, cache = model.forward_cached(xb)
         _, seed = numerics.softmax_cross_entropy(logits, yb, mean=False)
         grad = model.backward(cache, seed).reshape(xb.shape)
         margin_grad = None if kappa is None else \
             model.backward(cache, margin_loss(logits, yb, kappa)[1]).reshape(xb.shape)
         if blend is not None:
-            blend[lo:hi] += _blend_term(model, alpha[lo:hi], xb, cache, grad)
+            blend[rows] += _blend_term(model, alpha[rows], xb, cache, grad)
         del cache
         blocks.append((logits, grad, margin_grad))
-    if count == 1:
+    if len(blocks) == 1:
         return blocks[0]
+    if not blocks:
+        return (np.zeros((0, model.n_classes), dtype=x.dtype), np.zeros_like(x),
+                None if kappa is None else np.zeros_like(x))
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -197,8 +200,10 @@ def margin_loss(logits: np.ndarray, labels: np.ndarray, kappa: float
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-other-class softmax margin, floored at -kappa, per sample.
 
-    Returns the margin values and the seed gradient w.r.t. the logits. At
-    kappa=0 the margin is negative exactly when the sample is misclassified.
+    Returns the margin values and the seed gradient w.r.t. the logits. The
+    margin is the best other class's probability minus the true class's: it
+    is negative exactly when the sample is classified correctly, so at
+    kappa=0 the value is positive iff the sample is fooled, else 0.
     """
     s = numerics.softmax(np.asarray(logits, dtype=np.float64))
     n, c = s.shape

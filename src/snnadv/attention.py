@@ -25,10 +25,10 @@ the forward's own operations, to the same bytes. Each gradient buffer is
 dropped right after its last read, so beyond the cache a backward holds at
 most block 0's attention-weight gradient, its fused dQ/dK/dV buffer and
 about two [n, T, E] activations. The cache of a batch is the largest buffer
-an attack meets, so ``grad_rows`` (``ann.EVAL_BATCH``) has the attacks take
-input gradients over row blocks of at most that many rows, forward
-included: every product is per sample, so the bytes do not depend on the
-block size.
+an attack meets, so ``block_rows`` is 64: ``predict`` and the attacks run the
+net over ``ann.row_blocks`` of at most that many rows, forward included (4
+blocks of 50 at 200 rows). Every product is per sample, so in float32 a
+block of 16 rows or more has the bytes of the same rows in one pass.
 
 The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
@@ -41,10 +41,12 @@ the rollout suite checks.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import numerics
-from .ann import EVAL_BATCH, Classifier, kaiming_uniform
+from .ann import Classifier, kaiming_uniform
 from .errors import ConfigError, DimensionError
 
 
@@ -106,13 +108,21 @@ def attention_rollout(records: list, x: np.ndarray) -> np.ndarray:
     return mask * x
 
 
+@lru_cache(maxsize=None)
+def _mean_weights(e, dtype):
+    """e read-only weights 1/e in ``dtype``, made once per pair."""
+    w = np.full(e, 1.0 / e, dtype=dtype)
+    w.flags.writeable = False
+    return w
+
+
 def _row_mean(a):
     """Mean over the last axis, kept as a length-1 axis. ``einsum`` is
     several times faster than numpy's reduction over a short last axis, and
     unlike a BLAS matrix-vector product its bytes per row do not depend on
     the row count, which keeps attacks batch-invariant."""
     e = a.shape[-1]
-    mean = np.einsum("ij,j->i", a.reshape(-1, e), np.full(e, 1.0 / e, dtype=a.dtype))
+    mean = np.einsum("ij,j->i", a.reshape(-1, e), _mean_weights(e, a.dtype))
     return mean.reshape(a.shape[:-1] + (1,))
 
 
@@ -190,8 +200,8 @@ class TinyAttentionNet(Classifier):
     """
 
     kind = "attention"
-    # the attacks' row block: the cost per row is flat from about 50 rows
-    grad_rows = EVAL_BATCH
+    # the cost per row is flat from about 50 rows
+    block_rows = 64
 
     def __init__(self, image_shape: tuple = (1, 28, 28), patch: int = 4, embed: int = 32,
                  n_layers: int = 2, n_heads: int = 2, n_classes: int = 10,
@@ -363,15 +373,16 @@ class TinyAttentionNet(Classifier):
             datt = dctx @ qkv[:, :, -1].transpose(0, 2, 3, 1)
             dqkv = np.empty_like(qkv)
             dq = dqkv[:, :, 0] if fused_q else np.empty_like(q)
-            np.matmul(att.transpose(0, 1, 3, 2), dctx,
-                      out=dqkv[:, :, -1].transpose(0, 2, 1, 3))
+            # dV and dK: with one query row, a product over it is one multiply
+            outer = np.matmul if rows > 1 else np.multiply
+            outer(att.transpose(0, 1, 3, 2), dctx, out=dqkv[:, :, -1].transpose(0, 2, 1, 3))
             del dctx
             # softmax backward, in place: datt becomes att * (datt - <datt, att>)
             datt -= np.einsum("...j,...j->...", datt, att)[..., None]
             datt *= att
             np.matmul(datt, qkv[:, :, -2].transpose(0, 2, 1, 3), out=dq.transpose(0, 2, 1, 3))
-            np.matmul(datt.transpose(0, 1, 3, 2), q.transpose(0, 2, 1, 3),
-                      out=dqkv[:, :, -2].transpose(0, 2, 1, 3))
+            outer(datt.transpose(0, 1, 3, 2), q.transpose(0, 2, 1, 3),
+                  out=dqkv[:, :, -2].transpose(0, 2, 1, 3))
             del datt
             dl1 = dqkv.reshape(n, -1, w_qkv.shape[1]) @ _transposed(w_qkv)
             if not fused_q:

@@ -5,6 +5,7 @@ Training happens once per session; every fixture is seeded and deterministic.
 
 import logging
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextmanager
+def forward_inputs(model):
+    """The inputs of every ``forward_cached`` call on ``model`` while the
+    block runs, in call order; their lengths are the row blocks."""
+    inputs = []
+    forward_cached = model.forward_cached
+    model.forward_cached = lambda x: inputs.append(x) or forward_cached(x)
+    try:
+        yield inputs
+    finally:
+        del model.forward_cached
 
 
 def cache_arrays(cache):

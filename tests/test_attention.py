@@ -190,24 +190,25 @@ def test_backward_holds_block_zero_attention_and_three_activations(training):
 
 
 def test_attack_gradients_hold_one_row_block():
-    # the attacks evaluate the net grad_rows rows at a time, forward
-    # included, so 200 rows take two blocks of 100: an input gradient peaks
-    # below one block's evaluation plus its 200-row outputs, and Auto-SAGA
-    # below one block's blend evaluation plus six 200-row arrays (its bounds,
-    # iterate and blend, and the model's two input gradients)
+    # the attacks evaluate the net block_rows rows at a time, forward
+    # included, so 200 rows take equal blocks of fewer: an input gradient
+    # peaks below one block's evaluation plus its 200-row outputs, and
+    # Auto-SAGA below one block's blend evaluation plus six 200-row arrays
+    # (its bounds, iterate and blend, and the model's two input gradients)
     n = 200
     net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
                            n_heads=2, seed=0)
-    assert net.grad_rows < n <= 2 * net.grad_rows
+    count = -(-n // net.block_rows)
+    assert count > 1 and n % count == 0
     rng = np.random.default_rng(14)
     x = rng.uniform(0, 1, (n, 784)).astype(np.float32)
     y = rng.integers(0, 10, n)
-    half = slice(0, n // 2)
-    _, block = traced_peak(loss_input_grad, net, x[half], y[half])
+    first = slice(0, n // count)
+    _, block = traced_peak(loss_input_grad, net, x[first], y[first])
     (logits, grad), peak = traced_peak(loss_input_grad, net, x, y)
     assert peak < block + logits.nbytes + grad.nbytes
-    _, blend_block = traced_peak(attacks._blend, [net], np.ones((n // 2, 1)), x[half], y[half],
-                                 0.0)
+    _, blend_block = traced_peak(attacks._blend, [net], np.ones((n // count, 1)), x[first],
+                                 y[first], 0.0)
     _, peak = traced_peak(auto_saga, [net], x, y,
                           AttackConfig(eps_max=0.031, eps_step=0.005, n_iter=2))
     assert peak < blend_block + 6 * x.nbytes

@@ -15,17 +15,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import snnadv
 from snnadv import attacks, harness
-from snnadv.ann import EVAL_BATCH, build_mlp
+from snnadv.ann import build_mlp
 from snnadv.attacks import AttackConfig, keyed_uniform, pgd
 from snnadv.attention import TinyAttentionNet
 from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import ConfigError
 from snnadv.harness import select_eval_set, transfer_matrix
+
+from conftest import forward_inputs
 
 FLOOR = 16           # the smallest batch whose bytes match a larger batch's
 N = 2 * FLOOR + 8    # rows in the reference batch
@@ -96,25 +98,59 @@ def test_permuted_and_split_batches_give_the_same_bytes(families, references, ki
             assert np.array_equal(alpha, want_alpha[:, rows])
 
 
-# past one row block: the attention net's evaluation takes three blocks of 91
-BLOCKED = 2 * EVAL_BATCH + 17
+@pytest.fixture(scope="module")
+def block_cases(attention_net, bp_snn, blob_net, digits):
+    """700 rows and labels for a model of each family."""
+    _, _, test_x, test_y = digits
+    rng = np.random.default_rng(5)
+    blobs = rng.uniform(-3, 3, (700, 6)).astype(np.float32), rng.integers(0, 2, 700)
+    return {"attention": (attention_net, test_x[:700], test_y[:700]),
+            "snn": (bp_snn, test_x[:700], test_y[:700]), "mlp": (blob_net, *blobs)}
+
+
+@pytest.mark.parametrize("name", ["attention", "snn", "mlp"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@example(n=0)
+@example(n=15)
+@example(n=129)
+@example(n=700)
+@given(n=st.integers(0, 700))
+def test_every_forward_takes_one_bounded_row_block(block_cases, name, n):
+    # predict and the attacks cut n rows into contiguous blocks of at most
+    # block_rows, none below the floor when n reaches it, so the predictions
+    # are the argmax of one pass
+    model, x, y = block_cases[name]
+    x, y = x[:n], y[:n]
+    outs = []
+    for run in (model.predict, lambda rows: attacks.loss_input_grad(model, rows, y)):
+        with forward_inputs(model) as inputs:
+            outs.append(run(x))
+        rows = [len(xb) for xb in inputs]
+        assert sum(rows) == n and all(0 < r <= model.block_rows for r in rows)
+        assert n < FLOOR or min(rows) >= FLOOR
+        if n:
+            assert np.concatenate(inputs).tobytes() == x.tobytes()
+    predicted, (_, grad) = outs
+    assert grad.shape == x.shape
+    want = np.argmax(model.forward(x), axis=1) if n else np.zeros(0, dtype=np.intp)
+    assert predicted.dtype == want.dtype and np.array_equal(predicted, want)
+
+
+# past one row block: the attention net's evaluation takes three equal blocks
+BLOCKED = 3 * (TinyAttentionNet.block_rows - 3)
 
 
 @pytest.mark.parametrize("kind", ["grad", "pgd", "mim", "saga", "auto_saga"])
-def test_row_blocks_give_the_bytes_of_one_pass(bp_snn, attention_net, digits, kind,
-                                               monkeypatch):
+def test_row_blocks_give_the_bytes_of_one_pass(bp_snn, attention_net, digits, kind):
     _, _, test_x, test_y = digits
     x, y = test_x[:BLOCKED].reshape(BLOCKED, 1, 28, 28), test_y[:BLOCKED]
     one_pass = copy.copy(attention_net)
-    one_pass.grad_rows = None
-    rows = {id(attention_net): set(), id(one_pass): set()}
-    forward = TinyAttentionNet.forward_cached
-    monkeypatch.setattr(TinyAttentionNet, "forward_cached",
-                        lambda self, xb: rows[id(self)].add(len(xb)) or forward(self, xb))
-    (blocked_adv, blocked_alpha), (want_adv, want_alpha) = [
-        _run(kind, [net] if kind in ("grad", "pgd", "mim") else [net, bp_snn], x, y,
-             np.arange(BLOCKED)) for net in (attention_net, one_pass)]
-    assert rows == {id(attention_net): {91}, id(one_pass): {BLOCKED}}
+    one_pass.block_rows = BLOCKED
+    with forward_inputs(attention_net) as blocked, forward_inputs(one_pass) as whole:
+        (blocked_adv, blocked_alpha), (want_adv, want_alpha) = [
+            _run(kind, [net] if kind in ("grad", "pgd", "mim") else [net, bp_snn], x, y,
+                 np.arange(BLOCKED)) for net in (attention_net, one_pass)]
+    assert {len(xb) for xb in blocked} == {BLOCKED // 3} and {len(xb) for xb in whole} == {BLOCKED}
     assert blocked_adv.tobytes() == want_adv.tobytes()
     if want_alpha is not None:
         assert blocked_alpha.tobytes() == want_alpha.tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
-from snnadv.ann import EVAL_BATCH, build_cnn, build_mlp
+from snnadv.ann import build_cnn, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.dynamics import NeuronConfig, build_snn_mlp
 
@@ -119,7 +119,7 @@ def test_backward_stores_nothing_on_the_model(name):
 
 # more rows than an attack evaluates the attention net at a time: its
 # backward takes every row at once, with a grads dict or without
-BLOCKED_ROWS = 2 * EVAL_BATCH + 17
+BLOCKED_ROWS = 2 * TinyAttentionNet.block_rows + 17
 
 
 @pytest.mark.parametrize("name, rows, dtype", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snnadv import numerics
-from snnadv.ann import EVAL_BATCH, build_mlp
+from snnadv.ann import build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.data import synth_blobs, synth_digits
 from snnadv.dynamics import NeuronConfig, build_snn_mlp
@@ -12,7 +12,7 @@ from snnadv.errors import ConfigError, TrainingError
 from snnadv.surrogate import SurrogateSpec
 from snnadv.train import Adam, SGD, evaluate, make_optimizer, train_epochs
 
-from conftest import cache_arrays, held_nbytes, traced_peak
+from conftest import cache_arrays, forward_inputs, held_nbytes, traced_peak
 
 
 class _FixedPredictor:
@@ -209,16 +209,14 @@ class TestClassifierPredict:
         build_snn_mlp([64, 5, 3], T=3, seed=0),
         TinyAttentionNet(image_shape=(1, 8, 8), patch=4, embed=8, n_layers=1, n_heads=2,
                          n_classes=3, seed=0)], ids=["ann", "snn", "attention"])
-    def test_slices_give_the_argmax_of_one_forward(self, model, monkeypatch):
-        x = np.random.default_rng(0).uniform(0, 1, (2 * EVAL_BATCH + 17, 1, 8, 8))
+    def test_slices_give_the_argmax_of_one_forward(self, model):
+        x = np.random.default_rng(0).uniform(0, 1, (2 * model.block_rows + 17, 1, 8, 8))
         x = x.astype(np.float32)
         whole = np.argmax(model.forward(x), axis=1)
-        rows = []
-        forward_cached = model.forward_cached
-        monkeypatch.setattr(model, "forward_cached",
-                            lambda xs: rows.append(len(xs)) or forward_cached(xs))
-        assert np.array_equal(model.predict(x), whole)
-        assert max(rows) <= EVAL_BATCH and sum(rows) == len(x)
+        with forward_inputs(model) as inputs:
+            assert np.array_equal(model.predict(x), whole)
+        rows = [len(xs) for xs in inputs]
+        assert max(rows) <= model.block_rows and sum(rows) == len(x)
         empty = model.predict(x[:0])
         assert empty.shape == (0,) and empty.dtype == np.intp
 
