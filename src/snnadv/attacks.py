@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numerics
-from .ann import Classifier, row_blocks
+from .ann import row_blocks
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -163,14 +163,14 @@ def _evaluate(model, x: np.ndarray, labels: np.ndarray, blend: Optional[np.ndarr
     forward; given ``blend``, ``_blend_term`` with ``alpha`` is added into it
     in place. No parameter gradient is computed.
 
-    The rows are taken over ``row_blocks`` of the model's ``block_rows`` (the
-    ``Classifier`` default for a model without one), each block's forward
-    cache dropped before the next forward, so no cache holds more than a
-    block's rows; batch invariance makes the bytes those of one pass. A batch
-    of one block takes one pass and no copy; no rows run no forward.
+    The rows are taken over ``row_blocks`` of the model's ``block_rows``,
+    each block's forward cache dropped before the next forward, so no cache
+    holds more than a block's rows; batch invariance makes the bytes those of
+    one pass. A batch of one block takes one pass and no copy; no rows run no
+    forward and give empty outputs in the model's dtype, as a forward would.
     """
     blocks = []
-    for rows in row_blocks(len(x), getattr(model, "block_rows", Classifier.block_rows)):
+    for rows in row_blocks(len(x), model.block_rows):
         xb, yb = x[rows], labels[rows]
         logits, cache = model.forward_cached(xb)
         _, seed = numerics.softmax_cross_entropy(logits, yb, mean=False)
@@ -184,8 +184,9 @@ def _evaluate(model, x: np.ndarray, labels: np.ndarray, blend: Optional[np.ndarr
     if len(blocks) == 1:
         return blocks[0]
     if not blocks:
-        return (np.zeros((0, model.n_classes), dtype=x.dtype), np.zeros_like(x),
-                None if kappa is None else np.zeros_like(x))
+        dtype = model.params()[0][1].dtype
+        grad = np.zeros(x.shape, dtype)
+        return np.zeros((0, model.n_classes), dtype), grad, None if kappa is None else grad
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
 
 

@@ -41,8 +41,6 @@ the rollout suite checks.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import numerics
@@ -108,21 +106,13 @@ def attention_rollout(records: list, x: np.ndarray) -> np.ndarray:
     return mask * x
 
 
-@lru_cache(maxsize=None)
-def _mean_weights(e, dtype):
-    """e read-only weights 1/e in ``dtype``, made once per pair."""
-    w = np.full(e, 1.0 / e, dtype=dtype)
-    w.flags.writeable = False
-    return w
-
-
 def _row_mean(a):
     """Mean over the last axis, kept as a length-1 axis. ``einsum`` is
     several times faster than numpy's reduction over a short last axis, and
     unlike a BLAS matrix-vector product its bytes per row do not depend on
     the row count, which keeps attacks batch-invariant."""
     e = a.shape[-1]
-    mean = np.einsum("ij,j->i", a.reshape(-1, e), _mean_weights(e, a.dtype))
+    mean = np.einsum("ij,j->i", a.reshape(-1, e), np.full(e, 1.0 / e, dtype=a.dtype))
     return mean.reshape(a.shape[:-1] + (1,))
 
 
@@ -373,16 +363,15 @@ class TinyAttentionNet(Classifier):
             datt = dctx @ qkv[:, :, -1].transpose(0, 2, 3, 1)
             dqkv = np.empty_like(qkv)
             dq = dqkv[:, :, 0] if fused_q else np.empty_like(q)
-            # dV and dK: with one query row, a product over it is one multiply
-            outer = np.matmul if rows > 1 else np.multiply
-            outer(att.transpose(0, 1, 3, 2), dctx, out=dqkv[:, :, -1].transpose(0, 2, 1, 3))
+            np.matmul(att.transpose(0, 1, 3, 2), dctx,
+                      out=dqkv[:, :, -1].transpose(0, 2, 1, 3))
             del dctx
             # softmax backward, in place: datt becomes att * (datt - <datt, att>)
             datt -= np.einsum("...j,...j->...", datt, att)[..., None]
             datt *= att
             np.matmul(datt, qkv[:, :, -2].transpose(0, 2, 1, 3), out=dq.transpose(0, 2, 1, 3))
-            outer(datt.transpose(0, 1, 3, 2), q.transpose(0, 2, 1, 3),
-                  out=dqkv[:, :, -2].transpose(0, 2, 1, 3))
+            np.matmul(datt.transpose(0, 1, 3, 2), q.transpose(0, 2, 1, 3),
+                      out=dqkv[:, :, -2].transpose(0, 2, 1, 3))
             del datt
             dl1 = dqkv.reshape(n, -1, w_qkv.shape[1]) @ _transposed(w_qkv)
             if not fused_q:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import snnadv
 from snnadv import attacks, harness
-from snnadv.ann import build_mlp
+from snnadv.ann import Classifier, build_mlp
 from snnadv.attacks import AttackConfig, keyed_uniform, pgd
 from snnadv.attention import TinyAttentionNet
 from snnadv.dynamics import build_snn_mlp
@@ -136,6 +136,23 @@ def test_every_forward_takes_one_bounded_row_block(block_cases, name, n):
     assert predicted.dtype == want.dtype and np.array_equal(predicted, want)
 
 
+@pytest.mark.parametrize("name", ["attention", "snn", "mlp"])
+@pytest.mark.parametrize("model_dtype, input_dtype", [(np.float32, np.float64),
+                                                      (np.float64, np.float32)])
+def test_no_rows_give_empty_outputs_like_a_forward(block_cases, name, model_dtype,
+                                                   input_dtype):
+    # no forward runs, yet the logits and the gradient take the model's
+    # dtype and shapes, as one row's forward and backward do
+    model, x, y = block_cases[name]
+    model = model.astype(model_dtype) if model_dtype != np.float32 else model
+    want_logits, want_grad = attacks.loss_input_grad(model, x[:1].astype(input_dtype), y[:1])
+    with forward_inputs(model) as inputs:
+        logits, grad = attacks.loss_input_grad(model, x[:0].astype(input_dtype), y[:0])
+    assert not inputs
+    assert logits.shape == (0, want_logits.shape[1]) and logits.dtype == want_logits.dtype
+    assert grad.shape == x[:0].shape and grad.dtype == want_grad.dtype == model_dtype
+
+
 # past one row block: the attention net's evaluation takes three equal blocks
 BLOCKED = 3 * (TinyAttentionNet.block_rows - 3)
 
@@ -170,7 +187,7 @@ def test_spiking_input_gradient_rows_do_not_depend_on_the_batch(converted_snn, d
     assert attacks.loss_input_grad(net, x[:rows], y[:rows])[1].tobytes() == grad[:rows].tobytes()
 
 
-class _Flat:
+class _Flat(Classifier):
     """A model with zero input gradient, so PGD returns its random start."""
 
     def forward_cached(self, x):
@@ -312,7 +329,7 @@ THREAD_PROBE = """
 import hashlib
 import numpy as np
 from snnadv import attacks
-from snnadv.ann import build_mlp
+from snnadv.ann import Classifier, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.dynamics import build_snn_mlp
 rng = np.random.default_rng(5)
