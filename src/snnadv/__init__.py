@@ -5,7 +5,7 @@ import ctypes
 import platform
 
 from .attacks import AttackConfig, AttackReport, auto_saga, fgsm, mim, pgd, project, saga
-from .attention import TinyAttentionNet, attention_rollout, ones_mask
+from .attention import TinyAttentionNet, attention_rollout
 from .ann import AnnNet, build_cnn, build_mlp
 from .convert import convert_ann_to_snn, fine_tune
 from .dynamics import NeuronConfig, SpikingLayer, SpikingNet, SynapseConfig, build_snn_mlp
@@ -47,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackConfig", "AttackReport", "auto_saga", "fgsm", "mim", "pgd", "project", "saga",
-    "TinyAttentionNet", "attention_rollout", "ones_mask",
+    "TinyAttentionNet", "attention_rollout",
     "AnnNet", "build_cnn", "build_mlp",
     "convert_ann_to_snn", "fine_tune",
     "NeuronConfig", "SpikingLayer", "SpikingNet", "SynapseConfig", "build_snn_mlp",

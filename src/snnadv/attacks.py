@@ -6,20 +6,22 @@ Every attack keeps its iterates inside the l-inf ball of radius eps_max
 around the clean input and inside the valid pixel range [0, 1]. Spiking
 models are differentiated through their configured surrogate kernel.
 
-Batch invariance: a sample's adversarial example (and, for Auto-SAGA, its
-coefficient path) does not depend on which other samples share its batch or
-in what order. The input gradients are seeded per sample (softmax - onehot,
-not divided by the batch size), and PGD's random start is keyed on the
-sample's dataset index (``index``), not on its position in the batch. This is
-what lets a transfer matrix attack the union of several evaluation sets once
-and read each set's rows out of the result, and what makes the gradients of a
-model evaluated over ``ann.row_blocks`` of its ``block_rows`` (4 blocks of 50
-for the attention net at 200 rows, one pass for the spiking and conventional
-nets up to 256) the bytes of one pass. The floor is 16 float32 rows: below
-it BLAS switches to other kernels, and the bytes of the gradients, so of the
-attack outputs, may differ from those of the same samples in a larger batch.
-Every block of a batch of 16 rows or more holds at least 16; batches are
-never padded to reach it.
+Batch invariance, in float32, the working dtype: a sample's adversarial
+example (and, for Auto-SAGA, its coefficient path) does not depend on which
+other samples share its batch or in what order. The input gradients are seeded
+per sample (softmax - onehot, not divided by the batch size), and PGD's random
+start is keyed on the sample's dataset index (``index``), not on its position
+in the batch. This is what lets a transfer matrix attack the union of several
+evaluation sets once and read each set's rows out of the result, and what
+makes the gradients of a model evaluated over ``ann.row_blocks`` of its
+``block_rows`` (4 blocks of 50 for the attention net at 200 rows, one pass for
+the spiking and conventional nets up to 256) the bytes of one pass. The floor
+is 16 float32 rows: below it BLAS switches to other kernels, and the bytes of
+the gradients, so of the attack outputs, may differ from those of the same
+samples in a larger batch. Every block of a batch of 16 rows or more holds at
+least 16; batches are never padded to reach it. float64, the dtype of the
+gradient oracles, has no such promise: there the conventional and attention
+nets give other bytes at many row counts.
 """
 
 from __future__ import annotations

@@ -34,9 +34,7 @@ The rollout mixes each recorded matrix with the identity (half and half),
 averages heads, multiplies the per-layer matrices in depth order, and reads
 the class-token row as per-patch saliency. The row is peak-normalized,
 upsampled to pixels, and multiplied into the input. The blend attacks take
-the gradients of non-attention models as they are; ``ones_mask``, the
-all-ones mask that would leave them unchanged, remains as the reference that
-the rollout suite checks.
+the gradients of non-attention models as they are, unmasked.
 """
 
 from __future__ import annotations
@@ -46,10 +44,6 @@ import numpy as np
 from . import numerics
 from .ann import Classifier, kaiming_uniform
 from .errors import ConfigError, DimensionError
-
-
-def ones_mask(x: np.ndarray) -> np.ndarray:
-    return np.ones_like(np.asarray(x))
 
 
 def rollout_matrix(records: list) -> np.ndarray:

@@ -4,7 +4,8 @@ Layout, all integers little-endian: 4-byte magic, u32 format version, model
 kind tag, architecture descriptor (JSON), configuration echo (JSON), u64
 training seed, then named tensors (dims as u32 counts, data as little-endian
 float32/float64, one of the two for every tensor of a model). Loading a
-saved model reproduces bit-identical weights.
+saved model reproduces bit-identical weights; a length that points past the
+end of the file, or a tensor named twice, is a FormatError.
 
 This module alone owns the architecture descriptor: ``_ANN_LAYERS`` is the
 one table of ANN layer types, read by both ``describe`` and ``_rebuild``.
@@ -13,6 +14,8 @@ one table of ANN layer types, read by both ``describe`` and ``_rebuild``.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -68,10 +71,11 @@ def _write_str(fh, text: str, width: str = "<H") -> None:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    # a length read from the file is checked against the bytes left in it before
+    # any buffer is made for it
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise FormatError(f"truncated checkpoint: expected {count} bytes for {what}")
-    return data
+    return fh.read(count)
 
 
 def _read_str(fh, width: str, what: str) -> str:
@@ -238,13 +242,15 @@ def load_model(path):
         tensors = {}
         for _ in range(count):
             name = _read_str(fh, "<H", "tensor name")
+            if name in tensors:
+                raise FormatError(f"tensor {name} appears twice in the checkpoint")
             (tag,) = struct.unpack("<B", _read_exact(fh, 1, "dtype tag"))
             if tag not in _TAG_DTYPES:
                 raise FormatError(f"unknown tensor dtype tag {tag}")
             dtype = _TAG_DTYPES[tag]
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
-            raw = _read_exact(fh, int(np.prod(dims)) * dtype.itemsize, f"tensor {name}")
+            raw = _read_exact(fh, math.prod(dims) * dtype.itemsize, f"tensor {name}")
             tensors[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")) \
                 .astype(dtype).reshape(dims)
         trailing = fh.read(1)

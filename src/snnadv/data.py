@@ -1,10 +1,11 @@
 """Dataset ingestion and synthesis.
 
 IDX files (the MNIST binary layout) are parsed bit-exactly: big-endian magic
-and counts, unsigned-byte pixels scaled to [0, 1]. When no real MNIST files
-are available the package synthesizes a deterministic 28x28 ten-class digit
-set from bitmap glyphs (random placement, scale, intensity, and noise), which
-round-trips through the same IDX reader/writer. ``load_split`` turns a data
+and counts, unsigned-byte pixels scaled to [0, 1]; counts that point past the
+end of the file are a FormatError. When no real MNIST files are available the
+package synthesizes a deterministic 28x28 ten-class digit set from bitmap
+glyphs (random placement, scale, intensity, and noise), which round-trips
+through this parser and the tests' IDX writer. ``load_split`` turns a data
 source name into a run's training and test rows.
 """
 
@@ -41,11 +42,11 @@ _GLYPHS = [
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated IDX file: expected {count} bytes for {what}, "
-                          f"got {len(data)}")
-    return data
+    # header counts are checked against the bytes left before any buffer is made
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise FormatError(f"truncated IDX file: expected {count} bytes for {what}, got {left}")
+    return fh.read(count)
 
 
 def _read_idx(path, magic: int, what: str) -> np.ndarray:
@@ -78,41 +79,8 @@ def _scaled(pixels: np.ndarray) -> np.ndarray:
     return x
 
 
-def load_idx_images(path) -> np.ndarray:
-    return _scaled(_read_idx(path, IMAGES_MAGIC, "image"))
-
-
 def load_idx_labels(path) -> np.ndarray:
     return _read_idx(path, LABELS_MAGIC, "label").astype(np.int64)
-
-
-def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    pixels, labels = _read_idx_pair(images_path, labels_path)
-    return _scaled(pixels), labels
-
-
-def save_idx_images(path, images: np.ndarray) -> None:
-    """Write [n, rows, cols] images: uint8 as they are, floats in [0, 1]
-    quantized to 0..255 in one scratch array. Other integer dtypes are refused,
-    since their range is not [0, 1]."""
-    images = np.asarray(images)
-    if images.dtype.kind in "iu" and images.dtype != np.uint8:
-        raise FormatError(f"IDX images must be uint8 or float in [0, 1], got {images.dtype}")
-    if images.dtype != np.uint8:
-        scratch = images * 255.0
-        np.rint(scratch, out=scratch)
-        images = np.clip(scratch, 0, 255, out=scratch).astype(np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-
-
-def save_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABELS_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
 
 
 def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0,

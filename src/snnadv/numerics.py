@@ -1,15 +1,13 @@
 """Dense-tensor primitives every other module builds on.
 
 Tensors are plain numpy ndarrays in row-major order: float32 is the working
-precision for training and attacks, float64 is reserved for gradient oracles
-(central finite differences are unreliable in 32-bit). The loss and oracle
-helpers check shapes at the boundary and surface NaN/Inf as an error instead
-of propagating it.
+precision for training and attacks, float64 that of the tests' gradient
+oracles (central finite differences are unreliable in 32-bit). The loss helper
+checks shapes at the boundary and surfaces NaN/Inf as an error instead of
+propagating it.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -82,36 +80,3 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
         raise EvaluationError("non-finite cross-entropy loss")
     return loss, dlogits.astype(logits.dtype)
 
-
-def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                           h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, computed in 64-bit.
-
-    The testing oracle for all hand-written backward passes; ``f`` must be
-    pure.
-    """
-    if h <= 0:
-        raise EvaluationError("finite-difference step h must be positive")
-    x = np.array(x, dtype=GRAD_CHECK_DTYPE)
-    grad = np.zeros_like(x)
-    flat_x = x.reshape(-1)
-    flat_g = grad.reshape(-1)
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + h
-        fp = float(f(x))
-        flat_x[i] = orig - h
-        fm = float(f(x))
-        flat_x[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError("non-finite objective value during finite differences")
-        flat_g[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
-    """Max absolute deviation scaled by the reference magnitude."""
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
-    scale = max(float(np.max(np.abs(want))) if want.size else 0.0, 1e-12)
-    return float(np.max(np.abs(got - want))) / scale if got.size else 0.0

@@ -160,26 +160,6 @@ def antiderivative(spec: SurrogateSpec, v: np.ndarray,
     return np.clip((d + spec.alpha / 2.0) / spec.alpha, 0.0, 1.0)
 
 
-def kink_distance(spec: SurrogateSpec, v: np.ndarray,
-                  threshold: float = 1.0) -> np.ndarray:
-    """Distance from each potential to the kernel's nearest non-smooth point.
-
-    Finite-difference comparisons must skip coordinates closer than ~10h to a
-    kink. Smooth kernels return +inf everywhere.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    d = np.abs(v - threshold)
-    kind = spec.kind
-    if kind in (SIGMOID, ERFC, ARCTAN):
-        return np.full_like(d, np.inf)
-    if kind == PIECEWISE_LINEAR:
-        return np.minimum(d, np.abs(d - 1.0))
-    if kind == RECTANGULAR:
-        return np.abs(d - spec.alpha / 2.0)
-    # fast-sigmoid and piecewise-exp kink only at the threshold itself
-    return d
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; e^-|x| <= 1 never overflows,
     # and max(e, x >= 0) picks the numerator without masks (np.where is slower)

@@ -13,9 +13,9 @@ import numpy as np
 from snnadv import checkpoint, numerics
 from snnadv.ann import build_cnn, build_mlp
 from snnadv.attacks import AttackConfig, auto_saga, fgsm, loss_input_grad, mim, pgd, project, saga
-from snnadv.attention import TinyAttentionNet, ones_mask, rollout_matrix
+from snnadv.attention import TinyAttentionNet, rollout_matrix
 from snnadv.cli import main as cli_main
-from snnadv.data import load_idx_images, save_idx_images, synth_digits
+from snnadv.data import synth_digits
 from snnadv.dynamics import (NeuronConfig, SynapseConfig, build_snn_mlp,
                              step_adaptive, step_lif_hard, step_lif_soft, synapse_filter)
 from snnadv.errors import FormatError
@@ -23,6 +23,9 @@ from snnadv.harness import (multi_model_comparison, select_eval_set,
                             surrogate_sweep, transferability)
 from snnadv.surrogate import KINDS, SurrogateSpec, surrogate_grad
 from snnadv.train import evaluate
+
+from oracles import (finite_difference_grad, load_idx_images, max_rel_err, ones_mask,
+                     save_idx_images)
 
 ARCTAN = SurrogateSpec(kind="arctan")
 
@@ -105,13 +108,13 @@ def test_criterion_1_gradient_oracles():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         for case in range(50):
             net64, x, y = make(rng, np.float64)
-            fd = numerics.finite_difference_grad(_ce_loss_fn(net64, y), x, h=1e-6)
+            fd = finite_difference_grad(_ce_loss_fn(net64, y), x, h=1e-6)
             if case % 2 == 0:
                 got, tol = _input_grad(net64, x, y), 1e-5
             else:
                 net32 = net64.astype(np.float32)
                 got, tol = _input_grad(net32, x.astype(np.float32), y), 1e-3
-            err = numerics.max_rel_err(got, fd)
+            err = max_rel_err(got, fd)
             errs.append((err, tol))
             ok &= err <= tol
         worst[name] = max(e / t for e, t in errs)

@@ -7,6 +7,8 @@ from snnadv import numerics
 from snnadv.ann import AnnNet, AvgPool2d, Conv2d, Dense, Flatten, ReLU, build_cnn, build_mlp
 from snnadv.errors import ConfigError, DimensionError
 
+from oracles import finite_difference_grad, max_rel_err
+
 
 def ce_input_grad(net, x, y):
     logits, cache = net.forward_cached(x)
@@ -42,9 +44,9 @@ class TestDense:
         x = rng.uniform(0, 1, size=(2, 6))
         y = np.array([0, 2])
         dinput = ce_input_grad(net, x, y)
-        fd = numerics.finite_difference_grad(
+        fd = finite_difference_grad(
             lambda xv: numerics.softmax_cross_entropy(net.forward(xv), y)[0], x, h=1e-6)
-        assert numerics.max_rel_err(dinput, fd) <= 1e-5
+        assert max_rel_err(dinput, fd) <= 1e-5
 
     def test_width_mismatch(self):
         net = build_mlp([6, 4, 3], seed=0)
@@ -80,9 +82,9 @@ class TestConvPool:
         x = rng.uniform(0, 1, size=(2, 1, 6, 6))
         y = np.array([1, 2])
         dinput = ce_input_grad(net, x, y).reshape(x.shape)
-        fd = numerics.finite_difference_grad(
+        fd = finite_difference_grad(
             lambda xv: numerics.softmax_cross_entropy(net.forward(xv), y)[0], x, h=1e-6)
-        assert numerics.max_rel_err(dinput, fd) <= 1e-5
+        assert max_rel_err(dinput, fd) <= 1e-5
 
     def test_conv_weight_grad_fd(self):
         net = build_cnn((1, 6, 6), [2], 8, 2, seed=4).astype(np.float64)
@@ -103,8 +105,8 @@ class TestConvPool:
             conv.w[...] = old
             return out
 
-        fd = numerics.finite_difference_grad(loss_of, conv.w, h=1e-6)
-        assert numerics.max_rel_err(dw, fd) <= 1e-5
+        fd = finite_difference_grad(loss_of, conv.w, h=1e-6)
+        assert max_rel_err(dw, fd) <= 1e-5
 
     def test_odd_extent_pooling_rejected(self):
         pool = AvgPool2d()

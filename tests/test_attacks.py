@@ -13,13 +13,14 @@ from hypothesis.extra.numpy import arrays
 
 from snnadv import attacks, numerics
 from snnadv.ann import AnnNet, Dense, build_mlp
-from snnadv.attention import TinyAttentionNet, ones_mask
+from snnadv.attention import TinyAttentionNet
 from snnadv.attacks import (AttackConfig, AttackReport, auto_saga, fgsm, loss_input_grad,
                             margin_loss, mim, pgd, project, run_attack, saga)
 from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import ConfigError
 
 from conftest import traced_peak
+from oracles import finite_difference_grad, max_rel_err, ones_mask
 
 NAN, INF = float("nan"), float("inf")
 
@@ -543,8 +544,8 @@ class TestMarginLoss:
             return float(margin_loss(z, labels, kappa=0.0)[0].sum())
 
         _, dlogits = margin_loss(logits, labels, kappa=0.0)
-        fd = numerics.finite_difference_grad(f, logits, h=1e-6)
-        assert numerics.max_rel_err(dlogits, fd) <= 1e-5
+        fd = finite_difference_grad(f, logits, h=1e-6)
+        assert max_rel_err(dlogits, fd) <= 1e-5
 
 
 class TestAutoSaga:

@@ -6,11 +6,11 @@ import pytest
 
 from snnadv import attacks, numerics
 from snnadv.attacks import AttackConfig, auto_saga, loss_input_grad, pgd
-from snnadv.attention import (TinyAttentionNet, attention_rollout, ones_mask,
-                              rollout_matrix)
+from snnadv.attention import TinyAttentionNet, attention_rollout, rollout_matrix
 from snnadv.errors import ConfigError, DimensionError
 
 from conftest import cache_arrays, held_nbytes, traced_peak
+from oracles import finite_difference_grad, max_rel_err, ones_mask
 
 
 def random_stochastic(rng, n, heads, tokens, rows=None):
@@ -87,13 +87,13 @@ class TestForward:
         x = np.random.default_rng(n_heads).uniform(0, 1, (4, 1, 8, 8))
         logits, cache = net.forward_cached(x)
         want, want_records = full_token_forward(net, x)
-        assert numerics.max_rel_err(logits, want) <= 1e-12
+        assert max_rel_err(logits, want) <= 1e-12
         records = cache[-1]
         assert records[-1].shape == (4, n_heads, 1, net.n_tokens)
-        assert numerics.max_rel_err(records[-1], want_records[-1][:, :, :1]) <= 1e-12
+        assert max_rel_err(records[-1], want_records[-1][:, :, :1]) <= 1e-12
         for rec, full in zip(records[:-1], want_records[:-1]):
             assert rec.shape == full.shape
-            assert numerics.max_rel_err(rec, full) <= 1e-12
+            assert max_rel_err(rec, full) <= 1e-12
 
     def test_matches_full_token_forward_float32(self):
         # the architecture of the benchmark's attention fixture
@@ -103,7 +103,7 @@ class TestForward:
         logits, cache = net.forward_cached(x)
         want, _ = full_token_forward(net, x)
         assert logits.dtype == np.float32
-        assert numerics.max_rel_err(logits, want) <= 1e-5
+        assert max_rel_err(logits, want) <= 1e-5
         assert cache[-1][-1].shape == (16, 2, 1, net.n_tokens)
 
     def test_input_gradient_fd(self):
@@ -116,9 +116,9 @@ class TestForward:
         logits, cache = net.forward_cached(x)
         _, dlogits = numerics.softmax_cross_entropy(logits, y)
         dinput = net.backward(cache, dlogits).reshape(x.shape)
-        fd = numerics.finite_difference_grad(
+        fd = finite_difference_grad(
             lambda xv: numerics.softmax_cross_entropy(net.forward(xv), y)[0], x, h=1e-6)
-        assert numerics.max_rel_err(dinput, fd) <= 1e-5
+        assert max_rel_err(dinput, fd) <= 1e-5
 
 
 class TestCacheIsReadOnly:

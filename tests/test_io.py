@@ -15,14 +15,14 @@ from snnadv.ann import AnnNet, Conv2d, Dense, Flatten, ReLU, build_cnn, build_ml
 from snnadv.attention import TinyAttentionNet
 from snnadv.cli import _SCHEMAS, _build_parser, main as cli_main
 from snnadv.config import parse_config_file, resolve_config, write_config_echo
-from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, _permute_rows, load_idx_images,
-                         load_idx_labels, load_mnist_idx, load_split, save_idx_images,
-                         save_idx_labels, synth_blobs, synth_digits)
+from snnadv.data import (_GLYPHS, IMAGES_MAGIC, MNIST_ENV_VAR, _permute_rows, load_idx_labels,
+                         load_split, synth_blobs, synth_digits)
 from snnadv.dynamics import NeuronConfig, SpikingLayer, SynapseConfig, build_snn_mlp
 from snnadv.errors import ConfigError, DimensionError, FormatError
 from snnadv.surrogate import SurrogateSpec
 
 from conftest import traced_peak
+from oracles import load_idx_images, load_mnist_idx, save_idx_images, save_idx_labels
 
 
 class TestIdxFormat:
@@ -51,9 +51,11 @@ class TestIdxFormat:
 
     def test_truncated_file_is_error_not_crash(self, tmp_path):
         path = tmp_path / "short"
-        path.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, 10, 28, 28) + b"\x00" * 100)
-        with pytest.raises(FormatError, match="truncated"):
-            load_idx_images(path)
+        # a short file, then counts of 2**48 and 2**96 pixels, which no buffer holds
+        for counts in [(10, 28, 28), (65536, 65536, 65536), (2**32 - 1,) * 3]:
+            path.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, *counts) + b"\x00" * 100)
+            with pytest.raises(FormatError, match="truncated"):
+                load_idx_images(path)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "i", tmp_path / "l"
@@ -292,6 +294,20 @@ FORMAT_PINS = [
 ]
 
 
+# layer0.w dims of build_mlp([4, 3]) spliced to 16 GiB, and to 2**64 elements,
+# which np.prod wraps to 0
+HUGE_DIMS = struct.pack("<III", 2, 65536, 65536)
+WRAPPING_DIMS = struct.pack("<5I", 4, *(65536,) * 4)
+
+
+def duplicate_last_tensor(blob: bytes) -> bytes:
+    """A build_mlp([4, 3]) checkpoint that lists layer0.b twice, its count raised by one."""
+    last = blob.index(b"\x08\x00layer0.b")
+    count_at = blob.index(b"\x08\x00layer0.w") - 4
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    return blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4:] + blob[last:]
+
+
 def unpadded_conv_net(seed):
     rng = np.random.default_rng(seed)
     return AnnNet([Conv2d(kaiming_uniform(rng, (2, 1, 3, 3), 9, np.float32),
@@ -500,7 +516,13 @@ class TestCheckpoint:
          "checkpoint tensors do not match the architecture descriptor"),
         (lambda b: b.replace(struct.pack("<III", 2, 4, 3), struct.pack("<III", 2, 3, 4), 1),
          r"tensor layer0.w shape \(3, 4\) != expected \(4, 3\)"),
-    ], ids=["version", "kind", "dtype-tag", "trailing-byte", "renamed-tensor", "swapped-dims"])
+        (lambda b: b.replace(struct.pack("<III", 2, 4, 3), HUGE_DIMS, 1),
+         "truncated checkpoint: expected 17179869184 bytes for tensor layer0.w"),
+        (lambda b: b.replace(struct.pack("<III", 2, 4, 3), WRAPPING_DIMS, 1),
+         "truncated checkpoint: expected 73786976294838206464 bytes for tensor layer0.w"),
+        (duplicate_last_tensor, "tensor layer0.b appears twice in the checkpoint"),
+    ], ids=["version", "kind", "dtype-tag", "trailing-byte", "renamed-tensor", "swapped-dims",
+            "dims-past-the-end", "dims-wrapping-int64", "duplicate-tensor"])
     def test_spliced_file_is_refused(self, tmp_path, splice, match):
         path = tmp_path / "m.snnm"
         checkpoint.save_model(path, build_mlp([4, 3], seed=0), seed=0)
@@ -997,6 +1019,15 @@ class TestCli:
         assert self.run("inspect", str(path)) == 2
         err = capsys.readouterr().err.strip()
         assert err == "error: checkpoint architecture.patch must be at least 1, got 0"
+
+    def test_dims_past_the_end_are_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "m.snnm"
+        checkpoint.save_model(path, build_mlp([4, 3], seed=0), seed=0)
+        path.write_bytes(path.read_bytes().replace(struct.pack("<III", 2, 4, 3), HUGE_DIMS, 1))
+        assert self.run("inspect", str(path)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == ("error: truncated checkpoint: expected 17179869184 bytes for "
+                       "tensor layer0.w")
 
     def test_readme_commands_parse(self):
         # guards README's CLI block against flag drift

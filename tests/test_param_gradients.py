@@ -11,6 +11,8 @@ from snnadv.ann import build_cnn, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.dynamics import NeuronConfig, build_snn_mlp
 
+from oracles import finite_difference_grad, max_rel_err
+
 F64 = np.float64
 
 
@@ -57,8 +59,8 @@ def test_param_gradients_match_fd(name):
             param[...] = old
             return out
 
-        fd = numerics.finite_difference_grad(loss_of, param, h=1e-6)
-        assert numerics.max_rel_err(grad, fd) <= 1e-5, pname
+        fd = finite_difference_grad(loss_of, param, h=1e-6)
+        assert max_rel_err(grad, fd) <= 1e-5, pname
 
 
 LEAN_NETS = {

@@ -10,10 +10,11 @@ import pytest
 from scipy.special import erf, expit
 
 from snnadv.errors import ConfigError, EvaluationError
-from snnadv.numerics import max_rel_err
 from snnadv.surrogate import (KINDS, PIECEWISE_EXP, PIECEWISE_LINEAR, RECTANGULAR,
                               SurrogateSpec, antiderivative, canonical_kind, heaviside,
-                              kink_distance, surrogate_grad)
+                              surrogate_grad)
+
+from oracles import kink_distance, max_rel_err
 
 GRID = np.linspace(-4.0, 6.0, 10_001)  # dense potential grid around theta=1
 
