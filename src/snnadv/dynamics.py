@@ -15,8 +15,13 @@ final step (spike-count readout selectable).
 
 Each step rule writes through ``out=`` straight into the trace's [T, n, w]
 buffers, which start empty because every slot is written. The backward
-writes dv[t] over the kernel value in its own di[t], with [n, w] scratch,
-and never writes into a trace, so one trace serves several backwards.
+takes the surrogate kernel one step at a time and writes dv[t] over the
+incoming gradient's slot t, a buffer it made itself and has just read, so a
+spiking layer holds one [T, n, w] gradient buffer beside its trace, with
+[n, w] scratch. Only the broadcast seed of a spiking last layer, or a
+kernel wider than the gradient (the 64-bit literal piecewise-exp), takes a
+new buffer. The backward never writes into a trace, so one trace serves
+several backwards.
 
 The backward pass substitutes a surrogate kernel for the Heaviside
 derivative and, unless ``detach_reset`` is set, differentiates the
@@ -286,6 +291,11 @@ class SpikingNet(Classifier):
         adjoint (the same filter run backwards in time), is summed over time
         where the layer's input stream has one slice (the network input),
         and then meets one weight-gradient and one input-gradient matmul.
+        A spiking layer takes its kernel one step at a time and writes its
+        potential gradient over its output-stream gradient, which the layer
+        above's input-gradient matmul made, so each layer holds one
+        [T, n, w] gradient buffer; a new one is made only for the broadcast
+        seed dlogits / T or a kernel wider than that gradient.
         """
         if trace.fingerprint != self._fingerprint():
             raise StateError("trace does not match this network configuration")
@@ -308,9 +318,14 @@ class SpikingNet(Classifier):
             else:
                 do_ext = (np.broadcast_to(dlogits / T, (T, n, layer.out_width))
                           if d_stream is None else d_stream)
-                # dv[t] overwrites its kernel value in di[t]; a and dk are scratch
-                di = surrogate_grad(self.surrogate, lt.v, threshold=cfg.threshold)
-                dv_next, dk, a = np.zeros((3, n, layer.out_width), dtype=di.dtype)
+                # dv[t] is written over d_stream[t], which this backward made
+                # and has just read; a new buffer only for the broadcast seed,
+                # or for a kernel wider than the gradient (read off an empty
+                # slice): the literal pwe kernel and its recursion are 64-bit
+                dtype = surrogate_grad(self.surrogate, lt.v[:0], threshold=cfg.threshold).dtype
+                di = (d_stream if d_stream is not None and d_stream.dtype == dtype
+                      else np.empty(do_ext.shape, dtype=dtype))
+                dv_next, dk, a = np.zeros((3, n, layer.out_width), dtype=dtype)  # scratch
                 for t in range(T - 1, -1, -1):
                     do_tot = do_ext[t]
                     if not self.detach_reset:
@@ -322,7 +337,10 @@ class SpikingNet(Classifier):
                         else:
                             reset = np.multiply(dv_next, -cfg.threshold, out=a)
                         do_tot = np.add(do_tot, reset, out=a)
-                    dv = np.multiply(di[t], do_tot, out=di[t])
+                    # the kernel one step at a time, dropped once applied
+                    dv = np.multiply(surrogate_grad(self.surrogate, lt.v[t],
+                                                    threshold=cfg.threshold),
+                                     do_tot, out=di[t])
                     if cfg.reset == HARD_ZERO and not cfg.adaptive:
                         np.multiply(np.subtract(1.0, lt.o[t], out=a), cfg.leak, out=a)
                         a *= dv_next

@@ -87,14 +87,18 @@ def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], k
     Each set is re-verified against the generator and its target. The
     generator is then attacked once, on the sorted union of the sets' rows,
     keyed by their dataset indices, and each target is scored on its own
-    rows. The attacks are batch-invariant (see ``attacks``), so each rate
-    equals attacking its set alone."""
+    rows. The union is gathered straight out of the concatenated sets, so
+    no copy of every set's rows is alive while the attack runs. The attacks
+    are batch-invariant (see ``attacks``), so each rate equals attacking
+    its set alone."""
     for target, evalset in zip(targets, evalsets, strict=True):
         evalset.verify([gen_model, target])
-    indices, xs, ys = (np.concatenate(parts) for parts in
-                       zip(*[(evalset.indices, evalset.x, evalset.y) for evalset in evalsets]))
-    union, first = np.unique(indices, return_index=True)
-    x_adv = attacks.run_attack(kind, [gen_model], xs[first], ys[first], cfg, index=union)
+    union, first = np.unique(np.concatenate([evalset.indices for evalset in evalsets]),
+                             return_index=True)
+    # each concatenation is a temporary: only the union's rows outlive it
+    x = np.concatenate([evalset.x for evalset in evalsets])[first]
+    y = np.concatenate([evalset.y for evalset in evalsets])[first]
+    x_adv = attacks.run_attack(kind, [gen_model], x, y, cfg, index=union)
     return [float(np.mean(target.predict(x_adv[np.searchsorted(union, evalset.indices)])
                           != evalset.y))
             for target, evalset in zip(targets, evalsets)]
