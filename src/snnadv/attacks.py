@@ -244,7 +244,9 @@ def _iterate(x: np.ndarray, eps_max: float, step: float, n_iter: int, direction:
         x_adv = np.clip(x, 0.0, 1.0)
     lo, hi = (np.clip(b, 0.0, 1.0, out=b) for b in (x - eps_max, x + eps_max))
     for _ in range(n_iter):
-        stepped = step * numerics.sign(direction(x_adv)).astype(x.dtype, copy=False)
+        # the sign is this loop's own array, so it is scaled in place
+        stepped = numerics.sign(direction(x_adv)).astype(x.dtype, copy=False)
+        stepped *= step
         # max then min: the bytes of np.clip in about half of its time
         x_adv = np.maximum(np.add(x_adv, stepped, out=stepped), lo, out=stepped)
         np.minimum(x_adv, hi, out=x_adv)
@@ -270,35 +272,48 @@ def pgd(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
     """Random start inside the ball, then iterated signed steps, each
     followed by projection. The start of each sample is keyed on
     (``cfg.seed``, its dataset index, pixel); ``index`` gives the samples'
-    dataset indices and defaults to their batch positions."""
+    dataset indices and defaults to their batch positions. The draw becomes
+    the start in place, so neither the draw nor the noise outlives the
+    start's construction; the start itself is held until the attack returns."""
     x = np.asarray(x)
-    start = None
-    if cfg.random_start:
-        index = np.arange(len(x)) if index is None else np.asarray(index)
-        if index.shape != x.shape[:1]:
-            raise ConfigError(f"{index.shape} sample indices for a batch of {len(x)}")
-        draw = keyed_uniform(cfg.seed, index, int(np.prod(x.shape[1:])))
-        noise = cfg.eps_max * draw.reshape(x.shape).astype(x.dtype, copy=False)
-        start = project(x + noise, x, cfg.eps_max)
+    start = _random_start(x, cfg, index)
     return _iterate(x, cfg.eps_max, cfg.eps_step, cfg.n_iter, _grad_rule(model, labels),
                     start, trace)
+
+
+def _random_start(x: np.ndarray, cfg: AttackConfig, index: Optional[np.ndarray]):
+    """PGD's start, or None without ``cfg.random_start``: x plus eps_max times
+    the keyed draw, in x's dtype, projected. The draw becomes the noise and
+    then the sum in place."""
+    if not cfg.random_start:
+        return None
+    index = np.arange(len(x)) if index is None else np.asarray(index)
+    if index.shape != x.shape[:1]:
+        raise ConfigError(f"{index.shape} sample indices for a batch of {len(x)}")
+    noise = keyed_uniform(cfg.seed, index, int(np.prod(x.shape[1:])))
+    noise = noise.reshape(x.shape).astype(x.dtype, copy=False)
+    noise *= cfg.eps_max
+    noise += x
+    return project(noise, x, cfg.eps_max)
 
 
 def mim(model, x: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
         trace: Optional[list] = None) -> np.ndarray:
     """Momentum-accumulated signed steps of size eps_max/n_iter with
-    L1-normalized gradients; a zero gradient skips the normalization."""
+    L1-normalized gradients; a zero gradient skips the normalization. The
+    gradient is normalized in place and the momentum updated in place, so
+    an iteration holds one momentum and one gradient."""
     x = np.asarray(x)
     g = np.zeros_like(x)
     axes = tuple(range(1, x.ndim))
 
     def momentum(x_adv):
-        nonlocal g
         _, grad = loss_input_grad(model, x_adv, labels)
         l1 = np.sum(np.abs(grad), axis=axes, keepdims=True)
-        normed = np.divide(grad, l1, out=np.zeros_like(grad), where=l1 > 0)
-        g = cfg.mu * g + normed
-        return g
+        np.divide(grad, l1, out=grad, where=l1 > 0)
+        grad[l1.reshape(-1) == 0] = 0.0  # a zero row, -0.0s included, normalizes to +0
+        np.multiply(g, cfg.mu, out=g)
+        return np.add(g, grad, out=g)
 
     return _iterate(x, cfg.eps_max, cfg.eps_max / cfg.n_iter, cfg.n_iter, momentum,
                     trace=trace)

@@ -13,15 +13,20 @@ read through a broadcast over the T steps; only an IIR synapse materialises
 [T, n, w]. The readout layer is a non-spiking leaky integrator read at the
 final step (spike-count readout selectable).
 
-Each step rule writes through ``out=`` straight into the trace's [T, n, w]
-buffers, which start empty because every slot is written. The backward
-takes the surrogate kernel one step at a time and writes dv[t] over the
-incoming gradient's slot t, a buffer it made itself and has just read, so a
-spiking layer holds one [T, n, w] gradient buffer beside its trace, with
-[n, w] scratch. Only the broadcast seed of a spiking last layer, or a
-kernel wider than the gradient (the 64-bit literal piecewise-exp), takes a
-new buffer. The backward never writes into a trace, so one trace serves
-several backwards.
+A trace keeps one [T, n, w] buffer per spiking layer: its potentials. The
+spikes are a pure function of them (the firing rule applied to v[t]), so
+each step rule writes through ``out=`` into the potential buffer and a spike
+stream that lives only until the next layer's current product has read it;
+the adaptive neuron's inhibition alternates between two [n, w] buffers. The
+backward rebuilds from v what it reads of the spikes: the hard-reset gate
+1 - o[t] one step at a time, and a weight gradient's input stream only when
+parameter gradients are asked for. It takes the surrogate kernel one step
+at a time and writes dv[t] over the incoming gradient's slot t, a buffer it
+made itself and has just read, so a spiking layer holds one [T, n, w]
+gradient buffer beside its potentials, with [n, w] scratch. Only the
+broadcast seed of a spiking last layer, or a kernel wider than the gradient
+(the 64-bit literal piecewise-exp), takes a new buffer. The backward never
+writes into a trace, so one trace serves several backwards.
 
 The backward pass substitutes a surrogate kernel for the Heaviside
 derivative and, unless ``detach_reset`` is set, differentiates the
@@ -32,14 +37,16 @@ The filter's gradient is the same filter run backwards in time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import numerics
 from .ann import Classifier, Dense, build_mlp
-from .errors import ConfigError, DimensionError, StateError
-from .surrogate import SurrogateSpec, antiderivative, heaviside, surrogate_grad
+from .errors import ConfigError, DimensionError, EvaluationError, StateError
+from .surrogate import (PWE_OVERFLOW, SurrogateSpec, antiderivative, heaviside,
+                        surrogate_grad)
 
 HARD_ZERO = "hard_zero"
 SOFT_SUBTRACT = "soft_subtract"
@@ -174,11 +181,23 @@ class SpikingLayer(Dense):
 
 @dataclass
 class LayerTrace:
-    """Per-timestep state buffers for one layer, time-major [T, n, width]."""
+    """One layer's potentials, time-major [T, n, width], and the firing rule
+    ``spike(v_t, out=o_t)`` that made its spikes (None for the membrane
+    readout, which never fires). The spikes are a pure function of the
+    potentials, so the trace does not keep them: ``o`` rebuilds them on each
+    read, one step at a time as the forward made them, into a new array."""
 
     v: np.ndarray
-    o: np.ndarray
-    k: Optional[np.ndarray] = None
+    spike: Optional[Callable] = None
+
+    @property
+    def o(self) -> np.ndarray:
+        if self.spike is None:
+            return np.zeros_like(self.v)
+        o = np.empty_like(self.v)
+        for v_t, o_t in zip(self.v, o):
+            self.spike(v_t, out=o_t)
+        return o
 
 
 @dataclass
@@ -255,27 +274,31 @@ class SpikingNet(Classifier):
                 current = synapse_filter(layer.synapse, np.broadcast_to(current, shape))
             current += layer.b
             numerics.require_finite(current, "input current")
-            v_buf = np.empty(shape, dtype=layer.w.dtype)
-            fresh = np.zeros_like if is_readout else np.empty_like  # the readout writes v only
-            o_buf = fresh(v_buf)
-            k_buf = fresh(v_buf) if cfg.adaptive else None
+            # that product was the spike stream's one reader: dropping it and
+            # the last step's views into it frees it before the next buffers
             v = o = k = np.zeros(shape[1:], dtype=layer.w.dtype)
+            stream = None
+            v_buf = np.empty(shape, dtype=layer.w.dtype)
+            if is_readout:  # the readout writes v only
+                for t, i_t in enumerate(np.broadcast_to(current, shape)):
+                    v = np.add(np.multiply(v, cfg.leak, out=v_buf[t]), i_t, out=v_buf[t])
+                trace.layers.append(LayerTrace(v=v_buf))
+                continue
+            stream = np.empty_like(v_buf)
+            k_pair = np.empty((2,) + shape[1:], dtype=layer.w.dtype) if cfg.adaptive else None
             lif = step_lif_hard if cfg.reset == HARD_ZERO else step_lif_soft
             for t, i_t in enumerate(np.broadcast_to(current, shape)):
-                if is_readout:
-                    v = np.add(np.multiply(v, cfg.leak, out=v_buf[t]), i_t, out=v_buf[t])
-                elif cfg.adaptive:
+                if cfg.adaptive:  # k[t] is written beside k[t - 1], which the step reads
                     v, k, o = step_adaptive(v, k, o, i_t, cfg, self._spike,
-                                            out=(v_buf[t], k_buf[t], o_buf[t]))
+                                            out=(v_buf[t], k_pair[t % 2], stream[t]))
                 else:
-                    v, o = lif(v, o, i_t, cfg, self._spike, out=(v_buf[t], o_buf[t]))
-            trace.layers.append(LayerTrace(v=v_buf, o=o_buf, k=k_buf))
-            stream = o_buf
-        last = trace.layers[-1]
+                    v, o = lif(v, o, i_t, cfg, self._spike, out=(v_buf[t], stream[t]))
+            trace.layers.append(LayerTrace(v=v_buf,
+                                           spike=partial(self._spike, threshold=cfg.threshold)))
         if self.readout == READOUT_MEMBRANE:
-            logits = last.v[-1] / T
-        else:
-            logits = last.o.sum(axis=0) / T
+            logits = trace.layers[-1].v[-1] / T
+        else:  # the spike count of the last layer, whose stream is still alive
+            logits = stream.sum(axis=0) / T
         numerics.require_finite(logits, "network logits")
         return logits, trace
 
@@ -295,14 +318,17 @@ class SpikingNet(Classifier):
         potential gradient over its output-stream gradient, which the layer
         above's input-gradient matmul made, so each layer holds one
         [T, n, w] gradient buffer; a new one is made only for the broadcast
-        seed dlogits / T or a kernel wider than that gradient.
+        seed dlogits / T or a kernel wider than that gradient. What it reads
+        of the spikes it rebuilds from the trace's potentials with the rule
+        that made them: the hard-reset gate 1 - o[t] in a step's scratch,
+        and the layer's input stream, for its weight gradient, only when
+        ``grads`` is given.
         """
         if trace.fingerprint != self._fingerprint():
             raise StateError("trace does not match this network configuration")
         dlogits = np.asarray(dlogits, dtype=self.layers[0].w.dtype)
         T = self.T
         n = dlogits.shape[0]
-        streams = [trace.x] + [lt.o for lt in trace.layers[:-1]]
         d_stream = None  # gradient w.r.t. the layer output stream [T, n, width]
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
@@ -342,7 +368,8 @@ class SpikingNet(Classifier):
                                                     threshold=cfg.threshold),
                                      do_tot, out=di[t])
                     if cfg.reset == HARD_ZERO and not cfg.adaptive:
-                        np.multiply(np.subtract(1.0, lt.o[t], out=a), cfg.leak, out=a)
+                        lt.spike(lt.v[t], out=a)  # o[t], rebuilt
+                        np.multiply(np.subtract(1.0, a, out=a), cfg.leak, out=a)
                         a *= dv_next
                     else:
                         np.multiply(dv_next, cfg.leak, out=a)
@@ -351,18 +378,24 @@ class SpikingNet(Classifier):
                         dk *= cfg.adapt_decay
                         dk += np.multiply(dv_next, -cfg.threshold, out=a)
                     dv_next = dv
-            di = di.astype(layer.w.dtype, copy=False)  # the literal pwe kernel is 64-bit
+            if di.dtype != layer.w.dtype:  # the literal pwe kernel is 64-bit
+                try:
+                    with np.errstate(over="raise"):
+                        di = di.astype(layer.w.dtype)
+                except FloatingPointError:
+                    raise EvaluationError(PWE_OVERFLOW) from None
             if grads is not None:
                 grads[f"layer{li}.b"] = di.sum(axis=(0, 1))
             # through the synapse filter, the broadcast over time and the weights
             dxw = synapse_filter(layer.synapse, di[::-1])[::-1]
-            stream = streams[li]
-            if stream.shape[0] == 1:
-                # the adjoint of the broadcast over time is a sum over time,
-                # taken in time order per entry, so its bytes do not depend on
-                # the row count (a BLAS matrix-vector product's may)
+            if li == 0:
+                # the input stream is one time slice: the adjoint of the
+                # broadcast over time is a sum over time, taken in time order
+                # per entry, so its bytes do not depend on the row count (a
+                # BLAS matrix-vector product's may)
                 dxw = dxw.sum(axis=0, keepdims=True)
             if grads is not None:
+                stream = trace.x if li == 0 else trace.layers[li - 1].o
                 grads[f"layer{li}.w"] = (stream.reshape(-1, layer.in_width).T
                                          @ dxw.reshape(-1, layer.out_width))
             d_stream = dxw @ layer.w.T

@@ -27,6 +27,10 @@ RECTANGULAR = "rectangular"
 
 KINDS = (SIGMOID, ERFC, ARCTAN, PIECEWISE_LINEAR, FAST_SIGMOID, PIECEWISE_EXP, RECTANGULAR)
 
+# the literal piecewise-exp kernel's refusal, raised by the kernel and by a
+# backward whose 64-bit gradient of it leaves the net's dtype's range
+PWE_OVERFLOW = "literal piecewise-exp overflowed; use the default form"
+
 # libm's error function per element, in float64; only the relaxed erfc spike uses it
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
@@ -116,7 +120,7 @@ def surrogate_grad(spec: SurrogateSpec, v: np.ndarray,
             # Evaluated and returned in 64-bit: its range overflows float32.
             out = np.exp(spec.beta * np.abs(d).astype(np.float64)) / spec.alpha
             if not np.all(np.isfinite(out)):
-                raise EvaluationError("literal piecewise-exp overflowed; use the default form")
+                raise EvaluationError(PWE_OVERFLOW)
             return out
         return spec.alpha * np.exp(-spec.beta * np.abs(d))
     # RECTANGULAR: SurrogateSpec admits no other kind

@@ -33,6 +33,17 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def traced_kept(fn, *args):
+    """``fn(*args)`` and the bytes still traced when it returns: what its
+    result keeps of what the call allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 @contextmanager
 def forward_inputs(model):
     """The inputs of every ``forward_cached`` call on ``model`` while the

@@ -250,6 +250,24 @@ class TestMim:
         assert np.array_equal(out, x)
 
 
+class TestOwnCopies:
+    """PGD and MIM hold few input-sized arrays of their own: PGD's keyed draw
+    becomes its start in place, and MIM normalizes its gradient and updates
+    its momentum in place."""
+
+    @pytest.mark.parametrize("kind", ["pgd", "mim"])
+    def test_peak_in_input_sizes(self, kind):
+        # a small net in one block, so its own buffers are small beside x
+        net = build_mlp([784, 16, 10], seed=0)
+        net.block_rows = 512
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0, 1, (512, 784)).astype(np.float32)
+        y = rng.integers(0, 10, 512)
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=3)
+        _, peak = traced_peak(run_attack, kind, [net], x, y, cfg, np.arange(1000, 1512))
+        assert peak <= 6.5 * x.nbytes
+
+
 class TestSaga:
     def test_single_model_equals_pgd(self, blob_net, blob_data):
         x, y = blob_data

@@ -8,10 +8,10 @@ import pytest
 from snnadv.dynamics import (NeuronConfig, SpikingLayer, SpikingNet, SynapseConfig,
                              build_snn_mlp, step_adaptive, step_lif_hard, step_lif_soft,
                              synapse_filter)
-from snnadv.errors import ConfigError, DimensionError, StateError
+from snnadv.errors import ConfigError, DimensionError, EvaluationError, StateError
 from snnadv.surrogate import KINDS, SurrogateSpec
 
-from conftest import traced_peak
+from conftest import traced_kept, traced_peak
 
 F32 = np.float32
 
@@ -376,7 +376,7 @@ def variant_net(build_kw, attrs, dtype=F32):
 def trace_arrays(trace):
     yield trace.x
     for lt in trace.layers:
-        yield from (a for a in (lt.v, lt.o, lt.k) if a is not None)
+        yield from (lt.v, lt.o)
 
 
 class TestBuffers:
@@ -432,16 +432,22 @@ class TestBuffers:
     @pytest.mark.parametrize("reset", ["hard_zero", "soft_subtract"])
     @pytest.mark.parametrize("kind", KINDS)
     def test_attack_backward_holds_one_gradient_buffer(self, kind, reset):
-        # the bench's converted-net T: the hidden layer holds one [T, n, w]
-        # gradient buffer, with its kernel taken one step at a time
+        # the bench's converted-net T: the trace keeps the hidden layer's
+        # potentials alone, and the backward holds one [T, n, w] gradient
+        # buffer beside them, with its kernel taken one step at a time
         T, n, width = 32, 64, 128
+        buffer = T * n * width * np.dtype(F32).itemsize
         net = build_snn_mlp([784, width, 10], T=T, seed=0, neuron=NeuronConfig(reset=reset),
                             surrogate=SurrogateSpec(kind=kind))
         x = np.random.default_rng(0).uniform(0, 1, (n, 784)).astype(F32)
-        logits, trace = net.forward_cached(x)
+        (logits, trace), kept = traced_kept(net.forward_cached, x)
         dlogits = np.random.default_rng(1).normal(size=logits.shape).astype(F32)
         _, peak = traced_peak(net.backward, trace, dlogits)
-        assert peak <= 1.5 * T * n * width * np.dtype(F32).itemsize
+        assert peak <= 1.5 * buffer
+        assert kept <= 1.25 * buffer
+        del trace
+        _, pass_peak = traced_peak(lambda: net.backward(net.forward_cached(x)[1], dlogits))
+        assert pass_peak <= 2.6 * buffer
 
 
 # every kernel form the backward can take, each keyed by a short name
@@ -663,6 +669,18 @@ class TestBackwardPins:
                 net.forward(np.ones((1, 6), dtype=dtype))
             return
         assert backward_digest(net, dtype) == self.PINS[key]
+
+    def test_literal_pwe_overflow_in_a_float32_net_is_the_kernels_refusal(self):
+        # at beta 2 the 64-bit gradient of the hard variant leaves float32's
+        # range; its cast into the net's dtype is refused as the kernel
+        # refuses its own overflow, not turned into inf
+        net = variant_net(*NET_VARIANTS[0].values).with_surrogate(
+            SurrogateSpec(kind="piecewise_exp", pwe_literal=True, beta=2.0))
+        x = np.random.default_rng(1).uniform(0, 1.5, (4, 6)).astype(F32)
+        logits, trace = net.forward_cached(x)
+        with pytest.raises(EvaluationError,
+                           match="^literal piecewise-exp overflowed; use the default form$"):
+            net.backward(trace, np.ones_like(logits))
 
 
 class TestWithSurrogate:
