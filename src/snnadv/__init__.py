@@ -22,11 +22,11 @@ def _keep_heap_resident():
     allocates them again. By default glibc serves large blocks with mmap and
     unmaps them on free, and returns free memory at the top of the heap to
     the OS once it passes a small threshold. So each iteration faulted its
-    working set in again: 10 PGD iterations on the 2-block attention net at
-    n=200 took about 180k minor page faults, against about 300 with this
-    setting. Blocks up to 32 MiB now come from the heap, and up to 256 MiB
-    of free heap stays mapped. A libc other than glibc, or a failed call,
-    leaves the allocator as it is.
+    working set in again: in a fresh interpreter, 10 PGD iterations on the
+    2-block attention net at n=200 took about 55k minor page faults, against
+    about 190 with this setting. Blocks up to 32 MiB now come from the heap,
+    and up to 256 MiB of free heap stays mapped. A libc other than glibc, or
+    a failed call, leaves the allocator as it is.
     """
     if platform.libc_ver()[0] != "glibc":
         return

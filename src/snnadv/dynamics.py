@@ -45,8 +45,7 @@ import numpy as np
 from . import numerics
 from .ann import Classifier, Dense, build_mlp
 from .errors import ConfigError, DimensionError, EvaluationError, StateError
-from .surrogate import (PWE_OVERFLOW, SurrogateSpec, antiderivative, heaviside,
-                        surrogate_grad)
+from .surrogate import PWE_OVERFLOW, SurrogateSpec, heaviside, surrogate_grad
 
 HARD_ZERO = "hard_zero"
 SOFT_SUBTRACT = "soft_subtract"
@@ -210,9 +209,10 @@ class ForwardTrace:
 class SpikingNet(Classifier):
     """Feed-forward stack of spiking layers simulated for T timesteps.
 
-    ``relaxed`` replaces the hard threshold with the surrogate kernel's exact
-    antiderivative in the forward pass (gradient-oracle mode only; normal
-    forward output never depends on the surrogate choice).
+    The forward fires on the hard threshold, so its output never depends on
+    the surrogate; the kernel enters the backward alone. A trace carries the
+    firing rule that made its spikes, and the backward reads that rule, not
+    the net's.
     """
 
     kind = "snn"
@@ -220,8 +220,7 @@ class SpikingNet(Classifier):
     def __init__(self, layers: list, T: int = 8,
                  surrogate: SurrogateSpec = SurrogateSpec(),
                  readout: str = READOUT_MEMBRANE,
-                 detach_reset: bool = False,
-                 relaxed: bool = False):
+                 detach_reset: bool = False):
         if T < 1:
             raise ConfigError(f"timestep count T must be >= 1, got {T}")
         if readout not in (READOUT_MEMBRANE, READOUT_SPIKE_COUNT):
@@ -236,7 +235,6 @@ class SpikingNet(Classifier):
         self.surrogate = surrogate
         self.readout = readout
         self.detach_reset = detach_reset
-        self.relaxed = relaxed
 
     @property
     def n_classes(self) -> int:
@@ -244,17 +242,14 @@ class SpikingNet(Classifier):
 
     def with_surrogate(self, spec: SurrogateSpec) -> "SpikingNet":
         """A view that shares this net's layers and settings; its backward uses ``spec``."""
-        return SpikingNet(self.layers, T=self.T, surrogate=spec, readout=self.readout,
-                          detach_reset=self.detach_reset, relaxed=self.relaxed)
+        return type(self)(self.layers, T=self.T, surrogate=spec, readout=self.readout,
+                          detach_reset=self.detach_reset)
 
     def _fingerprint(self) -> tuple:
-        return (self.T, len(self.layers), self.readout, self.relaxed,
+        return (self.T, len(self.layers), self.readout,
                 tuple((l.in_width, l.out_width) for l in self.layers))
 
     def _spike(self, v: np.ndarray, threshold: float, out: np.ndarray) -> np.ndarray:
-        if self.relaxed:
-            out[...] = antiderivative(self.surrogate, v, threshold=threshold)
-            return out
         return heaviside(v, threshold, out=out)
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:

@@ -2,10 +2,7 @@
 
 The forward pass of a spiking layer always thresholds with the hard Heaviside
 step; only the backward pass substitutes one of these kernels for the step's
-derivative. Seven kernels are provided, all centered on the firing threshold,
-plus each kernel's exact antiderivative (the "relaxed" soft spike used by the
-finite-difference gradient oracle). The erfc kernel's antiderivative takes the
-error function from libm (``math.erf``), so the package needs numpy alone.
+derivative. Seven kernels are provided, all centered on the firing threshold.
 """
 
 from __future__ import annotations
@@ -30,9 +27,6 @@ KINDS = (SIGMOID, ERFC, ARCTAN, PIECEWISE_LINEAR, FAST_SIGMOID, PIECEWISE_EXP, R
 # the literal piecewise-exp kernel's refusal, raised by the kernel and by a
 # backward whose 64-bit gradient of it leaves the net's dtype's range
 PWE_OVERFLOW = "literal piecewise-exp overflowed; use the default form"
-
-# libm's error function per element, in float64; only the relaxed erfc spike uses it
-_erf = np.vectorize(math.erf, otypes=[np.float64])
 
 # common shorthand seen in configs / tables; "actfun" is the rectangular
 # window under its original implementation name
@@ -125,43 +119,6 @@ def surrogate_grad(spec: SurrogateSpec, v: np.ndarray,
         return spec.alpha * np.exp(-spec.beta * np.abs(d))
     # RECTANGULAR: SurrogateSpec admits no other kind
     return (np.abs(d) < spec.alpha / 2.0).astype(v.dtype) / spec.alpha
-
-
-def antiderivative(spec: SurrogateSpec, v: np.ndarray,
-                   threshold: float = 1.0) -> np.ndarray:
-    """Exact antiderivative of the kernel: the relaxed (soft) spike.
-
-    Replacing the Heaviside with this function makes the whole network
-    smooth with the kernel as its true derivative, which is what the
-    finite-difference oracle for the unrolled backward pass checks against.
-    """
-    v = np.asarray(v)
-    d = v - threshold
-    kind = spec.kind
-    if kind == SIGMOID:
-        return _logistic(d)
-    if kind == ERFC:
-        z = d / (math.sqrt(2.0) * spec.sigma)
-        return 0.5 * (1.0 + _erf(z).astype(z.dtype, copy=False))
-    if kind == ARCTAN:
-        return np.arctan(np.pi * d) / np.pi + 0.5
-    if kind == PIECEWISE_LINEAR:
-        out = np.where(d < 0.0, 0.5 * np.square(1.0 + np.clip(d, -1.0, 0.0)),
-                       1.0 - 0.5 * np.square(1.0 - np.clip(d, 0.0, 1.0)))
-        return out.astype(v.dtype)
-    if kind == FAST_SIGMOID:
-        if spec.fs_conventional:
-            # d/dv of sign(d)(1 - 1/(1+|d|)) is 1/(1+|d|)^2
-            return 0.5 + np.sign(d) * 0.5 * (1.0 - 1.0 / (1.0 + np.abs(d)))
-        return 0.5 + np.sign(d) * (np.arctan(1.0 + np.abs(d)) - np.pi / 4.0)
-    if kind == PIECEWISE_EXP:
-        if spec.pwe_literal:
-            raise ConfigError("literal piecewise-exp has no bounded antiderivative")
-        scale = spec.alpha / spec.beta
-        return np.where(d < 0.0, scale * np.exp(spec.beta * np.minimum(d, 0.0)),
-                        scale * (2.0 - np.exp(-spec.beta * np.maximum(d, 0.0)))).astype(v.dtype)
-    # RECTANGULAR
-    return np.clip((d + spec.alpha / 2.0) / spec.alpha, 0.0, 1.0)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Test-support references that no run of the package uses: the
 finite-difference gradient oracle and its error measure, the kernels' kink
-distance, the IDX writers and readers that round-trip digits through the
+distance and exact antiderivatives, the relaxed spiking net that fires with
+them, the IDX writers and readers that round-trip digits through the
 package's parser, and the all-ones rollout mask.
 
 Tests import them as ``from oracles import ...``, as they import conftest.
@@ -8,16 +9,21 @@ Tests import them as ``from oracles import ...``, as they import conftest.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable
 
 import numpy as np
 
 from snnadv.data import IMAGES_MAGIC, LABELS_MAGIC, _read_idx, _read_idx_pair, _scaled
-from snnadv.errors import EvaluationError, FormatError
+from snnadv.dynamics import SpikingNet
+from snnadv.errors import ConfigError, EvaluationError, FormatError
 from snnadv.numerics import GRAD_CHECK_DTYPE
-from snnadv.surrogate import (ARCTAN, ERFC, PIECEWISE_LINEAR, RECTANGULAR, SIGMOID,
-                              SurrogateSpec)
+from snnadv.surrogate import (ARCTAN, ERFC, FAST_SIGMOID, PIECEWISE_EXP, PIECEWISE_LINEAR,
+                              RECTANGULAR, SIGMOID, SurrogateSpec, _logistic)
+
+# libm's error function per element, in float64; only the relaxed erfc spike uses it
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
 def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -72,6 +78,58 @@ def kink_distance(spec: SurrogateSpec, v: np.ndarray,
         return np.abs(d - spec.alpha / 2.0)
     # fast-sigmoid and piecewise-exp kink only at the threshold itself
     return d
+
+
+def antiderivative(spec: SurrogateSpec, v: np.ndarray,
+                   threshold: float = 1.0) -> np.ndarray:
+    """Exact antiderivative of the kernel: the relaxed (soft) spike.
+
+    Replacing the Heaviside with this function makes the whole network
+    smooth with the kernel as its true derivative, which is what the
+    finite-difference oracle for the unrolled backward pass checks against.
+    """
+    v = np.asarray(v)
+    d = v - threshold
+    kind = spec.kind
+    if kind == SIGMOID:
+        return _logistic(d)
+    if kind == ERFC:
+        z = d / (math.sqrt(2.0) * spec.sigma)
+        return 0.5 * (1.0 + _erf(z).astype(z.dtype, copy=False))
+    if kind == ARCTAN:
+        return np.arctan(np.pi * d) / np.pi + 0.5
+    if kind == PIECEWISE_LINEAR:
+        out = np.where(d < 0.0, 0.5 * np.square(1.0 + np.clip(d, -1.0, 0.0)),
+                       1.0 - 0.5 * np.square(1.0 - np.clip(d, 0.0, 1.0)))
+        return out.astype(v.dtype)
+    if kind == FAST_SIGMOID:
+        if spec.fs_conventional:
+            # d/dv of sign(d)(1 - 1/(1+|d|)) is 1/(1+|d|)^2
+            return 0.5 + np.sign(d) * 0.5 * (1.0 - 1.0 / (1.0 + np.abs(d)))
+        return 0.5 + np.sign(d) * (np.arctan(1.0 + np.abs(d)) - np.pi / 4.0)
+    if kind == PIECEWISE_EXP:
+        if spec.pwe_literal:
+            raise ConfigError("literal piecewise-exp has no bounded antiderivative")
+        scale = spec.alpha / spec.beta
+        return np.where(d < 0.0, scale * np.exp(spec.beta * np.minimum(d, 0.0)),
+                        scale * (2.0 - np.exp(-spec.beta * np.maximum(d, 0.0)))).astype(v.dtype)
+    # RECTANGULAR
+    return np.clip((d + spec.alpha / 2.0) / spec.alpha, 0.0, 1.0)
+
+
+class RelaxedNet(SpikingNet):
+    """A spiking net that fires with its kernel's antiderivative: the
+    finite-difference oracle's smooth stand-in for the hard threshold."""
+
+    def _spike(self, v: np.ndarray, threshold: float, out: np.ndarray) -> np.ndarray:
+        out[...] = antiderivative(self.surrogate, v, threshold=threshold)
+        return out
+
+
+def relaxed(net: SpikingNet) -> RelaxedNet:
+    """A relaxed net on ``net``'s layers and settings."""
+    return RelaxedNet(net.layers, T=net.T, surrogate=net.surrogate, readout=net.readout,
+                      detach_reset=net.detach_reset)
 
 
 def load_idx_images(path) -> np.ndarray:

@@ -25,7 +25,7 @@ from snnadv.surrogate import KINDS, SurrogateSpec, surrogate_grad
 from snnadv.train import evaluate
 
 from oracles import (finite_difference_grad, load_idx_images, max_rel_err, ones_mask,
-                     save_idx_images)
+                     relaxed, save_idx_images)
 
 ARCTAN = SurrogateSpec(kind="arctan")
 
@@ -83,12 +83,12 @@ def _random_relaxed_snn(rng, dtype):
         int(rng.integers(2))]
     readout = ("membrane", "spike_count")[int(rng.integers(2))]
     dims = [int(rng.integers(3, 6)), int(rng.integers(4, 8)), 3]
-    net = build_snn_mlp(dims, T=3, seed=int(rng.integers(2**31)),
-                        neuron=NeuronConfig(leak=float(rng.uniform(0.5, 1.0)),
-                                            threshold=1.0, reset=reset, adapt_decay=adapt),
-                        synapse=synapse, surrogate=SurrogateSpec(kind=kind),
-                        readout=readout, dtype=dtype)
-    net.relaxed = True
+    net = relaxed(build_snn_mlp(dims, T=3, seed=int(rng.integers(2**31)),
+                                neuron=NeuronConfig(leak=float(rng.uniform(0.5, 1.0)),
+                                                    threshold=1.0, reset=reset,
+                                                    adapt_decay=adapt),
+                                synapse=synapse, surrogate=SurrogateSpec(kind=kind),
+                                readout=readout, dtype=dtype))
     x = rng.uniform(0.2, 1.5, size=(2, dims[0]))
     y = rng.integers(0, 3, size=2)
     return net, x, y

@@ -1,9 +1,13 @@
+import os
 import platform
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snnadv
 from snnadv import attacks, numerics
 from snnadv.attacks import AttackConfig, auto_saga, loss_input_grad, pgd
 from snnadv.attention import TinyAttentionNet, attention_rollout, rollout_matrix
@@ -345,21 +349,38 @@ class TestOnesMask:
         assert np.array_equal(g * ones_mask(g), g)
 
 
+HEAP_PROBE = """
+import resource
+from dataclasses import replace
+import numpy as np
+from snnadv.attacks import AttackConfig, pgd
+from snnadv.attention import TinyAttentionNet
+net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
+                       n_heads=2, seed=0)
+rng = np.random.default_rng(12)
+x = rng.uniform(0, 1, (200, 784)).astype(np.float32)
+y = rng.integers(0, 10, 200)
+cfg = AttackConfig(eps_max=0.1, eps_step=0.01, n_iter=1)
+pgd(net, x, y, cfg)  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pgd(net, x, y, replace(cfg, n_iter=10))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap setting made at import, and so this fault budget, "
                            "are specific to glibc's malloc")
 def test_attack_iterations_keep_the_heap_resident():
-    # without the setting each iteration faults its ~60 MB of temporaries in
-    # again (about 15k minor faults per iteration on this net at n=200)
-    import resource  # Unix only, like glibc
-    net = TinyAttentionNet(image_shape=(1, 28, 28), patch=4, embed=32, n_layers=2,
-                           n_heads=2, seed=0)
-    rng = np.random.default_rng(12)
-    x = rng.uniform(0, 1, (200, 784)).astype(np.float32)
-    y = rng.integers(0, 10, 200)
-    cfg = AttackConfig(eps_max=0.1, eps_step=0.01, n_iter=1)
-    pgd(net, x, y, cfg)  # warm-up
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    pgd(net, x, y, replace(cfg, n_iter=10))
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # without the setting the 10 iterations fault their ~60 MB of
+    # temporaries in again (about 55k minor faults on this net at n=200,
+    # against about 190 with it). A fresh interpreter: in this process
+    # earlier tests have raised glibc's dynamic mmap threshold, which hides
+    # a missing setting
+    src = str(Path(snnadv.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    faults = int(out.stdout)
     assert faults < 2000, f"{faults} minor page faults in 10 PGD iterations"

@@ -12,6 +12,7 @@ from snnadv.errors import ConfigError, DimensionError, EvaluationError, StateErr
 from snnadv.surrogate import KINDS, SurrogateSpec
 
 from conftest import traced_kept, traced_peak
+from oracles import RelaxedNet, relaxed
 
 F32 = np.float32
 
@@ -368,6 +369,9 @@ NET_VARIANTS = [
 
 def variant_net(build_kw, attrs, dtype=F32):
     net = build_snn_mlp([6, 9, 7, 3], T=5, seed=21, dtype=dtype, **build_kw)
+    attrs = dict(attrs)
+    if attrs.pop("relaxed", False):
+        net = relaxed(net)
     for name, value in attrs.items():
         setattr(net, name, value)
     return net
@@ -664,7 +668,7 @@ class TestBackwardPins:
     def test_gradient_bytes(self, request, build_kw, attrs, spec_name, dtype):
         net = variant_net(build_kw, attrs, dtype).with_surrogate(KERNEL_SPECS[spec_name])
         key = request.node.callspec.id
-        if net.relaxed and net.surrogate.pwe_literal:
+        if isinstance(net, RelaxedNet) and net.surrogate.pwe_literal:
             with pytest.raises(ConfigError, match="no bounded antiderivative"):
                 net.forward(np.ones((1, 6), dtype=dtype))
             return
@@ -681,6 +685,21 @@ class TestBackwardPins:
         with pytest.raises(EvaluationError,
                            match="^literal piecewise-exp overflowed; use the default form$"):
             net.backward(trace, np.ones_like(logits))
+
+    @pytest.mark.parametrize("build_kw,attrs", NET_VARIANTS[:3])
+    def test_a_trace_carries_its_firing_rule(self, build_kw, attrs):
+        # the backward rebuilds the spikes it reads with the rule in the
+        # trace, so the plain net replays a relaxed trace to the relaxed bytes
+        net = variant_net(build_kw, attrs)
+        soft = relaxed(net)
+        x = np.random.default_rng(1).uniform(0, 1.5, (4, 6)).astype(F32)
+        logits, trace = soft.forward_cached(x)
+        dlogits = np.random.default_rng(2).normal(size=logits.shape).astype(F32)
+        want, got = {}, {}
+        assert (net.backward(trace, dlogits, got).tobytes()
+                == soft.backward(trace, dlogits, want).tobytes())
+        assert ({k: g.tobytes() for k, g in got.items()}
+                == {k: g.tobytes() for k, g in want.items()})
 
 
 class TestWithSurrogate:
@@ -699,11 +718,11 @@ class TestWithSurrogate:
                               built.backward(built.forward_cached(x)[1], seed))
 
     def test_view_keeps_every_other_setting(self):
-        net = SpikingNet(build_snn_mlp([4, 6, 3], seed=6).layers, T=3,
-                         readout="spike_count", detach_reset=True, relaxed=True)
+        net = relaxed(SpikingNet(build_snn_mlp([4, 6, 3], seed=6).layers, T=3,
+                                 readout="spike_count", detach_reset=True))
         view = net.with_surrogate(SurrogateSpec(kind="erfc"))
-        assert ((view.T, view.readout, view.detach_reset, view.relaxed)
-                == (3, "spike_count", True, True))
+        assert ((view.T, view.readout, view.detach_reset, type(view))
+                == (3, "spike_count", True, RelaxedNet))
 
     def test_only_dynamics_assigns_a_surrogate(self):
         # a kernel reaches a net one way: the view SpikingNet.with_surrogate builds

@@ -7,18 +7,16 @@ from snnadv import numerics
 from snnadv.dynamics import NeuronConfig, SpikingLayer, SpikingNet, SynapseConfig, build_snn_mlp
 from snnadv.surrogate import SurrogateSpec, surrogate_grad
 
-from oracles import finite_difference_grad, max_rel_err
+from oracles import finite_difference_grad, max_rel_err, relaxed
 
 
 def relaxed_net(kind="sigmoid", reset="hard_zero", adapt=None, synapse=SynapseConfig(),
                 readout="membrane", T=3, seed=0, dims=(5, 6, 3), leak=0.8):
-    net = build_snn_mlp(list(dims), T=T, seed=seed,
-                        neuron=NeuronConfig(leak=leak, threshold=1.0, reset=reset,
-                                            adapt_decay=adapt),
-                        synapse=synapse, surrogate=SurrogateSpec(kind=kind),
-                        readout=readout, dtype=np.float64)
-    net.relaxed = True
-    return net
+    return relaxed(build_snn_mlp(list(dims), T=T, seed=seed,
+                                 neuron=NeuronConfig(leak=leak, threshold=1.0, reset=reset,
+                                                     adapt_decay=adapt),
+                                 synapse=synapse, surrogate=SurrogateSpec(kind=kind),
+                                 readout=readout, dtype=np.float64))
 
 
 SYNAPSES = [pytest.param(SynapseConfig(), id="identity"),

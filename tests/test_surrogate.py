@@ -11,10 +11,9 @@ from scipy.special import erf, expit
 
 from snnadv.errors import ConfigError, EvaluationError
 from snnadv.surrogate import (KINDS, PIECEWISE_EXP, PIECEWISE_LINEAR, RECTANGULAR,
-                              SurrogateSpec, antiderivative, canonical_kind, heaviside,
-                              surrogate_grad)
+                              SurrogateSpec, canonical_kind, heaviside, surrogate_grad)
 
-from oracles import kink_distance, max_rel_err
+from oracles import antiderivative, kink_distance, max_rel_err
 
 GRID = np.linspace(-4.0, 6.0, 10_001)  # dense potential grid around theta=1
 
