@@ -80,6 +80,8 @@ class AttackConfig:
         if self.alphas is not None and not all(0.0 <= a < np.inf for a in self.alphas):
             raise ConfigError("blend coefficients must be non-negative and finite, "
                               f"got {self.alphas}")
+        if self.alphas and not any(self.alphas):  # such a blend never moves the input
+            raise ConfigError(f"blend coefficients must not all be zero, got {self.alphas}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -45,6 +45,8 @@ from . import numerics
 from .ann import Classifier, kaiming_uniform
 from .errors import ConfigError, DimensionError
 
+LAYERNORM_EPS = 1e-5  # added to each row's variance before its square root
+
 
 def rollout_matrix(records: list) -> np.ndarray:
     """Chain head-averaged, identity-mixed attention matrices in depth order.
@@ -110,13 +112,13 @@ def _row_mean(a):
     return mean.reshape(a.shape[:-1] + (1,))
 
 
-def layernorm_forward(x, gamma, beta, eps=1e-5):
+def layernorm_forward(x, gamma, beta):
     """(y, (xhat, inv)): the squares' buffer becomes the output, and the
     per-row scale is one reciprocal of the row's standard deviation."""
     xhat = x - _row_mean(x)
     y = xhat * xhat
     inv = _row_mean(y)
-    inv += eps
+    inv += LAYERNORM_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -24,6 +23,7 @@ import numpy as np
 
 from .ann import AnnNet, AvgPool2d, Conv2d, Dense, Flatten, ReLU
 from .attention import TinyAttentionNet
+from .data import _read_exact
 from .dynamics import NeuronConfig, SpikingLayer, SpikingNet, SynapseConfig
 from .errors import FormatError
 from .surrogate import SurrogateSpec
@@ -70,18 +70,10 @@ def _write_str(fh, text: str, width: str = "<H") -> None:
     fh.write(raw)
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    # a length read from the file is checked against the bytes left in it before
-    # any buffer is made for it
-    if count > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise FormatError(f"truncated checkpoint: expected {count} bytes for {what}")
-    return fh.read(count)
-
-
 def _read_str(fh, width: str, what: str) -> str:
     size = struct.calcsize(width)
-    (length,) = struct.unpack(width, _read_exact(fh, size, what))
-    return _read_exact(fh, length, what).decode("utf-8")
+    (length,) = struct.unpack(width, _read_exact(fh, size, what, "checkpoint"))
+    return _read_exact(fh, length, what, "checkpoint").decode("utf-8")
 
 
 def _read_json(fh, what: str):
@@ -228,29 +220,30 @@ def load_model(path):
     """Returns (model, metadata dict with kind/seed/config_echo/arch)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = _read_exact(fh, 4, "magic", "checkpoint")
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic: expected {MAGIC!r}, observed {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version", "checkpoint"))
         if version != VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         kind = _read_str(fh, "<H", "kind")
         arch = _read_json(fh, "architecture")
         config_echo = _read_json(fh, "config echo")
-        (seed,) = struct.unpack("<Q", _read_exact(fh, 8, "seed"))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        (seed,) = struct.unpack("<Q", _read_exact(fh, 8, "seed", "checkpoint"))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count", "checkpoint"))
         tensors = {}
         for _ in range(count):
             name = _read_str(fh, "<H", "tensor name")
             if name in tensors:
                 raise FormatError(f"tensor {name} appears twice in the checkpoint")
-            (tag,) = struct.unpack("<B", _read_exact(fh, 1, "dtype tag"))
+            (tag,) = struct.unpack("<B", _read_exact(fh, 1, "dtype tag", "checkpoint"))
             if tag not in _TAG_DTYPES:
                 raise FormatError(f"unknown tensor dtype tag {tag}")
             dtype = _TAG_DTYPES[tag]
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
-            raw = _read_exact(fh, math.prod(dims) * dtype.itemsize, f"tensor {name}")
+            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank", "checkpoint"))
+            dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims", "checkpoint"))
+            size = math.prod(dims) * dtype.itemsize
+            raw = _read_exact(fh, size, f"tensor {name}", "checkpoint")
             tensors[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")) \
                 .astype(dtype).reshape(dims)
         trailing = fh.read(1)

@@ -59,6 +59,8 @@ def convert_ann_to_snn(ann: AnnNet, calib_x: np.ndarray, mode: str = WEIGHT_BALA
 
     Deterministic given the calibration slice order.
     """
+    if not isinstance(ann, AnnNet):
+        raise UnsupportedError(f"conversion needs an ann model, not {ann.kind!r}")
     if len(calib_x) == 0:
         raise TrainingError("conversion needs a non-empty calibration slice")
     if mode not in (WEIGHT_BALANCE, THRESHOLD_BALANCE):

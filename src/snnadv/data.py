@@ -25,6 +25,7 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 MNIST_ENV_VAR = "SNNADV_MNIST_DIR"
+BLOB_SPREAD = 0.08  # the standard deviation of each synthetic blob
 
 # 5x7 bitmap glyphs for the synthetic digit set
 _GLYPHS = [
@@ -41,11 +42,10 @@ _GLYPHS = [
 ]
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    # header counts are checked against the bytes left before any buffer is made
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if count > left:
-        raise FormatError(f"truncated IDX file: expected {count} bytes for {what}, got {left}")
+def _read_exact(fh, count: int, what: str, source: str) -> bytes:
+    # a length read from a file is checked against the bytes left before any buffer is made
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise FormatError(f"truncated {source}: expected {count} bytes for {what}")
     return fh.read(count)
 
 
@@ -54,12 +54,12 @@ def _read_idx(path, magic: int, what: str) -> np.ndarray:
     of the magic is the number of dimensions."""
     ndim = magic & 0xFF
     with open(path, "rb") as fh:
-        observed, *shape = struct.unpack(f">{1 + ndim}I",
-                                         _read_exact(fh, 4 * (1 + ndim), f"{what} header"))
+        header = _read_exact(fh, 4 * (1 + ndim), f"{what} header", "IDX file")
+        observed, *shape = struct.unpack(f">{1 + ndim}I", header)
         if observed != magic:
             raise FormatError(f"bad IDX {what} magic: expected {magic:#010x}, "
                               f"observed {observed:#010x}")
-        raw = _read_exact(fh, math.prod(shape), f"{what} data")
+        raw = _read_exact(fh, math.prod(shape), f"{what} data", "IDX file")
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
@@ -83,17 +83,17 @@ def load_idx_labels(path) -> np.ndarray:
     return _read_idx(path, LABELS_MAGIC, "label").astype(np.int64)
 
 
-def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0,
-                spread: float = 0.08) -> tuple[np.ndarray, np.ndarray]:
+def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded Gaussian class blobs in [0, 1]^dim, balanced and linearly
-    separable at the default spread."""
+    separable: each blob's deviation is ``BLOB_SPREAD``."""
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.2, 0.8, size=(classes, dim))
     # push centers apart until pairwise distances clear the spread
     for _ in range(200):
         dists = np.linalg.norm(centers[:, None] - centers[None, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
-        if dists.min() > 8 * spread:
+        if dists.min() > 8 * BLOB_SPREAD:
             break
         i, j = np.unravel_index(np.argmin(dists), dists.shape)
         delta = centers[i] - centers[j]
@@ -101,7 +101,7 @@ def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0,
         centers[i] = np.clip(centers[i] + 0.05 * delta / norm, 0.05, 0.95)
         centers[j] = np.clip(centers[j] - 0.05 * delta / norm, 0.05, 0.95)
     labels = np.arange(n) % classes
-    x = centers[labels] + spread * rng.standard_normal((n, dim))
+    x = centers[labels] + BLOB_SPREAD * rng.standard_normal((n, dim))
     order = rng.permutation(n)
     return np.clip(x, 0.0, 1.0).astype(np.float32)[order], labels[order]
 

@@ -36,6 +36,7 @@ The filter's gradient is the same filter run backwards in time.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -242,8 +243,9 @@ class SpikingNet(Classifier):
 
     def with_surrogate(self, spec: SurrogateSpec) -> "SpikingNet":
         """A view that shares this net's layers and settings; its backward uses ``spec``."""
-        return type(self)(self.layers, T=self.T, surrogate=spec, readout=self.readout,
-                          detach_reset=self.detach_reset)
+        view = copy.copy(self)
+        view.surrogate = spec
+        return view
 
     def _fingerprint(self) -> tuple:
         return (self.T, len(self.layers), self.readout,

@@ -34,7 +34,6 @@ class EvalSet:
     indices: np.ndarray        # positions in the source dataset
     x: np.ndarray
     y: np.ndarray
-    class_counts: np.ndarray
 
     def verify(self, models: Sequence) -> None:
         """Re-check the all-correct precondition before an attack run."""
@@ -74,9 +73,8 @@ def _draw_eval_set(correct: np.ndarray, x: np.ndarray, y: np.ndarray, n: int,
         detail = "; ".join(f"class {cls}: have {have}, need {need}"
                            for cls, have, need in starved)
         raise SelectionError(f"not enough correctly classified samples ({detail})")
-    indices = np.sort(np.concatenate(chosen)) if chosen else np.array([], dtype=int)
-    counts = np.bincount(y[indices], minlength=c)
-    return EvalSet(indices=indices, x=x[indices], y=y[indices], class_counts=counts)
+    indices = np.sort(np.concatenate(chosen))
+    return EvalSet(indices=indices, x=x[indices], y=y[indices])
 
 
 def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], kind: str,

@@ -11,6 +11,9 @@ from . import numerics
 from .errors import ConfigError, EvaluationError, TrainingError
 from .surrogate import SurrogateSpec
 
+# Adam's two moment decays and the floor under its step's denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _rate(lr: float) -> float:
     """``lr``, refused when negative or not finite."""
@@ -37,19 +40,15 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = _rate(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = {}
         self._v = {}
         self._t = 0
 
     def step(self, params, grads):
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, p in params:
             g = grads[name]
             m = self._m.get(name)
@@ -64,7 +63,7 @@ class Adam:
             self._v[name] = v
             mhat = m / (1 - b1**self._t)
             vhat = v / (1 - b2**self._t)
-            p -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
+            p -= (self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.dtype)
 
 
 def make_optimizer(kind: str, name: str = "auto", lr: float = 0.0):

@@ -109,6 +109,8 @@ class TestConfig:
         ("kappa", -1.0, "kappa must be >= 0"),
         ("coeff_lr", 0.0, "coefficient learning rate and fitting factor must be > 0"),
         ("seed", -1, "^seed must be >= 0, got -1$"),
+        # an all-zero row blends no gradient, so the attack would never move
+        ("alphas", (0.0, 0.0), r"^blend coefficients must not all be zero, got \(0.0, 0.0\)$"),
     ])
     def test_out_of_range_field_rejected(self, field, value, match):
         with pytest.raises(ConfigError, match=match):

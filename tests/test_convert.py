@@ -3,6 +3,7 @@ import pytest
 
 from snnadv.ann import AnnNet, Conv2d, Dense, ReLU, build_mlp
 from snnadv.convert import THRESHOLD_BALANCE, WEIGHT_BALANCE, convert_ann_to_snn, fine_tune
+from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import TrainingError, UnsupportedError
 from snnadv.surrogate import SurrogateSpec
 from snnadv.train import evaluate
@@ -95,6 +96,12 @@ class TestConversion:
                       for spec in layers])
         with pytest.raises(UnsupportedError, match=match):
             convert_ann_to_snn(ann, np.zeros((2, 6), dtype=np.float32), mode=mode)
+
+    def test_spiking_net_rejected(self):
+        # a one-layer spiking net is a chain of one Dense: only its kind refuses it
+        snn = build_snn_mlp([6, 3], seed=0)
+        with pytest.raises(UnsupportedError, match="^conversion needs an ann model, not 'snn'$"):
+            convert_ann_to_snn(snn, np.zeros((2, 6), dtype=np.float32))
 
     def test_empty_calibration_rejected(self):
         ann, _ = small_relu_ann()

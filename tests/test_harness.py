@@ -51,13 +51,13 @@ class TestSelectEvalSet:
         model = _Oracle(y)
         es = select_eval_set([model], x, y, 10, seed=0)
         assert len(es.indices) == 10
-        assert es.class_counts.tolist() == [1] * 10
+        assert np.bincount(es.y, minlength=10).tolist() == [1] * 10
 
     def test_uneven_quota_differs_by_at_most_one(self):
         y = np.arange(10).repeat(5)
         x = np.zeros((len(y), 4), dtype=np.float32)
         es = select_eval_set([_Oracle(y)], x, y, 13, seed=0)
-        counts = es.class_counts
+        counts = np.bincount(es.y, minlength=10)
         assert counts.sum() == 13
         assert counts.max() - counts.min() <= 1
 
@@ -87,8 +87,7 @@ class TestSelectEvalSet:
 
     def test_verify_detects_drift(self, blob_data):
         x, y = blob_data
-        es = EvalSet(indices=np.arange(4), x=x[:4], y=(y[:4] + 1) % 2,
-                     class_counts=np.bincount(y[:4], minlength=2))
+        es = EvalSet(indices=np.arange(4), x=x[:4], y=(y[:4] + 1) % 2)
         oracle = _Oracle(y[:4])  # predicts the true labels, not the flipped ones
         with pytest.raises(SelectionError):
             es.verify([oracle])
@@ -131,8 +130,7 @@ class TestTransferability:
                     preds[3] = 0
                 return preds
         ev = _Two(y, n_classes=5)
-        es = EvalSet(indices=np.arange(5), x=x, y=y,
-                     class_counts=np.bincount(y, minlength=5))
+        es = EvalSet(indices=np.arange(5), x=x, y=y)
         fake_attack(lambda xs: xs + 0.1)
         assert transferability(gen, [ev], [es], "pgd", AttackConfig()) == [pytest.approx(2 / 5)]
 

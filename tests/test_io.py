@@ -833,6 +833,10 @@ class TestCli:
          "3 coefficients for 2 models"),
         (["multi-attack", "--pairs", "a.snnm:b.snnm", "--alphas", "0.5,-1"],
          "blend coefficients must be non-negative and finite, got (0.5, -1.0)"),
+        (["attack", "--kind", "saga", "--alphas", "0,0"],
+         "blend coefficients must not all be zero, got (0.0, 0.0)"),
+        (["multi-attack", "--pairs", "a.snnm:b.snnm", "--alphas", "0,0"],
+         "blend coefficients must not all be zero, got (0.0, 0.0)"),
         (["sweep-surrogate", "--surrogates", "arctan,bogus"],
          "unknown surrogate kind 'bogus'; choose one of sigmoid, erfc, arctan, "
          "piecewise_linear, fast_sigmoid, piecewise_exp, rectangular"),
@@ -847,8 +851,9 @@ class TestCli:
          "eps_max must be in [0, 1], got 1.5"),
     ], ids=["attack-kind", "transfer-kind", "no-pairs", "pair-spec", "convert-ann",
             "sweep-model", "attack-models", "transfer-models", "negative-alphas",
-            "pair-alphas-count", "pair-negative-alphas", "surrogate-kind", "convert-sigma",
-            "sweep-no-kernels", "sweep-negative-eps", "sweep-eps-above-one"])
+            "pair-alphas-count", "pair-negative-alphas", "zero-alphas", "pair-zero-alphas",
+            "surrogate-kind", "convert-sigma", "sweep-no-kernels", "sweep-negative-eps",
+            "sweep-eps-above-one"])
     def test_bad_attack_or_model_spec_is_one_line_error_before_data(self, tmp_path, capsys,
                                                                      argv, message):
         # the data source does not exist: the spec must be rejected before loading it
@@ -1113,6 +1118,14 @@ class TestCli:
         checkpoint.save_model(path, build_snn_mlp([2, 6, 2], T=4, seed=0), seed=0)
         return path
 
+    @pytest.fixture(scope="class")
+    def blobs_attention(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("blobs_attention") / "attention.snnm"
+        net = TinyAttentionNet(image_shape=(4, 4), patch=2, embed=4, n_layers=1, n_heads=1,
+                               n_classes=2, seed=0)
+        checkpoint.save_model(path, net, seed=0)
+        return path
+
     @pytest.mark.parametrize("argv,message", [
         (["attack", "--models", "{ann}", "--n", "0"], "n must be >= 1, got 0"),
         (["transfer-matrix", "--models", "{ann}", "--n", "0"], "n must be >= 1, got 0"),
@@ -1143,6 +1156,8 @@ class TestCli:
          "learning rate must be finite and >= 0, got -1.0"),
         (["convert", "--ann", "{ann}", "--fine-tune-epochs", "0", "--lr", "-1"],
          "learning rate must be finite and >= 0, got -1.0"),
+        (["convert", "--ann", "{snn}"], "conversion needs an ann model, not 'snn'"),
+        (["convert", "--ann", "{attention}"], "conversion needs an ann model, not 'attention'"),
         (["attack", "--models", "{ann}", "--eps-step", "nan"],
          "eps_step must be > 0 and finite, got nan"),
         (["train", "--kind", "snn", "--arch", "2-4-2", "--surrogate-sigma", "inf"],
@@ -1152,10 +1167,12 @@ class TestCli:
     ], ids=["attack-n", "transfer-n", "multi-n", "attack-negative-n", "sweep-n",
             "no-kernels", "no-attacks", "percentile", "n-calib", "fine-tune-epochs", "patch", "heads",
             "embed", "zero-width", "train-seed", "attack-seed", "train-lr", "convert-lr",
-            "convert-lr-without-epochs", "nan-eps-step", "inf-surrogate-sigma", "nan-adapt-decay"])
+            "convert-lr-without-epochs", "convert-snn", "convert-attention", "nan-eps-step",
+            "inf-surrogate-sigma", "nan-adapt-decay"])
     def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, blobs_ann,
-                                                  blobs_snn, argv, message):
-        argv = [arg.format(ann=blobs_ann, snn=blobs_snn) for arg in argv]
+                                                  blobs_snn, blobs_attention, argv, message):
+        argv = [arg.format(ann=blobs_ann, snn=blobs_snn, attention=blobs_attention)
+                for arg in argv]
         data = [] if "--data" in argv else ["--data", "blobs"]
         code = self.run(*argv, *data, "--n-train", "200", "--n-test", "100",
                         "--out", str(tmp_path / "o"))

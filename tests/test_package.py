@@ -1,5 +1,6 @@
 """The package holds what a run uses: every top-level name a module of
-``src/snnadv`` defines is read by the package itself, not only by tests.
+``src/snnadv`` defines, and every field its dataclasses declare, is read by
+the package itself, not only by tests.
 
 The scan reads the syntax tree, not the text, so a name mentioned in a
 docstring or a comment is not a reader. ``__init__.py`` is the package's face:
@@ -67,3 +68,30 @@ def test_every_src_name_has_a_src_reader():
     extra = [name for name in unread if name not in KEPT]
     assert not extra, f"read by no module of src/snnadv: {', '.join(extra)}"
     assert set(KEPT) <= set(unread), "a kept name has a reader now; drop it from KEPT"
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields() -> list:
+    """``module.Class.field`` for every dataclass field that no module of the
+    package reads as an attribute. An attribute is matched by its name alone,
+    so a read of any object's ``.name`` counts."""
+    declared, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                declared |= {(path.stem, node.name, stmt.target.id) for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in declared
+                  if name not in read)
+
+
+def test_every_dataclass_field_has_a_src_reader():
+    unread = unread_fields()
+    assert not unread, f"fields read by no module of src/snnadv: {', '.join(unread)}"
