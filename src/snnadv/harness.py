@@ -3,7 +3,11 @@ transferability matrices, the surrogate-kernel robustness sweep, and the
 four-column multi-model attack comparison.
 
 Every evaluation set contains only samples that all models under test
-classify correctly, with class counts differing by at most one. It is
+classify correctly, with class counts differing by at most one. A set is
+its dataset indices into the arrays it was drawn from, not a copy of their
+rows: each read of its ``x`` or ``y`` gathers its rows, so code here that
+uses them more than once reads them once. Nothing in the package writes
+into those arrays, and a caller must not while a set is in use. A set is
 re-verified: by ``transferability`` against the generator and each target
 before its one run (so ``transfer_matrix`` verifies every pair set once per
 generator and attack kind), by ``multi_model_comparison`` before each run,
@@ -31,15 +35,27 @@ from .surrogate import SurrogateSpec
 
 @dataclass
 class EvalSet:
+    """Dataset indices into ``source_x`` and ``source_y``, the arrays the set
+    was drawn from. The set keeps no copy of its rows: ``x`` and ``y`` gather
+    them on each read, so the sources must not be written while it is in use."""
     indices: np.ndarray        # positions in the source dataset
-    x: np.ndarray
-    y: np.ndarray
+    source_x: np.ndarray
+    source_y: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.source_x[self.indices]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.source_y[self.indices]
 
     def verify(self, models: Sequence) -> None:
         """Re-check the all-correct precondition before an attack run."""
+        x, y = self.x, self.y
         for i, model in enumerate(models):
-            pred = model.predict(self.x)
-            if not np.all(pred == self.y):
+            pred = model.predict(x)
+            if not np.all(pred == y):
                 raise SelectionError(f"evaluation set no longer all-correct for model {i}")
 
 
@@ -47,7 +63,8 @@ def select_eval_set(models: Sequence, x: np.ndarray, y: np.ndarray, n: int, *,
                     seed: int = 0) -> EvalSet:
     """Randomly pick n class-balanced samples that every model classifies
     correctly. Fails loudly, naming the starved classes, when the data cannot
-    supply the per-class quota."""
+    supply the per-class quota. The set holds their indices into ``x`` and
+    ``y``, not a copy of their rows."""
     y = np.asarray(y)
     correct = np.all([model.predict(x) == y for model in models], axis=0)
     return _draw_eval_set(correct, x, y, n, max(m.n_classes for m in models), seed)
@@ -74,7 +91,7 @@ def _draw_eval_set(correct: np.ndarray, x: np.ndarray, y: np.ndarray, n: int,
                            for cls, have, need in starved)
         raise SelectionError(f"not enough correctly classified samples ({detail})")
     indices = np.sort(np.concatenate(chosen))
-    return EvalSet(indices=indices, x=x[indices], y=y[indices])
+    return EvalSet(indices=indices, source_x=x, source_y=y)
 
 
 def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], kind: str,
@@ -82,20 +99,20 @@ def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], k
     """Per target, the fraction of its evaluation set that it misclassifies
     once ``kind`` has attacked ``gen_model`` on that set.
 
-    Each set is re-verified against the generator and its target. The
-    generator is then attacked once, on the sorted union of the sets' rows,
-    keyed by their dataset indices, and each target is scored on its own
-    rows. The union is gathered straight out of the concatenated sets, so
-    no copy of every set's rows is alive while the attack runs. The attacks
-    are batch-invariant (see ``attacks``), so each rate equals attacking
-    its set alone."""
+    The sets must all index the same ``x`` and ``y`` arrays, since their
+    indices key the union; sets over other arrays are refused before any
+    run. Each set is re-verified against the generator and its target. The
+    generator is then attacked once, on the rows of the sorted union of the
+    sets' dataset indices, gathered straight from the arrays they index,
+    and each target is scored on its own rows. The attacks are
+    batch-invariant (see ``attacks``), so each rate equals attacking its
+    set alone."""
+    if len({(id(evalset.source_x), id(evalset.source_y)) for evalset in evalsets}) > 1:
+        raise SelectionError("evaluation sets index different arrays")
     for target, evalset in zip(targets, evalsets, strict=True):
         evalset.verify([gen_model, target])
-    union, first = np.unique(np.concatenate([evalset.indices for evalset in evalsets]),
-                             return_index=True)
-    # each concatenation is a temporary: only the union's rows outlive it
-    x = np.concatenate([evalset.x for evalset in evalsets])[first]
-    y = np.concatenate([evalset.y for evalset in evalsets])[first]
+    union = np.unique(np.concatenate([evalset.indices for evalset in evalsets]))
+    x, y = evalsets[0].source_x[union], evalsets[0].source_y[union]
     x_adv = attacks.run_attack(kind, [gen_model], x, y, cfg, index=union)
     return [float(np.mean(target.predict(x_adv[np.searchsorted(union, evalset.indices)])
                           != evalset.y))
@@ -196,13 +213,14 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
     """
     columns = sweep_columns(eps_values, specs, cfg)
     evalset.verify([snn])
+    x, y = evalset.x, evalset.y
     acc = np.zeros((len(specs), len(eps_values)))
     for si, spec in enumerate(specs):
         view = snn.with_surrogate(spec)
         for ei, cfg_eps in enumerate(columns):
-            x_adv = evalset.x if cfg_eps is None else attacks.run_attack(
-                "pgd", [view], evalset.x, evalset.y, cfg_eps, index=evalset.indices)
-            acc[si, ei] = float(np.mean(view.predict(x_adv) == evalset.y))
+            x_adv = x if cfg_eps is None else attacks.run_attack(
+                "pgd", [view], x, y, cfg_eps, index=evalset.indices)
+            acc[si, ei] = float(np.mean(view.predict(x_adv) == y))
     return SweepGrid(kinds=[s.kind for s in specs], eps_values=list(eps_values),
                      robust_accuracy=acc, success_rate=1.0 - acc)
 
@@ -224,12 +242,13 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
     for pi, pair in enumerate(pairs):
         models = list(pair)
         evalset = select_eval_set(models, x, y, n, seed=seed)
+        x_set, y_set = evalset.x, evalset.y
 
         def joint(kind, attacked, cfg):
             evalset.verify(models)
-            x_adv = attacks.run_attack(kind, attacked, evalset.x, evalset.y, cfg,
+            x_adv = attacks.run_attack(kind, attacked, x_set, y_set, cfg,
                                        index=evalset.indices)
-            return AttackReport.build(models, evalset.x, x_adv, evalset.y,
+            return AttackReport.build(models, x_set, x_adv, y_set,
                                       iterations=cfg.n_iter).joint_rate
 
         mims, pgds = zip(*[(joint("mim", [m], single_cfg), joint("pgd", [m], single_cfg))

@@ -12,6 +12,8 @@ from snnadv.harness import (EvalSet, multi_model_comparison, select_eval_set,
                             surrogate_sweep, transfer_matrix, transferability)
 from snnadv.surrogate import SurrogateSpec
 
+from conftest import traced_kept
+
 
 class _Oracle:
     """Stub model with a fixed correctness policy."""
@@ -85,9 +87,20 @@ class TestSelectEvalSet:
         assert np.all(blob_net.predict(es.x) == es.y)
         es.verify([blob_net])
 
+    def test_set_keeps_its_indices_not_its_rows(self):
+        y = np.arange(10).repeat(40)
+        x = np.random.default_rng(0).random((len(y), 784), dtype=np.float32)
+        oracle = _Oracle(y)
+        select = lambda: select_eval_set([oracle], x, y, 300, seed=0)
+        select()  # lazy set-up stays out of the trace
+        es, kept = traced_kept(select)
+        assert kept <= es.indices.nbytes + 4096, kept
+        assert es.x.tobytes() == x[es.indices].tobytes() and es.x.dtype == x.dtype
+        assert es.y.tobytes() == y[es.indices].tobytes() and es.y.dtype == y.dtype
+
     def test_verify_detects_drift(self, blob_data):
         x, y = blob_data
-        es = EvalSet(indices=np.arange(4), x=x[:4], y=(y[:4] + 1) % 2)
+        es = EvalSet(indices=np.arange(4), source_x=x[:4], source_y=(y[:4] + 1) % 2)
         oracle = _Oracle(y[:4])  # predicts the true labels, not the flipped ones
         with pytest.raises(SelectionError):
             es.verify([oracle])
@@ -130,9 +143,28 @@ class TestTransferability:
                     preds[3] = 0
                 return preds
         ev = _Two(y, n_classes=5)
-        es = EvalSet(indices=np.arange(5), x=x, y=y)
+        es = EvalSet(indices=np.arange(5), source_x=x, source_y=y)
         fake_attack(lambda xs: xs + 0.1)
         assert transferability(gen, [ev], [es], "pgd", AttackConfig()) == [pytest.approx(2 / 5)]
+
+    @pytest.mark.parametrize("other", ["x", "y"])
+    def test_sets_over_other_arrays_are_refused_before_any_run(self, other, blob_net,
+                                                               blob_data, monkeypatch):
+        x, y = blob_data
+        sources = {"x": x, "y": y}
+        sources[other] = sources[other].copy()
+        # both sets hold index 0, each of its own arrays
+        sets = [EvalSet(indices=np.array([0, 1]), source_x=x, source_y=y),
+                EvalSet(indices=np.array([0, 2]), source_x=sources["x"],
+                        source_y=sources["y"])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a set was verified or attacked")
+
+        monkeypatch.setattr(EvalSet, "verify", refuse)
+        monkeypatch.setattr(attacks, "run_attack", refuse)
+        with pytest.raises(SelectionError, match="^evaluation sets index different arrays$"):
+            transferability(blob_net, [blob_net, blob_net], sets, "pgd", AttackConfig())
 
     @pytest.mark.parametrize("kind", ["fgsm", "pgd", "mim"])
     def test_one_pair_equals_its_matrix_cell(self, kind, blob_net, blob_data):
