@@ -88,14 +88,22 @@ class AttackConfig:
 
 @dataclass
 class AttackReport:
-    """Per-sample outcomes and aggregate success rates for a model set."""
+    """Per-sample outcomes for a model set, and the success rates they give."""
 
     model_names: list
     success: np.ndarray          # [n_models, n] bool
     linf: np.ndarray             # [n]
     iterations: int
-    per_model_rate: np.ndarray   # [n_models]
-    joint_rate: float
+
+    @property
+    def per_model_rate(self) -> np.ndarray:
+        """[n_models]: the share of samples each model gets wrong."""
+        return self.success.mean(axis=1)
+
+    @property
+    def joint_rate(self) -> float:
+        """The share of samples every model gets wrong."""
+        return float(np.all(self.success, axis=0).mean())
 
     @classmethod
     def build(cls, models: Sequence, x: np.ndarray, x_adv: np.ndarray, labels: np.ndarray,
@@ -105,9 +113,7 @@ class AttackReport:
         flat_delta = (np.asarray(x_adv, dtype=np.float64)
                       - np.asarray(x, dtype=np.float64)).reshape(len(labels), -1)
         linf = np.max(np.abs(flat_delta), axis=1)
-        per_model = success.mean(axis=1)
-        joint = float(np.all(success, axis=0).mean())
-        return cls(names, success, linf, iterations, per_model, joint)
+        return cls(names, success, linf, iterations)
 
     def as_dict(self) -> dict:
         return {"models": self.model_names,
@@ -246,8 +252,9 @@ def _iterate(x: np.ndarray, eps_max: float, step: float, n_iter: int, direction:
         x_adv = np.clip(x, 0.0, 1.0)
     lo, hi = (np.clip(b, 0.0, 1.0, out=b) for b in (x - eps_max, x + eps_max))
     for _ in range(n_iter):
-        # the sign is this loop's own array, so it is scaled in place
-        stepped = numerics.sign(direction(x_adv)).astype(x.dtype, copy=False)
+        # sign(0) = 0, so a zero-gradient pixel stays where it is; the sign is
+        # this loop's own array, so it is scaled in place
+        stepped = np.sign(direction(x_adv)).astype(x.dtype, copy=False)
         stepped *= step
         # max then min: the bytes of np.clip in about half of its time
         x_adv = np.maximum(np.add(x_adv, stepped, out=stepped), lo, out=stepped)

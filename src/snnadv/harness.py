@@ -124,7 +124,11 @@ class TransferMatrix:
     names: list
     n: int
     per_attack: dict           # attack name -> [M, M] array
-    max_matrix: np.ndarray
+
+    @property
+    def max_matrix(self) -> np.ndarray:
+        """The elementwise max across attacks."""
+        return np.max(np.stack(list(self.per_attack.values())), axis=0)
 
     def write_csv(self, out_dir: Path) -> list:
         paths = []
@@ -168,16 +172,23 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
                             attack_name, cfg)
             for i in range(m)])
         for attack_name in attack_names}
-    max_matrix = np.max(np.stack(list(per_attack.values())), axis=0)
-    return TransferMatrix(names=list(names), n=n, per_attack=per_attack, max_matrix=max_matrix)
+    return TransferMatrix(names=list(names), n=n, per_attack=per_attack)
 
 
 @dataclass
 class SweepGrid:
     kinds: list
     eps_values: list
-    robust_accuracy: np.ndarray   # [kinds, eps]
-    success_rate: np.ndarray
+    still_correct: np.ndarray     # [kinds, eps, n] bool, in the evaluation set's row order
+
+    @property
+    def robust_accuracy(self) -> np.ndarray:
+        """[kinds, eps]: the share of samples still classified correctly."""
+        return self.still_correct.mean(axis=-1)
+
+    @property
+    def success_rate(self) -> np.ndarray:
+        return 1.0 - self.robust_accuracy
 
     def write_csv(self, path: Path) -> Path:
         header = (["surrogate"] + [f"eps={e:g}" for e in self.eps_values]
@@ -204,25 +215,25 @@ def sweep_columns(eps_values: Sequence[float], specs: Sequence, cfg: AttackConfi
 
 def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateSpec],
                     evalset: EvalSet, cfg: AttackConfig) -> SweepGrid:
-    """PGD robust accuracy over a (kernel, eps) grid.
+    """Per-sample PGD outcomes over a (kernel, eps) grid.
 
     Each kernel attacks a ``snn.with_surrogate`` view that shares the weights,
     so ``snn`` never changes. ``sweep_columns`` checks the whole grid before
     the first attack. Each eps restarts from the clean inputs. Robust accuracy
-    and its complement are both reported, since tables in this area mix the two.
+    and its complement derive from the outcomes; tables in this area mix the two.
     """
     columns = sweep_columns(eps_values, specs, cfg)
     evalset.verify([snn])
     x, y = evalset.x, evalset.y
-    acc = np.zeros((len(specs), len(eps_values)))
+    still_correct = np.zeros((len(specs), len(eps_values), len(y)), dtype=bool)
     for si, spec in enumerate(specs):
         view = snn.with_surrogate(spec)
         for ei, cfg_eps in enumerate(columns):
             x_adv = x if cfg_eps is None else attacks.run_attack(
                 "pgd", [view], x, y, cfg_eps, index=evalset.indices)
-            acc[si, ei] = float(np.mean(view.predict(x_adv) == y))
+            still_correct[si, ei] = view.predict(x_adv) == y
     return SweepGrid(kinds=[s.kind for s in specs], eps_values=list(eps_values),
-                     robust_accuracy=acc, success_rate=1.0 - acc)
+                     still_correct=still_correct)
 
 
 def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray, n: int,

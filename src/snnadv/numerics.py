@@ -33,11 +33,6 @@ def as_batch(x, shape: tuple, dtype) -> np.ndarray:
     return require_finite(x.reshape(x.shape[0], *shape), "network input")
 
 
-def sign(a):
-    # numpy convention sign(0) = 0; attacks leave zero-gradient pixels alone
-    return np.sign(np.asarray(a))
-
-
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction. ``out`` may be
     ``logits`` itself, which the softmax then overwrites."""

@@ -86,10 +86,13 @@ class History:
     training set. Earlier epochs' ``train_acc`` is the running batch accuracy:
     each batch scored by the logits of its own training step, before that
     step's update. ``test_acc`` is NaN when no test set is given."""
-    epochs: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
     train_acc: list = field(default_factory=list)
     test_acc: list = field(default_factory=list)
+
+    @property
+    def epochs(self) -> list:
+        return list(range(len(self.train_loss)))
 
     def as_dict(self) -> dict:
         return {"epochs": self.epochs, "train_loss": self.train_loss,
@@ -151,7 +154,6 @@ def train_epochs(model, train_x, train_y, *, epochs: int, optimizer=None, seed: 
         test_acc = float("nan")
         if test_x is not None:
             test_acc = evaluate(model, test_x, test_y)
-        history.epochs.append(epoch)
         history.train_loss.append(float(np.mean(losses)))
         history.train_acc.append(train_acc)
         history.test_acc.append(test_acc)

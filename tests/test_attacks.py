@@ -65,7 +65,7 @@ class TestIterateClamp:
         got = attacks._iterate(x, eps, step, len(grads), lambda _: next(calls), x_adv=start)
         want = start
         for g in grads:
-            want = project(want + step * numerics.sign(g).astype(x.dtype), x, eps)
+            want = project(want + step * np.sign(g).astype(x.dtype), x, eps)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_never_writes_its_inputs_or_the_directions(self):
@@ -436,10 +436,18 @@ class TestAllOnesMask:
         y = rng.integers(0, 3, 6)
         models = [build_snn_mlp([12, 8, 3], T=3, seed=2), build_mlp([12, 6, 3], seed=3)]
         cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=4)
+        iterate = attacks._iterate
 
         def run():
             blends = []  # every direction, before its sign is taken
-            monkeypatch.setattr(numerics, "sign", lambda a: blends.append(a.copy()) or np.sign(a))
+
+            def recording(x, eps, step, n_iter, direction, **kw):
+                def seen(x_adv):
+                    blends.append(direction(x_adv).copy())
+                    return blends[-1]
+                return iterate(x, eps, step, n_iter, seen, **kw)
+
+            monkeypatch.setattr(attacks, "_iterate", recording)
             return (saga(models, x, y, replace(cfg, alphas=(0.3, 0.7))),
                     *auto_saga(models, x, y, cfg), *blends)
 

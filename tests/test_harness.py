@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +200,7 @@ class TestTransferMatrix:
         for matrix in list(tm.per_attack.values()) + [tm.max_matrix]:
             assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0)
         assert np.all(tm.max_matrix >= tm.per_attack["fgsm"] - 1e-12)
+        assert np.array_equal(tm.max_matrix, np.maximum.reduce(list(tm.per_attack.values())))
 
     def test_deterministic(self, blob_net, blob_data):
         x, y = blob_data
@@ -217,6 +219,24 @@ class TestSurrogateSweep:
                                es, cfg)
         assert grid.robust_accuracy[0, 0] == 1.0
         assert grid.success_rate[0, 0] == 0.0
+
+    def test_grid_keeps_each_samples_outcome(self, bp_snn, digits):
+        _, _, test_x, test_y = digits
+        es = select_eval_set([bp_snn], test_x, test_y, 50, seed=0)
+        cfg = AttackConfig(eps_max=1.0, eps_step=0.02, n_iter=3, seed=0)
+        specs = [SurrogateSpec(kind="arctan"), SurrogateSpec(kind="sigmoid")]
+        grid = surrogate_sweep(bp_snn, [0.0, 0.05], specs, es, cfg)
+        assert grid.still_correct.dtype == bool and grid.still_correct.shape == (2, 2, 50)
+        # rows in the set's order: each cell is its own PGD run, scored sample by sample
+        for si, spec in enumerate(specs):
+            view = bp_snn.with_surrogate(spec)
+            x_adv = pgd(view, es.x, es.y, replace(cfg, eps_max=0.05, eps_step=0.0125),
+                        index=es.indices)
+            assert np.array_equal(grid.still_correct[si, 1], view.predict(x_adv) == es.y)
+        assert grid.still_correct[:, 0].all() and not grid.still_correct[:, 1].all()
+        want = np.array([[np.mean(cell) for cell in row] for row in grid.still_correct])
+        assert grid.robust_accuracy.tobytes() == want.tobytes()
+        assert grid.success_rate.tobytes() == (1.0 - want).tobytes()
 
     def test_robust_accuracy_non_increasing_in_eps(self, bp_snn, digits):
         _, _, test_x, test_y = digits

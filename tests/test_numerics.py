@@ -7,12 +7,6 @@ from snnadv.errors import DimensionError, EvaluationError, IndexRangeError
 from oracles import finite_difference_grad, max_rel_err
 
 
-class TestElementwise:
-    def test_sign_convention(self):
-        assert np.array_equal(numerics.sign(np.array([-3.0, 0.0, 7.0])),
-                              np.array([-1.0, 0.0, 1.0]))
-
-
 class TestSoftmaxCrossEntropy:
     def test_uniform_softmax(self):
         loss, _ = numerics.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))

@@ -60,6 +60,7 @@ class TestTrainLoop:
         net = build_mlp([6, 8, 2], seed=2)
         history = train_epochs(net, x, y, epochs=3, seed=0, verbose=False)
         assert history.train_loss[-1] < history.train_loss[0]
+        assert history.epochs == [0, 1, 2]
 
     def test_seed_determinism(self, blob_data):
         x, y = blob_data
