@@ -445,6 +445,11 @@ def attack_kind(kind: str) -> str:
     return kind
 
 
+def steps_taken(kind: str, cfg: AttackConfig) -> int:
+    """The steps ``run_attack(kind, ..., cfg)`` takes: 0 at a zero budget, 1 for FGSM."""
+    return 0 if cfg.eps_max == 0.0 else 1 if attack_kind(kind) == "fgsm" else cfg.n_iter
+
+
 def run_attack(kind: str, models: Sequence, x: np.ndarray, labels: np.ndarray,
                cfg: AttackConfig, index: Optional[np.ndarray] = None) -> np.ndarray:
     """The one way the harness and the CLI start an attack; every setting

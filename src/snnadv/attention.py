@@ -161,16 +161,15 @@ def _transposed(w):
 
 
 class AttnBlock:
-    def __init__(self, wq, wk, wv, wo, w1, b1, w2, b2, ln1_g, ln1_b, ln2_g, ln2_b):
-        self.wq, self.wk, self.wv, self.wo = wq, wk, wv, wo
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b = ln1_g, ln1_b, ln2_g, ln2_b
+    """One attention and FFN block: its tensors, given and saved in the order of ``NAMES``."""
+    NAMES = ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
+
+    def __init__(self, *tensors):
+        for name, arr in zip(self.NAMES, tensors, strict=True):
+            setattr(self, name, arr)
 
     def params(self):
-        return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo),
-                ("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2),
-                ("ln1_g", self.ln1_g), ("ln1_b", self.ln1_b),
-                ("ln2_g", self.ln2_g), ("ln2_b", self.ln2_b)]
+        return [(name, getattr(self, name)) for name in self.NAMES]
 
 
 class TinyAttentionNet(Classifier):

@@ -7,8 +7,9 @@ float32/float64, one of the two for every tensor of a model). Loading a
 saved model reproduces bit-identical weights; a length that points past the
 end of the file, or a tensor named twice, is a FormatError.
 
-This module alone owns the architecture descriptor: ``_ANN_LAYERS`` is the
-one table of ANN layer types, read by both ``describe`` and ``_rebuild``.
+This module alone owns the architecture descriptor: ``_ARCH`` names the
+attention net's fields and ``_ANN_LAYERS`` is the one table of ANN layer
+types, each read by both ``describe`` and ``_rebuild``.
 """
 
 from __future__ import annotations
@@ -140,9 +141,7 @@ def describe(model) -> dict:
         return {"input_shape": list(model.input_shape) if model.input_shape else None,
                 "layers": [_describe_ann_layer(layer) for layer in model.layers]}
     if isinstance(model, TinyAttentionNet):
-        return {"image_shape": list(model.image_shape), "patch": model.patch,
-                "embed": model.embed, "n_layers": model.n_layers, "n_heads": model.n_heads,
-                "n_classes": model.n_classes, "ffn_hidden": model.ffn_hidden}
+        return {key: getattr(model, key) for key in _ARCH["attention"]}
     raise FormatError(f"cannot checkpoint model type {type(model).__name__}")
 
 
@@ -172,7 +171,7 @@ def _rebuild(kind: str, arch: dict, dtype: np.dtype):
     if len(arch["image_shape"]) not in (2, 3):
         raise FormatError(f"checkpoint architecture.image_shape has {len(arch['image_shape'])} "
                           "entries, not 2 or 3")
-    return TinyAttentionNet(**{**arch, "image_shape": tuple(arch["image_shape"])}, dtype=dtype)
+    return TinyAttentionNet(**arch, dtype=dtype)
 
 
 def _one_dtype(tensors) -> np.dtype:

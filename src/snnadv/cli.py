@@ -18,7 +18,7 @@ import numpy as np
 from . import checkpoint, config as cfgmod, convert as convertmod, data as datamod
 from . import harness
 from .ann import build_mlp
-from .attacks import AttackConfig, AttackReport, attack_kind, blend_alphas, run_attack
+from .attacks import AttackConfig, AttackReport, attack_kind, blend_alphas, run_attack, steps_taken
 from .attention import TinyAttentionNet
 from .dynamics import READOUT_MEMBRANE, NeuronConfig, SpikingNet, build_snn_mlp
 from .errors import ConfigError, SnnAdvError
@@ -296,10 +296,8 @@ def cmd_attack(cfg: dict, out_dir: Path) -> None:
     evalset = harness.select_eval_set(models, test_x, test_y, cfg["n"], seed=cfg["seed"])
     x_adv = run_attack(cfg["kind"], models, evalset.x, evalset.y, attack_cfg,
                        index=evalset.indices)
-    # fgsm takes one step; a zero budget takes none
-    iterations = 0 if cfg["eps"] == 0.0 else 1 if cfg["kind"].lower() == "fgsm" else cfg["steps"]
     report = AttackReport.build(models, evalset.x, x_adv, evalset.y,
-                                iterations=iterations, names=names)
+                                iterations=steps_taken(cfg["kind"], attack_cfg), names=names)
     harness.write_json(report.as_dict(), out_dir / "attack_report.json")
     rates = " ".join(f"{name}={rate:.3f}" for name, rate in
                      zip(names, report.per_model_rate))
@@ -358,8 +356,7 @@ def cmd_multi_attack(cfg: dict, out_dir: Path) -> None:
     harness.write_comparison_csv(rows, out_dir / "comparison.csv")
     harness.write_json({"rows": rows}, out_dir / "comparison.json")
     for row in rows:
-        print(f"{row['pair']}: max_mim={row['max_mim']:.3f} max_pgd={row['max_pgd']:.3f} "
-              f"basic_saga={row['basic_saga']:.3f} auto_saga={row['auto_saga']:.3f}")
+        print(f"{row['pair']}:", *(f"{c}={row[c]:.3f}" for c in harness.COMPARISON_COLUMNS))
 
 
 def cmd_inspect(path: str) -> int:

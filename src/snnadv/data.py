@@ -26,6 +26,7 @@ LABELS_MAGIC = 0x00000801
 
 MNIST_ENV_VAR = "SNNADV_MNIST_DIR"
 BLOB_SPREAD = 0.08  # the standard deviation of each synthetic blob
+DIGIT_SIZE = 28     # the side of a synthetic digit image
 
 # 5x7 bitmap glyphs for the synthetic digit set
 _GLYPHS = [
@@ -83,12 +84,11 @@ def load_idx_labels(path) -> np.ndarray:
     return _read_idx(path, LABELS_MAGIC, "label").astype(np.int64)
 
 
-def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded Gaussian class blobs in [0, 1]^dim, balanced and linearly
+def synth_blobs(n: int, dim: int = 2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Two seeded Gaussian class blobs in [0, 1]^dim, balanced and linearly
     separable: each blob's deviation is ``BLOB_SPREAD``."""
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(0.2, 0.8, size=(classes, dim))
+    centers = rng.uniform(0.2, 0.8, size=(2, dim))
     # push centers apart until pairwise distances clear the spread
     for _ in range(200):
         dists = np.linalg.norm(centers[:, None] - centers[None, :], axis=-1)
@@ -100,7 +100,7 @@ def synth_blobs(n: int, classes: int = 2, dim: int = 2, seed: int = 0
         norm = np.linalg.norm(delta) or 1.0
         centers[i] = np.clip(centers[i] + 0.05 * delta / norm, 0.05, 0.95)
         centers[j] = np.clip(centers[j] - 0.05 * delta / norm, 0.05, 0.95)
-    labels = np.arange(n) % classes
+    labels = np.arange(n) % 2
     x = centers[labels] + BLOB_SPREAD * rng.standard_normal((n, dim))
     order = rng.permutation(n)
     return np.clip(x, 0.0, 1.0).astype(np.float32)[order], labels[order]
@@ -125,26 +125,26 @@ def _permute_rows(rows: np.ndarray, order: np.ndarray) -> None:
         done[i] = 1
 
 
-def synth_digits(n: int, seed: int = 0, size: int = 28) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic ten-class digit images: bitmap glyphs with random
-    integer scale, near-center placement jitter, stroke intensity, and pixel
-    noise (roughly centered, like the real handwritten sets). The order of
-    the per-sample draws and the float32 rounding define the set (README).
-    The set is built and then shuffled in one [n, size, size] buffer."""
-    if n < 0 or size < 21:  # the largest sprite, a 3x glyph, is 21x15
-        raise ConfigError(f"synth_digits needs n >= 0 and size >= 21, got n={n}, size={size}")
+def synth_digits(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic ten-class DIGIT_SIZE x DIGIT_SIZE digit images: bitmap
+    glyphs with random integer scale, near-center placement jitter, stroke
+    intensity, and pixel noise (roughly centered, like the real handwritten
+    sets). The order of the per-sample draws and the float32 rounding define
+    the set (README). The set is built and then shuffled in one buffer."""
+    if n < 0:
+        raise ConfigError(f"synth_digits needs n >= 0, got n={n}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 10
     glyphs = [np.array([list(row) for row in g.split()], dtype=np.float32) for g in _GLYPHS]
     sprites = {(d, s): g.repeat(s, 0).repeat(s, 1) for d, g in enumerate(glyphs) for s in (2, 3)}
-    images = np.empty((n, size, size), dtype=np.float32)
+    images = np.empty((n, DIGIT_SIZE, DIGIT_SIZE), dtype=np.float32)
     for i, digit in enumerate(labels.tolist()):
         sprite = sprites[digit, int(rng.integers(2, 4))]  # 10x14 or 15x21 footprint
         sh, sw = sprite.shape
-        top = min(max((size - sh) // 2 + int(rng.integers(-3, 4)), 0), size - sh)
-        left = min(max((size - sw) // 2 + int(rng.integers(-3, 4)), 0), size - sw)
+        top = min(max((DIGIT_SIZE - sh) // 2 + int(rng.integers(-3, 4)), 0), DIGIT_SIZE - sh)
+        left = min(max((DIGIT_SIZE - sw) // 2 + int(rng.integers(-3, 4)), 0), DIGIT_SIZE - sw)
         intensity = rng.uniform(0.75, 1.0)
-        images[i] = rng.normal(0.0, 0.06, size=(size, size))  # rounds the noise to float32
+        images[i] = rng.normal(0.0, 0.06, size=(DIGIT_SIZE, DIGIT_SIZE))  # rounds to float32
         images[i, top:top + sh, left:left + sw] += sprite * intensity
     np.clip(images, 0.0, 1.0, out=images)
     order = rng.permutation(n)
@@ -198,7 +198,7 @@ def load_split(source: str, n_train: int, n_test: int, seed: int = 0
         te = rng.choice(len(test_y), size=min(n_test, len(test_y)), replace=False)
         return _scaled(train_px[tr]), train_y[tr], _scaled(test_px[te]), test_y[te], "mnist"
     if source == "blobs":
-        x, y = synth_blobs(n_train + n_test, classes=2, dim=2, seed=0)
+        x, y = synth_blobs(n_train + n_test, dim=2, seed=0)
     else:
         x, y = synth_digits(n_train + n_test, seed=seed)
     tag = "blobs" if source == "blobs" else "synthetic-digits"

@@ -8,11 +8,11 @@ its dataset indices into the arrays it was drawn from, not a copy of their
 rows: each read of its ``x`` or ``y`` gathers its rows, so code here that
 uses them more than once reads them once. Nothing in the package writes
 into those arrays, and a caller must not while a set is in use. A set is
-re-verified: by ``transferability`` against the generator and each target
-before its one run (so ``transfer_matrix`` verifies every pair set once per
-generator and attack kind), by ``multi_model_comparison`` before each run,
-and by ``surrogate_sweep`` once, as its kernel views share the weights.
-Every attack starts through ``attacks.run_attack`` with dataset indices.
+re-verified against its models once before the first run that reads it;
+nothing between runs changes its rows or its models. ``transfer_matrix``
+reads every pair set in one run per generator and attack kind, so it
+verifies each once per run. Every attack starts through
+``attacks.run_attack`` with dataset indices.
 All runs are deterministic under a fixed seed, which is recorded alongside
 the outputs.
 """
@@ -51,11 +51,10 @@ class EvalSet:
         return self.source_y[self.indices]
 
     def verify(self, models: Sequence) -> None:
-        """Re-check the all-correct precondition before an attack run."""
+        """Re-check the all-correct precondition, once per distinct model."""
         x, y = self.x, self.y
         for i, model in enumerate(models):
-            pred = model.predict(x)
-            if not np.all(pred == y):
+            if all(m is not model for m in models[:i]) and not np.all(model.predict(x) == y):
                 raise SelectionError(f"evaluation set no longer all-correct for model {i}")
 
 
@@ -236,6 +235,10 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
                      still_correct=still_correct)
 
 
+# the comparison's four rates, in row, CSV and stdout order
+COMPARISON_COLUMNS = ("max_mim", "max_pgd", "basic_saga", "auto_saga")
+
+
 def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray, n: int,
                            single_cfg: AttackConfig, saga_cfg: AttackConfig,
                            seed: int = 0, pair_names: Optional[Sequence] = None) -> list:
@@ -246,36 +249,33 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
 
     Each pair's 2M + 2 runs (MIM then PGD per model, then SAGA, then
     Auto-SAGA) go through ``attacks.run_attack`` on the pair's evaluation set,
-    which is re-verified before each run."""
+    which is re-verified once, before the first run."""
     if pair_names and len(pair_names) != len(pairs):
         raise ConfigError(f"{len(pair_names)} pair names for {len(pairs)} pairs")
     rows = []
     for pi, pair in enumerate(pairs):
         models = list(pair)
         evalset = select_eval_set(models, x, y, n, seed=seed)
+        evalset.verify(models)
         x_set, y_set = evalset.x, evalset.y
 
         def joint(kind, attacked, cfg):
-            evalset.verify(models)
             x_adv = attacks.run_attack(kind, attacked, x_set, y_set, cfg,
                                        index=evalset.indices)
             return AttackReport.build(models, x_set, x_adv, y_set,
-                                      iterations=cfg.n_iter).joint_rate
+                                      iterations=attacks.steps_taken(kind, cfg)).joint_rate
 
         mims, pgds = zip(*[(joint("mim", [m], single_cfg), joint("pgd", [m], single_cfg))
                            for m in models])
-        basic = joint("saga", models, saga_cfg)
-        auto = joint("autosaga", models, saga_cfg)
-        name = pair_names[pi] if pair_names else f"pair{pi}"
-        rows.append({"pair": name, "max_mim": max(mims), "max_pgd": max(pgds),
-                     "basic_saga": basic, "auto_saga": auto, "n": n})
+        rates = (max(mims), max(pgds), *(joint(k, models, saga_cfg) for k in ("saga", "autosaga")))
+        rows.append({"pair": pair_names[pi] if pair_names else f"pair{pi}",
+                     **dict(zip(COMPARISON_COLUMNS, rates, strict=True)), "n": n})
     return rows
 
 
 def write_comparison_csv(rows: list, path: Path) -> Path:
-    return _write_rows(path, ["pair", "max_mim", "max_pgd", "basic_saga", "auto_saga", "n"],
-                       [[row["pair"], f"{row['max_mim']:.6f}", f"{row['max_pgd']:.6f}",
-                         f"{row['basic_saga']:.6f}", f"{row['auto_saga']:.6f}", row["n"]]
+    return _write_rows(path, ["pair", *COMPARISON_COLUMNS, "n"],
+                       [[row["pair"], *(f"{row[c]:.6f}" for c in COMPARISON_COLUMNS), row["n"]]
                         for row in rows])
 
 

@@ -11,8 +11,8 @@ from . import numerics
 from .errors import ConfigError, EvaluationError, TrainingError
 from .surrogate import SurrogateSpec
 
-# Adam's two moment decays and the floor under its step's denominator
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# SGD's velocity decay, Adam's two moment decays and the floor under its step's denominator
+SGD_MOMENTUM, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.9, 0.999, 1e-8
 
 
 def _rate(lr: float) -> float:
@@ -23,9 +23,8 @@ def _rate(lr: float) -> float:
 
 
 class SGD:
-    def __init__(self, lr: float = 0.05, momentum: float = 0.9):
+    def __init__(self, lr: float = 0.05):
         self.lr = _rate(lr)
-        self.momentum = momentum
         self._velocity = {}
 
     def step(self, params, grads):
@@ -34,7 +33,7 @@ class SGD:
             v = self._velocity.get(name)
             if v is None:
                 v = np.zeros_like(p)
-            v = self.momentum * v - self.lr * g
+            v = SGD_MOMENTUM * v - self.lr * g
             self._velocity[name] = v
             p += v
 

@@ -86,7 +86,7 @@ def digits():
 
 @pytest.fixture(scope="session")
 def blob_data():
-    x, y = synth_blobs(400, classes=2, dim=6, seed=3)
+    x, y = synth_blobs(400, dim=6, seed=3)
     return x, y
 
 

@@ -15,7 +15,7 @@ from snnadv import attacks, numerics
 from snnadv.ann import AnnNet, Dense, build_mlp
 from snnadv.attention import TinyAttentionNet
 from snnadv.attacks import (AttackConfig, AttackReport, auto_saga, fgsm, loss_input_grad,
-                            margin_loss, mim, pgd, project, run_attack, saga)
+                            margin_loss, mim, pgd, project, run_attack, saga, steps_taken)
 from snnadv.dynamics import build_snn_mlp
 from snnadv.errors import ConfigError
 
@@ -654,6 +654,27 @@ class TestReportAndFuzz:
             assert np.max(np.abs(out - x)) <= 0.1 + 1e-6
         with pytest.raises(ConfigError):
             run_attack("unknown", [blob_net], x, y, cfg)
+
+    @pytest.mark.parametrize("kind,eps,want", [
+        ("fgsm", 0.1, 1), ("FGSM", 0.1, 1), ("pgd", 0.1, 3), ("mim", 0.1, 3),
+        ("saga", 0.1, 3), ("AutoSaga", 0.1, 3), ("fgsm", 0.0, 0), ("pgd", 0.0, 0),
+        ("autosaga", 0.0, 0)])
+    def test_steps_taken_counts_the_steps_an_attack_takes(self, monkeypatch, blob_net,
+                                                          blob_data, kind, eps, want):
+        x, y = blob_data
+        cfg = AttackConfig(eps_max=eps, eps_step=0.02, n_iter=3, seed=0)
+        steps = []
+        iterate = attacks._iterate
+
+        def counting(x, eps_max, step, n_iter, direction, *rest, **kwargs):
+            def counted(x_adv):
+                steps.append(x_adv)
+                return direction(x_adv)
+            return iterate(x, eps_max, step, n_iter, counted, *rest, **kwargs)
+
+        monkeypatch.setattr(attacks, "_iterate", counting)
+        run_attack(kind, [blob_net], x[:16], y[:16], cfg)
+        assert steps_taken(kind, cfg) == len(steps) == want
 
     def test_projection_fuzz_small(self, blob_net, blob_data):
         # the acceptance suite runs the full 10^3-config version

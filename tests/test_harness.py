@@ -9,8 +9,9 @@ from snnadv import attacks
 from snnadv.ann import build_mlp
 from snnadv.attacks import AttackConfig, AttackReport, pgd
 from snnadv.errors import ConfigError, SelectionError
-from snnadv.harness import (EvalSet, multi_model_comparison, select_eval_set,
-                            surrogate_sweep, transfer_matrix, transferability)
+from snnadv.harness import (COMPARISON_COLUMNS, EvalSet, multi_model_comparison,
+                            select_eval_set, surrogate_sweep, transfer_matrix, transferability,
+                            write_comparison_csv)
 from snnadv.surrogate import SurrogateSpec
 
 from conftest import traced_kept
@@ -105,6 +106,24 @@ class TestSelectEvalSet:
         oracle = _Oracle(y[:4])  # predicts the true labels, not the flipped ones
         with pytest.raises(SelectionError):
             es.verify([oracle])
+
+    def test_verify_predicts_a_model_named_twice_once(self, blob_data):
+        x, y = blob_data
+        es = EvalSet(indices=np.arange(4), source_x=x[:4], source_y=y[:4])
+        calls = []
+
+        class _Counting(_Oracle):
+            def predict(self, x):
+                calls.append(self)
+                return super().predict(x)
+
+        good, bad = _Counting(y[:4]), _Counting((y[:4] + 1) % 2)
+        es.verify([good, good])
+        assert calls == [good]
+        # a failing model is reported at its first index
+        with pytest.raises(SelectionError, match="for model 1$"):
+            es.verify([good, bad, bad, good])
+        assert calls == [good, good, bad]
 
 
 class TestTransferability:
@@ -306,15 +325,21 @@ class TestMultiModelComparison:
         # at a saturating budget every column reaches the white-box joint rate
         assert row["max_mim"] == row["max_pgd"] == row["basic_saga"] == row["auto_saga"] == 1.0
 
-    def test_columns_in_unit_interval(self, blob_net, blob_data):
+    def test_columns_in_unit_interval(self, blob_net, blob_data, tmp_path):
         x, y = blob_data
         other = build_mlp([6, 10, 2], seed=99)
         single = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=5, seed=0)
         sagac = AttackConfig(eps_max=0.1, eps_step=0.01, n_iter=5, seed=0)
-        rows = multi_model_comparison([(blob_net, other)], x, y, 16, single, sagac,
-                                      seed=0)
-        for key in ("max_mim", "max_pgd", "basic_saga", "auto_saga"):
-            assert 0.0 <= rows[0][key] <= 1.0
+        rows = multi_model_comparison([(blob_net, other), (other, blob_net)], x, y, 16,
+                                      single, sagac, seed=0)
+        assert COMPARISON_COLUMNS == ("max_mim", "max_pgd", "basic_saga", "auto_saga")
+        for row in rows:
+            assert list(row) == ["pair", *COMPARISON_COLUMNS, "n"]
+            assert all(0.0 <= row[key] <= 1.0 for key in COMPARISON_COLUMNS)
+        lines = write_comparison_csv(rows, tmp_path / "c.csv").read_text().splitlines()
+        assert lines[0] == ",".join(["pair", *COMPARISON_COLUMNS, "n"])
+        assert lines[1] == ",".join(["pair0", *(f"{rows[0][k]:.6f}" for k in COMPARISON_COLUMNS),
+                                     "16"])
 
     def test_joint_success_definition(self, blob_data):
         x, y = blob_data
@@ -382,6 +407,27 @@ class TestAttackRouting:
             assert [models for _, models, _ in runs] == [[pair[0]], [pair[0]], [pair[1]],
                                                          [pair[1]], list(pair), list(pair)]
             assert all(np.array_equal(index, evalset.indices) for _, _, index in runs)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_comparison_verifies_each_pair_set_once_before_its_runs(self, routed, monkeypatch,
+                                                                     blob_net, blob_data,
+                                                                     n_pairs):
+        x, y = blob_data
+        verify = EvalSet.verify
+
+        def recording(evalset, models):
+            routed.append(("verify", list(models), evalset.indices))
+            verify(evalset, models)
+
+        monkeypatch.setattr(EvalSet, "verify", recording)
+        other = build_mlp([6, 10, 2], seed=99)
+        pairs = [(blob_net, other), (other, blob_net)][:n_pairs]
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        multi_model_comparison(pairs, x, y, 16, cfg, cfg, seed=0)
+        assert [kind for kind, _, _ in routed] \
+            == ["verify", "mim", "pgd", "mim", "pgd", "saga", "autosaga"] * n_pairs
+        assert [models for kind, models, _ in routed if kind == "verify"] \
+            == [list(pair) for pair in pairs]
 
     def test_transferability_makes_one_run_on_the_union(self, routed, blob_net, blob_data):
         x, y = blob_data

@@ -28,7 +28,7 @@ class _FixedPredictor:
 class TestTrainLoop:
     def test_zero_lr_leaves_weights_unchanged(self, blob_data):
         x, y = blob_data
-        for opt in (SGD(lr=0.0, momentum=0.9), Adam(lr=0.0)):
+        for opt in (SGD(lr=0.0), Adam(lr=0.0)):
             net = build_mlp([6, 8, 2], seed=1)
             before = [p.copy() for _, p in net.params()]
             train_epochs(net, x, y, epochs=2, optimizer=opt, seed=0, verbose=False)
@@ -77,7 +77,7 @@ class TestTrainLoop:
         net = build_mlp([6, 8, 2], seed=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch"):
-                train_epochs(net, x, y, epochs=50, optimizer=SGD(lr=1e12, momentum=0.99),
+                train_epochs(net, x, y, epochs=50, optimizer=SGD(lr=1e12),
                              seed=0, verbose=False)
 
     def test_spiking_model_trains_with_the_kernel_it_carries(self, blob_data):
@@ -134,7 +134,7 @@ def _two_epoch_case(family):
         x, y = synth_digits(300, seed=2)
         return TinyAttentionNet(image_shape=(1, 28, 28), patch=7, embed=8, n_layers=1,
                                 n_heads=2, seed=3), x, y, None
-    x, y = synth_blobs(400, classes=2, dim=6, seed=3)
+    x, y = synth_blobs(400, dim=6, seed=3)
     if family == "ann":
         return build_mlp([6, 16, 2], seed=3), x, y, None
     return build_snn_mlp([6, 16, 2], T=4, seed=3,
