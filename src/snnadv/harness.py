@@ -1,20 +1,18 @@
-"""Experiment orchestration: balanced evaluation-set selection, pairwise
-transferability matrices, the surrogate-kernel robustness sweep, and the
-four-column multi-model attack comparison.
+"""Experiment orchestration: balanced evaluation-set selection, the outcome
+cube, and its three views: pairwise transferability matrices, the
+surrogate-kernel robustness sweep and the multi-model attack comparison.
 
 Every evaluation set contains only samples that all models under test
 classify correctly, with class counts differing by at most one. A set is
 its dataset indices into the arrays it was drawn from, not a copy of their
 rows: each read of its ``x`` or ``y`` gathers its rows, so code here that
 uses them more than once reads them once. Nothing in the package writes
-into those arrays, and a caller must not while a set is in use. A set is
-re-verified against its models once before the first run that reads it;
-nothing between runs changes its rows or its models. ``transfer_matrix``
-reads every pair set in one run per generator and attack kind, so it
-verifies each once per run. Every attack starts through
-``attacks.run_attack`` with dataset indices.
-All runs are deterministic under a fixed seed, which is recorded alongside
-the outputs.
+into those arrays, and a caller must not while a set is in use. Every
+attack starts in ``outcomes``, through ``attacks.run_attack`` with dataset
+indices. A function handed a set verifies it once before its first run; a
+function that drew the set from the same models' predictions does not
+(``transfer_matrix`` reaches its sets through ``transferability``). All
+runs are deterministic under a fixed seed, recorded alongside the outputs.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import attacks
-from .attacks import AttackConfig, AttackReport
+from .attacks import AttackConfig
 from .errors import ConfigError, SelectionError
 from .surrogate import SurrogateSpec
 
@@ -93,6 +91,19 @@ def _draw_eval_set(correct: np.ndarray, x: np.ndarray, y: np.ndarray, n: int,
     return EvalSet(indices=indices, source_x=x, source_y=y)
 
 
+def outcomes(cells: Sequence[tuple], scorers: Sequence, evalset: EvalSet) -> np.ndarray:
+    """``bool [cells, scorers, n]``: whether each scorer still classifies each
+    of the set's samples correctly after each cell. A cell is ``(kind,
+    attacked models, cfg)``, run in list order through ``attacks.run_attack``
+    with the set's indices; a None ``cfg`` scores the clean rows."""
+    x, y, index = evalset.x, evalset.y, evalset.indices
+    cube = np.empty((len(cells), len(scorers), len(y)), dtype=bool)
+    for ci, (kind, attacked, cfg) in enumerate(cells):
+        x_adv = x if cfg is None else attacks.run_attack(kind, attacked, x, y, cfg, index=index)
+        cube[ci] = [scorer.predict(x_adv) == y for scorer in scorers]
+    return cube
+
+
 def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], kind: str,
                     cfg: AttackConfig) -> list:
     """Per target, the fraction of its evaluation set that it misclassifies
@@ -101,28 +112,25 @@ def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], k
     The sets must all index the same ``x`` and ``y`` arrays, since their
     indices key the union; sets over other arrays are refused before any
     run. Each set is re-verified against the generator and its target. The
-    generator is then attacked once, on the rows of the sorted union of the
-    sets' dataset indices, gathered straight from the arrays they index,
-    and each target is scored on its own rows. The attacks are
-    batch-invariant (see ``attacks``), so each rate equals attacking its
-    set alone."""
+    generator is then attacked once, as one cell on the sorted union of the
+    sets' indices that every target scores, and each rate is read at its own
+    rows; attacks and ``predict`` are batch-invariant (see ``attacks``)."""
     if len({(id(evalset.source_x), id(evalset.source_y)) for evalset in evalsets}) > 1:
         raise SelectionError("evaluation sets index different arrays")
     for target, evalset in zip(targets, evalsets, strict=True):
         evalset.verify([gen_model, target])
-    union = np.unique(np.concatenate([evalset.indices for evalset in evalsets]))
-    x, y = evalsets[0].source_x[union], evalsets[0].source_y[union]
-    x_adv = attacks.run_attack(kind, [gen_model], x, y, cfg, index=union)
-    return [float(np.mean(target.predict(x_adv[np.searchsorted(union, evalset.indices)])
-                          != evalset.y))
-            for target, evalset in zip(targets, evalsets)]
+    union = EvalSet(np.unique(np.concatenate([evalset.indices for evalset in evalsets])),
+                    evalsets[0].source_x, evalsets[0].source_y)
+    [fooled] = ~outcomes([(kind, [gen_model], cfg)], targets, union)
+    return [float(np.mean(row[np.searchsorted(union.indices, evalset.indices)]))
+            for row, evalset in zip(fooled, evalsets)]
 
 
 @dataclass
 class TransferMatrix:
     names: list
     n: int
-    per_attack: dict           # attack name -> [M, M] array
+    per_attack: dict           # attack kind -> [M, M] array
 
     @property
     def max_matrix(self) -> np.ndarray:
@@ -152,12 +160,15 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
 
     Row i of each matrix is one ``transferability`` run of generator i
     against every model on its pair sets: M x A attack runs instead of
-    M^2 x A."""
+    M^2 x A. Matrices are keyed by lower-case kind; a kind named twice is refused."""
     if not attack_names:
         raise ConfigError("transfer matrix needs at least one attack kind")
     m = len(models)
     if len(names) != m:
         raise ConfigError(f"{len(names)} names for {m} models")
+    kinds = [attacks.attack_kind(name) for name in attack_names]
+    if twice := [kind for i, kind in enumerate(kinds) if kind in kinds[:i]]:
+        raise ConfigError(f"attack kind {twice[0]!r} named twice")
     y = np.asarray(y)
     # one prediction pass per model; each pair's mask is the AND of two
     correct = [model.predict(x) == y for model in models]
@@ -165,12 +176,11 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
                                        max(models[i].n_classes, models[j].n_classes), seed)
                 for i in range(m) for j in range(i, m)}
     per_attack = {
-        attack_name: np.array([
+        kind: np.array([
             transferability(models[i], models,
-                            [evalsets[min(i, j), max(i, j)] for j in range(m)],
-                            attack_name, cfg)
+                            [evalsets[min(i, j), max(i, j)] for j in range(m)], kind, cfg)
             for i in range(m)])
-        for attack_name in attack_names}
+        for kind in kinds}
     return TransferMatrix(names=list(names), n=n, per_attack=per_attack)
 
 
@@ -218,21 +228,17 @@ def surrogate_sweep(snn, eps_values: Sequence[float], specs: Sequence[SurrogateS
 
     Each kernel attacks a ``snn.with_surrogate`` view that shares the weights,
     so ``snn`` never changes. ``sweep_columns`` checks the whole grid before
-    the first attack. Each eps restarts from the clean inputs. Robust accuracy
-    and its complement derive from the outcomes; tables in this area mix the two.
-    """
+    the first attack. Cells run kernel-major, each eps from the clean inputs,
+    and ``snn`` scores them all: every view shares its Heaviside forward.
+    Robust accuracy and its complement derive from the outcomes; tables in
+    this area mix the two."""
     columns = sweep_columns(eps_values, specs, cfg)
     evalset.verify([snn])
-    x, y = evalset.x, evalset.y
-    still_correct = np.zeros((len(specs), len(eps_values), len(y)), dtype=bool)
-    for si, spec in enumerate(specs):
-        view = snn.with_surrogate(spec)
-        for ei, cfg_eps in enumerate(columns):
-            x_adv = x if cfg_eps is None else attacks.run_attack(
-                "pgd", [view], x, y, cfg_eps, index=evalset.indices)
-            still_correct[si, ei] = view.predict(x_adv) == y
+    views = [snn.with_surrogate(spec) for spec in specs]
+    cells = [("pgd", [view], cfg_eps) for view in views for cfg_eps in columns]
+    cube = outcomes(cells, [snn], evalset)
     return SweepGrid(kinds=[s.kind for s in specs], eps_values=list(eps_values),
-                     still_correct=still_correct)
+                     still_correct=cube.reshape(len(specs), len(columns), cube.shape[-1]))
 
 
 # the comparison's four rates, in row, CSV and stdout order
@@ -247,27 +253,19 @@ def multi_model_comparison(pairs: Sequence[tuple], x: np.ndarray, y: np.ndarray,
     ``saga_cfg``, whose ``alphas`` are SAGA's coefficients and Auto-SAGA's
     start (uniform when None).
 
-    Each pair's 2M + 2 runs (MIM then PGD per model, then SAGA, then
-    Auto-SAGA) go through ``attacks.run_attack`` on the pair's evaluation set,
-    which is re-verified once, before the first run."""
-    if pair_names and len(pair_names) != len(pairs):
+    Each pair's 2M + 2 cells (MIM then PGD per model, then SAGA, then
+    Auto-SAGA) run on a set drawn from the pair's own predictions, unverified.
+    A cell's rate is the share both models get wrong; singles take the max."""
+    if pair_names is not None and len(pair_names) != len(pairs):
         raise ConfigError(f"{len(pair_names)} pair names for {len(pairs)} pairs")
     rows = []
     for pi, pair in enumerate(pairs):
         models = list(pair)
-        evalset = select_eval_set(models, x, y, n, seed=seed)
-        evalset.verify(models)
-        x_set, y_set = evalset.x, evalset.y
-
-        def joint(kind, attacked, cfg):
-            x_adv = attacks.run_attack(kind, attacked, x_set, y_set, cfg,
-                                       index=evalset.indices)
-            return AttackReport.build(models, x_set, x_adv, y_set,
-                                      iterations=attacks.steps_taken(kind, cfg)).joint_rate
-
-        mims, pgds = zip(*[(joint("mim", [m], single_cfg), joint("pgd", [m], single_cfg))
-                           for m in models])
-        rates = (max(mims), max(pgds), *(joint(k, models, saga_cfg) for k in ("saga", "autosaga")))
+        cells = [(kind, [model], single_cfg) for model in models for kind in ("mim", "pgd")] \
+            + [(kind, models, saga_cfg) for kind in ("saga", "autosaga")]
+        cube = outcomes(cells, models, select_eval_set(models, x, y, n, seed=seed))
+        joint = [float(rate) for rate in (~cube).all(axis=1).mean(axis=1)]
+        rates = (max(joint[:-2:2]), max(joint[1:-2:2]), *joint[-2:])
         rows.append({"pair": pair_names[pi] if pair_names else f"pair{pi}",
                      **dict(zip(COMPARISON_COLUMNS, rates, strict=True)), "n": n})
     return rows

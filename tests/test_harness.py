@@ -9,7 +9,7 @@ from snnadv import attacks
 from snnadv.ann import build_mlp
 from snnadv.attacks import AttackConfig, AttackReport, pgd
 from snnadv.errors import ConfigError, SelectionError
-from snnadv.harness import (COMPARISON_COLUMNS, EvalSet, multi_model_comparison,
+from snnadv.harness import (COMPARISON_COLUMNS, EvalSet, multi_model_comparison, outcomes,
                             select_eval_set, surrogate_sweep, transfer_matrix, transferability,
                             write_comparison_csv)
 from snnadv.surrogate import SurrogateSpec
@@ -314,6 +314,72 @@ class TestSurrogateSweep:
             surrogate_sweep(bp_snn, eps, [SurrogateSpec(kind=k) for k in kinds], es, cfg)
 
 
+class TestOutcomes:
+    """The outcome cube that every experiment reads."""
+
+    @pytest.fixture
+    def recorded(self, blob_net, blob_data, monkeypatch):
+        x, y = blob_data
+        es = select_eval_set([blob_net], x, y, 20, seed=1)
+        runs = []
+        run_attack = attacks.run_attack
+
+        def recording(kind, models, xs, labels, cfg, index=None):
+            x_adv = run_attack(kind, models, xs, labels, cfg, index=index)
+            runs.append((kind, list(models), cfg, index, xs, labels, x_adv))
+            return x_adv
+
+        monkeypatch.setattr(attacks, "run_attack", recording)
+        # an untrained scorer: it gets some of the set's samples wrong even clean
+        return es, build_mlp([6, 10, 2], seed=99), runs
+
+    def test_shape_and_dtype(self, recorded, blob_net):
+        es, other, _ = recorded
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        cells = [("fgsm", [blob_net], cfg), ("pgd", [other], cfg), ("mim", [blob_net], None)]
+        cube = outcomes(cells, [blob_net, other], es)
+        assert cube.shape == (3, 2, 20) and cube.dtype == np.bool_
+        assert outcomes([], [blob_net], es).shape == (0, 1, 20)
+
+    def test_cells_run_in_list_order_with_the_sets_indices(self, recorded, blob_net):
+        es, other, runs = recorded
+        cfgs = [AttackConfig(eps_max=e, eps_step=0.02, n_iter=2, seed=0) for e in (0.1, 0.2)]
+        cells = [("pgd", [blob_net], cfgs[0]), ("mim", [other], None),
+                 ("mim", [other], cfgs[1]), ("saga", [blob_net, other], cfgs[0])]
+        outcomes(cells, [blob_net], es)
+        assert [(kind, models, cfg) for kind, models, cfg, *_ in runs] \
+            == [cells[0], cells[2], cells[3]]
+        for *_, index, xs, labels, _ in runs:
+            assert np.array_equal(index, es.indices)
+            assert np.array_equal(xs, es.x) and np.array_equal(labels, es.y)
+
+    def test_a_none_cell_scores_the_clean_rows(self, recorded, blob_net):
+        es, other, runs = recorded
+        cube = outcomes([("pgd", [blob_net], None)], [blob_net, other], es)
+        assert runs == []
+        assert cube[0, 0].all()
+        assert np.array_equal(cube[0, 1], other.predict(es.x) == es.y)
+        assert not cube[0, 1].all()
+
+    def test_each_scorer_is_scored_on_its_own(self, recorded, blob_net):
+        es, other, runs = recorded
+        cfg = AttackConfig(eps_max=0.3, eps_step=0.05, n_iter=5, seed=0)
+        cube = outcomes([("pgd", [blob_net], cfg)], [other, blob_net, other], es)
+        [(*_, x_adv)] = runs
+        for row, scorer in zip(cube[0], [other, blob_net, other]):
+            assert np.array_equal(row, scorer.predict(x_adv) == es.y)
+        assert not np.array_equal(cube[0, 0], cube[0, 1])
+
+    def test_one_cell_negated_is_the_attack_reports_success(self, recorded, blob_net):
+        es, other, runs = recorded
+        cfg = AttackConfig(eps_max=0.3, eps_step=0.05, n_iter=5, seed=0)
+        cube = outcomes([("pgd", [blob_net], cfg)], [blob_net, other], es)
+        [(*_, x_adv)] = runs
+        success = AttackReport.build([blob_net, other], es.x, x_adv, es.y, iterations=5).success
+        assert (~cube[0]).dtype == success.dtype and (~cube[0]).shape == success.shape
+        assert (~cube[0]).tobytes() == success.tobytes()
+
+
 class TestMultiModelComparison:
     def test_duplicate_pair_saturates_equal(self, blob_net, blob_data):
         x, y = blob_data
@@ -409,9 +475,9 @@ class TestAttackRouting:
             assert all(np.array_equal(index, evalset.indices) for _, _, index in runs)
 
     @pytest.mark.parametrize("n_pairs", [1, 2])
-    def test_comparison_verifies_each_pair_set_once_before_its_runs(self, routed, monkeypatch,
-                                                                     blob_net, blob_data,
-                                                                     n_pairs):
+    def test_comparison_runs_its_cells_without_a_verify(self, routed, monkeypatch, blob_net,
+                                                        blob_data, n_pairs):
+        # each pair set is drawn from the pair's own predictions, so it is not re-verified
         x, y = blob_data
         verify = EvalSet.verify
 
@@ -425,9 +491,7 @@ class TestAttackRouting:
         cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
         multi_model_comparison(pairs, x, y, 16, cfg, cfg, seed=0)
         assert [kind for kind, _, _ in routed] \
-            == ["verify", "mim", "pgd", "mim", "pgd", "saga", "autosaga"] * n_pairs
-        assert [models for kind, models, _ in routed if kind == "verify"] \
-            == [list(pair) for pair in pairs]
+            == ["mim", "pgd", "mim", "pgd", "saga", "autosaga"] * n_pairs
 
     def test_transferability_makes_one_run_on_the_union(self, routed, blob_net, blob_data):
         x, y = blob_data
@@ -449,7 +513,10 @@ class TestAttackRouting:
         (lambda models, x, y, cfg: multi_model_comparison(
             [tuple(models), tuple(models[::-1])], x, y, 16, cfg, cfg, pair_names=["p"]),
          "1 pair names for 2 pairs"),
-    ], ids=["matrix-short", "matrix-long", "comparison-short"])
+        (lambda models, x, y, cfg: multi_model_comparison(
+            [tuple(models), tuple(models[::-1])], x, y, 16, cfg, cfg, pair_names=[]),
+         "0 pair names for 2 pairs"),
+    ], ids=["matrix-short", "matrix-long", "comparison-short", "comparison-empty"])
     def test_name_list_of_another_length_is_refused_before_any_run(self, routed, blob_net,
                                                                     blob_data, run, message):
         x, y = blob_data
@@ -457,6 +524,24 @@ class TestAttackRouting:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             run([blob_net, build_mlp([6, 10, 2], seed=99)], x, y, cfg)
         assert routed == []
+
+    @pytest.mark.parametrize("attack_names", [("pgd", "pgd"), ("pgd", "PGD"),
+                                              ("fgsm", "Pgd", "mim", "pGd")],
+                             ids=["same-case", "other-case", "among-others"])
+    def test_matrix_refuses_a_kind_named_twice_before_any_run(self, routed, blob_net, blob_data,
+                                                              attack_names):
+        x, y = blob_data
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        with pytest.raises(ConfigError, match="^attack kind 'pgd' named twice$"):
+            transfer_matrix([blob_net], ["net"], x, y, 16, cfg, attack_names=attack_names)
+        assert routed == []
+
+    def test_matrix_is_keyed_by_lower_case_kind(self, routed, blob_net, blob_data):
+        x, y = blob_data
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        tm = transfer_matrix([blob_net], ["net"], x, y, 16, cfg, attack_names=("MIM", "Fgsm"))
+        assert list(tm.per_attack) == ["mim", "fgsm"]
+        assert [kind for kind, _, _ in routed] == ["mim", "fgsm"]
 
     def test_sweep_makes_one_run_per_kernel_and_nonzero_eps(self, routed, bp_snn, digits):
         _, _, test_x, test_y = digits

@@ -1149,6 +1149,8 @@ class TestCli:
          "surrogate sweep needs at least one kernel and one eps"),
         (["transfer-matrix", "--models", "{ann}", "--attacks", ","],
          "transfer matrix needs at least one attack kind"),
+        (["transfer-matrix", "--models", "{ann}", "--attacks", "pgd,PGD"],
+         "attack kind 'pgd' named twice"),
         (["convert", "--ann", "{ann}", "--percentile", "150"],
          "percentile must be in [0, 100], got 150.0"),
         (["convert", "--ann", "{ann}", "--n-calib", "-5"], "n-calib must be >= 1, got -5"),
@@ -1178,8 +1180,8 @@ class TestCli:
         (["train", "--kind", "snn", "--arch", "2-4-2", "--adapt-decay", "nan"],
          "adapt_decay must be in [0, 1), got nan"),
     ], ids=["attack-n", "transfer-n", "multi-n", "attack-negative-n", "sweep-n",
-            "no-kernels", "no-attacks", "percentile", "n-calib", "fine-tune-epochs", "patch", "heads",
-            "embed", "zero-width", "train-seed", "attack-seed", "train-lr", "convert-lr",
+            "no-kernels", "no-attacks", "kind-twice", "percentile", "n-calib",
+            "fine-tune-epochs", "patch", "heads", "embed", "zero-width", "train-seed", "attack-seed", "train-lr", "convert-lr",
             "convert-lr-without-epochs", "convert-snn", "convert-attention", "nan-eps-step",
             "inf-surrogate-sigma", "nan-adapt-decay"])
     def test_out_of_range_value_is_one_line_error(self, tmp_path, capsys, blobs_ann,

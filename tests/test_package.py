@@ -95,3 +95,17 @@ def unread_fields() -> list:
 def test_every_dataclass_field_has_a_src_reader():
     unread = unread_fields()
     assert not unread, f"fields read by no module of src/snnadv: {', '.join(unread)}"
+
+
+def _calls_run_attack(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "run_attack") \
+        or (isinstance(func, ast.Attribute) and func.attr == "run_attack")
+
+
+def test_harness_starts_every_attack_in_outcomes():
+    # the experiments are views over one outcome cube: one place runs and scores attacks
+    tree = ast.parse((SRC / "harness.py").read_text())
+    callers = [getattr(stmt, "name", type(stmt).__name__) for stmt in tree.body
+               for node in ast.walk(stmt) if _calls_run_attack(node)]
+    assert callers == ["outcomes"]
