@@ -324,12 +324,12 @@ def cmd_sweep_surrogate(cfg: dict, out_dir: Path) -> None:
 
 
 def cmd_transfer_matrix(cfg: dict, out_dir: Path) -> None:
-    attack_names = [a.strip() for a in cfg["attacks"].split(",") if a.strip()]
-    attack_cfg = _attack_config(cfg, attack_names)
+    kinds = harness.attack_kinds([a.strip() for a in cfg["attacks"].split(",") if a.strip()])
+    attack_cfg = _attack_config(cfg)
     models, names = _load_models(cfg["models"])
     train_x, train_y, test_x, test_y, _ = _load_dataset(cfg)
     matrix = harness.transfer_matrix(models, names, test_x, test_y, cfg["n"], attack_cfg,
-                                     attack_names=attack_names, seed=cfg["seed"])
+                                     attack_names=kinds, seed=cfg["seed"])
     matrix.write_csv(out_dir)
     harness.write_json(matrix.as_dict(), out_dir / "transfer.json")
     print(f"wrote transfer matrices under {out_dir}")

@@ -9,10 +9,10 @@ rows: each read of its ``x`` or ``y`` gathers its rows, so code here that
 uses them more than once reads them once. Nothing in the package writes
 into those arrays, and a caller must not while a set is in use. Every
 attack starts in ``outcomes``, through ``attacks.run_attack`` with dataset
-indices. A function handed a set verifies it once before its first run; a
-function that drew the set from the same models' predictions does not
-(``transfer_matrix`` reaches its sets through ``transferability``). All
-runs are deterministic under a fixed seed, recorded alongside the outputs.
+indices. A function handed a set verifies it once per call, before its first
+run; one that drew the set from the same models' predictions does not, but
+``transfer_matrix`` hands its sets to ``transferability``, one cube per
+generator. Runs are deterministic under a seed recorded with the outputs.
 """
 
 from __future__ import annotations
@@ -104,26 +104,36 @@ def outcomes(cells: Sequence[tuple], scorers: Sequence, evalset: EvalSet) -> np.
     return cube
 
 
-def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet], kind: str,
-                    cfg: AttackConfig) -> list:
-    """Per target, the fraction of its evaluation set that it misclassifies
-    once ``kind`` has attacked ``gen_model`` on that set.
+def attack_kinds(names: Sequence[str]) -> list:
+    """``names`` lower-cased: known attack kinds, each named once in any case."""
+    if isinstance(names, str) or not names:
+        raise ConfigError(f"attack kinds must be a list of names, not the string {names!r}"
+                          if names else "transfer matrix needs at least one attack kind")
+    kinds = [attacks.attack_kind(name) for name in names]
+    if twice := [kind for i, kind in enumerate(kinds) if kind in kinds[:i]]:
+        raise ConfigError(f"attack kind {twice[0]!r} named twice")
+    return kinds
 
-    The sets must all index the same ``x`` and ``y`` arrays, since their
-    indices key the union; sets over other arrays are refused before any
-    run. Each set is re-verified against the generator and its target. The
-    generator is then attacked once, as one cell on the sorted union of the
-    sets' indices that every target scores, and each rate is read at its own
-    rows; attacks and ``predict`` are batch-invariant (see ``attacks``)."""
+
+def transferability(gen_model, targets: Sequence, evalsets: Sequence[EvalSet],
+                    kinds: Sequence[str], cfg: AttackConfig) -> np.ndarray:
+    """``float64 [kinds, targets]``: per kind, the share of each target's
+    evaluation set that it misclassifies once that kind attacked ``gen_model``.
+
+    Sets over other arrays than the first set's are refused before any run, as
+    indices key the union. Each set is verified once against the generator and
+    its target. The kinds are the cells of one cube on the sets' sorted union:
+    every target scores it, and each rate reads its own (batch-invariant) rows."""
+    kinds = attack_kinds(kinds)
     if len({(id(evalset.source_x), id(evalset.source_y)) for evalset in evalsets}) > 1:
         raise SelectionError("evaluation sets index different arrays")
     for target, evalset in zip(targets, evalsets, strict=True):
         evalset.verify([gen_model, target])
     union = EvalSet(np.unique(np.concatenate([evalset.indices for evalset in evalsets])),
                     evalsets[0].source_x, evalsets[0].source_y)
-    [fooled] = ~outcomes([(kind, [gen_model], cfg)], targets, union)
-    return [float(np.mean(row[np.searchsorted(union.indices, evalset.indices)]))
-            for row, evalset in zip(fooled, evalsets)]
+    fooled = ~outcomes([(kind, [gen_model], cfg) for kind in kinds], targets, union)
+    rows = [np.searchsorted(union.indices, evalset.indices) for evalset in evalsets]
+    return np.array([[np.mean(hit[at]) for hit, at in zip(cell, rows)] for cell in fooled])
 
 
 @dataclass
@@ -156,32 +166,22 @@ def transfer_matrix(models: Sequence, names: Sequence[str], x: np.ndarray, y: np
                     attack_names: Sequence[str] = ("fgsm", "pgd", "mim"),
                     seed: int = 0) -> TransferMatrix:
     """All-pairs transferability, one evaluation set per model pair, plus the
-    elementwise max across attacks.
-
-    Row i of each matrix is one ``transferability`` run of generator i
-    against every model on its pair sets: M x A attack runs instead of
-    M^2 x A. Matrices are keyed by lower-case kind; a kind named twice is refused."""
-    if not attack_names:
-        raise ConfigError("transfer matrix needs at least one attack kind")
-    m = len(models)
+    elementwise max across attacks. Row i of each matrix comes from one
+    ``transferability`` cube of generator i's kinds on its pair sets: M x A
+    attack runs and M^2 verifies. Matrices are keyed by lower-case kind."""
+    kinds, m = attack_kinds(attack_names), len(models)
     if len(names) != m:
         raise ConfigError(f"{len(names)} names for {m} models")
-    kinds = [attacks.attack_kind(name) for name in attack_names]
-    if twice := [kind for i, kind in enumerate(kinds) if kind in kinds[:i]]:
-        raise ConfigError(f"attack kind {twice[0]!r} named twice")
     y = np.asarray(y)
     # one prediction pass per model; each pair's mask is the AND of two
     correct = [model.predict(x) == y for model in models]
     evalsets = {(i, j): _draw_eval_set(correct[i] & correct[j], x, y, n,
                                        max(models[i].n_classes, models[j].n_classes), seed)
                 for i in range(m) for j in range(i, m)}
-    per_attack = {
-        kind: np.array([
-            transferability(models[i], models,
-                            [evalsets[min(i, j), max(i, j)] for j in range(m)], kind, cfg)
-            for i in range(m)])
-        for kind in kinds}
-    return TransferMatrix(names=list(names), n=n, per_attack=per_attack)
+    rates = [transferability(gen, models, [evalsets[min(i, j), max(i, j)] for j in range(m)],
+                             kinds, cfg) for i, gen in enumerate(models)]
+    per_attack = np.reshape(rates, (m, len(kinds), m)).transpose(1, 0, 2)
+    return TransferMatrix(names=list(names), n=n, per_attack=dict(zip(kinds, per_attack)))
 
 
 @dataclass

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from snnadv import attacks
+from snnadv import attacks, harness
 from snnadv.ann import build_mlp
 from snnadv.attacks import AttackConfig, AttackReport, pgd
 from snnadv.errors import ConfigError, SelectionError
@@ -142,13 +142,13 @@ class TestTransferability:
         es = select_eval_set([blob_net], x, y, 20, seed=1)
         fooled = _Oracle(es.y, wrong_on_perturbed=True, n_classes=2).bind_clean(es.x)
         fake_attack(lambda xs: np.clip(xs + 0.05, 0, 1))
-        assert transferability(blob_net, [fooled], [es], "pgd", AttackConfig()) == [1.0]
+        assert transferability(blob_net, [fooled], [es], ["pgd"], AttackConfig())[0] == [1.0]
 
     def test_identity_attack_gives_zero(self, blob_net, blob_data, fake_attack):
         x, y = blob_data
         es = select_eval_set([blob_net], x, y, 20, seed=1)
         fake_attack(lambda xs: xs)
-        assert transferability(blob_net, [blob_net], [es], "pgd", AttackConfig()) == [0.0]
+        assert transferability(blob_net, [blob_net], [es], ["pgd"], AttackConfig())[0] == [0.0]
 
     def test_manual_fixture_fraction(self, fake_attack):
         y = np.array([0, 1, 2, 3, 4])
@@ -165,7 +165,7 @@ class TestTransferability:
         ev = _Two(y, n_classes=5)
         es = EvalSet(indices=np.arange(5), source_x=x, source_y=y)
         fake_attack(lambda xs: xs + 0.1)
-        assert transferability(gen, [ev], [es], "pgd", AttackConfig()) == [pytest.approx(2 / 5)]
+        assert transferability(gen, [ev], [es], ["pgd"], AttackConfig())[0] == [pytest.approx(2 / 5)]
 
     @pytest.mark.parametrize("other", ["x", "y"])
     def test_sets_over_other_arrays_are_refused_before_any_run(self, other, blob_net,
@@ -184,7 +184,28 @@ class TestTransferability:
         monkeypatch.setattr(EvalSet, "verify", refuse)
         monkeypatch.setattr(attacks, "run_attack", refuse)
         with pytest.raises(SelectionError, match="^evaluation sets index different arrays$"):
-            transferability(blob_net, [blob_net, blob_net], sets, "pgd", AttackConfig())
+            transferability(blob_net, [blob_net, blob_net], sets, ["pgd"], AttackConfig())
+
+    def test_kinds_are_the_cells_of_one_cube(self, blob_net, blob_data, monkeypatch):
+        x, y = blob_data
+        other = build_mlp([6, 10, 2], seed=99)
+        sets = [select_eval_set([blob_net], x, y, 16, seed=1),
+                select_eval_set([blob_net, other], x, y, 16, seed=0)]
+        cfg = AttackConfig(eps_max=0.2, eps_step=0.05, n_iter=5, seed=3)
+        kinds = ["fgsm", "pgd", "mim"]
+        one_kind = [transferability(blob_net, [blob_net, other], sets, [kind], cfg)[0]
+                    for kind in kinds]
+        verified, cubes = [], []
+        verify, score = EvalSet.verify, harness.outcomes
+        monkeypatch.setattr(EvalSet, "verify",
+                            lambda evalset, models: verified.append(evalset)
+                            or verify(evalset, models))
+        monkeypatch.setattr(harness, "outcomes", lambda cells, *args:
+                            cubes.append([kind for kind, _, _ in cells]) or score(cells, *args))
+        rates = transferability(blob_net, [blob_net, other], sets, kinds, cfg)
+        assert rates.dtype == np.float64 and rates.shape == (3, 2)
+        assert rates.tobytes() == np.array(one_kind).tobytes()
+        assert list(map(id, verified)) == list(map(id, sets)) and cubes == [kinds]
 
     @pytest.mark.parametrize("kind", ["fgsm", "pgd", "mim"])
     def test_one_pair_equals_its_matrix_cell(self, kind, blob_net, blob_data):
@@ -194,7 +215,7 @@ class TestTransferability:
         tm = transfer_matrix([blob_net, other], ["a", "b"], x, y, 16, cfg,
                              attack_names=(kind,), seed=0)
         pair_set = select_eval_set([blob_net, other], x, y, 16, seed=0)
-        [rate] = transferability(blob_net, [other], [pair_set], kind, cfg)
+        [rate] = transferability(blob_net, [other], [pair_set], [kind], cfg)[0]
         assert np.float64(rate).tobytes() == tm.per_attack[kind][0, 1].tobytes()
 
 
@@ -220,6 +241,12 @@ class TestTransferMatrix:
             assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0)
         assert np.all(tm.max_matrix >= tm.per_attack["fgsm"] - 1e-12)
         assert np.array_equal(tm.max_matrix, np.maximum.reduce(list(tm.per_attack.values())))
+
+    def test_no_models_gives_empty_square_matrices(self, blob_data):
+        x, y = blob_data
+        tm = transfer_matrix([], [], x, y, 4, AttackConfig())
+        assert list(tm.per_attack) == ["fgsm", "pgd", "mim"]
+        assert [m.shape for m in [*tm.per_attack.values(), tm.max_matrix]] == [(0, 0)] * 4
 
     def test_deterministic(self, blob_net, blob_data):
         x, y = blob_data
@@ -499,7 +526,7 @@ class TestAttackRouting:
         sets = [select_eval_set([blob_net], x, y, 16, seed=1),
                 select_eval_set([blob_net, other], x, y, 16, seed=0)]
         cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
-        transferability(blob_net, [blob_net, other], sets, "pgd", cfg)
+        transferability(blob_net, [blob_net, other], sets, ["pgd"], cfg)
         [(kind, models, index)] = routed
         assert kind == "pgd" and models == [blob_net]
         union = np.union1d(sets[0].indices, sets[1].indices)
@@ -535,6 +562,36 @@ class TestAttackRouting:
         with pytest.raises(ConfigError, match="^attack kind 'pgd' named twice$"):
             transfer_matrix([blob_net], ["net"], x, y, 16, cfg, attack_names=attack_names)
         assert routed == []
+
+    @pytest.mark.parametrize("run", [
+        lambda net, x, y, cfg: transfer_matrix([net], ["net"], x, y, 16, cfg, attack_names="pgd"),
+        lambda net, x, y, cfg: transferability(net, [net], [select_eval_set([net], x, y, 16)],
+                                               "pgd", cfg),
+    ], ids=["matrix", "transferability"])
+    def test_a_bare_kind_string_is_refused_before_any_run(self, routed, blob_net, blob_data,
+                                                          run):
+        # a string is a sequence of one-letter names: "pgd" must not run p, g and d
+        x, y = blob_data
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        with pytest.raises(ConfigError, match="^attack kinds must be a list of names, "
+                                              "not the string 'pgd'$"):
+            run(blob_net, x, y, cfg)
+        assert routed == []
+
+    def test_matrix_scores_one_cube_per_generator(self, routed, blob_net, blob_data,
+                                                  monkeypatch):
+        x, y = blob_data
+        other = build_mlp([6, 10, 2], seed=99)
+        cubes = []
+        score = harness.outcomes
+        monkeypatch.setattr(harness, "outcomes", lambda cells, *args:
+                            cubes.append([kind for kind, _, _ in cells]) or score(cells, *args))
+        cfg = AttackConfig(eps_max=0.1, eps_step=0.02, n_iter=2, seed=0)
+        transfer_matrix([blob_net, other], ["a", "b"], x, y, 16, cfg,
+                        attack_names=("pgd", "FGSM"))
+        assert cubes == [["pgd", "fgsm"]] * 2
+        assert [(kind, models) for kind, models, _ in routed] \
+            == [("pgd", [blob_net]), ("fgsm", [blob_net]), ("pgd", [other]), ("fgsm", [other])]
 
     def test_matrix_is_keyed_by_lower_case_kind(self, routed, blob_net, blob_data):
         x, y = blob_data

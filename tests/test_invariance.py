@@ -291,8 +291,7 @@ class TestMatrixMatchesPerPairReference:
                 want[i, j] = float(np.mean(target.predict(x_adv) != es.y))
         assert np.array_equal(tm.per_attack[kind], want)
 
-    def test_verifies_every_pair_before_each_generator_run(self, blob_net, blob_data,
-                                                           monkeypatch):
+    def test_verifies_every_pair_once_per_generator(self, blob_net, blob_data, monkeypatch):
         x, y = blob_data
         models = [blob_net, build_mlp([6, 10, 2], seed=99)]
         verified = []
@@ -300,7 +299,7 @@ class TestMatrixMatchesPerPairReference:
         monkeypatch.setattr(harness.EvalSet, "verify",
                             lambda self, ms: verified.append(len(ms)) or verify(self, ms))
         transfer_matrix(models, ["a", "b"], x, y, 16, CFG, attack_names=("fgsm", "pgd"))
-        assert verified == [2] * 8
+        assert verified == [2] * 4
 
     def test_selection_predicts_each_model_once(self, blob_net, blob_data, monkeypatch):
         x, y = blob_data

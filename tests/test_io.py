@@ -826,6 +826,9 @@ class TestCli:
         (["sweep-surrogate"], "sweep needs --model checkpoint path"),
         (["attack"], "no model checkpoints given"),
         (["transfer-matrix"], "no model checkpoints given"),
+        # the kind list is checked before the checkpoints and the data load
+        (["transfer-matrix", "--attacks", "pgd,PGD"], "attack kind 'pgd' named twice"),
+        (["transfer-matrix", "--attacks", ","], "transfer matrix needs at least one attack kind"),
         (["attack", "--kind", "saga", "--alphas", "0.5,-1"],
          "blend coefficients must be non-negative and finite, got (0.5, -1.0)"),
         (["multi-attack", "--pairs", "a.snnm:b.snnm", "--alphas", "0.5,0.3,0.2"],
@@ -849,7 +852,8 @@ class TestCli:
         (["sweep-surrogate", "--model", "missing.snnm", "--eps", "0,1.5"],
          "eps_max must be in [0, 1], got 1.5"),
     ], ids=["attack-kind", "transfer-kind", "no-pairs", "pair-spec", "convert-ann",
-            "sweep-model", "attack-models", "transfer-models", "negative-alphas",
+            "sweep-model", "attack-models", "transfer-models", "transfer-kind-twice",
+            "transfer-no-kinds", "negative-alphas",
             "pair-alphas-count", "pair-negative-alphas", "zero-alphas", "pair-zero-alphas",
             "surrogate-kind", "convert-sigma", "sweep-no-kernels", "sweep-negative-eps",
             "sweep-eps-above-one"])

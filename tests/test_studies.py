@@ -59,7 +59,7 @@ class TestTransferabilityStudy:
                              200, seed=0)
         cfg = AttackConfig(eps_max=0.05, eps_step=0.0125, n_iter=20, seed=0)
         t_conv, t_indep = transferability(ann_mlp, [converted_snn, indep_snn], [es, es],
-                                          "pgd", cfg)
+                                          ["pgd"], cfg)[0]
         assert t_conv >= t_indep + 0.10
 
     def test_saturation_at_pinned_budget(self, indep_snn, digits):
